@@ -27,7 +27,14 @@ from .inference import (
     threshold,
 )
 from .kernel import GaussianKernel
-from .lattice import PRESET_NAMES, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
+from .lattice import (
+    PRESET_NAMES,
+    FieldEnsemble,
+    RngSpec,
+    VoxelSet,
+    make_domain_preset,
+    sample_ensemble,
+)
 from .lkc import lkc_compute, lkc_stationary_closed_form
 from .manifold import VoxelManifold, classify_boundary, euler_characteristic
 from .surf import SurfSpec, surf_eval
@@ -58,7 +65,8 @@ def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_domain(args) -> tuple[VoxelSet, str]:
+def _load_domain(args) -> tuple[VoxelSet, str, FieldEnsemble | None]:
+    """The domain with its label, and the ensemble when read from --fields."""
     if getattr(args, "preset", None):
         if args.preset not in PRESET_NAMES:
             raise ConfigError(f"preset must be one of {PRESET_NAMES}")
@@ -66,9 +74,10 @@ def _load_domain(args) -> tuple[VoxelSet, str]:
         fwhm = getattr(args, "fwhm", None)
         if needs_f and not fwhm:
             raise ConfigError("stationary presets require --fwhm")
-        return make_domain_preset(args.preset, fwhm if needs_f else None), args.preset
+        return make_domain_preset(args.preset, fwhm if needs_f else None), args.preset, None
     if getattr(args, "fields", None):
-        return read_srf1(args.fields).domain, str(args.fields)
+        ens = read_srf1(args.fields)
+        return ens.domain, str(args.fields), ens
     raise ConfigError("either --preset or --fields is required")
 
 
@@ -85,7 +94,7 @@ def _kernel_for(args, D: int) -> GaussianKernel:
 
 
 def _cmd_lkc(args) -> int:
-    dom, dom_label = _load_domain(args)
+    dom, dom_label, ens = _load_domain(args)
     inner = dom.interior or dom
     man = VoxelManifold(inner)
     D = dom.dimension
@@ -105,9 +114,9 @@ def _cmd_lkc(args) -> int:
         )
         vec = lkc_stationary_closed_form(sides, float(args.fwhm))
     else:
-        if args.fields:
+        if ens is None and args.fields:  # --preset set the domain; --fields the data
             ens = read_srf1(args.fields)
-        else:
+        elif ens is None:
             ens = sample_ensemble(dom, args.n_subjects, RngSpec(args.seed))
         vec = lkc_compute(ens, kern, man, args.r)
     out = _out_dir(args)
@@ -147,9 +156,9 @@ def _cmd_threshold(args) -> int:
 
 _FWER_SCHEMA = {
     "preset": str, "fwhm": (int, float), "n_subjects": int, "n_reps": int,
-    "alpha": (int, float), "r_scan": int, "r_lkc": int, "seed": int, "threads": int,
+    "alpha": (int, float), "r_lkc": int, "seed": int, "threads": int,
 }
-_FWER_DEFAULTS = {"alpha": 0.05, "r_scan": 1, "r_lkc": 1, "seed": 0, "threads": 1}
+_FWER_DEFAULTS = {"alpha": 0.05, "r_lkc": 1, "seed": 0, "threads": 1}
 
 
 def _load_fwer_config(path: str, overrides: dict) -> dict:
@@ -181,7 +190,7 @@ def _cmd_fwer_sim(args) -> int:
         return 0
     rep = fwer_experiment(
         cfg["preset"], float(cfg["fwhm"]), cfg["n_subjects"], cfg["n_reps"], cfg["alpha"],
-        r_lkc=cfg["r_lkc"], r_scan=cfg["r_scan"], rng=RngSpec(cfg["seed"]),
+        r_lkc=cfg["r_lkc"], rng=RngSpec(cfg["seed"]),
         threads=cfg["threads"],
     )
     out = _out_dir(args)
@@ -204,7 +213,7 @@ def _cmd_fwer_sim(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    dom, dom_label = _load_domain(args)
+    dom, dom_label, _ = _load_domain(args)
     inner = dom.interior or dom
     man = VoxelManifold(inner)
     census = classify_boundary(man)
@@ -225,7 +234,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_check_nondegeneracy(args) -> int:
-    dom, dom_label = _load_domain(args)
+    dom, dom_label, _ = _load_domain(args)
     kern = _kernel_for(args, dom.dimension)
     x = np.array([float(c) for c in args.point.split(",")])
     if x.size != dom.dimension:

@@ -15,6 +15,7 @@ value column per field.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -39,15 +40,33 @@ def write_srf1(path: str | Path, ensemble: FieldEnsemble) -> None:
 
 
 def read_srf1(path: str | Path) -> FieldEnsemble:
+    """Read an SRF1 file; a malformed one raises ValueError before any array
+    is allocated."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not an SRF1 file (magic {magic!r})")
-        version, D, n_vox = struct.unpack("<HBQ", fh.read(11))
+        header = fh.read(11)
+        if len(header) < 11:
+            raise ValueError(f"truncated SRF1 header: {size} bytes")
+        version, D, n_vox = struct.unpack("<HBQ", header)
         if version != _VERSION:
             raise ValueError(f"unsupported SRF1 version {version}")
+        if not 1 <= D <= 3:
+            raise ValueError(f"SRF1 dimension must be 1..3, got {D}")
+        coords_end = 15 + 8 * n_vox * D
+        if size < coords_end + 4:
+            raise ValueError(
+                f"SRF1 file of {size} bytes is too short for {n_vox} voxels in {D}D"
+            )
         coords = np.frombuffer(fh.read(8 * n_vox * D), dtype="<f8").reshape(n_vox, D)
         (n_fld,) = struct.unpack("<I", fh.read(4))
+        if size != coords_end + 4 + 8 * n_fld * n_vox:
+            raise ValueError(
+                f"SRF1 file of {size} bytes does not match its header "
+                f"({n_fld} fields of {n_vox} voxels in {D}D)"
+            )
         values = np.frombuffer(fh.read(8 * n_fld * n_vox), dtype="<f8").reshape(n_fld, n_vox)
     return FieldEnsemble(VoxelSet(coords.copy()), values.copy())
 

@@ -22,13 +22,13 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .kernel import GaussianKernel
-from .lattice import FieldEnsemble, VoxelSet
+from .lattice import VoxelSet
 from .manifold import EdgeType, RefinedGrid
-from .surf import DegenerateFieldError, smooth_on_grid, surf_eval, SurfSpec
+from .surf import DegenerateFieldError, SurfSpec, smooth_on_grid, surf_eval
+from .surf import _axis_matrix, _contract, _padded_data_tensor
 
 __all__ = [
     "MetricField",
-    "ChristoffelField",
     "metric",
     "christoffel",
     "metric_on_grid",
@@ -45,111 +45,60 @@ _EIG_CLIP = 1e-12
 # ---------------------------------------------------------------------------
 # White-noise moment engines
 # ---------------------------------------------------------------------------
+#
+# A moment is the single sum  sum_v  d^a K(x,v) * d^b K(x,v)  for per-axis
+# derivative order tuples a and b.
 
 
-class _SeparableMoments:
-    """Single sums  sum_v  d^a K(x,v) * d^b K(x,v)  on a tensor grid.
+def _separable_moments(kernel: GaussianKernel, domain: VoxelSet, grid: RefinedGrid, ids):
+    """Moments at grid points ``ids`` (all when None) through surf's tensor
+    engine: the voxel set enters as one field of ones, and each per-axis
+    matrix is the product of the two kernel-factor matrices."""
+    D = domain.dimension
+    mask = _padded_data_tensor(domain, np.ones((1, domain.n_voxels)))
+    pos = grid.axis_positions if ids is None else grid.axis_positions[ids]
+    gather = (0,) + tuple(pos[:, d] for d in range(D))
+    factors: dict[tuple[int, int], np.ndarray] = {}
 
-    ``a`` and ``b`` are per-axis derivative order tuples.  The voxel set
-    enters as a 0/1 occupancy tensor over its axis values, so arbitrary
-    masked domains are exact.
-    """
+    def factor(d: int, order: int) -> np.ndarray:
+        if (d, order) not in factors:
+            factors[(d, order)] = _axis_matrix(
+                kernel, d, grid.axis_coords[d], domain.axis_values[d], order
+            )
+        return factors[(d, order)]
 
-    def __init__(self, kernel: GaussianKernel, domain: VoxelSet, grid: RefinedGrid):
+    def moment(a: tuple, b: tuple) -> np.ndarray:
+        return _contract(mask, [factor(d, a[d]) * factor(d, b[d]) for d in range(D)])[gather]
+
+    return moment
+
+
+def _point_moments(kernel: GaussianKernel, domain: VoxelSet, points: np.ndarray, pairs):
+    """Moments at arbitrary points by direct chunked sums, computed for all
+    ``pairs`` in one sweep so the per-chunk kernel factors are shared."""
+    key = lambda a, b: tuple((min(x, y), max(x, y)) for x, y in zip(a, b))
+    keys = list(dict.fromkeys(key(a, b) for a, b in pairs))
+    vox = domain.coords
+    P, M, D = points.shape[0], vox.shape[0], domain.dimension
+    sums = {k: np.empty(P) for k in keys}
+    orders = {o for k in keys for pair in k for o in pair}
+    size = max(1, 20_000_000 // max(M, 1))
+    for s in range(0, P, size):
+        sl = slice(s, min(s + size, P))
+        t = points[sl, None, :] - vox[None, :, :]
+        fac = {(d, o): kernel.axis_factor(d, t[..., d], o) for d in range(D) for o in orders}
+        inside = None
         if kernel.truncation is not None:
-            raise NotImplementedError("separable moments require an untruncated kernel")
-        self.kernel = kernel
-        self.grid = grid
-        D = domain.dimension
-        shape = tuple(a.size for a in domain.axis_values)
-        self.mask = np.zeros(shape)
-        pos = tuple(
-            np.searchsorted(domain.axis_values[d], domain.coords[:, d]) for d in range(D)
-        )
-        self.mask[pos] = 1.0
-        self.axis_vals = [np.asarray(a) for a in domain.axis_values]
-        self._fac: dict[tuple[int, int], np.ndarray] = {}
-        self._cache: dict[tuple, np.ndarray] = {}
-        self.D = D
-
-    def _factor(self, d: int, order: int) -> np.ndarray:
-        key = (d, order)
-        if key not in self._fac:
-            t = self.grid.axis_coords[d][:, None] - self.axis_vals[d][None, :]
-            self._fac[key] = self.kernel.axis_factor(d, t, order)
-        return self._fac[key]
-
-    def prefetch(self, pairs) -> None:
-        pass  # per-axis factor matrices are already shared across moments
-
-    def moment(self, a: tuple, b: tuple) -> np.ndarray:
-        key = tuple((min(x, y), max(x, y)) for x, y in zip(a, b))  # product commutes per axis
-        if key in self._cache:
-            return self._cache[key]
-        out = self.mask
-        for d in range(self.D):
-            m = self._factor(d, a[d]) * self._factor(d, b[d])
-            out = np.moveaxis(np.tensordot(m, out, axes=(1, d)), 0, d)
-        pos = self.grid.axis_positions
-        gathered = out[tuple(pos[:, d] for d in range(self.D))]
-        self._cache[key] = gathered
-        return gathered
-
-
-class _PointMoments:
-    """Direct chunked sums of kernel-derivative products at arbitrary points.
-
-    ``prefetch`` computes a batch of moments in one sweep so the per-chunk
-    kernel factors are evaluated once and shared.
-    """
-
-    def __init__(self, kernel: GaussianKernel, domain: VoxelSet, points: np.ndarray):
-        self.kernel = kernel
-        self.domain = domain
-        self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        self.D = domain.dimension
-        self._cache: dict[tuple, np.ndarray] = {}
-
-    @staticmethod
-    def _key(a: tuple, b: tuple) -> tuple:
-        return tuple((min(x, y), max(x, y)) for x, y in zip(a, b))
-
-    def prefetch(self, pairs) -> None:
-        keys = [self._key(a, b) for a, b in pairs]
-        keys = [k for k in dict.fromkeys(keys) if k not in self._cache]
-        if not keys:
-            return
-        pts, vox = self.points, self.domain.coords
-        P, M = pts.shape[0], vox.shape[0]
-        sums = {k: np.empty(P) for k in keys}
-        orders = {o for k in keys for pair in k for o in pair}
-        size = max(1, 20_000_000 // max(M, 1))
-        for s in range(0, P, size):
-            sl = slice(s, min(s + size, P))
-            t = pts[sl, None, :] - vox[None, :, :]
-            fac = {
-                (d, o): self.kernel.axis_factor(d, t[..., d], o)
-                for d in range(self.D)
-                for o in orders
-            }
-            inside = None
-            if self.kernel.truncation is not None:
-                inside = np.einsum("pmd,pmd->pm", t, t) <= self.kernel.truncation**2
-            for k in keys:
-                prod = fac[(0, k[0][0])] * fac[(0, k[0][1])]
-                for d in range(1, self.D):
-                    prod = prod * fac[(d, k[d][0])]
-                    prod = prod * fac[(d, k[d][1])]
-                if inside is not None:
-                    prod = np.where(inside, prod, 0.0)
-                sums[k][sl] = prod.sum(axis=1)
-        self._cache.update(sums)
-
-    def moment(self, a: tuple, b: tuple) -> np.ndarray:
-        key = self._key(a, b)
-        if key not in self._cache:
-            self.prefetch([(a, b)])
-        return self._cache[key]
+            inside = np.einsum("pmd,pmd->pm", t, t) <= kernel.truncation**2
+        for k in keys:
+            prod = fac[(0, k[0][0])] * fac[(0, k[0][1])]
+            for d in range(1, D):
+                prod = prod * fac[(d, k[d][0])]
+                prod = prod * fac[(d, k[d][1])]
+            if inside is not None:
+                prod = np.where(inside, prod, 0.0)
+            sums[k][sl] = prod.sum(axis=1)
+    return lambda a, b: sums[key(a, b)]
 
 
 def _unit(D: int, *axes: int) -> tuple:
@@ -159,58 +108,38 @@ def _unit(D: int, *axes: int) -> tuple:
     return tuple(out)
 
 
-def _metric_pairs(D: int) -> list[tuple[tuple, tuple]]:
+def _moment_pairs(D: int, hessian: bool) -> list[tuple[tuple, tuple]]:
     zero = _unit(D)
     pairs = [(zero, zero)]
     pairs += [(zero, _unit(D, d)) for d in range(D)]
-    pairs += [(_unit(D, d), _unit(D, e)) for d in range(D) for e in range(d, D)]
+    pairs += [(_unit(D, d), _unit(D, e)) for d, e in combinations_with_replacement(range(D), 2)]
+    if hessian:
+        for k, d in combinations_with_replacement(range(D), 2):
+            pairs.append((_unit(D, k, d), zero))
+            pairs += [(_unit(D, k, d), _unit(D, e)) for e in range(D)]
     return pairs
 
 
-def _christoffel_pairs(D: int) -> list[tuple[tuple, tuple]]:
+def _wn_bundle(moment, D: int, hessian: bool):
+    """White-noise (S, Sd, Sdd[, T2, U2]) in ``_sample_moments``' layout,
+    each entry filled straight from ``moment(a, b)``."""
     zero = _unit(D)
-    pairs = list(_metric_pairs(D))
-    for k, d in combinations_with_replacement(range(D), 2):
-        pairs.append((_unit(D, k, d), zero))
-        pairs += [(_unit(D, k, d), _unit(D, e)) for e in range(D)]
-    return pairs
-
-
-def _wn_metric_from(moments) -> np.ndarray:
-    D = moments.D
-    zero = _unit(D)
-    moments.prefetch(_metric_pairs(D))
-    S = moments.moment(zero, zero)
+    S = moment(zero, zero)
     if np.any(S < 1e-30):
         raise DegenerateFieldError("vanishing field variance at an evaluation point")
-    Sd = np.stack([moments.moment(zero, _unit(D, d)) for d in range(D)], axis=-1)
+    Sd = np.stack([moment(zero, _unit(D, d)) for d in range(D)], axis=-1)
     Sdd = np.empty(S.shape + (D, D))
-    for d in range(D):
-        for e in range(d, D):
-            m = moments.moment(_unit(D, d), _unit(D, e))
-            Sdd[..., d, e] = Sdd[..., e, d] = m
-    lam = Sdd / S[..., None, None] - Sd[..., :, None] * Sd[..., None, :] / (S**2)[..., None, None]
-    return lam
-
-
-def _wn_christoffel_from(moments) -> np.ndarray:
-    D = moments.D
-    zero = _unit(D)
-    moments.prefetch(_christoffel_pairs(D))
-    S = moments.moment(zero, zero)
-    Sd = np.stack([moments.moment(zero, _unit(D, d)) for d in range(D)], axis=-1)
-    Sdd = np.empty(S.shape + (D, D))
-    for d in range(D):
-        for e in range(d, D):
-            Sdd[..., d, e] = Sdd[..., e, d] = moments.moment(_unit(D, d), _unit(D, e))
-    T2 = np.empty(S.shape + (D, D, D))  # <dk dd K, dd' K>
+    for d, e in combinations_with_replacement(range(D), 2):
+        Sdd[..., d, e] = Sdd[..., e, d] = moment(_unit(D, d), _unit(D, e))
+    if not hessian:
+        return S, Sd, Sdd
+    T2 = np.empty(S.shape + (D, D, D))  # <dk dd K, de K>
     U2 = np.empty(S.shape + (D, D))  # <dk dd K, K>
     for k, d in combinations_with_replacement(range(D), 2):
-        U2[..., k, d] = U2[..., d, k] = moments.moment(_unit(D, k, d), zero)
+        U2[..., k, d] = U2[..., d, k] = moment(_unit(D, k, d), zero)
         for e in range(D):
-            m = moments.moment(_unit(D, k, d), _unit(D, e))
-            T2[..., k, d, e] = T2[..., d, k, e] = m
-    return _christoffel_expr(S, Sd, Sdd, T2, U2)
+            T2[..., k, d, e] = T2[..., d, k, e] = moment(_unit(D, k, d), _unit(D, e))
+    return S, Sd, Sdd, T2, U2
 
 
 def _christoffel_expr(S, Sd, Sdd, T2, U2) -> np.ndarray:
@@ -265,6 +194,38 @@ def _metric_expr(S, Sd, Sdd) -> np.ndarray:
     ]
 
 
+def _moments(source, kernel, domain, hessian, *, points=None, grid=None, ids=None):
+    """(S, Sd, Sdd[, T2, U2]) of ``source`` at ``points``, or at the grid
+    points ``ids`` (all when None) of ``grid``.
+
+    ``source`` is "white-noise" (single sums over ``domain``) or a
+    FieldEnsemble (sample covariances over its own domain).  Untruncated
+    kernels on a grid use the separable tensor engine, except for ensemble
+    second derivatives, which are evaluated pointwise.
+    """
+    separable = grid is not None and kernel.truncation is None
+    if grid is not None:
+        points = grid.points if ids is None else grid.points[ids]
+    if isinstance(source, str):
+        if source != "white-noise":
+            raise ValueError(f"unknown geometry source {source!r}")
+        if domain is None:
+            raise ValueError("white-noise geometry requires a voxel domain")
+        D = domain.dimension
+        if separable:
+            return _wn_bundle(_separable_moments(kernel, domain, grid, ids), D, hessian)
+        moment = _point_moments(kernel, domain, points, _moment_pairs(D, hessian))
+        return _wn_bundle(moment, D, hessian)
+    if separable and not hessian and ids is None:
+        arr = smooth_on_grid(source, kernel, grid, derivatives=1)
+        return _sample_moments(arr["value"], arr["grad"], None)
+    spec = SurfSpec(source, kernel)
+    val = surf_eval(spec, points, "value")
+    grad = surf_eval(spec, points, "gradient")
+    hess = surf_eval(spec, points, "hessian") if hessian else None
+    return _sample_moments(val, grad, hess)
+
+
 # ---------------------------------------------------------------------------
 # Public metric / Christoffel operations
 # ---------------------------------------------------------------------------
@@ -277,58 +238,24 @@ class MetricField:
     source: str
 
 
-@dataclass(frozen=True)
-class ChristoffelField:
-    grid: RefinedGrid
-    values: np.ndarray  # (P, D, D, D), first two indices symmetric
-    source: str
-
-
 def metric(source, kernel: GaussianKernel, domain: VoxelSet | None, x) -> np.ndarray:
     """Induced metric at point(s) x.
 
     ``source`` is either the string "white-noise" (deterministic single-sum
     path over ``domain``) or a FieldEnsemble (sample covariances of the
-    smoothed sample; ``domain`` defaults to the ensemble's own voxel set).
+    smoothed sample; ``domain`` is not used).
     Returns (D, D) for a single point or (P, D, D) for a batch.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if isinstance(source, str):
-        if source != "white-noise":
-            raise ValueError(f"unknown metric source {source!r}")
-        if domain is None:
-            raise ValueError("white-noise metric requires a voxel domain")
-        lam = _wn_metric_from(_PointMoments(kernel, domain, pts))
-    else:
-        spec = SurfSpec(source, kernel)
-        val = surf_eval(spec, pts, "value")
-        grad = surf_eval(spec, pts, "gradient")
-        S, Sd, Sdd = _sample_moments(val, grad, None)
-        lam = _metric_expr(S, Sd, Sdd)
-    return lam[0] if single else lam
+    lam = _metric_expr(*_moments(source, kernel, domain, False, points=np.atleast_2d(x)))
+    return lam[0] if x.ndim == 1 else lam
 
 
 def christoffel(source, kernel: GaussianKernel, domain: VoxelSet | None, x) -> np.ndarray:
     """First-kind Christoffel symbols at point(s) x, shape (..., D, D, D)."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if isinstance(source, str):
-        if source != "white-noise":
-            raise ValueError(f"unknown christoffel source {source!r}")
-        if domain is None:
-            raise ValueError("white-noise christoffel requires a voxel domain")
-        g = _wn_christoffel_from(_PointMoments(kernel, domain, pts))
-    else:
-        spec = SurfSpec(source, kernel)
-        val = surf_eval(spec, pts, "value")
-        grad = surf_eval(spec, pts, "gradient")
-        hess = surf_eval(spec, pts, "hessian")
-        S, Sd, Sdd, T2, U2 = _sample_moments(val, grad, hess)
-        g = _christoffel_expr(S, Sd, Sdd, T2, U2)
-    return g[0] if single else g
+    g = _christoffel_expr(*_moments(source, kernel, domain, True, points=np.atleast_2d(x)))
+    return g[0] if x.ndim == 1 else g
 
 
 def metric_on_grid(
@@ -338,23 +265,10 @@ def metric_on_grid(
     sample_domain: VoxelSet | None = None,
 ) -> MetricField:
     """Metric at every grid point; the fast path for curvature integrals."""
-    if isinstance(source, str):
-        domain = sample_domain or grid.manifold.domain
-        if kernel.truncation is None:
-            lam = _wn_metric_from(_SeparableMoments(kernel, domain, grid))
-        else:
-            lam = _wn_metric_from(_PointMoments(kernel, domain, grid.points))
-        return MetricField(grid, lam, "white-noise-theory")
-    ensemble: FieldEnsemble = source
-    if kernel.truncation is None:
-        arr = smooth_on_grid(ensemble, kernel, grid, derivatives=1)
-        val, grad = arr["value"], arr["grad"]
-    else:
-        spec = SurfSpec(ensemble, kernel)
-        val = surf_eval(spec, grid.points, "value")
-        grad = surf_eval(spec, grid.points, "gradient")
-    S, Sd, Sdd = _sample_moments(val, grad, None)
-    return MetricField(grid, _metric_expr(S, Sd, Sdd), "ensemble-estimate")
+    domain = sample_domain or grid.manifold.domain
+    lam = _metric_expr(*_moments(source, kernel, domain, False, grid=grid))
+    tag = "white-noise-theory" if isinstance(source, str) else "ensemble-estimate"
+    return MetricField(grid, lam, tag)
 
 
 def christoffel_on_grid(
@@ -365,39 +279,13 @@ def christoffel_on_grid(
     point_ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Christoffel symbols at all grid points (or a subset), (Q, D, D, D)."""
-    if isinstance(source, str):
-        domain = sample_domain or grid.manifold.domain
-        if kernel.truncation is None:
-            g = _wn_christoffel_from(_SeparableMoments(kernel, domain, grid))
-            return g if point_ids is None else g[point_ids]
-        pts = grid.points if point_ids is None else grid.points[point_ids]
-        g = _wn_christoffel_from(_PointMoments(kernel, domain, pts))
-        return g
-    ensemble: FieldEnsemble = source
-    pts = grid.points if point_ids is None else grid.points[point_ids]
-    spec = SurfSpec(ensemble, kernel)
-    val = surf_eval(spec, pts, "value")
-    grad = surf_eval(spec, pts, "gradient")
-    hess = surf_eval(spec, pts, "hessian")
-    S, Sd, Sdd, T2, U2 = _sample_moments(val, grad, hess)
-    return _christoffel_expr(S, Sd, Sdd, T2, U2)
+    domain = sample_domain or grid.manifold.domain
+    return _christoffel_expr(*_moments(source, kernel, domain, True, grid=grid, ids=point_ids))
 
 
 # ---------------------------------------------------------------------------
 # Frames and edge angles
 # ---------------------------------------------------------------------------
-
-
-def christoffel_field(
-    source,
-    kernel: GaussianKernel,
-    grid: RefinedGrid,
-    sample_domain: VoxelSet | None = None,
-) -> ChristoffelField:
-    """First-kind Christoffel symbols at every grid point, tagged by source."""
-    vals = christoffel_on_grid(source, kernel, grid, sample_domain)
-    tag = "white-noise-theory" if isinstance(source, str) else "ensemble-estimate"
-    return ChristoffelField(grid, vals, tag)
 
 
 def orthonormal_frame(lam: np.ndarray, I: tuple[int, int]):
@@ -432,28 +320,24 @@ def orthonormal_frame(lam: np.ndarray, I: tuple[int, int]):
     return U, V, N
 
 
-def _beta_angle(lam: np.ndarray, convention: str) -> np.ndarray:
-    """Opening angle of the canonical solid wedge {y1 <= 0, y2 <= 0} at an
-    edge running along axis 0, for metric(s) in edge-adapted coordinates."""
+def _beta_angle(lam: np.ndarray) -> np.ndarray:
+    """Opening angle, measured in the metric, of the canonical solid wedge
+    {y1 <= 0, y2 <= 0} at an edge running along axis 0, for metric(s) in
+    edge-adapted coordinates."""
     _, V, N = orthonormal_frame(lam, (0, 1))
     mvec = np.cross(V, N)
     m1, m2, m3 = mvec[..., 0], mvec[..., 1], mvec[..., 2]
-    if convention == "euclidean":
-        cosb = m2 * m3 / (np.sqrt(m2**2 + m1**2) * np.sqrt(m3**2 + m1**2))
-    elif convention == "metric":
-        shape = mvec.shape
-        a = np.zeros(shape)
-        b = np.zeros(shape)
-        a[..., 0] = m2 / m1
-        a[..., 1] = -1.0
-        b[..., 0] = m3 / m1
-        b[..., 2] = -1.0
-        la = np.einsum("...d,...de,...e->...", a, lam, a)
-        lb = np.einsum("...d,...de,...e->...", b, lam, b)
-        ab = np.einsum("...d,...de,...e->...", a, lam, b)
-        cosb = ab / np.sqrt(la * lb)
-    else:
-        raise ValueError(f"unknown angle convention {convention!r}")
+    shape = mvec.shape
+    a = np.zeros(shape)
+    b = np.zeros(shape)
+    a[..., 0] = m2 / m1
+    a[..., 1] = -1.0
+    b[..., 0] = m3 / m1
+    b[..., 2] = -1.0
+    la = np.einsum("...d,...de,...e->...", a, lam, a)
+    lb = np.einsum("...d,...de,...e->...", b, lam, b)
+    ab = np.einsum("...d,...de,...e->...", a, lam, b)
+    cosb = ab / np.sqrt(la * lb)
     return np.arccos(np.clip(cosb, -1.0, 1.0))
 
 
@@ -462,7 +346,6 @@ def theta_angle(
     tangent_axis: int,
     edge_type: EdgeType,
     refl: tuple[int, int] = (1, 1),
-    convention: str = "metric",
 ) -> np.ndarray:
     """Normal-cone opening contribution of an edge point.
 
@@ -471,23 +354,14 @@ def theta_angle(
     the occupancy pattern to canonical orientation: solid quadrant at
     (-, -) for convex and double-convex, missing quadrant at (+, +) for
     concave.  Convex edges contribute pi - beta, double-convex -2 beta,
-    concave beta - pi.
+    concave beta - pi.  Returns a scalar for one matrix, else shape (...).
     """
     lam = np.asarray(lam, dtype=np.float64)
-    k = tangent_axis
-    p, q = [d for d in range(3) if d != k]
-    perm = (k, p, q)
-    lamp = lam[..., perm, :][..., :, perm]
-    signs = np.array([1.0, float(refl[0]), float(refl[1])])
-    lamp = lamp * signs[:, None] * signs[None, :]
-    beta = _beta_angle(lamp, convention)
-    if edge_type == EdgeType.CONVEX:
-        return np.pi - beta
-    if edge_type == EdgeType.DOUBLE_CONVEX:
-        return -2.0 * beta
-    if edge_type == EdgeType.CONCAVE:
-        return beta - np.pi
-    raise ValueError(f"unknown edge type {edge_type!r}")
+    flat = lam.reshape(-1, 3, 3)
+    n = flat.shape[0]
+    types = np.full(n, EdgeType(edge_type), dtype=np.int8)
+    out = theta_batch(flat, tangent_axis, types, np.tile(np.asarray(refl), (n, 1)))
+    return out.reshape(lam.shape[:-2])[()]
 
 
 def theta_batch(
@@ -495,7 +369,6 @@ def theta_batch(
     tangent_axis: int,
     types: np.ndarray,
     refl: np.ndarray,
-    convention: str = "metric",
 ) -> np.ndarray:
     """Vectorized theta over points sharing a tangent axis.
 
@@ -506,7 +379,7 @@ def theta_batch(
     lamp = lam[:, perm, :][:, :, perm]
     signs = np.concatenate([np.ones((len(lam), 1)), refl.astype(np.float64)], axis=1)
     lamp = lamp * signs[:, :, None] * signs[:, None, :]
-    beta = _beta_angle(lamp, convention)
+    beta = _beta_angle(lamp)
     out = np.empty(len(lam))
     conv = types == EdgeType.CONVEX
     dbl = types == EdgeType.DOUBLE_CONVEX

@@ -327,7 +327,6 @@ def fwer_experiment(
     alpha: float = 0.05,
     *,
     r_lkc: int = 1,
-    r_scan: int = 1,
     starts: int = 10,
     rng: RngSpec | int = 0,
     threads: int = 1,

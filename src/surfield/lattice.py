@@ -89,15 +89,13 @@ class VoxelSet:
 
         Consecutive axis values separated by exactly ``spacing[d]`` map to
         consecutive integers; larger gaps map to an index jump of at least 2
-        so that only geometrically touching boxes become lattice neighbors.
+        so that only geometrically touching boxes become lattice neighbors
+        (see ``axis_index_values``).
         """
         idx = np.empty(self.coords.shape, dtype=np.int64)
         for d in range(self.dimension):
-            vals = self.axis_values[d]
-            gaps = np.diff(vals)
-            step = np.where(np.isclose(gaps, self.spacing[d], rtol=1e-9, atol=0.0), 1, 2)
-            axis_idx = np.concatenate([[0], np.cumsum(step)])
-            idx[:, d] = axis_idx[np.searchsorted(vals, self.coords[:, d])]
+            pos = np.searchsorted(self.axis_values[d], self.coords[:, d])
+            idx[:, d] = self.axis_index_values[d][pos]
         idx.setflags(write=False)
         return idx
 
@@ -111,17 +109,6 @@ class VoxelSet:
             step = np.where(np.isclose(gaps, self.spacing[d], rtol=1e-9, atol=0.0), 1, 2)
             out.append(_readonly(np.concatenate([[0], np.cumsum(step)])))
         return tuple(out)
-
-    @cached_property
-    def is_box(self) -> bool:
-        """True when the set is the full tensor product of its axis values."""
-        n_full = 1
-        for d in range(self.dimension):
-            n_full *= self.axis_values[d].size
-        return n_full == self.n_voxels
-
-    def row_lookup(self) -> dict[tuple[float, ...], int]:
-        return {tuple(c): i for i, c in enumerate(self.coords)}
 
 
 @dataclass(frozen=True)
@@ -172,10 +159,6 @@ class FieldEnsemble:
     @property
     def n_fields(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def fields(self) -> list[LatticeField]:
-        return [LatticeField(self.domain, row) for row in self.values]
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ def _boundary_sum(grid: RefinedGrid, lam: np.ndarray) -> tuple[float, int]:
     return 0.5 * total, n_bad
 
 
-def _edge_sum(grid: RefinedGrid, lam: np.ndarray, angle_convention: str) -> tuple[float, int]:
+def _edge_sum(grid: RefinedGrid, lam: np.ndarray) -> tuple[float, int]:
     """Locally stationary first curvature for D = 3: (1/2pi) times the edge
     integral of the normal-cone angle against metric length."""
     dom = grid.manifold.domain
@@ -100,7 +100,7 @@ def _edge_sum(grid: RefinedGrid, lam: np.ndarray, angle_convention: str) -> tupl
             continue
         k = table["tangent"]
         lam_pts = lam[ids]
-        theta = theta_batch(lam_pts, k, table["types"], table["refl"], angle_convention)
+        theta = theta_batch(lam_pts, k, table["types"], table["refl"])
         length, bad = sqrt_det_sub(lam_pts, (k,))
         n_bad += bad
         total += float(
@@ -152,7 +152,6 @@ def lkc_compute(
     sample_domain: VoxelSet | None = None,
     grid: RefinedGrid | None = None,
     include_face_term: bool = False,
-    angle_convention: str = "metric",
 ) -> LkcVector:
     """Curvatures from the induced metric on the refined grid.
 
@@ -190,7 +189,7 @@ def lkc_compute(
         values[D - 1] = l_bnd
     locally_stationary = False
     if D == 3:
-        l1, bad = _edge_sum(grid, lam, angle_convention)
+        l1, bad = _edge_sum(grid, lam)
         n_bad += bad
         if include_face_term:
             l1 += _face_correction(grid, lam, source, kernel, sample_domain)

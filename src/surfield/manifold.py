@@ -2,10 +2,11 @@
 
 Each voxel v spans the closed box prod_d [v_d - delta_d/2, v_d + delta_d/2].
 The union of these boxes is the continuous analysis domain.  Its boundary
-decomposes into faces, (in 3D) edges of three kinds, and vertices; this
-module builds the refined evaluation grids, classifies every grid point into
-its stratum, precomputes quadrature tables used by the curvature integrals,
-and computes the Euler characteristic of the box union combinatorially.
+decomposes into faces, (in 3D) edges of three kinds, and vertices.  Every
+stratum is read off one source, the occupancy pattern of the boxes incident
+to each cell of the cubical complex (``VoxelManifold._cell_patterns``).  From
+it this module builds the quadrature tables of the refined evaluation grids,
+the boundary census, and the Euler characteristic of the box union.
 
 All lattice combinatorics run on adjacency-preserving integer indices, so
 shared grid points deduplicate exactly regardless of floating-point
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +35,6 @@ __all__ = [
 
 _INDEX_SPACE_CAP = 1 << 27
 
-TAG_INTERIOR, TAG_FACE, TAG_EDGE, TAG_VERTEX = 0, 1, 2, 3
-_TAG_NAMES = {TAG_INTERIOR: "interior", TAG_FACE: "face", TAG_EDGE: "edge", TAG_VERTEX: "vertex"}
-
 
 class EdgeType(IntEnum):
     CONVEX = 0
@@ -44,96 +42,32 @@ class EdgeType(IntEnum):
     CONCAVE = 2
 
 
-# ---------------------------------------------------------------------------
-# Local occupancy-pattern classification
-# ---------------------------------------------------------------------------
-#
-# A grid point lying on j box-boundary planes has up to 2^j incident boxes,
-# one per sign choice.  The local shape of the manifold at the point is a
-# function of which of those boxes exist.  An axis is "full" when presence is
-# closed under flipping it; full axes are directions along which the point is
-# locally interior, and dropping them reduces the pattern until the stratum
-# is read off directly.
+def _edge_luts() -> tuple[np.ndarray, np.ndarray]:
+    """Edge type (-1: no edge) and canonical reflections per quadrant pattern.
 
-
-def _reduce_pattern(sigmas: frozenset, slots: tuple) -> tuple[frozenset, tuple]:
-    for pos in range(len(slots)):
-        if all((s[:pos] + (1 - s[pos],) + s[pos + 1:]) in sigmas for s in sigmas):
-            reduced = frozenset(s[:pos] + s[pos + 1:] for s in sigmas)
-            return _reduce_pattern(reduced, slots[:pos] + slots[pos + 1:])
-    return sigmas, slots
-
-
-@lru_cache(maxsize=None)
-def _classify_pattern(j: int, bits: int):
-    """Classify a presence pattern over the 2^j candidate boxes.
-
-    Bit i of ``bits`` marks presence of the box with sign tuple
-    sigma = (i >> a & 1 for slot a); sign 0 is the box below the plane.
-
-    Returns one of
-      ("outside", None)
-      ("interior", None)
-      ("face", (slot, side))                  side 0: solid below, outward is +
-      ("edge", (tangent_slots, trans_slots, EdgeType, (r0, r1)))
-                                              r: +-1 reflection to canonical
-      ("vertex", None)
-    Slots refer to positions within the point's plane-axis tuple; for an edge
-    ``tangent_slots`` lists the full (locally interior) slots.
+    Bit ``sp + 2 sq`` of a pattern marks the box on side (sp, sq) of the two
+    transverse planes (1: above).  The reflections bring the solid quadrant
+    of a convex edge to (-, -), the solid pair of a double-convex edge to
+    {(-, -), (+, +)}, and the missing quadrant of a concave edge to (+, +).
     """
-    sigmas = frozenset(
-        tuple((i >> a) & 1 for a in range(j)) for i in range(2**j) if (bits >> i) & 1
-    )
-    if not sigmas:
-        return ("outside", None)
-    reduced, slots = _reduce_pattern(sigmas, tuple(range(j)))
-    k = len(slots)
-    if k == 0:
-        return ("interior", None)
-    if k == 1:
-        side = next(iter(reduced))[0]
-        return ("face", (slots[0], side))
-    if k == 2:
-        c = len(reduced)
-        tangent_slots = tuple(sorted(set(range(j)) - set(slots)))
-        if c == 1:
-            solid = next(iter(reduced))
-            refl = tuple(-1 if s else 1 for s in solid)
-            return ("edge", (tangent_slots, slots, EdgeType.CONVEX, refl))
-        if c == 2:
-            refl = (1, 1) if (0, 0) in reduced else (-1, 1)
-            return ("edge", (tangent_slots, slots, EdgeType.DOUBLE_CONVEX, refl))
-        if c == 3:
-            missing = next(iter(frozenset(itertools.product((0, 1), repeat=2)) - reduced))
-            refl = tuple(1 if s else -1 for s in missing)
-            return ("edge", (tangent_slots, slots, EdgeType.CONCAVE, refl))
-        raise AssertionError("2-slot pattern with no reducible axis cannot be full")
-    return ("vertex", None)
+    types = np.full(16, -1, dtype=np.int8)
+    refl = np.ones((16, 2), dtype=np.int8)
+    for bits in range(16):
+        sides = [(c & 1, c >> 1) for c in range(4) if (bits >> c) & 1]
+        if len(sides) == 1:
+            types[bits] = EdgeType.CONVEX
+            refl[bits] = [-1 if s else 1 for s in sides[0]]
+        elif bits in (0b0110, 0b1001):
+            types[bits] = EdgeType.DOUBLE_CONVEX
+            refl[bits, 0] = -1 if bits == 0b0110 else 1
+        elif len(sides) == 3:
+            types[bits] = EdgeType.CONCAVE
+            missing = next(s for s in itertools.product((0, 1), repeat=2) if s not in sides)
+            refl[bits] = [1 if s else -1 for s in missing]
+    return types, refl
 
 
-@lru_cache(maxsize=None)
-def _pattern_luts(j: int):
-    """Vectorizable lookup tables over all 2^(2^j) presence patterns."""
-    n = 1 << (1 << j)
-    tag = np.zeros(n, dtype=np.uint8)
-    face_slot = np.full(n, -1, dtype=np.int8)
-    face_side = np.full(n, -1, dtype=np.int8)
-    for bits in range(n):
-        kind, info = _classify_pattern(j, bits)
-        if kind == "interior":
-            tag[bits] = TAG_INTERIOR
-        elif kind == "face":
-            tag[bits] = TAG_FACE
-            face_slot[bits], face_side[bits] = info
-        elif kind == "edge":
-            tag[bits] = TAG_EDGE
-            # tangent slot is unique for j<=3 patterns that classify as edge
-            face_slot[bits] = info[0][0] if info[0] else -1
-        elif kind == "vertex":
-            tag[bits] = TAG_VERTEX
-        else:
-            tag[bits] = 255
-    return tag, face_slot, face_side
+_EDGE_TYPE, _EDGE_REFL = _edge_luts()
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +116,33 @@ class VoxelManifold:
         pad.setflags(write=False)
         return pad
 
-    @cached_property
-    def _voxel_row(self) -> np.ndarray:
-        """Index-space -> voxel row (or -1)."""
-        rows = np.full(tuple(self._extents), -1, dtype=np.int64)
-        rel = self.domain.axis_index - self._origin
-        rows[tuple(rel.T)] = np.arange(self.domain.n_voxels)
-        rows.setflags(write=False)
-        return rows
+    def _cell_patterns(self, S: tuple[int, ...]) -> np.ndarray:
+        """Presence of the 2^|S| boxes incident to each cell on the planes of S.
+
+        A cell lies on a box-boundary plane along every axis in ``S`` and
+        spans one box extent along every other axis.  Returns a boolean array
+        (2^|S|, *cells): entry ``code`` holds the box on the upper side of the
+        plane of axis ``S[a]`` where bit a of ``code`` is set, on the lower
+        side otherwise.  Use ``_cell_boxes`` to turn cell positions into box
+        indices.
+        """
+        O = self._padded
+        shape = tuple(n - 1 if d in S else n - 2 for d, n in enumerate(O.shape))
+        out = np.empty((1 << len(S),) + shape, dtype=bool)
+        for code in range(1 << len(S)):
+            sl = [slice(1, -1)] * self.dimension
+            for a, d in enumerate(S):
+                up = (code >> a) & 1
+                sl[d] = slice(up, O.shape[d] - 1 + up)
+            out[code] = O[tuple(sl)]
+        return out
+
+    def _cell_boxes(self, S: tuple[int, ...], cells: np.ndarray) -> np.ndarray:
+        """Box index of (K, D) cell positions from ``_cell_patterns(S)``: the
+        spanned box, or along an axis of ``S`` the box below the plane."""
+        box = cells + self._origin
+        box[:, list(S)] -= 1
+        return box
 
     def occupied(self, idx: np.ndarray) -> np.ndarray:
         """Occupancy for integer index vectors (…, D); out of range is empty."""
@@ -221,7 +174,7 @@ class VoxelManifold:
 
 
 class RefinedGrid:
-    """Deduplicated evaluation grid with per-point stratum tags.
+    """Deduplicated evaluation grid with its quadrature tables.
 
     ``r`` is the added resolution: each box contributes the (r+2)^D lattice
     with per-axis step delta/(r+1), including the box boundary (hence r must
@@ -232,9 +185,10 @@ class RefinedGrid:
     ----------
     keys : (P, D) int64 exact grid keys (box index * (r+1) + sub-step)
     points : (P, D) float64 coordinates
-    tag : (P,) uint8 stratum tag (interior/face/edge/vertex)
-    tag_axis : (P,) int8  face: constant axis; edge: tangent axis; else -1
     vol_weight : (P,) float64 tensor-trapezoid multiplicity for volume sums
+    axis_keys, axis_coords : per axis, the sorted grid keys and their coordinates
+    face_tables, edge_tables : boundary quadrature tables (r >= 1, see
+        ``_build_boundary_tables``)
     """
 
     def __init__(self, manifold: VoxelManifold, r: int):
@@ -248,11 +202,9 @@ class RefinedGrid:
             order = np.lexsort(self.keys.T[::-1])
             self.keys = self.keys[order]
             self.points = dom.coords[order].copy()
-            self.tag = np.zeros(len(self.keys), dtype=np.uint8)
-            self.tag_axis = np.full(len(self.keys), -1, dtype=np.int8)
             self.vol_weight = np.ones(len(self.keys))
-            self._axis_keys = list(dom.axis_index_values)
-            self._axis_coords = list(dom.axis_values)
+            self.axis_keys = list(dom.axis_index_values)
+            self.axis_coords = list(dom.axis_values)
             self._finalize()
             return
         if self.r < 0 or self.r % 2 == 0:
@@ -263,20 +215,20 @@ class RefinedGrid:
         z = np.arange(-h, h + 1)
 
         # per-axis key -> coordinate maps, from the generating boxes
-        self._axis_keys = []
-        self._axis_coords = []
+        self.axis_keys = []
+        self.axis_coords = []
         for d in range(D):
             ak = (dom.axis_index_values[d][:, None] * step + z[None, :]).ravel()
             ac = (
                 dom.axis_values[d][:, None] + z[None, :] * (dom.spacing[d] / step)
             ).ravel()
             uk, first = np.unique(ak, return_index=True)
-            self._axis_keys.append(uk)
-            self._axis_coords.append(ac[first])
+            self.axis_keys.append(uk)
+            self.axis_coords.append(ac[first])
 
         # flat composite keys for exact dedup
-        kmin = np.array([a[0] for a in self._axis_keys])
-        ext = np.array([a[-1] - a[0] + 1 for a in self._axis_keys])
+        kmin = np.array([a[0] for a in self.axis_keys])
+        ext = np.array([a[-1] - a[0] + 1 for a in self.axis_keys])
         strides = np.ones(D, dtype=np.int64)
         for d in range(D - 2, -1, -1):
             strides[d] = strides[d + 1] * ext[d + 1]
@@ -289,71 +241,43 @@ class RefinedGrid:
         self._flat = uflat
         self._flat_min = kmin
         self._flat_strides = strides
-        self._flat_ext = ext
 
         pts = np.empty(self.keys.shape, dtype=np.float64)
         for d in range(D):
-            pos = np.searchsorted(self._axis_keys[d], self.keys[:, d])
-            pts[:, d] = self._axis_coords[d][pos]
+            pos = np.searchsorted(self.axis_keys[d], self.keys[:, d])
+            pts[:, d] = self.axis_coords[d][pos]
         self.points = pts
 
-        self._classify_points(h, step)
+        self.vol_weight = self._volume_weights(h, step)
         self._build_boundary_tables(h, step)
         self._finalize()
 
     # -- construction helpers -------------------------------------------------
 
-    def _classify_points(self, h: int, step: int):
+    def _volume_weights(self, h: int, step: int) -> np.ndarray:
+        """Share of the 2^j boxes around each point (on j box-boundary
+        planes) that are occupied."""
         man = self.manifold
         D = self.dimension
-        P = len(self.keys)
         on_plane = (np.mod(self.keys, step) == h)
         upper_box = (self.keys + h) // step
-        self.tag = np.zeros(P, dtype=np.uint8)
-        self.tag_axis = np.full(P, -1, dtype=np.int8)
-        self.vol_weight = np.empty(P, dtype=np.float64)
-
+        weight = np.ones(len(self.keys), dtype=np.float64)
         plane_bits = on_plane @ (1 << np.arange(D))
-        for pb in range(1 << D):
+        for pb in range(1, 1 << D):
             sel = np.nonzero(plane_bits == pb)[0]
             if sel.size == 0:
                 continue
             axes = [d for d in range(D) if (pb >> d) & 1]
-            j = len(axes)
-            if j == 0:
-                self.vol_weight[sel] = 1.0
-                continue
             base = upper_box[sel]
-            presence_bits = np.zeros(sel.size, dtype=np.int64)
             count = np.zeros(sel.size, dtype=np.int64)
-            for code in range(1 << j):
+            for code in range(1 << len(axes)):
                 cand = base.copy()
                 for a, d in enumerate(axes):
                     if not (code >> a) & 1:
                         cand[:, d] -= 1
-                occ = man.occupied(cand)
-                presence_bits |= occ.astype(np.int64) << code
-                count += occ
-            self.vol_weight[sel] = count / (1 << j)
-            tag_lut, slot_lut, _ = _pattern_luts(j)
-            tags = tag_lut[presence_bits]
-            if D == 2:
-                # a 2-D point where two boundary planes cross is a corner
-                tags = np.where(tags == TAG_EDGE, TAG_VERTEX, tags)
-            self.tag[sel] = tags
-            slots = slot_lut[presence_bits]
-            is_face = tags == TAG_FACE
-            if np.any(is_face):
-                ax = np.asarray(axes, dtype=np.int8)[slots[is_face]]
-                self.tag_axis[sel[is_face]] = ax
-            is_edge = (tags == TAG_EDGE) & (D == 3)
-            if np.any(is_edge):
-                if j == 2:
-                    tangent = ({0, 1, 2} - set(axes)).pop()
-                    self.tag_axis[sel[is_edge]] = tangent
-                else:
-                    ax = np.asarray(axes, dtype=np.int8)[slots[is_edge]]
-                    self.tag_axis[sel[is_edge]] = ax
+                count += man.occupied(cand)
+            weight[sel] = count / (1 << len(axes))
+        return weight
 
     def _build_boundary_tables(self, h: int, step: int):
         """Quadrature tables for boundary strata.
@@ -366,37 +290,16 @@ class RefinedGrid:
         """
         man = self.manifold
         D = self.dimension
-        O = man._padded  # padded occupancy: index i of O = box index (i - 1 + origin)
-        org = man._origin
         z = np.arange(-h, h + 1)
         zw = np.ones(self.r + 2)
         zw[0] = zw[-1] = 0.5
 
         self.face_tables: dict[int, dict[str, np.ndarray]] = {}
         for m in range(D):
-            lo = [slice(None)] * D
-            hi = [slice(None)] * D
-            lo[m] = slice(0, -1)
-            hi[m] = slice(1, None)
-            below = O[tuple(lo)]
-            above = O[tuple(hi)]
-            ext = below ^ above
-            cells = np.argwhere(ext)  # padded-level coords: plane level_m, box pos on others
-            if cells.size == 0:
-                self.face_tables[m] = {
-                    "ids": np.empty(0, np.int64),
-                    "weights": np.empty(0, np.float64),
-                    "outward": np.empty(0, np.int8),
-                }
-                continue
-            outward = np.where(below[tuple(cells.T)], 1, -1).astype(np.int8)
-            # translate to index space: plane level m at padded L means between
-            # boxes (L-1) and L in padded coords, i.e. key_m = (L - 1 + org_m)*step + h
-            key_m = (cells[:, m] - 1 + org[m]) * step + h
+            cells, outward = _exterior_faces(man, m)
+            # the face lies on the upper plane of the box below it
+            box = man._cell_boxes((m,), cells)
             tangential = [d for d in range(D) if d != m]
-            box_keys = {
-                d: (cells[:, d] - 1 + org[d]) * step for d in tangential
-            }
             n_faces = cells.shape[0]
             npt = (self.r + 2) ** (D - 1)
             combos = (
@@ -408,12 +311,11 @@ class RefinedGrid:
             for a in range(D - 1):
                 wts *= zw[combos[:, a] + h]
             keys = np.empty((n_faces, npt, D), dtype=np.int64)
-            keys[:, :, m] = key_m[:, None]
+            keys[:, :, m] = box[:, m, None] * step + h
             for a, d in enumerate(tangential):
-                keys[:, :, d] = box_keys[d][:, None] + combos[None, :, a]
-            ids = self._lookup_ids(keys.reshape(-1, D))
+                keys[:, :, d] = box[:, d, None] * step + combos[None, :, a]
             self.face_tables[m] = {
-                "ids": ids,
+                "ids": self._lookup_ids(keys.reshape(-1, D)),
                 "weights": np.tile(wts, n_faces),
                 "outward": np.repeat(outward, npt),
             }
@@ -423,80 +325,28 @@ class RefinedGrid:
             return
         for k in range(3):
             p, q = [d for d in range(3) if d != k]
-            # quadrant presence around every transverse plane pair, along k
-            sl = {}
-            for sp in (0, 1):
-                for sq in (0, 1):
-                    s = [slice(1, None)] * 3
-                    s[k] = slice(1, -1)
-                    s[p] = slice(sp, O.shape[p] - 1 + sp)
-                    s[q] = slice(sq, O.shape[q] - 1 + sq)
-                    sl[(sp, sq)] = O[tuple(s)]
-            count = sum(a.astype(np.int8) for a in sl.values())
-            diag = (sl[(0, 0)] & sl[(1, 1)] & ~sl[(0, 1)] & ~sl[(1, 0)]) | (
-                sl[(0, 1)] & sl[(1, 0)] & ~sl[(0, 0)] & ~sl[(1, 1)]
-            )
-            adj = (count == 2) & ~diag
-            is_edge = (count == 1) | ((count == 2) & diag) | (count == 3)
-            cells = np.argwhere(is_edge)
-            if cells.size == 0:
-                self.edge_tables.append(
-                    {
-                        "ids": np.empty(0, np.int64),
-                        "weights": np.empty(0, np.float64),
-                        "types": np.empty(0, np.int8),
-                        "refl": np.empty((0, 2), np.int8),
-                        "tangent": k,
-                        "trans": (p, q),
-                    }
-                )
-                continue
-            pres = {s: sl[s][tuple(cells.T)] for s in sl}
-            cnt = count[tuple(cells.T)]
-            types = np.empty(cells.shape[0], dtype=np.int8)
-            refl = np.ones((cells.shape[0], 2), dtype=np.int8)
-            conv = cnt == 1
-            types[conv] = EdgeType.CONVEX
-            dbl = cnt == 2
-            types[dbl] = EdgeType.DOUBLE_CONVEX
-            conc = cnt == 3
-            types[conc] = EdgeType.CONCAVE
-            # canonical orientations: convex solid at (-,-); double at
-            # {(-,-),(+,+)}; concave missing at (+,+)
-            refl[conv & pres[(1, 0)], 0] = -1
-            refl[conv & pres[(0, 1)], 1] = -1
-            refl[conv & pres[(1, 1)], :] = -1
-            refl[dbl & pres[(0, 1)], 0] = -1
-            missing_00 = conc & ~pres[(0, 0)]
-            missing_01 = conc & ~pres[(0, 1)]
-            missing_10 = conc & ~pres[(1, 0)]
-            refl[missing_00, :] = -1
-            refl[missing_01, 0] = -1
-            refl[missing_10, 1] = -1
-            # grid keys: along k the cell spans box n_k; transverse at planes
-            n_k = cells[:, k] + org[k]
-            key_p = (cells[:, p] - 1 + org[p]) * step + h
-            key_q = (cells[:, q] - 1 + org[q]) * step + h
+            cells, codes = _edge_cells(man, k)
+            # along k the segment spans its box; transverse it sits on the planes
+            box = man._cell_boxes((p, q), cells)
             npt = self.r + 2
             n_cells = cells.shape[0]
             keys = np.empty((n_cells, npt, 3), dtype=np.int64)
-            keys[:, :, k] = n_k[:, None] * step + z[None, :]
-            keys[:, :, p] = key_p[:, None]
-            keys[:, :, q] = key_q[:, None]
-            ids = self._lookup_ids(keys.reshape(-1, 3))
+            keys[:, :, k] = box[:, k, None] * step + z[None, :]
+            keys[:, :, p] = box[:, p, None] * step + h
+            keys[:, :, q] = box[:, q, None] * step + h
             self.edge_tables.append(
                 {
-                    "ids": ids,
+                    "ids": self._lookup_ids(keys.reshape(-1, 3)),
                     "weights": np.tile(zw, n_cells),
-                    "types": np.repeat(types, npt),
-                    "refl": np.repeat(refl, npt, axis=0),
+                    "types": np.repeat(_EDGE_TYPE[codes], npt),
+                    "refl": np.repeat(_EDGE_REFL[codes], npt, axis=0),
                     "tangent": k,
                     "trans": (p, q),
                 }
             )
 
     def _finalize(self):
-        for a in ("keys", "points", "tag", "tag_axis", "vol_weight"):
+        for a in ("keys", "points", "vol_weight"):
             getattr(self, a).setflags(write=False)
 
     # -- lookups ---------------------------------------------------------------
@@ -509,19 +359,11 @@ class RefinedGrid:
         return pos
 
     @cached_property
-    def axis_keys(self) -> list[np.ndarray]:
-        return self._axis_keys
-
-    @cached_property
-    def axis_coords(self) -> list[np.ndarray]:
-        return self._axis_coords
-
-    @cached_property
     def axis_positions(self) -> np.ndarray:
         """Per-point position of each coordinate within ``axis_coords``."""
         pos = np.empty(self.keys.shape, dtype=np.int64)
         for d in range(self.dimension):
-            pos[:, d] = np.searchsorted(self._axis_keys[d], self.keys[:, d])
+            pos[:, d] = np.searchsorted(self.axis_keys[d], self.keys[:, d])
         return pos
 
     @property
@@ -578,8 +420,43 @@ def refined_grid(manifold: VoxelManifold, r: int) -> RefinedGrid:
 
 
 # ---------------------------------------------------------------------------
-# Census and Euler characteristic
+# Strata, census and Euler characteristic
 # ---------------------------------------------------------------------------
+#
+# All three read the cells of the cubical complex through
+# ``VoxelManifold._cell_patterns``: a cell on the boundary planes of the axes
+# S has 2^|S| incident boxes, and which of them exist decides its stratum.
+
+
+def _exterior_faces(manifold: VoxelManifold, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit faces normal to axis m with exactly one incident box: their cell
+    positions and outward sides (+1 when the box lies below the plane)."""
+    below, above = manifold._cell_patterns((m,))
+    cells = np.argwhere(below ^ above)
+    outward = np.where(below[tuple(cells.T)], 1, -1).astype(np.int8)
+    return cells, outward
+
+
+def _edge_cells(manifold: VoxelManifold, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """3-D unit edge segments along axis k: cell positions and quadrant
+    patterns (indices into ``_EDGE_TYPE`` / ``_EDGE_REFL``)."""
+    p, q = [d for d in range(3) if d != k]
+    pat = manifold._cell_patterns((p, q))
+    bits = sum(pat[code].astype(np.int8) << code for code in range(4))
+    cells = np.argwhere(_EDGE_TYPE[bits] >= 0)
+    return cells, bits[tuple(cells.T)]
+
+
+def _vertex_count(manifold: VoxelManifold) -> int:
+    """0-cells whose pattern is non-empty and changes under every axis flip
+    (a flip-invariant axis makes the point locally a face or edge point)."""
+    D = manifold.dimension
+    pat = manifold._cell_patterns(tuple(range(D)))
+    codes = np.arange(1 << D)
+    symmetric = np.zeros(pat.shape[1:], dtype=bool)
+    for a in range(D):
+        symmetric |= np.all(pat == pat[codes ^ (1 << a)], axis=0)
+    return int(np.count_nonzero(pat.any(axis=0) & ~symmetric))
 
 
 @dataclass(frozen=True)
@@ -604,67 +481,30 @@ def classify_boundary(manifold: VoxelManifold) -> StratumCensus:
     """Count exterior unit faces per varying-axes subset, unit edge segments
     per (tangent axis, type), and stratification vertices."""
     D = manifold.dimension
-    O = manifold._padded
-    faces = {}
-    for m in range(D):
-        lo = [slice(None)] * D
-        hi = [slice(None)] * D
-        lo[m] = slice(0, -1)
-        hi[m] = slice(1, None)
-        ext = O[tuple(lo)] ^ O[tuple(hi)]
-        I = tuple(d for d in range(D) if d != m)
-        faces[I] = int(ext.sum())
-
+    faces = {
+        tuple(d for d in range(D) if d != m): len(_exterior_faces(manifold, m)[0])
+        for m in range(D)
+    }
     edges = {}
     if D == 3:
         for k in range(3):
-            p, q = [d for d in range(3) if d != k]
-            sl = {}
-            for sp in (0, 1):
-                for sq in (0, 1):
-                    s = [slice(1, None)] * 3
-                    s[k] = slice(1, -1)
-                    s[p] = slice(sp, O.shape[p] - 1 + sp)
-                    s[q] = slice(sq, O.shape[q] - 1 + sq)
-                    sl[(sp, sq)] = O[tuple(s)]
-            count = sum(a.astype(np.int8) for a in sl.values())
-            diag = (sl[(0, 0)] & sl[(1, 1)] & ~sl[(0, 1)] & ~sl[(1, 0)]) | (
-                sl[(0, 1)] & sl[(1, 0)] & ~sl[(0, 0)] & ~sl[(1, 1)]
-            )
-            edges[(k, EdgeType.CONVEX)] = int((count == 1).sum())
-            edges[(k, EdgeType.DOUBLE_CONVEX)] = int(((count == 2) & diag).sum())
-            edges[(k, EdgeType.CONCAVE)] = int((count == 3).sum())
-
-    # stratification vertices: 0-cells whose local pattern reduces to a cone
-    # that is not interior/face/edge
-    shifts = []
-    for code in range(1 << D):
-        s = tuple(
-            slice((code >> d) & 1, O.shape[d] - 1 + ((code >> d) & 1)) for d in range(D)
-        )
-        shifts.append(O[s])
-    bits = np.zeros(shifts[0].shape, dtype=np.int64)
-    for code, arr in enumerate(shifts):
-        bits |= arr.astype(np.int64) << code
-    tag_lut, _, _ = _pattern_luts(D)
-    tags = tag_lut[bits]
-    vertex_tags = {1: (TAG_FACE,), 2: (TAG_EDGE, TAG_VERTEX), 3: (TAG_VERTEX,)}[D]
-    vertices = int(np.isin(tags, vertex_tags).sum())
-    return StratumCensus(faces=faces, edges=edges, vertices=vertices)
+            types = _EDGE_TYPE[_edge_cells(manifold, k)[1]]
+            for t in EdgeType:
+                edges[(k, t)] = int(np.count_nonzero(types == t))
+    return StratumCensus(faces=faces, edges=edges, vertices=_vertex_count(manifold))
 
 
 def euler_characteristic(manifold: VoxelManifold) -> int:
     """Alternating cell-count sum of the closed box union.
 
-    Every box contributes its 3^D closed cells in doubled coordinates (odd
-    coordinate = extent along that axis); after deduplication the Euler
-    characteristic is sum over cells of (-1)^dim.
+    A cell on the boundary planes of the axes S has dimension D - |S| and
+    belongs to the union when any of its incident boxes is occupied, so
+    chi = sum over S of (-1)^(D - |S|) times the number of such cells.
     """
-    idx = manifold.domain.axis_index
     D = manifold.dimension
-    combos = np.stack(np.meshgrid(*([np.arange(3)] * D), indexing="ij"), axis=-1).reshape(-1, D)
-    cells = (2 * idx[:, None, :] + combos[None, :, :]).reshape(-1, D)
-    cells = np.unique(cells, axis=0)
-    dim = (cells % 2 == 1).sum(axis=1)
-    signs = np.where(dim % 2 == 0, 1, -1)
-    return int(signs.sum())
+    chi = 0
+    for j in range(D + 1):
+        for S in itertools.combinations(range(D), j):
+            n = np.count_nonzero(manifold._cell_patterns(S).any(axis=0))
+            chi += (-1) ** (D - j) * int(n)
+    return chi

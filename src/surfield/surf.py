@@ -14,12 +14,11 @@ curvature and simulation pipelines evaluate on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .kernel import GaussianKernel
-from .lattice import FieldEnsemble, LatticeField, VoxelSet
+from .lattice import FieldEnsemble, VoxelSet
 from .manifold import RefinedGrid
 
 __all__ = [
@@ -43,22 +42,17 @@ class SurfSpec:
     """An ensemble (or single field) together with its smoothing kernel.
 
     ``normalized`` divides evaluations by the pointwise standard deviation
-    of the smoothed field under ``lattice_cov`` (identity covariance when
-    None), giving a unit-variance field.
+    of the smoothed field under independent unit-variance voxel noise,
+    giving a unit-variance field.
     """
 
     ensemble: FieldEnsemble
     kernel: GaussianKernel
     normalized: bool = False
-    lattice_cov: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kernel.dimension != self.ensemble.domain.dimension:
             raise ValueError("kernel and ensemble dimensions disagree")
-
-    @classmethod
-    def from_field(cls, field: LatticeField, kernel: GaussianKernel, **kw) -> "SurfSpec":
-        return cls(FieldEnsemble(field.domain, field.values[None, :]), kernel, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -89,29 +83,16 @@ def _design(kernel: GaussianKernel, domain: VoxelSet, points: np.ndarray, order:
         yield sl, out
 
 
-def _norm_sums(spec: SurfSpec, design: dict) -> dict:
-    """sigma^2 = ||K_x||^2 and its derivatives under the lattice covariance."""
+def _norm_sums(design: dict) -> dict:
+    """sigma^2 = ||K_x||^2 and its derivatives (independent voxel noise)."""
     K = design["v"]
-    if spec.lattice_cov is None:
-        s2 = np.einsum("pm,pm->p", K, K)
-        out = {"s2": s2}
-        if "g" in design:
-            out["ds2"] = 2.0 * np.einsum("pm,pmd->pd", K, design["g"])
-        if "h" in design:
-            out["dds2"] = 2.0 * (
-                np.einsum("pm,pmde->pde", K, design["h"])
-                + np.einsum("pmd,pme->pde", design["g"], design["g"])
-            )
-        return out
-    C = spec.lattice_cov(spec.ensemble.domain.coords, spec.ensemble.domain.coords)
-    KC = K @ C
-    out = {"s2": np.einsum("pm,pm->p", KC, K)}
+    out = {"s2": np.einsum("pm,pm->p", K, K)}
     if "g" in design:
-        out["ds2"] = 2.0 * np.einsum("pm,pmd->pd", KC, design["g"])
+        out["ds2"] = 2.0 * np.einsum("pm,pmd->pd", K, design["g"])
     if "h" in design:
         out["dds2"] = 2.0 * (
-            np.einsum("pm,pmde->pde", KC, design["h"])
-            + np.einsum("pmd,mq,pqe->pde", design["g"], C, design["g"])
+            np.einsum("pm,pmde->pde", K, design["h"])
+            + np.einsum("pmd,pme->pde", design["g"], design["g"])
         )
     return out
 
@@ -147,7 +128,7 @@ def surf_eval(
     for sl, des in _design(spec.kernel, spec.ensemble.domain, points, order):
         v = np.einsum("nm,pm->np", X, des["v"])
         if spec.normalized:
-            ns = _norm_sums(spec, des)
+            ns = _norm_sums(des)
             _check_sigma(ns["s2"])
             sig = np.sqrt(ns["s2"])
         val[:, sl] = v / sig if spec.normalized else v
@@ -183,21 +164,16 @@ def surf_covariance(
     domain: VoxelSet,
     x: np.ndarray,
     y: np.ndarray,
-    lattice_cov: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> float:
-    """Covariance of the smoothed field between two points.
-
-    For identity lattice covariance the bilinear double sum collapses to a
-    single sum over voxels.
+    """Covariance of the smoothed field between two points under
+    independent unit-variance voxel noise: the single sum over voxels
+    sum_v K(x, v) K(y, v).
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     y = np.asarray(y, dtype=np.float64).reshape(1, -1)
     kx = kernel.pairwise_value(x, domain.coords)[0]
     ky = kernel.pairwise_value(y, domain.coords)[0]
-    if lattice_cov is None:
-        return float(kx @ ky)
-    C = lattice_cov(domain.coords, domain.coords)
-    return float(kx @ C @ ky)
+    return float(kx @ ky)
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +229,18 @@ def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
 # ---------------------------------------------------------------------------
 
 
-def _padded_data_tensor(ensemble: FieldEnsemble) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Embed ensemble values into the dense per-axis-value tensor (zeros off
-    the voxel set), so separable contractions sum exactly over the set."""
-    dom = ensemble.domain
-    shape = tuple(a.size for a in dom.axis_values)
-    N = ensemble.n_fields
-    data = np.zeros((N,) + shape)
+def _padded_data_tensor(domain: VoxelSet, values: np.ndarray) -> np.ndarray:
+    """Embed (N, n_voxels) values into the dense (N, m1..mD) tensor over the
+    domain's axis values (zeros off the voxel set), so separable contractions
+    sum exactly over the set."""
+    shape = tuple(a.size for a in domain.axis_values)
+    data = np.zeros((values.shape[0],) + shape)
     pos = tuple(
-        np.searchsorted(dom.axis_values[d], dom.coords[:, d]) for d in range(dom.dimension)
+        np.searchsorted(domain.axis_values[d], domain.coords[:, d])
+        for d in range(domain.dimension)
     )
-    data[(slice(None),) + pos] = ensemble.values
-    return data, [np.asarray(a) for a in dom.axis_values]
+    data[(slice(None),) + pos] = values
+    return data
 
 
 def _axis_matrix(kernel: GaussianKernel, d: int, xs: np.ndarray, vs: np.ndarray, order: int):
@@ -301,12 +277,11 @@ def smooth_on_grid(
         raise NotImplementedError("tensor-grid smoothing requires an untruncated kernel")
     dom = ensemble.domain
     D = dom.dimension
-    data, axis_vals = _padded_data_tensor(ensemble)
-    grid_axes = grid.axis_coords
+    data = _padded_data_tensor(dom, ensemble.values)
     mats = {}
     for d in range(D):
         for o in range(derivatives + 1):
-            mats[(d, o)] = _axis_matrix(kernel, d, grid_axes[d], axis_vals[d], o)
+            mats[(d, o)] = _axis_matrix(kernel, d, grid.axis_coords[d], dom.axis_values[d], o)
     pos = grid.axis_positions
     gather = (slice(None),) + tuple(pos[:, d] for d in range(D))
 

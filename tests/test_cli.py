@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -107,6 +108,28 @@ def test_fwer_sim_config_validation(tmp_path):
     assert main(["fwer-sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     bad.write_text("{not json")
     assert main(["fwer-sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    bad.write_text(json.dumps({"preset": "stat2d", "fwhm": 2.0, "n_subjects": 5,
+                               "n_reps": 2, "r_scan": 1}))
+    assert main(["fwer-sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("case", ["short_header", "huge_voxel_count", "cut_values"])
+def test_lkc_rejects_malformed_srf1(tmp_path, capsys, case):
+    path = tmp_path / "bad.srf1"
+    if case == "short_header":
+        path.write_bytes(b"SRF1" + bytes(6))
+    elif case == "huge_voxel_count":
+        path.write_bytes(b"SRF1" + struct.pack("<HBQ", 1, 3, 1 << 40) + bytes(64))
+    else:
+        good = tmp_path / "good.srf1"
+        write_srf1(good, sample_ensemble(make_domain_preset("nonstat1d"), 3, RngSpec(0)))
+        path.write_bytes(good.read_bytes()[:-100])
+    rc = main(["lkc", "--fields", str(path), "--fwhm", "3", "--source", "ensemble",
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_fwer_sim_dry_run(tmp_path, capsys):

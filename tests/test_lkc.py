@@ -203,3 +203,25 @@ def test_r0_rejected_and_bad_ensemble_rejected():
 def test_lkc_vector_invariants():
     with pytest.raises(ValueError):
         LkcVector((1.0, 2.0, -0.5), r=1, source="estimate")
+
+
+def test_white_noise_lkcs_invariant_under_lattice_symmetries():
+    # the isotropic kernel makes the white-noise curvatures of a mask
+    # invariant under axis permutations, reflections and translations; the
+    # edge term only stays invariant if every edge orientation is brought
+    # to its canonical form correctly
+    rng = np.random.default_rng(21)
+    pts = np.unique(rng.integers(0, 4, size=(36, 3)), axis=0).astype(float)
+    k = GaussianKernel.isotropic(1.5, 3)
+
+    def lkcs(coords):
+        return np.array(lkc_compute("white-noise", k, VoxelManifold(VoxelSet(coords)), 1).values)
+
+    base = lkcs(pts)
+    variants = [pts[:, (2, 0, 1)], pts[:, (1, 0, 2)], pts + np.array([7.0, -3.0, 11.0])]
+    for d in range(3):
+        flipped = pts.copy()
+        flipped[:, d] = -flipped[:, d]
+        variants.append(flipped)
+    for coords in variants:
+        np.testing.assert_allclose(lkcs(coords), base, rtol=1e-12)

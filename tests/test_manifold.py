@@ -5,10 +5,6 @@ import pytest
 
 from surfield.lattice import VoxelSet, make_domain_preset
 from surfield.manifold import (
-    TAG_EDGE,
-    TAG_FACE,
-    TAG_INTERIOR,
-    TAG_VERTEX,
     EdgeType,
     VoxelManifold,
     classify_boundary,
@@ -54,19 +50,6 @@ def test_r0_is_the_lattice():
     dom = make_domain_preset("nonstat1d")
     g = refined_grid(VoxelManifold(dom), 0)
     assert np.array_equal(np.sort(g.points.ravel()), np.sort(dom.coords.ravel()))
-
-
-def test_grid_tags_on_cuboid():
-    man = VoxelManifold(box_set(2, 2, 2))
-    g = refined_grid(man, 1)
-    counts = {t: int((g.tag == t).sum()) for t in (TAG_INTERIOR, TAG_FACE, TAG_EDGE, TAG_VERTEX)}
-    assert g.n_points == 125
-    assert counts == {TAG_INTERIOR: 27, TAG_FACE: 54, TAG_EDGE: 36, TAG_VERTEX: 8}
-    # geometric verification: a face point touches exactly one exterior box face
-    for i in np.nonzero(g.tag == TAG_FACE)[0][:20]:
-        m = g.tag_axis[i]
-        x = g.points[i]
-        assert x[m] in (-0.5, 2.5) or np.isclose(x[m] % 1.0, 0.5)
 
 
 def test_single_cube_census():
@@ -130,27 +113,39 @@ def test_euler_characteristic_examples():
     assert euler_characteristic(VoxelManifold(frame)) == 0
 
 
-def test_euler_characteristic_matches_inclusion_exclusion_oracle():
-    # independent oracle: chi of a random 2-D mask by counting cells of the
-    # cubical complex directly from closed-box membership
+@pytest.mark.parametrize("D", [2, 3])
+def test_euler_characteristic_matches_inclusion_exclusion_oracle(D):
+    # independent oracle: chi of a random mask by counting the cells of the
+    # cubical complex directly from closed-box membership, in doubled
+    # coordinates (an odd coordinate spans a box extent along that axis)
     rng = np.random.default_rng(12)
-    pts = np.unique(rng.integers(0, 6, size=(25, 2)), axis=0).astype(float)
-    man = VoxelManifold(VoxelSet(pts))
-    occupied = {tuple(map(int, p)) for p in pts}
-    verts = set()
-    edges_x = set()
-    edges_y = set()
-    squares = set()
-    for (x, y) in occupied:
-        squares.add((x, y))
-        for dx, dy in itertools.product((0, 1), repeat=2):
-            verts.add((x + dx, y + dy))
-        for dy in (0, 1):
-            edges_x.add((x, y + dy))
-        for dx in (0, 1):
-            edges_y.add((x + dx, y))
-    chi = len(verts) - (len(edges_x) + len(edges_y)) + len(squares)
+    size = {2: (6, 25), 3: (4, 34)}[D]
+    pts = np.unique(rng.integers(0, size[0], size=(size[1], D)), axis=0)
+    man = VoxelManifold(VoxelSet(pts.astype(float)))
+    cells = {
+        tuple(2 * int(x) + c for x, c in zip(p, off))
+        for p in pts
+        for off in itertools.product(range(3), repeat=D)
+    }
+    chi = sum((-1) ** sum(c % 2 for c in cell) for cell in cells)
     assert euler_characteristic(man) == chi
+
+
+def test_2d_vertex_count_matches_corner_rule():
+    # brute force: a lattice corner is a stratification vertex when 1 or 3
+    # of its 4 incident squares are present, or 2 diagonal ones
+    rng = np.random.default_rng(5)
+    pts = np.unique(rng.integers(0, 6, size=(22, 2)), axis=0)
+    occ = {tuple(map(int, p)) for p in pts}
+    vertices = diagonal = 0
+    for x, y in itertools.product(range(-1, 6), repeat=2):
+        a, b, c, d = ((x + i, y + j) in occ for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        n = a + b + c + d
+        diag = n == 2 and a == d
+        diagonal += diag
+        vertices += n in (1, 3) or diag
+    assert diagonal > 0
+    assert classify_boundary(VoxelManifold(VoxelSet(pts.astype(float)))).vertices == vertices
 
 
 def test_vol_weights_integrate_exactly():
@@ -171,8 +166,8 @@ def test_face_weights_measure_boundary():
 def test_neighbors_stencil():
     man = VoxelManifold(box_set(3, 3))
     g = refined_grid(man, 1)
-    # a strict interior point has the full 3^2-1 = 8 neighborhood
-    i = int(np.nonzero((g.tag == TAG_INTERIOR) & np.all(g.keys == 2, axis=1))[0][0])
+    # the center of the middle box has the full 3^2-1 = 8 neighborhood
+    i = int(np.nonzero(np.all(g.keys == 2, axis=1))[0][0])
     assert len(g.neighbors(i)) == 8
     corner = int(np.lexsort(g.keys.T[::-1])[0])
     assert len(g.neighbors(corner)) == 3

@@ -132,9 +132,6 @@ def test_covariance_symmetry_and_single_sum(small_ensemble):
     ky = k.pairwise_value(y[None], dom.coords)[0]
     assert cxy == pytest.approx(float(kx @ ky), rel=1e-13)
     assert surf_covariance(k, dom, x, x) > 0
-    # explicit identity callback agrees with the default
-    ident = lambda U, V: np.eye(len(U))
-    assert surf_covariance(k, dom, x, y, lattice_cov=ident) == pytest.approx(cxy, rel=1e-12)
 
 
 def test_sample_variance_matches_covariance():
@@ -232,15 +229,3 @@ def test_normalized_degenerate_point_rejected():
     spec = SurfSpec(FieldEnsemble(dom, np.ones((1, 2))), k, normalized=True)
     with pytest.raises(DegenerateFieldError):
         surf_eval(spec, [[50.0]], "value")
-
-
-def test_christoffel_field_container():
-    from surfield.geometry import christoffel_field
-
-    dom = make_domain_preset("nonstat1d")
-    man = VoxelManifold(dom)
-    grid = refined_grid(man, 1)
-    k = GaussianKernel.isotropic(2.0, 1)
-    cf = christoffel_field("white-noise", k, grid)
-    assert cf.values.shape == (grid.n_points, 1, 1, 1)
-    assert cf.source == "white-noise-theory"
