@@ -37,7 +37,7 @@ from .lattice import (
 )
 from .lkc import lkc_compute, lkc_stationary_closed_form
 from .manifold import VoxelManifold, classify_boundary, euler_characteristic
-from .surf import SurfSpec, surf_eval
+from .surf import SurfSpec, _eval_arrays
 
 _LKC_CSV_HEADER = ["source", "D", "fwhm", "r", "L0", "L1", "L2", "L3"]
 _FWER_CSV_HEADER = [
@@ -66,7 +66,11 @@ def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -
 
 
 def _load_domain(args) -> tuple[VoxelSet, str, FieldEnsemble | None]:
-    """The domain with its label, and the ensemble when read from --fields."""
+    """The domain with its label, and the ensemble when read from --fields.
+
+    With both --preset and --fields, the file must hold the preset's voxels.
+    """
+    ens = read_srf1(args.fields) if getattr(args, "fields", None) else None
     if getattr(args, "preset", None):
         if args.preset not in PRESET_NAMES:
             raise ConfigError(f"preset must be one of {PRESET_NAMES}")
@@ -74,9 +78,13 @@ def _load_domain(args) -> tuple[VoxelSet, str, FieldEnsemble | None]:
         fwhm = getattr(args, "fwhm", None)
         if needs_f and not fwhm:
             raise ConfigError("stationary presets require --fwhm")
-        return make_domain_preset(args.preset, fwhm if needs_f else None), args.preset, None
-    if getattr(args, "fields", None):
-        ens = read_srf1(args.fields)
+        dom = make_domain_preset(args.preset, fwhm if needs_f else None)
+        if ens is not None and not np.array_equal(
+            np.unique(ens.domain.coords, axis=0), np.unique(dom.coords, axis=0)
+        ):
+            raise ConfigError(f"{args.fields} does not hold the voxels of preset {args.preset}")
+        return dom, args.preset, ens
+    if ens is not None:
         return ens.domain, str(args.fields), ens
     raise ConfigError("either --preset or --fields is required")
 
@@ -114,9 +122,7 @@ def _cmd_lkc(args) -> int:
         )
         vec = lkc_stationary_closed_form(sides, float(args.fwhm))
     else:
-        if ens is None and args.fields:  # --preset set the domain; --fields the data
-            ens = read_srf1(args.fields)
-        elif ens is None:
+        if ens is None:
             ens = sample_ensemble(dom, args.n_subjects, RngSpec(args.seed))
         vec = lkc_compute(ens, kern, man, args.r)
     out = _out_dir(args)
@@ -266,8 +272,7 @@ def _cmd_surf_eval(args) -> int:
     pts = np.asarray(pts)
     out = _out_dir(args)
     D = ens.domain.dimension
-    vals = surf_eval(spec, pts, "value")
-    grads = surf_eval(spec, pts, "gradient") if args.order == "gradient" else None
+    vals, grads, _ = _eval_arrays(spec, pts, args.order)
     path = out / "surf_eval.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -24,8 +24,8 @@ import numpy as np
 from .kernel import GaussianKernel
 from .lattice import VoxelSet
 from .manifold import EdgeType, RefinedGrid
-from .surf import DegenerateFieldError, SurfSpec, smooth_on_grid, surf_eval
-from .surf import _axis_matrix, _contract, _padded_data_tensor
+from .surf import DegenerateFieldError, SurfSpec, smooth_on_grid
+from .surf import _axis_matrix, _chunks, _contract, _eval_arrays, _padded_data_tensor
 
 __all__ = [
     "MetricField",
@@ -82,9 +82,7 @@ def _point_moments(kernel: GaussianKernel, domain: VoxelSet, points: np.ndarray,
     P, M, D = points.shape[0], vox.shape[0], domain.dimension
     sums = {k: np.empty(P) for k in keys}
     orders = {o for k in keys for pair in k for o in pair}
-    size = max(1, 20_000_000 // max(M, 1))
-    for s in range(0, P, size):
-        sl = slice(s, min(s + size, P))
+    for sl in _chunks(P, M):
         t = points[sl, None, :] - vox[None, :, :]
         fac = {(d, o): kernel.axis_factor(d, t[..., d], o) for d in range(D) for o in orders}
         inside = None
@@ -219,10 +217,8 @@ def _moments(source, kernel, domain, hessian, *, points=None, grid=None, ids=Non
     if separable and not hessian and ids is None:
         arr = smooth_on_grid(source, kernel, grid, derivatives=1)
         return _sample_moments(arr["value"], arr["grad"], None)
-    spec = SurfSpec(source, kernel)
-    val = surf_eval(spec, points, "value")
-    grad = surf_eval(spec, points, "gradient")
-    hess = surf_eval(spec, points, "hessian") if hessian else None
+    order = "hessian" if hessian else "gradient"
+    val, grad, hess = _eval_arrays(SurfSpec(source, kernel), points, order)
     return _sample_moments(val, grad, hess)
 
 

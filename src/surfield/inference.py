@@ -9,12 +9,14 @@ continuous field via multistart bound-constrained maximization.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize as _sciopt
+from scipy import sparse as _sparse
 from scipy import special as _special
 from scipy import stats as _stats
 
@@ -160,66 +162,51 @@ def threshold(lkcs, ftype: FieldType, alpha: float, tol: float = 1e-12) -> float
 def count_local_maxima_above(grid: RefinedGrid, values: np.ndarray, u: float) -> int:
     """Number of local maxima of grid values strictly above u.
 
-    A point counts when it is strictly greater than every existing neighbor
-    in the 3^D - 1 key stencil; a connected plateau of equal values counts
-    once if no neighbor of the plateau exceeds it.
+    ``values`` holds one entry per grid point (else ValueError).  A point
+    counts when no neighbor in the 3^D - 1 key stencil exceeds it; a
+    connected plateau of equal values counts once if no neighbor exceeds it.
     """
     values = np.asarray(values, dtype=np.float64)
-    cand = np.nonzero(values > u)[0]
-    if cand.size == 0:
-        return 0
-    count = 0
-    visited: set[int] = set()
-    for i in cand:
-        if i in visited:
-            continue
-        vi = values[i]
-        plateau = [int(i)]
-        visited.add(int(i))
-        is_max = True
-        stack = [int(i)]
-        while stack:
-            j = stack.pop()
-            for nb in grid.neighbors(j):
-                nv = values[nb]
-                if nv > vi:
-                    is_max = False
-                elif nv == vi and int(nb) not in visited:
-                    visited.add(int(nb))
-                    plateau.append(int(nb))
-                    stack.append(int(nb))
-        if is_max:
-            count += 1
-    return count
+    return int(np.count_nonzero(values[_grid_local_maxima(grid, values)] > u))
 
 
 def _grid_local_maxima(grid: RefinedGrid, values: np.ndarray) -> np.ndarray:
-    """Ids of all strict-or-plateau local maxima, sorted by decreasing value."""
-    ids = []
-    visited: set[int] = set()
-    order = np.argsort(values)[::-1]
-    for i in order:
-        i = int(i)
-        if i in visited:
+    """Ids of all strict-or-plateau local maxima, sorted by decreasing value.
+
+    Each point is compared with its 3^D - 1 key-stencil neighbors through
+    the padded dense id map.  Equal-valued neighbors are linked into
+    plateaus; a plateau is a maximum when none of its members has a greater
+    neighbor, and it is represented by its first member in decreasing-value
+    order.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    P = grid.n_points
+    if values.shape != (P,):
+        raise ValueError(f"expected {P} grid values, got array of shape {values.shape}")
+    lut, kmin, _ = grid.id_map
+    lut = np.pad(lut, 1, constant_values=-1)
+    base = np.ravel_multi_index(tuple((grid.keys - kmin + 1).T), lut.shape)
+    strides = np.asarray(lut.strides) // lut.itemsize
+    lut = lut.ravel()
+    top = np.ones(P, dtype=bool)
+    pairs = []
+    for off in itertools.product((-1, 0, 1), repeat=grid.dimension):
+        if not any(off):
             continue
-        vi = values[i]
-        plateau = [i]
-        visited.add(i)
-        is_max = True
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            for nb in grid.neighbors(j):
-                nv = values[nb]
-                if nv > vi:
-                    is_max = False
-                elif nv == vi and int(nb) not in visited:
-                    visited.add(int(nb))
-                    plateau.append(int(nb))
-                    stack.append(int(nb))
-        if is_max:
-            ids.append(plateau[0])
-    return np.asarray(ids, dtype=np.int64)
+        nb = lut[base + np.dot(off, strides)]
+        exists = nb >= 0
+        nv = values[nb]
+        top &= ~(exists & (nv > values))
+        same = np.nonzero(exists & (nv == values))[0]
+        pairs.append((same, nb[same]))
+    src, dst = map(np.concatenate, zip(*pairs))
+    links = _sparse.coo_matrix((np.ones(src.size, dtype=bool), (src, dst)), shape=(P, P))
+    n_plateaus, plateau = _sparse.csgraph.connected_components(links, directed=False)
+    dominated = np.bincount(plateau[~top], minlength=n_plateaus) > 0
+    order = np.argsort(values)[::-1]
+    # position in ``order`` of each plateau's first member
+    _, first = np.unique(plateau[order], return_index=True)
+    return order[np.sort(first[~dominated])]
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +224,13 @@ def maximize_t_field(
 ) -> tuple[np.ndarray, float]:
     """Maximize the t field over the box union.
 
-    Scans the refined grid, launches bound-constrained quasi-Newton ascent
-    (with exact gradients) from the highest local maxima, each run confined
-    to a box containing its start, and returns the best point found.  The
-    result is never below the scan-grid maximum.
+    Takes the t field on the scan grid (``grid_values``, one per point of
+    ``grid``, else evaluated on ``grid`` or a fresh ``r_scan`` grid), and
+    from its ``starts`` highest local maxima (``_grid_local_maxima``: a
+    plateau counts once) launches bound-constrained quasi-Newton ascent,
+    one run per occupied box containing the start.  Each ascent step takes
+    the value and exact gradient from one kernel-design sweep.  Returns the
+    best point found, never below the scan-grid maximum.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")

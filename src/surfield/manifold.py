@@ -372,7 +372,8 @@ class RefinedGrid:
 
     @cached_property
     def id_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense key-space -> point id map for neighbor queries."""
+        """Dense key-space -> point id map (-1 where no grid point), with its
+        key offset and extent: (lut, kmin, ext)."""
         kmin = self.keys.min(axis=0)
         ext = self.keys.max(axis=0) - kmin + 1
         if np.prod(ext) > _INDEX_SPACE_CAP:
@@ -381,21 +382,6 @@ class RefinedGrid:
         rel = self.keys - kmin
         lut[tuple(rel.T)] = np.arange(self.n_points)
         return lut, kmin, ext
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Ids of existing grid points in the 3^D - 1 stencil around point i."""
-        lut, kmin, ext = self.id_map
-        D = self.dimension
-        out = []
-        for off in itertools.product((-1, 0, 1), repeat=D):
-            if all(o == 0 for o in off):
-                continue
-            rel = self.keys[i] + np.asarray(off) - kmin
-            if np.all(rel >= 0) and np.all(rel < ext):
-                j = lut[tuple(rel)]
-                if j >= 0:
-                    out.append(j)
-        return np.asarray(out, dtype=np.int64)
 
     def incident_boxes(self, i: int) -> np.ndarray:
         """Index vectors of the occupied boxes containing grid point i."""

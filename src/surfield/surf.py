@@ -102,21 +102,12 @@ def _check_sigma(s2: np.ndarray):
         raise DegenerateFieldError("normalization denominator vanished at a query point")
 
 
-def surf_eval(
-    spec: SurfSpec,
-    points: np.ndarray,
-    order: str = "value",
-    field: int | None = None,
-) -> np.ndarray:
-    """Evaluate the smoothed field(s) at arbitrary points.
+_ORDERS = ("value", "gradient", "hessian")
 
-    Returns, with P points, N fields and dimension D:
-      order='value'    -> (N, P)            (or (P,) when ``field`` given)
-      order='gradient' -> (N, P, D)
-      order='hessian'  -> (N, P, D, D)
-    """
-    if order not in ("value", "gradient", "hessian"):
-        raise ValueError(f"unknown order {order!r}")
+
+def _eval_arrays(spec: SurfSpec, points: np.ndarray, order: str, field: int | None = None):
+    """(val, grad, hess) of the smoothed field(s) from one kernel-design
+    sweep; the derivatives above ``order`` are None."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(points)):
         raise ValueError("query points must be finite")
@@ -133,7 +124,7 @@ def surf_eval(
             sig = np.sqrt(ns["s2"])
         val[:, sl] = v / sig if spec.normalized else v
         if grad is not None:
-            g = np.einsum("nm,pmd->npd", X, des["g"])
+            gg = g = np.einsum("nm,pmd->npd", X, des["g"])
             if spec.normalized:
                 dsig = ns["ds2"] / (2.0 * sig[:, None])
                 g = g / sig[None, :, None] - v[:, :, None] * dsig[None] / ns["s2"][None, :, None]
@@ -141,8 +132,6 @@ def surf_eval(
         if hess is not None:
             hh = np.einsum("nm,pmde->npde", X, des["h"])
             if spec.normalized:
-                gg = np.einsum("nm,pmd->npd", X, des["g"])
-                dsig = ns["ds2"] / (2.0 * sig[:, None])
                 ddsig = ns["dds2"] / (2.0 * sig[:, None, None]) - (
                     dsig[:, :, None] * dsig[:, None, :]
                 ) / sig[:, None, None]
@@ -155,7 +144,25 @@ def surf_eval(
                     + 2.0 * v[:, :, None, None] * (dsig[:, :, None] * dsig[:, None, :])[None] / s**3
                 )
             hess[:, sl] = hh
-    out = {"value": val, "gradient": grad, "hessian": hess}[order]
+    return val, grad, hess
+
+
+def surf_eval(
+    spec: SurfSpec,
+    points: np.ndarray,
+    order: str = "value",
+    field: int | None = None,
+) -> np.ndarray:
+    """Evaluate the smoothed field(s) at arbitrary points.
+
+    Returns, with P points, N fields and dimension D:
+      order='value'    -> (N, P)            (or (P,) when ``field`` given)
+      order='gradient' -> (N, P, D)
+      order='hessian'  -> (N, P, D, D)
+    """
+    if order not in _ORDERS:
+        raise ValueError(f"unknown order {order!r}")
+    out = _eval_arrays(spec, points, order, field)[_ORDERS.index(order)]
     return out[0] if field is not None else out
 
 
@@ -213,9 +220,7 @@ def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
     if order not in ("value", "gradient", "both"):
         raise ValueError(f"unknown order {order!r}")
     raw = SurfSpec(spec.ensemble, spec.kernel)  # scale invariance: skip normalization
-    want_grad = order in ("gradient", "both")
-    val = surf_eval(raw, points, "value")
-    grad = surf_eval(raw, points, "gradient") if want_grad else None
+    val, grad, _ = _eval_arrays(raw, points, "value" if order == "value" else "gradient")
     t, gt = _t_from_arrays(val, grad)
     if order == "value":
         return t

@@ -7,7 +7,7 @@ import pytest
 
 from surfield.cli import main
 from surfield.fieldio import write_srf1
-from surfield.lattice import RngSpec, VoxelSet, make_domain_preset, sample_ensemble
+from surfield.lattice import FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
 
 
 def read_lkc_csv(path):
@@ -130,6 +130,18 @@ def test_lkc_rejects_malformed_srf1(tmp_path, capsys, case):
     assert rc == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_lkc_fields_must_match_preset(tmp_path, capsys):
+    bad, good = tmp_path / "bad.srf1", tmp_path / "good.srf1"
+    write_srf1(bad, sample_ensemble(make_domain_preset("nonstat2d"), 5, RngSpec(1)))
+    ens = sample_ensemble(make_domain_preset("stat2d", 3.0), 5, RngSpec(1))
+    perm = np.random.default_rng(0).permutation(ens.domain.n_voxels)  # same set, other order
+    write_srf1(good, FieldEnsemble(VoxelSet(ens.domain.coords[perm]), ens.values[:, perm]))
+    args = ["lkc", "--preset", "stat2d", "--fwhm", "3", "--source", "ensemble"]
+    assert main(args + ["--fields", str(bad), "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert main(args + ["--fields", str(good), "--out", str(tmp_path / "g")]) == 0
 
 
 def test_fwer_sim_dry_run(tmp_path, capsys):

@@ -106,6 +106,60 @@ def grid_1d(n):
     return refined_grid(VoxelManifold(VoxelSet(np.arange(float(n))[:, None])), 0)
 
 
+def grid_box(*n):
+    axes = np.meshgrid(*[np.arange(float(k)) for k in n], indexing="ij")
+    return VoxelSet(np.column_stack([a.ravel() for a in axes]))
+
+
+def _masked_box(seed, D):
+    """Random subset of a box with one whole slab removed, so the index
+    lattice has a gap along axis 0."""
+    rng = np.random.default_rng(seed)
+    coords = grid_box(*[7 if D == 2 else 5] * D).coords
+    keep = (rng.random(len(coords)) < 0.7) & (coords[:, 0] != 2.0)
+    return VoxelSet(coords[keep])
+
+
+@pytest.mark.parametrize(
+    "case, r", [("box", 1), ("mask2d", 0), ("mask2d", 1), ("mask3d", 0), ("mask3d", 1)]
+)
+def test_grid_local_maxima_matches_brute_force(case, r):
+    from surfield.inference import _grid_local_maxima
+
+    dom = {"box": grid_box(3, 3), "mask2d": _masked_box(1, 2), "mask3d": _masked_box(2, 3)}[case]
+    g = refined_grid(VoxelManifold(dom), r)
+    vals = np.random.default_rng(g.n_points).random(g.n_points)
+    # stencil neighbors straight from the keys: max-norm distance 1
+    nbr = np.abs(g.keys[:, None, :] - g.keys[None, :, :]).max(axis=2) == 1
+    if case == "box":  # an 8-neighbor centre and a 3-neighbor corner
+        centre = int(np.nonzero(np.all(g.keys == 2, axis=1))[0][0])
+        corner = int(np.lexsort(g.keys.T[::-1])[0])
+        assert nbr[centre].sum() == 8 and nbr[corner].sum() == 3
+        vals[centre] += 2.0
+        vals[corner] += 1.0
+    strict = np.array([np.all(vals[i] > vals[nbr[i]]) for i in range(g.n_points)])
+    want = np.nonzero(strict)[0]
+    want = want[np.argsort(-vals[want])]
+    got = _grid_local_maxima(g, vals)
+    np.testing.assert_array_equal(got, want)
+    if case == "box":
+        assert {centre, corner} <= set(got.tolist())
+
+
+@pytest.mark.parametrize("n", [76, 86])
+def test_grid_values_of_wrong_length_rejected(n):
+    dom = grid_box(4, 4)
+    man = VoxelManifold(dom)
+    g = refined_grid(man, 1)
+    assert g.n_points == 81
+    vals = np.linspace(0.0, 1.0, n)
+    with pytest.raises(ValueError):
+        count_local_maxima_above(g, vals, 0.5)
+    spec = SurfSpec(sample_ensemble(dom, 4, RngSpec(0)), GaussianKernel.isotropic(2.0, 2))
+    with pytest.raises(ValueError):
+        maximize_t_field(spec, man, grid=g, grid_values=vals)
+
+
 def test_count_maxima_single_and_double_bump():
     g = grid_1d(100)
     x = g.points[:, 0]
@@ -123,6 +177,15 @@ def test_count_maxima_plateau_counts_once():
     assert count_local_maxima_above(g, vals, 0.5) == 1
     vals[20] = 2.0
     assert count_local_maxima_above(g, vals, 0.5) == 2
+    g2 = refined_grid(VoxelManifold(grid_box(5, 5)), 0)
+    at = lambda *c: int(np.nonzero(np.all(g2.points == c, axis=1))[0][0])
+    vals = np.zeros(g2.n_points)
+    vals[[at(1, 1), at(1, 2)]] = 1.0
+    vals[at(2, 3)] = 2.0  # diagonal to (1, 2): only this point counts, not the plateau
+    assert count_local_maxima_above(g2, vals, 0.5) == 1
+    vals[:] = 0.0
+    vals[[at(1, 1), at(2, 2)]] = 1.0  # touching only diagonally: one plateau
+    assert count_local_maxima_above(g2, vals, 0.5) == 1
 
 
 def test_count_maxima_respects_mask_neighbors():

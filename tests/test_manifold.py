@@ -161,13 +161,3 @@ def test_face_weights_measure_boundary():
     g = refined_grid(man, 1)
     per_axis = [g.face_tables[m]["weights"].sum() * (1.0 / 2) ** 2 for m in range(3)]
     assert per_axis == [pytest.approx(8.0)] * 3  # two 2x2 sides per axis
-
-
-def test_neighbors_stencil():
-    man = VoxelManifold(box_set(3, 3))
-    g = refined_grid(man, 1)
-    # the center of the middle box has the full 3^2-1 = 8 neighborhood
-    i = int(np.nonzero(np.all(g.keys == 2, axis=1))[0][0])
-    assert len(g.neighbors(i)) == 8
-    corner = int(np.lexsort(g.keys.T[::-1])[0])
-    assert len(g.neighbors(corner)) == 3
