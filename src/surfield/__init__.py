@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .kernel import GaussianKernel, kernel_eval
 from .lattice import (
     FieldEnsemble,
-    LatticeField,
     RngSpec,
     VoxelSet,
     make_domain_preset,
@@ -52,7 +51,6 @@ __all__ = [
     "GaussianKernel",
     "kernel_eval",
     "VoxelSet",
-    "LatticeField",
     "FieldEnsemble",
     "RngSpec",
     "make_domain_preset",

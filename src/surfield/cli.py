@@ -147,6 +147,8 @@ def _cmd_lkc(args) -> int:
 
 def _cmd_threshold(args) -> int:
     lk = [float(x) for x in args.lkcs.split(",")]
+    if args.family == "t" and args.df is None:
+        raise ConfigError("--family t requires --df")
     ftype = FieldType.gaussian() if args.family == "gaussian" else FieldType.student_t(args.df)
     config = {"lkcs": lk, "family": args.family, "df": args.df, "alpha": args.alpha}
     if args.dry_run:
@@ -222,16 +224,15 @@ def _cmd_census(args) -> int:
     dom, dom_label, _ = _load_domain(args)
     inner = dom.interior or dom
     man = VoxelManifold(inner)
-    census = classify_boundary(man)
+    if args.dry_run:
+        print(json.dumps({"plan": {"domain": dom_label}}, indent=2))
+        return 0
     payload = {
         "domain": dom_label,
         "n_voxels": inner.n_voxels,
         "euler_characteristic": euler_characteristic(man),
-        **census.to_dict(),
+        **classify_boundary(man).to_dict(),
     }
-    if args.dry_run:
-        print(json.dumps({"plan": {"domain": dom_label}}, indent=2))
-        return 0
     out = _out_dir(args)
     (out / "census.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "census", {"domain": dom_label}, ["census.json"])
@@ -245,6 +246,10 @@ def _cmd_check_nondegeneracy(args) -> int:
     x = np.array([float(c) for c in args.point.split(",")])
     if x.size != dom.dimension:
         raise ConfigError("--point dimension does not match the domain")
+    config = {"domain": dom_label, "point": x.tolist(), "fwhm": args.fwhm}
+    if args.dry_run:
+        print(json.dumps({"plan": config}, indent=2))
+        return 0
     rep = nondegeneracy_check(kern, dom, x)
     payload = {
         "rank": rep.rank, "required": rep.required, "passed": rep.passed,
@@ -252,13 +257,17 @@ def _cmd_check_nondegeneracy(args) -> int:
     }
     out = _out_dir(args)
     (out / "nondegeneracy.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "check-nondegeneracy", {"domain": dom_label, "point": x.tolist(),
-                                                  "fwhm": args.fwhm}, ["nondegeneracy.json"])
+    _write_manifest(out, "check-nondegeneracy", config, ["nondegeneracy.json"])
     print(json.dumps(payload, sort_keys=True))
     return 0 if rep.passed else 1
 
 
 def _cmd_surf_eval(args) -> int:
+    config = {"fields": str(args.fields), "points": str(args.points), "order": args.order,
+              "fwhm": args.fwhm}
+    if args.dry_run:
+        print(json.dumps({"plan": config}, indent=2))
+        return 0
     ens = read_srf1(args.fields)
     kern = _kernel_for(args, ens.domain.dimension)
     spec = SurfSpec(ens, kern, normalized=args.normalized)
@@ -285,8 +294,7 @@ def _cmd_surf_eval(args) -> int:
             if grads is not None:
                 row += [repr(float(g)) for g in grads[:, p, :].ravel()]
             w.writerow(row)
-    _write_manifest(out, "surf eval", {"fields": str(args.fields), "points": str(args.points),
-                                        "order": args.order, "fwhm": args.fwhm}, ["surf_eval.csv"])
+    _write_manifest(out, "surf eval", config, ["surf_eval.csv"])
     print(f"wrote {path}")
     return 0
 
@@ -298,7 +306,6 @@ def _cmd_surf_eval(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--dry-run", action="store_true", help="print the resolved plan and exit")
 
 
@@ -317,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="white-noise")
     p.add_argument("--n-subjects", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
     _add_common(p)
     p.set_defaults(func=_cmd_lkc)
 

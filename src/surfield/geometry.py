@@ -10,13 +10,14 @@ its Hessian.  Two providers compute those inner products:
 * the ensemble path, where they are sample covariances of the smoothed
   sample and its exact derivatives.
 
-On tensor-product evaluation grids the white-noise sums factor per axis and
-are computed by contracting the voxel-occupancy tensor with small per-axis
-matrices; arbitrary points fall back to chunked direct summation.
+At arbitrary points the white-noise moments are inner products over voxels
+of the kernel design (K, its gradient and its Hessian, in point slabs).  On
+tensor-product evaluation grids they factor per axis and are separable
+contractions of the voxel-occupancy tensor, as the ensemble's smoothed
+fields there are separable contractions of its data tensor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -24,11 +25,10 @@ import numpy as np
 from .kernel import GaussianKernel
 from .lattice import VoxelSet
 from .manifold import EdgeType, RefinedGrid
-from .surf import DegenerateFieldError, SurfSpec, smooth_on_grid
-from .surf import _axis_matrix, _chunks, _contract, _eval_arrays, _padded_data_tensor
+from .surf import DegenerateFieldError, SurfSpec
+from .surf import _ORDERS, _design, _eval_arrays, _grid_arrays, _grid_sums, _inner_products, _unit
 
 __all__ = [
-    "MetricField",
     "metric",
     "christoffel",
     "metric_on_grid",
@@ -43,79 +43,11 @@ _EIG_CLIP = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# White-noise moment engines
+# White-noise moments
 # ---------------------------------------------------------------------------
 #
 # A moment is the single sum  sum_v  d^a K(x,v) * d^b K(x,v)  for per-axis
 # derivative order tuples a and b.
-
-
-def _separable_moments(kernel: GaussianKernel, domain: VoxelSet, grid: RefinedGrid, ids):
-    """Moments at grid points ``ids`` (all when None) through surf's tensor
-    engine: the voxel set enters as one field of ones, and each per-axis
-    matrix is the product of the two kernel-factor matrices."""
-    D = domain.dimension
-    mask = _padded_data_tensor(domain, np.ones((1, domain.n_voxels)))
-    pos = grid.axis_positions if ids is None else grid.axis_positions[ids]
-    gather = (0,) + tuple(pos[:, d] for d in range(D))
-    factors: dict[tuple[int, int], np.ndarray] = {}
-
-    def factor(d: int, order: int) -> np.ndarray:
-        if (d, order) not in factors:
-            factors[(d, order)] = _axis_matrix(
-                kernel, d, grid.axis_coords[d], domain.axis_values[d], order
-            )
-        return factors[(d, order)]
-
-    def moment(a: tuple, b: tuple) -> np.ndarray:
-        return _contract(mask, [factor(d, a[d]) * factor(d, b[d]) for d in range(D)])[gather]
-
-    return moment
-
-
-def _point_moments(kernel: GaussianKernel, domain: VoxelSet, points: np.ndarray, pairs):
-    """Moments at arbitrary points by direct chunked sums, computed for all
-    ``pairs`` in one sweep so the per-chunk kernel factors are shared."""
-    key = lambda a, b: tuple((min(x, y), max(x, y)) for x, y in zip(a, b))
-    keys = list(dict.fromkeys(key(a, b) for a, b in pairs))
-    vox = domain.coords
-    P, M, D = points.shape[0], vox.shape[0], domain.dimension
-    sums = {k: np.empty(P) for k in keys}
-    orders = {o for k in keys for pair in k for o in pair}
-    for sl in _chunks(P, M):
-        t = points[sl, None, :] - vox[None, :, :]
-        fac = {(d, o): kernel.axis_factor(d, t[..., d], o) for d in range(D) for o in orders}
-        inside = None
-        if kernel.truncation is not None:
-            inside = np.einsum("pmd,pmd->pm", t, t) <= kernel.truncation**2
-        for k in keys:
-            prod = fac[(0, k[0][0])] * fac[(0, k[0][1])]
-            for d in range(1, D):
-                prod = prod * fac[(d, k[d][0])]
-                prod = prod * fac[(d, k[d][1])]
-            if inside is not None:
-                prod = np.where(inside, prod, 0.0)
-            sums[k][sl] = prod.sum(axis=1)
-    return lambda a, b: sums[key(a, b)]
-
-
-def _unit(D: int, *axes: int) -> tuple:
-    out = [0] * D
-    for a in axes:
-        out[a] += 1
-    return tuple(out)
-
-
-def _moment_pairs(D: int, hessian: bool) -> list[tuple[tuple, tuple]]:
-    zero = _unit(D)
-    pairs = [(zero, zero)]
-    pairs += [(zero, _unit(D, d)) for d in range(D)]
-    pairs += [(_unit(D, d), _unit(D, e)) for d, e in combinations_with_replacement(range(D), 2)]
-    if hessian:
-        for k, d in combinations_with_replacement(range(D), 2):
-            pairs.append((_unit(D, k, d), zero))
-            pairs += [(_unit(D, k, d), _unit(D, e)) for e in range(D)]
-    return pairs
 
 
 def _wn_bundle(moment, D: int, hessian: bool):
@@ -123,8 +55,6 @@ def _wn_bundle(moment, D: int, hessian: bool):
     each entry filled straight from ``moment(a, b)``."""
     zero = _unit(D)
     S = moment(zero, zero)
-    if np.any(S < 1e-30):
-        raise DegenerateFieldError("vanishing field variance at an evaluation point")
     Sd = np.stack([moment(zero, _unit(D, d)) for d in range(D)], axis=-1)
     Sdd = np.empty(S.shape + (D, D))
     for d, e in combinations_with_replacement(range(D), 2):
@@ -198,40 +128,38 @@ def _moments(source, kernel, domain, hessian, *, points=None, grid=None, ids=Non
 
     ``source`` is "white-noise" (single sums over ``domain``) or a
     FieldEnsemble (sample covariances over its own domain).  Untruncated
-    kernels on a grid use the separable tensor engine, except for ensemble
-    second derivatives, which are evaluated pointwise.
+    kernels on a grid use the separable tensor engine, everything else the
+    chunked kernel design.
     """
     separable = grid is not None and kernel.truncation is None
     if grid is not None:
         points = grid.points if ids is None else grid.points[ids]
-    if isinstance(source, str):
-        if source != "white-noise":
-            raise ValueError(f"unknown geometry source {source!r}")
-        if domain is None:
-            raise ValueError("white-noise geometry requires a voxel domain")
-        D = domain.dimension
+    order = 2 if hessian else 1
+    if not isinstance(source, str):
         if separable:
-            return _wn_bundle(_separable_moments(kernel, domain, grid, ids), D, hessian)
-        moment = _point_moments(kernel, domain, points, _moment_pairs(D, hessian))
-        return _wn_bundle(moment, D, hessian)
-    if separable and not hessian and ids is None:
-        arr = smooth_on_grid(source, kernel, grid, derivatives=1)
-        return _sample_moments(arr["value"], arr["grad"], None)
-    order = "hessian" if hessian else "gradient"
-    val, grad, hess = _eval_arrays(SurfSpec(source, kernel), points, order)
-    return _sample_moments(val, grad, hess)
+            val, grad, hess = _grid_arrays(source, kernel, grid, order, ids)
+        else:
+            val, grad, hess = _eval_arrays(SurfSpec(source, kernel), points, _ORDERS[order])
+        return _sample_moments(val, grad, hess)
+    if source != "white-noise":
+        raise ValueError(f"unknown geometry source {source!r}")
+    if domain is None:
+        raise ValueError("white-noise geometry requires a voxel domain")
+    if separable:
+        s = _grid_sums(kernel, domain, np.ones((1, domain.n_voxels)), grid, ids)
+        bundle = _wn_bundle(lambda a, b: s(a, b)[0], domain.dimension, hessian)
+    else:
+        parts = [_inner_products(*des[: order + 1])
+                 for _, des in _design(kernel, domain, points, order)]
+        bundle = tuple(np.concatenate(p) for p in zip(*parts))
+    if np.any(bundle[0] < 1e-30):
+        raise DegenerateFieldError("vanishing field variance at an evaluation point")
+    return bundle
 
 
 # ---------------------------------------------------------------------------
 # Public metric / Christoffel operations
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricField:
-    grid: RefinedGrid
-    values: np.ndarray  # (P, D, D)
-    source: str
 
 
 def metric(source, kernel: GaussianKernel, domain: VoxelSet | None, x) -> np.ndarray:
@@ -259,12 +187,11 @@ def metric_on_grid(
     kernel: GaussianKernel,
     grid: RefinedGrid,
     sample_domain: VoxelSet | None = None,
-) -> MetricField:
-    """Metric at every grid point; the fast path for curvature integrals."""
+) -> np.ndarray:
+    """Metric at every grid point, (P, D, D); the fast path for curvature
+    integrals."""
     domain = sample_domain or grid.manifold.domain
-    lam = _metric_expr(*_moments(source, kernel, domain, False, grid=grid))
-    tag = "white-noise-theory" if isinstance(source, str) else "ensemble-estimate"
-    return MetricField(grid, lam, tag)
+    return _metric_expr(*_moments(source, kernel, domain, False, grid=grid))
 
 
 def christoffel_on_grid(

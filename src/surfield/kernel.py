@@ -72,48 +72,41 @@ class GaussianKernel:
 
     # -- pairwise evaluation -------------------------------------------------
 
-    def _offsets(self, points: np.ndarray, voxels: np.ndarray) -> np.ndarray:
+    def _pairwise(self, points: np.ndarray, voxels: np.ndarray, order: int):
+        """(K, grad K, Hess K) in x for all (point, voxel) pairs, shapes
+        (P, M), (P, M, D) and (P, M, D, D), from one pass over the offsets,
+        the exponential and the truncation mask; entries above ``order``
+        are None."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         voxels = np.atleast_2d(np.asarray(voxels, dtype=np.float64))
-        return points[:, None, :] - voxels[None, :, :]
-
-    def _trunc_mask(self, t: np.ndarray) -> np.ndarray | None:
-        if self.truncation is None:
-            return None
-        return np.einsum("pmd,pmd->pm", t, t) <= self.truncation**2
+        t = points[:, None, :] - voxels[None, :, :]
+        k = np.exp(-np.einsum("d,pmd->pm", self.decay, t * t))
+        out = [k, None, None]
+        if order >= 1:
+            lin = (-2.0 * self.decay) * t
+            out[1] = lin * k[..., None]
+        if order >= 2:
+            h = out[2] = lin[:, :, :, None] * lin[:, :, None, :]
+            diag = np.arange(self.dimension)
+            h[:, :, diag, diag] += -2.0 * self.decay
+            h *= k[..., None, None]
+        if self.truncation is not None:
+            outside = ~(np.einsum("pmd,pmd->pm", t, t) <= self.truncation**2)
+            for a in out[: order + 1]:
+                np.copyto(a, 0.0, where=outside.reshape(outside.shape + (1,) * (a.ndim - 2)))
+        return tuple(out)
 
     def pairwise_value(self, points: np.ndarray, voxels: np.ndarray) -> np.ndarray:
         """K(x, v) for all pairs, shape (P, M)."""
-        t = self._offsets(points, voxels)
-        k = np.exp(-np.einsum("d,pmd->pm", self.decay, t * t))
-        mask = self._trunc_mask(t)
-        if mask is not None:
-            k = np.where(mask, k, 0.0)
-        return k
+        return self._pairwise(points, voxels, 0)[0]
 
     def pairwise_gradient(self, points: np.ndarray, voxels: np.ndarray) -> np.ndarray:
         """Gradient in x of K(x, v) for all pairs, shape (P, M, D)."""
-        t = self._offsets(points, voxels)
-        k = np.exp(-np.einsum("d,pmd->pm", self.decay, t * t))
-        g = (-2.0 * self.decay) * t * k[..., None]
-        mask = self._trunc_mask(t)
-        if mask is not None:
-            g = np.where(mask[..., None], g, 0.0)
-        return g
+        return self._pairwise(points, voxels, 1)[1]
 
     def pairwise_hessian(self, points: np.ndarray, voxels: np.ndarray) -> np.ndarray:
         """Hessian in x of K(x, v) for all pairs, shape (P, M, D, D)."""
-        t = self._offsets(points, voxels)
-        k = np.exp(-np.einsum("d,pmd->pm", self.decay, t * t))
-        lin = (-2.0 * self.decay) * t
-        h = lin[:, :, :, None] * lin[:, :, None, :]
-        diag = np.arange(self.dimension)
-        h[:, :, diag, diag] += -2.0 * self.decay
-        h = h * k[..., None, None]
-        mask = self._trunc_mask(t)
-        if mask is not None:
-            h = np.where(mask[..., None, None], h, 0.0)
-        return h
+        return self._pairwise(points, voxels, 2)[2]
 
 
 def kernel_from_config(obj: dict) -> GaussianKernel:

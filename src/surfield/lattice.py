@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "VoxelSet",
-    "LatticeField",
     "FieldEnsemble",
     "RngSpec",
     "make_domain_preset",
@@ -109,22 +108,6 @@ class VoxelSet:
             step = np.where(np.isclose(gaps, self.spacing[d], rtol=1e-9, atol=0.0), 1, 2)
             out.append(_readonly(np.concatenate([[0], np.cumsum(step)])))
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class LatticeField:
-    """One real value per voxel of a :class:`VoxelSet`."""
-
-    domain: VoxelSet
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).ravel()
-        if vals.size != self.domain.n_voxels:
-            raise ValueError("value count must equal voxel count")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _readonly(vals))
 
 
 @dataclass(frozen=True)

@@ -175,8 +175,7 @@ def lkc_compute(
     elif grid.r != r or grid.manifold is not manifold:
         raise ValueError("provided grid does not match manifold/r")
     D = manifold.dimension
-    mf = metric_on_grid(source, kernel, grid, sample_domain)
-    lam = mf.values
+    lam = metric_on_grid(source, kernel, grid, sample_domain)
 
     n_bad = 0
     l_top, bad = _volume_sum(grid, lam)

@@ -6,14 +6,18 @@ derivatives) at any point.  This module evaluates single fields, ensembles,
 the normalized variant (unit pointwise variance), covariances, and the
 one-sample t-statistic field, in batched/columnar form.
 
-Two evaluation engines back the public operations: a generic chunked
-point-by-voxel path, and a separable tensor-contraction path used when the
-query points form (a subset of) a tensor-product grid, which is what the
-curvature and simulation pipelines evaluate on.
+Two engines back every kernel sum.  At arbitrary points, one sweep over the
+kernel design (K, grad K and Hess K for a slab of points x all voxels) gives
+the smoothed fields and, through its inner products over voxels, the
+normalization.  On (subsets of) the tensor-product grids that the curvature
+and simulation pipelines evaluate on, one separable helper contracts a data
+tensor with a kernel-factor matrix per axis for each derivative multi-index.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -30,7 +34,7 @@ __all__ = [
     "smooth_on_grid",
 ]
 
-_CHUNK_CELLS = 4_000_000  # max points x voxels per generic-path slab
+_CHUNK_CELLS = 4_000_000  # max point x voxel x design-column entries per design slab
 
 
 class DegenerateFieldError(ValueError):
@@ -66,73 +70,71 @@ def _chunks(n: int, m: int):
         yield slice(s, min(s + size, n))
 
 
-def _design(kernel: GaussianKernel, domain: VoxelSet, points: np.ndarray, order: str):
-    """Kernel design matrices K(x, v) and requested x-derivatives.
-
-    Yields (slab slice, dict) with 'v': (p, M), optionally 'g': (p, M, D),
-    'h': (p, M, D, D)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    vox = domain.coords
-    for sl in _chunks(points.shape[0], vox.shape[0]):
-        pts = points[sl]
-        out = {"v": kernel.pairwise_value(pts, vox)}
-        if order in ("gradient", "hessian"):
-            out["g"] = kernel.pairwise_gradient(pts, vox)
-        if order == "hessian":
-            out["h"] = kernel.pairwise_hessian(pts, vox)
-        yield sl, out
-
-
-def _norm_sums(design: dict) -> dict:
-    """sigma^2 = ||K_x||^2 and its derivatives (independent voxel noise)."""
-    K = design["v"]
-    out = {"s2": np.einsum("pm,pm->p", K, K)}
-    if "g" in design:
-        out["ds2"] = 2.0 * np.einsum("pm,pmd->pd", K, design["g"])
-    if "h" in design:
-        out["dds2"] = 2.0 * (
-            np.einsum("pm,pmde->pde", K, design["h"])
-            + np.einsum("pmd,pme->pde", design["g"], design["g"])
-        )
-    return out
-
-
-def _check_sigma(s2: np.ndarray):
-    if np.any(s2 < 1e-30):
-        raise DegenerateFieldError("normalization denominator vanished at a query point")
-
-
 _ORDERS = ("value", "gradient", "hessian")
+
+
+def _design(kernel: GaussianKernel, domain: VoxelSet, points: np.ndarray, order: int):
+    """Kernel design slabs over the domain's voxels: yields (slab slice,
+    (K, grad K, Hess K)) with shapes (p, M), (p, M, D), (p, M, D, D) and the
+    derivatives above ``order`` None.  A slab holds at most _CHUNK_CELLS
+    point x voxel x design-column entries."""
+    D = kernel.dimension
+    width = (1, 1 + D, 1 + D + D * D)[order]
+    vox = domain.coords
+    for sl in _chunks(points.shape[0], vox.shape[0] * width):
+        yield sl, kernel._pairwise(points[sl], vox, order)
+
+
+def _inner_products(K, G=None, H=None) -> tuple:
+    """Single sums over the voxel axis of one design slab: (S,), (S, Sd, Sdd)
+    or (S, Sd, Sdd, T2, U2) with S = <K, K>, Sd = <K, dK>, Sdd = <dK, dK>,
+    T2 = <ddK, dK> and U2 = <ddK, K> per point."""
+    S = np.einsum("pm,pm->p", K, K)
+    if G is None:
+        return (S,)
+    Gt = G.transpose(0, 2, 1)
+    out = (S, np.matmul(Gt, K[..., None])[..., 0], np.matmul(Gt, G))
+    if H is None:
+        return out
+    p, M, D = G.shape
+    Ht = H.reshape(p, M, D * D).transpose(0, 2, 1)
+    T2 = np.matmul(Ht, G).reshape(p, D, D, D)
+    U2 = np.matmul(Ht, K[..., None]).reshape(p, D, D)
+    return out + (T2, U2)
 
 
 def _eval_arrays(spec: SurfSpec, points: np.ndarray, order: str, field: int | None = None):
     """(val, grad, hess) of the smoothed field(s) from one kernel-design
-    sweep; the derivatives above ``order`` are None."""
+    sweep; the derivatives above ``order`` are None.  The normalization
+    reads the design's inner products: sigma^2 = S, grad sigma^2 = 2 Sd,
+    Hess sigma^2 = 2 (U2 + Sdd)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(points)):
         raise ValueError("query points must be finite")
     X = spec.ensemble.values if field is None else spec.ensemble.values[[field]]
     N, P, D = X.shape[0], points.shape[0], spec.kernel.dimension
+    n = _ORDERS.index(order)
     val = np.empty((N, P))
-    grad = np.empty((N, P, D)) if order != "value" else None
-    hess = np.empty((N, P, D, D)) if order == "hessian" else None
-    for sl, des in _design(spec.kernel, spec.ensemble.domain, points, order):
-        v = np.einsum("nm,pm->np", X, des["v"])
+    grad = np.empty((N, P, D)) if n >= 1 else None
+    hess = np.empty((N, P, D, D)) if n == 2 else None
+    for sl, des in _design(spec.kernel, spec.ensemble.domain, points, n):
+        v = np.einsum("nm,pm->np", X, des[0])
         if spec.normalized:
-            ns = _norm_sums(des)
-            _check_sigma(ns["s2"])
-            sig = np.sqrt(ns["s2"])
+            ip = _inner_products(*des[: n + 1])
+            if np.any(ip[0] < 1e-30):
+                raise DegenerateFieldError("normalization denominator vanished at a query point")
+            sig = np.sqrt(ip[0])
         val[:, sl] = v / sig if spec.normalized else v
         if grad is not None:
-            gg = g = np.einsum("nm,pmd->npd", X, des["g"])
+            gg = g = np.einsum("nm,pmd->npd", X, des[1])
             if spec.normalized:
-                dsig = ns["ds2"] / (2.0 * sig[:, None])
-                g = g / sig[None, :, None] - v[:, :, None] * dsig[None] / ns["s2"][None, :, None]
+                dsig = ip[1] / sig[:, None]
+                g = g / sig[None, :, None] - v[:, :, None] * dsig[None] / ip[0][None, :, None]
             grad[:, sl] = g
         if hess is not None:
-            hh = np.einsum("nm,pmde->npde", X, des["h"])
+            hh = np.einsum("nm,pmde->npde", X, des[2])
             if spec.normalized:
-                ddsig = ns["dds2"] / (2.0 * sig[:, None, None]) - (
+                ddsig = (ip[4] + ip[2]) / sig[:, None, None] - (
                     dsig[:, :, None] * dsig[:, None, :]
                 ) / sig[:, None, None]
                 s = sig[None, :, None, None]
@@ -248,11 +250,6 @@ def _padded_data_tensor(domain: VoxelSet, values: np.ndarray) -> np.ndarray:
     return data
 
 
-def _axis_matrix(kernel: GaussianKernel, d: int, xs: np.ndarray, vs: np.ndarray, order: int):
-    t = xs[:, None] - vs[None, :]
-    return kernel.axis_factor(d, t, order)
-
-
 def _contract(data: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     """Apply per-axis smoothing matrices to (N, m1..mD) data."""
     out = data
@@ -260,6 +257,60 @@ def _contract(data: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     for d in range(D):
         out = np.moveaxis(np.tensordot(mats[d], out, axes=(1, d + 1)), 0, d + 1)
     return out
+
+
+def _unit(D: int, *axes: int) -> tuple:
+    """Per-axis derivative orders of the derivative along ``axes``."""
+    out = [0] * D
+    for a in axes:
+        out[a] += 1
+    return tuple(out)
+
+
+def _grid_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, grid: RefinedGrid,
+               ids=None):
+    """s(a, b=None): the (N, m1..mD) data tensor of ``values`` over ``domain``
+    contracted along each axis d with the kernel factor of derivative order
+    a[d] (times the factor of order b[d]) and gathered at the grid points
+    ``ids`` (all when None), shape (N, Q)."""
+    D, N = domain.dimension, values.shape[0]
+    data = _padded_data_tensor(domain, values)
+    pos = grid.axis_positions if ids is None else grid.axis_positions[ids]
+    # An integer first index gathers faster than a slice, with the same
+    # values and (for one field) the same layout.
+    gather = (0 if N == 1 else slice(None),) + tuple(pos[:, d] for d in range(D))
+
+    @cache
+    def factor(d: int, order: int) -> np.ndarray:
+        t = grid.axis_coords[d][:, None] - domain.axis_values[d][None, :]
+        return kernel.axis_factor(d, t, order)
+
+    def s(a: tuple, b: tuple | None = None) -> np.ndarray:
+        mats = [factor(d, a[d]) if b is None else factor(d, a[d]) * factor(d, b[d])
+                for d in range(D)]
+        return _contract(data, mats)[gather].reshape(N, -1)
+
+    return s
+
+
+def _grid_arrays(ensemble: FieldEnsemble, kernel: GaussianKernel, grid: RefinedGrid,
+                 derivatives: int, ids=None):
+    """(val, grad, hess) of the smoothed fields at the grid points ``ids``
+    (all when None), one separable contraction per derivative multi-index;
+    the derivatives above ``derivatives`` are None."""
+    D = kernel.dimension
+    s = _grid_sums(kernel, ensemble.domain, ensemble.values, grid, ids)
+    # The value stays the gathered (column-major) array: its layout sets the
+    # summation order of the sample moments computed from it.
+    out = [s(_unit(D))]
+    for n in range(1, derivatives + 1):
+        out.append(np.empty(out[0].shape + (D,) * n))
+        for axes in combinations_with_replacement(range(D), n):
+            first, *rest = [(Ellipsis,) + p for p in set(permutations(axes))]
+            out[n][first] = s(_unit(D, *axes))
+            for idx in rest:
+                out[n][idx] = out[n][first]
+    return tuple(out) + (None,) * (2 - derivatives)
 
 
 def smooth_on_grid(
@@ -280,41 +331,8 @@ def smooth_on_grid(
     """
     if kernel.truncation is not None:
         raise NotImplementedError("tensor-grid smoothing requires an untruncated kernel")
-    dom = ensemble.domain
-    D = dom.dimension
-    data = _padded_data_tensor(dom, ensemble.values)
-    mats = {}
-    for d in range(D):
-        for o in range(derivatives + 1):
-            mats[(d, o)] = _axis_matrix(kernel, d, grid.axis_coords[d], dom.axis_values[d], o)
-    pos = grid.axis_positions
-    gather = (slice(None),) + tuple(pos[:, d] for d in range(D))
-
-    out = {}
-    base = [mats[(d, 0)] for d in range(D)]
-    out["value"] = _contract(data, base)[gather]
-    if derivatives >= 1:
-        N, P = out["value"].shape
-        grad = np.empty((N, P, D))
-        for d in range(D):
-            m = list(base)
-            m[d] = mats[(d, 1)]
-            grad[:, :, d] = _contract(data, m)[gather]
-        out["grad"] = grad
-    if derivatives >= 2:
-        N, P = out["value"].shape
-        hess = np.empty((N, P, D, D))
-        for d in range(D):
-            for e in range(d, D):
-                m = list(base)
-                if d == e:
-                    m[d] = mats[(d, 2)]
-                else:
-                    m[d] = mats[(d, 1)]
-                    m[e] = mats[(e, 1)]
-                hess[:, :, d, e] = hess[:, :, e, d] = _contract(data, m)[gather]
-        out["hess"] = hess
-    return out
+    arrays = _grid_arrays(ensemble, kernel, grid, derivatives)
+    return {k: a for k, a in zip(("value", "grad", "hess"), arrays) if a is not None}
 
 
 def t_field_on_grid(spec: SurfSpec, grid: RefinedGrid, with_gradient: bool = False):

@@ -144,13 +144,32 @@ def test_lkc_fields_must_match_preset(tmp_path, capsys):
     assert main(args + ["--fields", str(good), "--out", str(tmp_path / "g")]) == 0
 
 
-def test_fwer_sim_dry_run(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["fwer-sim", "census", "check-nondegeneracy", "surf eval"])
+def test_fwer_sim_dry_run(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"preset": "stat2d", "fwhm": 3.0, "n_subjects": 10, "n_reps": 4}))
-    rc = main(["fwer-sim", "--config", str(cfg), "--dry-run", "--out", str(tmp_path / "o")])
+    srf, pts = tmp_path / "f.srf1", tmp_path / "pts.csv"
+    write_srf1(srf, sample_ensemble(VoxelSet(np.arange(0.0, 10.0)[:, None]), 2, RngSpec(1)))
+    pts.write_text("x0\n2.25\n")
+    argv = {
+        "fwer-sim": ["fwer-sim", "--config", str(cfg)],
+        "census": ["census", "--preset", "nonstat2d"],
+        "check-nondegeneracy": ["check-nondegeneracy", "--preset", "nonstat2d", "--fwhm", "3",
+                                "--point", "5,5"],
+        "surf eval": ["surf", "eval", "--fields", str(srf), "--points", str(pts), "--fwhm", "2"],
+    }[command]
+    rc = main(argv + ["--dry-run", "--out", str(tmp_path / "o")])
     assert rc == 0
-    plan = json.loads(capsys.readouterr().out)
-    assert plan["plan"]["alpha"] == 0.05
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    if command == "fwer-sim":
+        assert plan["alpha"] == 0.05
+    assert not (tmp_path / "o").exists()
+
+
+def test_threshold_t_family_requires_df(tmp_path, capsys):
+    rc = main(["threshold", "--lkcs", "1,20,100", "--family", "t", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "config error: --family t requires --df"
     assert not (tmp_path / "o").exists()
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from surfield.geometry import (
     christoffel,
+    christoffel_on_grid,
     metric,
     metric_on_grid,
     orthonormal_frame,
@@ -21,14 +22,18 @@ LOG2 = math.log(2.0)
 
 
 def brute_force_wn_metric(kernel, domain, x):
-    """Direct python summation of the independent-noise metric."""
+    """Direct python summation of the independent-noise metric, skipping
+    voxels beyond the kernel's truncation radius."""
     D = domain.dimension
     c = 4 * LOG2 / np.asarray(kernel.fwhm) ** 2
+    rho = math.inf if kernel.truncation is None else kernel.truncation
     S = 0.0
     Sd = np.zeros(D)
     Sdd = np.zeros((D, D))
     for v in domain.coords:
         t = np.asarray(x, float) - v
+        if float(t @ t) > rho**2:
+            continue
         k = math.exp(-float(c @ (t * t)))
         g = -2 * c * t * k
         S += k * k
@@ -44,11 +49,12 @@ def random_spd(rng, scale=1.0):
 
 def test_white_noise_metric_matches_brute_force():
     dom = make_domain_preset("nonstat1d")
-    k = GaussianKernel.isotropic(2.5, 1)
     pts = np.array([[33.7], [50.0], [99.2]])
-    got = metric("white-noise", k, dom, pts)
-    for i, x in enumerate(pts):
-        np.testing.assert_allclose(got[i], brute_force_wn_metric(k, dom, x), rtol=1e-12)
+    # rho = 3 drops voxels 3.2-4 away from the points, where K is 1e-2 to 1e-3 of its peak
+    for k in (GaussianKernel.isotropic(2.5, 1), GaussianKernel.isotropic(2.5, 1, 3.0)):
+        got = metric("white-noise", k, dom, pts)
+        for i, x in enumerate(pts):
+            np.testing.assert_allclose(got[i], brute_force_wn_metric(k, dom, x), rtol=1e-12)
 
 
 def test_white_noise_metric_stationary_interior_value():
@@ -311,6 +317,17 @@ def test_metric_on_grid_tensor_matches_point_path():
     man = VoxelManifold(dom)
     grid = refined_grid(man, 1)
     k = GaussianKernel.isotropic(2.0, 2)
-    mf = metric_on_grid("white-noise", k, grid)
+    lam = metric_on_grid("white-noise", k, grid)
     direct = metric("white-noise", k, dom, grid.points[::37])
-    np.testing.assert_allclose(mf.values[::37], direct, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(lam[::37], direct, rtol=1e-10, atol=1e-14)
+
+
+def test_ensemble_christoffel_on_grid_ids_matches_point_path():
+    dom = make_domain_preset("stat3d", 3.0)
+    grid = refined_grid(VoxelManifold(dom.interior), 1)
+    ens = sample_ensemble(dom, 6, RngSpec(4))
+    k = GaussianKernel.isotropic(3.0, 3)
+    ids = np.unique(np.concatenate([t["ids"] for t in grid.face_tables.values()]))[::29]
+    got = christoffel_on_grid(ens, k, grid, point_ids=ids)
+    want = christoffel(ens, k, None, grid.points[ids])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
