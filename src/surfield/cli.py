@@ -108,8 +108,9 @@ def _cmd_lkc(args) -> int:
     D = dom.dimension
     kern = _kernel_for(args, D)
     config = {
-        "domain": dom_label, "fwhm": args.fwhm, "r": args.r, "source": args.source,
-        "n_subjects": args.n_subjects, "seed": args.seed,
+        "domain": dom_label, "fwhm": args.fwhm, "truncation": args.truncation, "r": args.r,
+        "source": args.source, "n_subjects": args.n_subjects, "seed": args.seed,
+        "format": args.format,
     }
     if args.dry_run:
         print(json.dumps({"plan": config}, indent=2))
@@ -246,7 +247,8 @@ def _cmd_check_nondegeneracy(args) -> int:
     x = np.array([float(c) for c in args.point.split(",")])
     if x.size != dom.dimension:
         raise ConfigError("--point dimension does not match the domain")
-    config = {"domain": dom_label, "point": x.tolist(), "fwhm": args.fwhm}
+    config = {"domain": dom_label, "point": x.tolist(), "fwhm": args.fwhm,
+              "truncation": args.truncation}
     if args.dry_run:
         print(json.dumps({"plan": config}, indent=2))
         return 0
@@ -264,7 +266,7 @@ def _cmd_check_nondegeneracy(args) -> int:
 
 def _cmd_surf_eval(args) -> int:
     config = {"fields": str(args.fields), "points": str(args.points), "order": args.order,
-              "fwhm": args.fwhm}
+              "fwhm": args.fwhm, "truncation": args.truncation, "normalized": args.normalized}
     if args.dry_run:
         print(json.dumps({"plan": config}, indent=2))
         return 0

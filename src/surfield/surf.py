@@ -103,6 +103,14 @@ def _inner_products(K, G=None, H=None) -> tuple:
     return out + (T2, U2)
 
 
+def _contract_voxels(X: np.ndarray, design: np.ndarray) -> np.ndarray:
+    """sum_m X[n, m] design[p, m, ...] as one matrix product over the voxel
+    axis, shape (N, p, ...)."""
+    p, M = design.shape[:2]
+    out = X @ design.reshape(p, M, -1).transpose(1, 0, 2).reshape(M, -1)
+    return out.reshape((X.shape[0],) + (p,) + design.shape[2:])
+
+
 def _eval_arrays(spec: SurfSpec, points: np.ndarray, order: str, field: int | None = None):
     """(val, grad, hess) of the smoothed field(s) from one kernel-design
     sweep; the derivatives above ``order`` are None.  The normalization
@@ -118,7 +126,7 @@ def _eval_arrays(spec: SurfSpec, points: np.ndarray, order: str, field: int | No
     grad = np.empty((N, P, D)) if n >= 1 else None
     hess = np.empty((N, P, D, D)) if n == 2 else None
     for sl, des in _design(spec.kernel, spec.ensemble.domain, points, n):
-        v = np.einsum("nm,pm->np", X, des[0])
+        v = _contract_voxels(X, des[0])
         if spec.normalized:
             ip = _inner_products(*des[: n + 1])
             if np.any(ip[0] < 1e-30):
@@ -126,13 +134,13 @@ def _eval_arrays(spec: SurfSpec, points: np.ndarray, order: str, field: int | No
             sig = np.sqrt(ip[0])
         val[:, sl] = v / sig if spec.normalized else v
         if grad is not None:
-            gg = g = np.einsum("nm,pmd->npd", X, des[1])
+            gg = g = _contract_voxels(X, des[1])
             if spec.normalized:
                 dsig = ip[1] / sig[:, None]
                 g = g / sig[None, :, None] - v[:, :, None] * dsig[None] / ip[0][None, :, None]
             grad[:, sl] = g
         if hess is not None:
-            hh = np.einsum("nm,pmde->npde", X, des[2])
+            hh = _contract_voxels(X, des[2])
             if spec.normalized:
                 ddsig = (ip[4] + ip[2]) / sig[:, None, None] - (
                     dsig[:, :, None] * dsig[:, None, :]
@@ -190,8 +198,9 @@ def surf_covariance(
 # ---------------------------------------------------------------------------
 
 
-def _t_from_arrays(val: np.ndarray, grad: np.ndarray | None):
-    """sqrt(N) * mean / sd with exact quotient-rule gradient; val is (N, P)."""
+def _t_from_arrays(val: np.ndarray, grad: np.ndarray | None = None, hess: np.ndarray | None = None):
+    """sqrt(N) * mean / sd with its exact quotient-rule gradient and Hessian
+    (None when the field derivative is None); val is (N, P)."""
     N = val.shape[0]
     if N < 2:
         raise DegenerateFieldError("t statistic requires at least two fields")
@@ -203,13 +212,25 @@ def _t_from_arrays(val: np.ndarray, grad: np.ndarray | None):
     sd = np.sqrt(s2)
     t = np.sqrt(N) * mean / sd
     if grad is None:
-        return t, None
+        return t, None, None
     gmean = grad.mean(axis=0)
     gresid = grad - gmean
     # d(sd)/dx = cov(X~, dX~)/sd  with the same N-1 denominator
     ds = np.einsum("np,npd->pd", resid, gresid) / ((N - 1) * sd[:, None])
     gt = np.sqrt(N) * (gmean * sd[:, None] - mean[:, None] * ds) / s2[:, None]
-    return t, gt
+    if hess is None:
+        return t, gt, None
+    # dd(sd) = (cov(dX~, dX~) + cov(X~, ddX~)) / sd - d(sd) d(sd)^T / sd
+    cov = (np.einsum("npd,npe->pde", gresid, gresid)
+           + np.einsum("np,npde->pde", resid, hess - hess.mean(axis=0))) / (N - 1)
+    dds = (cov - ds[:, :, None] * ds[:, None, :]) / sd[:, None, None]
+    cross = gmean[:, :, None] * ds[:, None, :]
+    ht = np.sqrt(N) * (
+        hess.mean(axis=0) / sd[:, None, None]
+        - (cross + cross.transpose(0, 2, 1) + mean[:, None, None] * dds) / s2[:, None, None]
+        + 2.0 * (mean / (s2 * sd))[:, None, None] * ds[:, :, None] * ds[:, None, :]
+    )
+    return t, gt, ht
 
 
 def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
@@ -222,8 +243,7 @@ def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
     if order not in ("value", "gradient", "both"):
         raise ValueError(f"unknown order {order!r}")
     raw = SurfSpec(spec.ensemble, spec.kernel)  # scale invariance: skip normalization
-    val, grad, _ = _eval_arrays(raw, points, "value" if order == "value" else "gradient")
-    t, gt = _t_from_arrays(val, grad)
+    t, gt, _ = _t_from_arrays(*_eval_arrays(raw, points, "value" if order == "value" else "gradient"))
     if order == "value":
         return t
     if order == "gradient":
@@ -338,4 +358,4 @@ def smooth_on_grid(
 def t_field_on_grid(spec: SurfSpec, grid: RefinedGrid, with_gradient: bool = False):
     """t statistic at every grid point via the separable engine."""
     arr = smooth_on_grid(spec.ensemble, spec.kernel, grid, derivatives=1 if with_gradient else 0)
-    return _t_from_arrays(arr["value"], arr.get("grad"))
+    return _t_from_arrays(arr["value"], arr.get("grad"))[:2]

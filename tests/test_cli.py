@@ -32,6 +32,17 @@ def test_lkc_white_noise_reference(tmp_path):
     assert "version" in manifest
 
 
+def test_manifest_records_truncation(tmp_path):
+    manifests = []
+    for name, extra in (("plain", []), ("truncated", ["--truncation", "2"])):
+        out = tmp_path / name
+        rc = main(["lkc", "--preset", "stat1d", "--fwhm", "3", "--r", "3", "--out", str(out)] + extra)
+        assert rc == 0
+        manifests.append((out / "manifest.json").read_text())
+    assert manifests[0] != manifests[1]
+    assert json.loads(manifests[1])["config"]["truncation"] == 2.0
+
+
 def test_lkc_closed_form(tmp_path):
     out = tmp_path / "o"
     rc = main([

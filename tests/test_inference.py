@@ -228,6 +228,24 @@ def _dense_scan(spec, center, half, step):
     return pts[i], float(tv[i])
 
 
+def _dense_oracle(spec, man, candidates):
+    """Best of 1e-3 then 1e-5 dense refinements around the candidates and the
+    three highest basins of an r = 9 scan."""
+    from surfield.inference import _grid_local_maxima
+    from surfield.surf import t_field_on_grid
+
+    scan_grid = refined_grid(man, 9)
+    sv, _ = t_field_on_grid(spec, scan_grid)
+    basins = [scan_grid.points[i] for i in _grid_local_maxima(scan_grid, sv)[:3]]
+    oracle_pt, oracle_val = None, -np.inf
+    for c in list(candidates) + basins:
+        p1, _ = _dense_scan(spec, np.asarray(c), 0.3, 1e-3)
+        p2, v2 = _dense_scan(spec, p1, 2e-3, 1e-5)
+        if v2 > oracle_val:
+            oracle_pt, oracle_val = p2, v2
+    return oracle_pt, oracle_val
+
+
 def test_maximizer_beats_grid_and_matches_dense_scan():
     center = np.array([3.37, 4.21])
     ens = bump_ensemble(center)
@@ -240,21 +258,47 @@ def test_maximizer_beats_grid_and_matches_dense_scan():
     gv, _ = t_field_on_grid(spec, grid)
     pt, val = maximize_t_field(spec, man, starts=10, grid=grid, grid_values=gv)
     assert val >= gv.max() - 1e-12
-    # dense-grid oracle: coarse scan basins (plus the claimed optimum), then
-    # 1e-3 and 1e-5 refinements around each candidate
-    from surfield.inference import _grid_local_maxima
-
-    scan_grid = refined_grid(man, 9)
-    sv, _ = t_field_on_grid(spec, scan_grid)
-    basins = [scan_grid.points[i] for i in _grid_local_maxima(scan_grid, sv)[:3]]
-    oracle_pt, oracle_val = None, -np.inf
-    for c in [pt] + basins:
-        p1, _ = _dense_scan(spec, np.asarray(c), 0.3, 1e-3)
-        p2, v2 = _dense_scan(spec, p1, 2e-3, 1e-5)
-        if v2 > oracle_val:
-            oracle_pt, oracle_val = p2, v2
+    oracle_pt, oracle_val = _dense_oracle(spec, man, [pt])
     assert np.linalg.norm(pt - oracle_pt) < 1e-4
     assert val >= oracle_val - 1e-9 * max(1.0, abs(oracle_val))
+
+
+@pytest.mark.parametrize("center, on_bound", [
+    ((9.5, 3.3), {0: 7.5}),  # beyond the x = 7.5 face
+    ((10.0, 9.0), {0: 7.5, 1: 7.5}),  # beyond the (7.5, 7.5) corner
+])
+def test_maximizer_finds_boundary_maximum(center, on_bound):
+    # a bump plus a per-subject constant: the sample sd is the smoothed
+    # constant, so t is a kernel-weighted average of the bump and peaks on
+    # the part of the boundary nearest the outside centre
+    dom = VoxelSet(np.array([[u, v] for u in range(8) for v in range(8)], dtype=float))
+    base = np.exp(-0.5 * np.sum((dom.coords - np.asarray(center)) ** 2, axis=1) / 1.5**2)
+    z = np.random.default_rng(70).standard_normal(6)
+    spec = SurfSpec(FieldEnsemble(dom, base + 1e-3 * z[:, None]), GaussianKernel.isotropic(2.0, 2))
+    man = VoxelManifold(dom)
+    pt, val = maximize_t_field(spec, man, starts=10)
+    for axis, bound in on_bound.items():
+        assert pt[axis] == bound
+    oracle_pt, oracle_val = _dense_oracle(spec, man, [pt])
+    assert np.linalg.norm(pt - oracle_pt) < 1e-4
+    assert val >= oracle_val - 1e-9 * max(1.0, abs(oracle_val))
+
+
+def test_maximizer_crosses_saddle_region_to_the_box_maximum():
+    # stat2d FWHM 1, replication 144 of criterion 4's rough run: the field is
+    # convex along one axis between the start and the maximum, and a line
+    # search there fails before the ascent arrives.  2.9945835398761638 is
+    # what per-pair L-BFGS-B runs reached.
+    dom = make_domain_preset("stat2d", 1.0)
+    man = VoxelManifold(dom.interior)
+    grid = refined_grid(man, 1)
+    ens = sample_ensemble(dom, 50, RngSpec(20260811).substream(144))
+    spec = SurfSpec(ens, GaussianKernel.isotropic(1.0, 2))
+    from surfield.surf import t_field_on_grid
+
+    gv, _ = t_field_on_grid(spec, grid)
+    _, val = maximize_t_field(spec, man, grid=grid, grid_values=gv)
+    assert val >= 2.9945835398761638 - 1e-12
 
 
 def test_maximizer_scale_invariant():

@@ -197,6 +197,27 @@ def test_t_field_gradient_fd(small_ensemble):
         np.testing.assert_allclose(grad[:, d], fd, rtol=1e-5)
 
 
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_t_field_hessian_fd(D):
+    import itertools
+
+    from surfield.surf import _eval_arrays, _t_from_arrays
+
+    n = {1: 12, 2: 6, 3: 4}[D]
+    dom = VoxelSet(np.array(list(itertools.product(range(n), repeat=D)), dtype=float))
+    spec = SurfSpec(sample_ensemble(dom, 7, RngSpec(3)), GaussianKernel.isotropic(2.0, D))
+    pts = np.random.default_rng(1).uniform(0.5, n - 1.5, size=(6, D))
+    t, grad, hess = _t_from_arrays(*_eval_arrays(spec, pts, "hessian"))
+    np.testing.assert_array_equal(t, t_field(spec, pts))
+    np.testing.assert_allclose(hess, hess.transpose(0, 2, 1), rtol=0, atol=1e-14 * np.abs(hess).max())
+    eps = 1e-5
+    fd = np.stack([
+        (t_field(spec, pts + eps * e, "gradient") - t_field(spec, pts - eps * e, "gradient")) / (2 * eps)
+        for e in np.eye(D)
+    ], axis=2)
+    np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6 * np.abs(hess).max())
+
+
 def test_t_field_requires_two_and_nonzero_variance():
     dom = VoxelSet(np.array([[0.0], [1.0]]))
     k = GaussianKernel.isotropic(2.0, 1)
