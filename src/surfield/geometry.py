@@ -132,7 +132,7 @@ def _moments(source, kernel, domain, hessian, *, points=None, grid=None, ids=Non
     chunked kernel design.
     """
     separable = grid is not None and kernel.truncation is None
-    if grid is not None:
+    if grid is not None and not separable:
         points = grid.points if ids is None else grid.points[ids]
     order = 2 if hessian else 1
     if not isinstance(source, str):
@@ -187,11 +187,12 @@ def metric_on_grid(
     kernel: GaussianKernel,
     grid: RefinedGrid,
     sample_domain: VoxelSet | None = None,
+    point_ids: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Metric at every grid point, (P, D, D); the fast path for curvature
-    integrals."""
+    """Metric at all grid points (or a subset), (Q, D, D); the fast path for
+    curvature integrals."""
     domain = sample_domain or grid.manifold.domain
-    return _metric_expr(*_moments(source, kernel, domain, False, grid=grid))
+    return _metric_expr(*_moments(source, kernel, domain, False, grid=grid, ids=point_ids))
 
 
 def christoffel_on_grid(

@@ -8,6 +8,11 @@ tensor-product trapezoid sums over the refined grid, which are exact for
 constant integrands and converge to the integrals as the added resolution
 grows.  The zeroth curvature is always the combinatorial Euler
 characteristic, never estimated.
+
+The integrals stream over slabs of the grid: runs of whole axis-0 rows of
+contiguous grid ids.  Each slab's metric is computed, reduced into the
+volume, face and edge sums through that slab's quadrature-table entries,
+and dropped, so memory follows the slab size rather than the grid size.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ from .manifold import RefinedGrid, VoxelManifold, euler_characteristic, refined_
 __all__ = ["LkcVector", "lkc_compute", "lkc_stationary_closed_form"]
 
 LOG2 = math.log(2.0)
+_SLAB_POINTS = 1 << 16  # grid points whose metric is held at once
 
 
 @dataclass(frozen=True)
@@ -60,74 +66,75 @@ class LkcVector:
         return self.values[d]
 
 
-def _volume_sum(grid: RefinedGrid, lam: np.ndarray) -> tuple[float, int]:
-    dets, n_bad = sqrt_det_psd(lam)
-    dom = grid.manifold.domain
-    cell = np.prod(dom.spacing / (grid.r + 1))
-    return float(np.sum(grid.vol_weight * dets) * cell), n_bad
+def _slabs(grid: RefinedGrid) -> np.ndarray:
+    """Slab bounds in grid ids (first id of each slab, then the point count).
+    Ids sort with axis 0 slowest, so a slab is a run of whole axis-0 rows:
+    at most ``_SLAB_POINTS`` points, or one row where a row alone holds more."""
+    starts = np.searchsorted(grid.keys[:, 0], grid.axis_keys[0])
+    bounds = [0]
+    for a, b in zip(starts[1:], np.append(starts[2:], grid.n_points)):
+        if b - bounds[-1] > _SLAB_POINTS:  # row [a, b) opens the next slab
+            bounds.append(int(a))
+    return np.array(bounds + [grid.n_points])
 
 
-def _boundary_sum(grid: RefinedGrid, lam: np.ndarray) -> tuple[float, int]:
-    """Half the metric boundary measure via the per-face quadrature tables."""
-    dom = grid.manifold.domain
-    D = grid.dimension
-    total = 0.0
-    n_bad = 0
-    for m in range(D):
-        table = grid.face_tables[m]
-        if table["ids"].size == 0:
-            continue
-        I = tuple(d for d in range(D) if d != m)
-        if I:
-            sub, bad = sqrt_det_sub(lam[table["ids"]], I)
-            n_bad += bad
-        else:  # D == 1: zero-dimensional boundary points
-            sub = np.ones(table["ids"].size)
-        cell = np.prod(dom.spacing[list(I)] / (grid.r + 1)) if I else 1.0
-        total += float(np.sum(table["weights"] * sub) * cell)
-    return 0.5 * total, n_bad
+def _split(table: dict, bounds: np.ndarray) -> list[dict]:
+    """A quadrature table's entries per slab, in table order within a slab
+    (a stable sort on the slab index), with ids counted from the slab's start."""
+    slab = np.searchsorted(bounds, table["ids"], side="right") - 1
+    order = np.argsort(slab, kind="stable")
+    cuts = np.searchsorted(slab[order], np.arange(1, len(bounds) - 1))
+    local = dict(table, ids=table["ids"] - bounds[slab])
+    cols = {k: np.split(v[order], cuts) for k, v in local.items() if isinstance(v, np.ndarray)}
+    return [{k: v[j] for k, v in cols.items()} for j in range(len(bounds) - 1)]
 
 
-def _edge_sum(grid: RefinedGrid, lam: np.ndarray) -> tuple[float, int]:
-    """Locally stationary first curvature for D = 3: (1/2pi) times the edge
-    integral of the normal-cone angle against metric length."""
-    dom = grid.manifold.domain
-    total = 0.0
-    n_bad = 0
-    for table in grid.edge_tables:
-        ids = table["ids"]
-        if ids.size == 0:
-            continue
-        k = table["tangent"]
-        lam_pts = lam[ids]
+def _boundary_sum(faces: list[dict], lam: np.ndarray) -> tuple[list[float], int]:
+    """Per face axis m, the slab's quadrature sum of the metric area element
+    of the faces normal to m."""
+    D = lam.shape[-1]
+    sums, n_bad = [], 0
+    for m, table in enumerate(faces):
+        sub, bad = sqrt_det_sub(lam[table["ids"]], tuple(d for d in range(D) if d != m))
+        n_bad += bad
+        sums.append(float(np.sum(table["weights"] * sub)))
+    return sums, n_bad
+
+
+def _edge_sum(edges: list[dict], lam: np.ndarray) -> tuple[list[float], int]:
+    """Per tangent axis k (D = 3), the slab's quadrature sum of the
+    normal-cone angle against metric edge length."""
+    sums, n_bad = [], 0
+    for k, table in enumerate(edges):
+        lam_pts = lam[table["ids"]]
         theta = theta_batch(lam_pts, k, table["types"], table["refl"])
         length, bad = sqrt_det_sub(lam_pts, (k,))
         n_bad += bad
-        total += float(
-            np.sum(table["weights"] * theta * length) * (dom.spacing[k] / (grid.r + 1))
-        )
-    return total / (2.0 * math.pi), n_bad
+        sums.append(float(np.sum(table["weights"] * theta * length)))
+    return sums, n_bad
 
 
 def _face_correction(
-    grid: RefinedGrid,
+    faces: list[dict],
     lam: np.ndarray,
+    start: int,
+    grid: RefinedGrid,
     source,
     kernel: GaussianKernel,
     sample_domain: VoxelSet | None,
-) -> float:
-    """Optional 3-D face integral of the shape-operator trace against metric
-    area (off by default; vanishes for constant metrics)."""
-    dom = grid.manifold.domain
-    total = 0.0
-    for m in range(3):
-        table = grid.face_tables[m]
+) -> list[float]:
+    """Per face axis m, the slab's quadrature sum of the optional 3-D face
+    integrand: the shape-operator trace against metric area (vanishes for
+    constant metrics).  ``lam`` holds the metric from grid id ``start``."""
+    sums = []
+    for m, table in enumerate(faces):
         ids = table["ids"]
         if ids.size == 0:
+            sums.append(0.0)
             continue
         k, l = tuple(d for d in range(3) if d != m)
         uniq, inv = np.unique(ids, return_inverse=True)
-        gam_u = christoffel_on_grid(source, kernel, grid, sample_domain, point_ids=uniq)
+        gam_u = christoffel_on_grid(source, kernel, grid, sample_domain, point_ids=uniq + start)
         gam = gam_u[inv]
         lam_pts = lam[ids]
         U, V, N = orthonormal_frame(lam_pts, (k, l))
@@ -138,9 +145,8 @@ def _face_correction(
             + V[:, k] * V[:, l] * np.einsum("pd,pd->p", N, gam[:, k, l, :])
         )
         area, _ = sqrt_det_sub(lam_pts, (k, l))
-        cell = dom.spacing[k] * dom.spacing[l] / (grid.r + 1) ** 2
-        total += float(np.sum(table["weights"] * integrand * area) * cell)
-    return total / (2.0 * math.pi)
+        sums.append(float(np.sum(table["weights"] * integrand * area)))
+    return sums
 
 
 def lkc_compute(
@@ -175,31 +181,44 @@ def lkc_compute(
     elif grid.r != r or grid.manifold is not manifold:
         raise ValueError("provided grid does not match manifold/r")
     D = manifold.dimension
-    lam = metric_on_grid(source, kernel, grid, sample_domain)
+    spacing = manifold.domain.spacing / (r + 1)
+    bounds = _slabs(grid)
+    faces = list(zip(*(_split(grid.face_tables[m], bounds) for m in range(D))))
+    edges = list(zip(*(_split(t, bounds) for t in grid.edge_tables)))
 
-    n_bad = 0
-    l_top, bad = _volume_sum(grid, lam)
-    n_bad += bad
+    # per-slab quadrature sums, scaled by their cell measures at the end
+    vol, bnd, edge, face, n_bad = 0.0, np.zeros(D), np.zeros(3), np.zeros(3), 0
+    for j, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        lam = metric_on_grid(source, kernel, grid, sample_domain, np.arange(start, stop))
+        dets, bad = sqrt_det_psd(lam)
+        vol += float(np.sum(grid.vol_weight[start:stop] * dets))
+        n_bad += bad
+        if D >= 2:
+            part, bad = _boundary_sum(faces[j], lam)
+            bnd += part
+            n_bad += bad
+        if D == 3:
+            part, bad = _edge_sum(edges[j], lam)
+            edge += part
+            n_bad += bad
+            if include_face_term:
+                face += _face_correction(faces[j], lam, start, grid, source, kernel, sample_domain)
+
+    face_cell = [np.prod(np.delete(spacing, m)) for m in range(D)]
     values = [0.0] * (D + 1)
-    values[D] = l_top
+    values[0] = euler_characteristic(manifold)
+    values[D] = vol * np.prod(spacing)
     if D >= 2:
-        l_bnd, bad = _boundary_sum(grid, lam)
-        n_bad += bad
-        values[D - 1] = l_bnd
-    locally_stationary = False
+        values[D - 1] = 0.5 * sum(b * c for b, c in zip(bnd, face_cell))
     if D == 3:
-        l1, bad = _edge_sum(grid, lam)
-        n_bad += bad
+        values[1] = sum(e * h for e, h in zip(edge, spacing)) / (2.0 * math.pi)
         if include_face_term:
-            l1 += _face_correction(grid, lam, source, kernel, sample_domain)
-        values[1] = l1
-        locally_stationary = True
-    values[0] = float(euler_characteristic(manifold))
+            values[1] += sum(f * c for f, c in zip(face, face_cell)) / (2.0 * math.pi)
     return LkcVector(
-        values=tuple(values),
+        values=tuple(float(v) for v in values),
         r=r,
         source=src_tag,
-        l1_locally_stationary=locally_stationary,
+        l1_locally_stationary=D == 3,
         diagnostics={"psd_repaired_points": n_bad},
     )
 

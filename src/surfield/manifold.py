@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _INDEX_SPACE_CAP = 1 << 27
+_GRID_BYTES_CAP = 4 << 30  # refuse grids whose build is estimated above this
 
 
 class EdgeType(IntEnum):
@@ -183,8 +184,9 @@ class RefinedGrid:
 
     Attributes
     ----------
-    keys : (P, D) int64 exact grid keys (box index * (r+1) + sub-step)
-    points : (P, D) float64 coordinates
+    keys : (P, D) int64 exact grid keys (box index * (r+1) + sub-step),
+        sorted by flat key with axis 0 slowest
+    points : (P, D) float64 coordinates, derived from the keys on first use
     vol_weight : (P,) float64 tensor-trapezoid multiplicity for volume sums
     axis_keys, axis_coords : per axis, the sorted grid keys and their coordinates
     face_tables, edge_tables : boundary quadrature tables (r >= 1, see
@@ -201,7 +203,6 @@ class RefinedGrid:
             self.keys = dom.axis_index.copy()
             order = np.lexsort(self.keys.T[::-1])
             self.keys = self.keys[order]
-            self.points = dom.coords[order].copy()
             self.vol_weight = np.ones(len(self.keys))
             self.axis_keys = list(dom.axis_index_values)
             self.axis_coords = list(dom.axis_values)
@@ -209,6 +210,7 @@ class RefinedGrid:
             return
         if self.r < 0 or self.r % 2 == 0:
             raise ValueError("added resolution must be odd and positive (or 0 for the lattice)")
+        _check_grid_size(dom.n_voxels, D, self.r)
         h = (self.r + 1) // 2
         step = self.r + 1
         idx = dom.axis_index
@@ -241,12 +243,6 @@ class RefinedGrid:
         self._flat = uflat
         self._flat_min = kmin
         self._flat_strides = strides
-
-        pts = np.empty(self.keys.shape, dtype=np.float64)
-        for d in range(D):
-            pos = np.searchsorted(self.axis_keys[d], self.keys[:, d])
-            pts[:, d] = self.axis_coords[d][pos]
-        self.points = pts
 
         self.vol_weight = self._volume_weights(h, step)
         self._build_boundary_tables(h, step)
@@ -346,7 +342,7 @@ class RefinedGrid:
             )
 
     def _finalize(self):
-        for a in ("keys", "points", "vol_weight"):
+        for a in ("keys", "vol_weight"):
             getattr(self, a).setflags(write=False)
 
     # -- lookups ---------------------------------------------------------------
@@ -365,6 +361,14 @@ class RefinedGrid:
         for d in range(self.dimension):
             pos[:, d] = np.searchsorted(self.axis_keys[d], self.keys[:, d])
         return pos
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        pts = np.empty(self.keys.shape, dtype=np.float64)
+        for d in range(self.dimension):
+            pts[:, d] = self.axis_coords[d][self.axis_positions[:, d]]
+        pts.setflags(write=False)
+        return pts
 
     @property
     def n_points(self) -> int:
@@ -398,6 +402,23 @@ class RefinedGrid:
             choices.append([upper[d] - 1, upper[d]] if on_plane[d] else [upper[d]])
         cand = np.array(list(itertools.product(*choices)), dtype=np.int64)
         return cand[man.occupied(cand)]
+
+
+def _check_grid_size(n_voxels: int, D: int, r: int) -> None:
+    """Refuse, before allocating, a grid whose build would exceed
+    ``_GRID_BYTES_CAP``.  Each box generates (r+2)^D candidate keys (D keys,
+    a flat key and np.unique's two sort buffers, in int64) and owns about
+    (r+1)^D distinct points (keys, axis positions and coordinates, the volume
+    weight and the flat key)."""
+    candidates = n_voxels * (r + 2) ** D
+    points = n_voxels * (r + 1) ** D
+    nbytes = 8 * ((D + 3) * candidates + (3 * D + 2) * points)
+    if nbytes > _GRID_BYTES_CAP:
+        raise ValueError(
+            f"refined grid at r = {r} has about {points:,} points and needs about "
+            f"{nbytes / 2**30:.1f} GiB to build, above the {_GRID_BYTES_CAP / 2**30:.0f} GiB "
+            "cap; use a smaller added resolution"
+        )
 
 
 def refined_grid(manifold: VoxelManifold, r: int) -> RefinedGrid:

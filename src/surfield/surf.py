@@ -292,23 +292,40 @@ def _grid_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, gri
     """s(a, b=None): the (N, m1..mD) data tensor of ``values`` over ``domain``
     contracted along each axis d with the kernel factor of derivative order
     a[d] (times the factor of order b[d]) and gathered at the grid points
-    ``ids`` (all when None), shape (N, Q)."""
+    ``ids`` (all when None), shape (N, Q).  With ``ids``, only the axis-0
+    grid rows those points touch are contracted."""
     D, N = domain.dimension, values.shape[0]
     data = _padded_data_tensor(domain, values)
     pos = grid.axis_positions if ids is None else grid.axis_positions[ids]
-    # An integer first index gathers faster than a slice, with the same
-    # values and (for one field) the same layout.
-    gather = (0 if N == 1 else slice(None),) + tuple(pos[:, d] for d in range(D))
+    axes = tuple(pos[:, d] for d in range(D))
+    rows = slice(None)
+    if ids is not None and len(pos):
+        lo = int(axes[0].min())
+        rows = slice(lo, int(axes[0].max()) + 1)
+        axes = (axes[0] - lo,) + axes[1:]
+
+    @cache
+    def flat_index(shape: tuple, strides: tuple) -> tuple:
+        """Axis order of a (m1..mD) array's memory layout and the flat
+        positions of ``axes`` in it."""
+        perm = np.argsort([-st for st in strides], kind="stable")
+        return perm, np.ravel_multi_index(tuple(axes[p] for p in perm), tuple(np.take(shape, perm)))
 
     @cache
     def factor(d: int, order: int) -> np.ndarray:
-        t = grid.axis_coords[d][:, None] - domain.axis_values[d][None, :]
+        t = grid.axis_coords[d][rows if d == 0 else slice(None), None] - domain.axis_values[d]
         return kernel.axis_factor(d, t, order)
 
     def s(a: tuple, b: tuple | None = None) -> np.ndarray:
         mats = [factor(d, a[d]) if b is None else factor(d, a[d]) * factor(d, b[d])
                 for d in range(D)]
-        return _contract(data, mats)[gather].reshape(N, -1)
+        out = _contract(data, mats)
+        if N > 1:
+            return out[(slice(None),) + axes]
+        # One field: a flat take in memory order, an exact copy of the
+        # per-axis gather at a fraction of its cost.
+        perm, idx = flat_index(out.shape[1:], out.strides[1:])
+        return out[0].transpose(perm).reshape(-1).take(idx).reshape(1, -1)
 
     return s
 

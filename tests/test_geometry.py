@@ -331,3 +331,25 @@ def test_ensemble_christoffel_on_grid_ids_matches_point_path():
     got = christoffel_on_grid(ens, k, grid, point_ids=ids)
     want = christoffel(ens, k, None, grid.points[ids])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("ensemble", [False, True])
+def test_metric_on_grid_point_ids_match_full_grid_rows(monkeypatch, ensemble):
+    from surfield import lkc
+
+    dom = make_domain_preset("nonstat3d")
+    grid = refined_grid(VoxelManifold(dom), 1)
+    k = GaussianKernel.isotropic(2.0, 3)
+    source = sample_ensemble(dom, 5, RngSpec(8)) if ensemble else "white-noise"
+    full = metric_on_grid(source, k, grid)
+    every = metric_on_grid(source, k, grid, point_ids=np.arange(grid.n_points))
+    assert np.array_equal(every, full)
+    # Slabs of one to a few axis-0 rows: BLAS picks other kernels for such
+    # small products (gemv for one row), so agreement is to rounding.
+    monkeypatch.setattr(lkc, "_SLAB_POINTS", 3000)
+    bounds = lkc._slabs(grid)
+    assert len(bounds) > 15
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        slab = np.arange(a, b)
+        np.testing.assert_allclose(metric_on_grid(source, k, grid, point_ids=slab), full[slab],
+                                   rtol=0, atol=1e-14 * np.abs(full).max())

@@ -6,6 +6,7 @@ import pytest
 from surfield.geometry import sqrt_det_psd, sqrt_det_sub, theta_batch
 from surfield.kernel import GaussianKernel
 from surfield.lattice import RngSpec, VoxelSet, make_domain_preset, sample_ensemble
+from surfield import lkc as lkc_module
 from surfield.lkc import LkcVector, lkc_compute, lkc_stationary_closed_form
 from surfield.manifold import VoxelManifold, euler_characteristic, refined_grid
 
@@ -225,3 +226,27 @@ def test_white_noise_lkcs_invariant_under_lattice_symmetries():
         variants.append(flipped)
     for coords in variants:
         np.testing.assert_allclose(lkcs(coords), base, rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def nonstat3d_r3():
+    # ragged shell with convex, double-convex and concave edges
+    man = VoxelManifold(make_domain_preset("nonstat3d"))
+    return man, refined_grid(man, 3)
+
+
+@pytest.mark.parametrize("case", ["white-noise", "ensemble", "face-term"])
+def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
+    man, grid = nonstat3d_r3
+    k = GaussianKernel.isotropic(2.0, 3)
+    source = sample_ensemble(man.domain, 8, RngSpec(17)) if case == "ensemble" else "white-noise"
+
+    def run(slab_points):
+        monkeypatch.setattr(lkc_module, "_SLAB_POINTS", slab_points)
+        return lkc_compute(source, k, man, 3, grid=grid, include_face_term=case == "face-term")
+
+    one = run(grid.n_points)
+    many = run(10_000)  # one full row or three rows through the hollow per slab
+    assert len(lkc_module._slabs(grid)) > 20
+    np.testing.assert_allclose(many.values, one.values, rtol=1e-13, atol=0)
+    assert many.diagnostics == one.diagnostics

@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +36,29 @@ def test_even_r_rejected():
     man = VoxelManifold(VoxelSet(np.array([[1.0], [2.0]])))
     with pytest.raises(ValueError):
         refined_grid(man, 2)
+
+
+def test_oversized_grid_refused_before_allocating():
+    man = VoxelManifold(make_domain_preset("stat3d", 1.0).interior)
+    tracemalloc.start()
+    t = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="r = 101 .* GiB"):
+            refined_grid(man, 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t < 1.0
+    assert peak < 1 << 20
+
+
+def test_points_derive_from_keys():
+    g = refined_grid(VoxelManifold(make_domain_preset("nonstat2d")), 3)
+    assert "points" not in vars(g)
+    step = g.manifold.domain.spacing / (g.r + 1)
+    origin = np.array([c[0] for c in g.axis_coords]) - np.array([k[0] for k in g.axis_keys]) * step
+    np.testing.assert_allclose(g.points, origin + g.keys * step, rtol=0, atol=1e-12)
+    assert not g.points.flags.writeable
 
 
 def test_lattice_contained_in_every_grid():
