@@ -2,22 +2,24 @@
 
 The unit-variance smoothed field induces a metric whose entries are rational
 expressions in a handful of inner products among the field, its gradient and
-its Hessian.  Two providers compute those inner products:
+its Hessian.  One builder fills that bundle (S, Sd, Sdd[, T2, U2]) entry by
+entry from ``moment(a, b)``, the inner product of the derivatives of per-axis
+orders ``a`` and ``b``.  Two providers supply it:
 
-* the white-noise path, where independence across voxels collapses the
-  double sums to single sums of kernel-derivative products (deterministic,
-  usable as the theoretical reference), and
-* the ensemble path, where they are sample covariances of the smoothed
-  sample and its exact derivatives.
+* white noise, where independence across voxels collapses the double sums
+  to single sums of kernel-derivative products (deterministic, the
+  theoretical reference); on tensor-product grids these are separable
+  contractions of the voxel-occupancy tensor;
+* an ensemble, where they are sample covariances of centred (N, Q) columns,
+  one per derivative: separable contractions of the data tensor on grids,
+  one kernel-design sweep at arbitrary points.
 
-At arbitrary points the white-noise moments are inner products over voxels
-of the kernel design (K, its gradient and its Hessian, in point slabs).  On
-tensor-product evaluation grids they factor per axis and are separable
-contractions of the voxel-occupancy tensor, as the ensemble's smoothed
-fields there are separable contractions of its data tensor.
+At arbitrary points the white-noise bundle is the kernel design's inner
+products over voxels, the same sums that normalize fields in ``surf``.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -26,7 +28,7 @@ from .kernel import GaussianKernel
 from .lattice import VoxelSet
 from .manifold import EdgeType, RefinedGrid
 from .surf import DegenerateFieldError, SurfSpec
-from .surf import _ORDERS, _design, _eval_arrays, _grid_arrays, _grid_sums, _inner_products, _unit
+from .surf import _ORDERS, _design, _eval_arrays, _grid_sums, _inner_products, _unit
 
 __all__ = [
     "metric",
@@ -43,31 +45,65 @@ _EIG_CLIP = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# White-noise moments
+# Moment bundle and the expressions it feeds
 # ---------------------------------------------------------------------------
 #
-# A moment is the single sum  sum_v  d^a K(x,v) * d^b K(x,v)  for per-axis
-# derivative order tuples a and b.
+# A moment is an inner product  <d^a X, d^b X>  for per-axis derivative order
+# tuples a and b: a single sum over voxels of kernel-derivative products for
+# white noise, a centred sum over subjects for an ensemble.
 
 
-def _wn_bundle(moment, D: int, hessian: bool):
-    """White-noise (S, Sd, Sdd[, T2, U2]) in ``_sample_moments``' layout,
-    each entry filled straight from ``moment(a, b)``."""
+def _bundle(moment, D: int, hessian: bool):
+    """(S, Sd, Sdd[, T2, U2]) with S = <X, X>, Sd = <X, dX>, Sdd = <dX, dX>,
+    T2 = <ddX, dX> and U2 = <ddX, X> per point, each entry filled straight
+    from ``moment(a, b)``."""
     zero = _unit(D)
     S = moment(zero, zero)
-    Sd = np.stack([moment(zero, _unit(D, d)) for d in range(D)], axis=-1)
+    Sd = np.empty(S.shape + (D,))
     Sdd = np.empty(S.shape + (D, D))
+    for d in range(D):
+        Sd[..., d] = moment(zero, _unit(D, d))
     for d, e in combinations_with_replacement(range(D), 2):
         Sdd[..., d, e] = Sdd[..., e, d] = moment(_unit(D, d), _unit(D, e))
     if not hessian:
         return S, Sd, Sdd
-    T2 = np.empty(S.shape + (D, D, D))  # <dk dd K, de K>
-    U2 = np.empty(S.shape + (D, D))  # <dk dd K, K>
+    T2 = np.empty(S.shape + (D, D, D))  # <dk dd X, de X>
+    U2 = np.empty(S.shape + (D, D))  # <dk dd X, X>
     for k, d in combinations_with_replacement(range(D), 2):
         U2[..., k, d] = U2[..., d, k] = moment(_unit(D, k, d), zero)
         for e in range(D):
             T2[..., k, d, e] = T2[..., d, k, e] = moment(_unit(D, k, d), _unit(D, e))
     return S, Sd, Sdd, T2, U2
+
+
+def _sample_moment(column, N: int):
+    """moment(a, b) of an N-field ensemble: the sample covariance, with the
+    N-1 denominator, of the (N, Q) columns ``column(a)`` and ``column(b)``,
+    each centred once per call."""
+    w = 1.0 / (N - 1)
+
+    @cache
+    def centred(a: tuple) -> np.ndarray:
+        v = column(a)
+        return v - v.mean(axis=0)
+
+    return lambda a, b: np.einsum("np,np->p", centred(a), centred(b)) * w
+
+
+def _point_columns(*arrays):
+    """column(a) over ``_eval_arrays``' (val, grad, hess): the (N, P) view
+    of the derivative of per-axis orders ``a``, taken a[d] times along d."""
+    return lambda a: arrays[sum(a)][(...,) + tuple(d for d, n in enumerate(a) for _ in range(n))]
+
+
+def _metric_expr(S, Sd, Sdd) -> np.ndarray:
+    """Sdd / S - Sd Sd^T / S^2, filled per unique (d, e) entry."""
+    D = Sd.shape[-1]
+    S2 = S**2
+    lam = np.empty(Sdd.shape)
+    for d, e in combinations_with_replacement(range(D), 2):
+        lam[..., d, e] = lam[..., e, d] = Sdd[..., d, e] / S - Sd[..., d] * Sd[..., e] / S2
+    return lam
 
 
 def _christoffel_expr(S, Sd, Sdd, T2, U2) -> np.ndarray:
@@ -86,42 +122,6 @@ def _christoffel_expr(S, Sd, Sdd, T2, U2) -> np.ndarray:
     return g
 
 
-# ---------------------------------------------------------------------------
-# Ensemble (sample covariance) providers
-# ---------------------------------------------------------------------------
-
-
-def _sample_moments(val: np.ndarray, grad: np.ndarray, hess: np.ndarray | None):
-    """Centered sample inner products with the N-1 denominator.
-
-    val (N, P), grad (N, P, D), hess (N, P, D, D) or None.
-    Returns (S, Sd, Sdd[, T2, U2]) matching the white-noise layout.
-    """
-    N = val.shape[0]
-    if N < 2:
-        raise DegenerateFieldError("sample-based geometry requires at least two fields")
-    w = 1.0 / (N - 1)
-    cv = val - val.mean(axis=0)
-    cg = grad - grad.mean(axis=0)
-    S = np.einsum("np,np->p", cv, cv) * w
-    if np.any(S <= 0):
-        raise DegenerateFieldError("zero sample variance at an evaluation point")
-    Sd = np.einsum("np,npd->pd", cv, cg) * w
-    Sdd = np.einsum("npd,npe->pde", cg, cg) * w
-    if hess is None:
-        return S, Sd, Sdd
-    ch = hess - hess.mean(axis=0)
-    T2 = np.einsum("npkd,npe->pkde", ch, cg) * w
-    U2 = np.einsum("npkd,np->pkd", ch, cv) * w
-    return S, Sd, Sdd, T2, U2
-
-
-def _metric_expr(S, Sd, Sdd) -> np.ndarray:
-    return Sdd / S[..., None, None] - Sd[..., :, None] * Sd[..., None, :] / (S**2)[
-        ..., None, None
-    ]
-
-
 def _moments(source, kernel, domain, hessian, *, points=None, grid=None, ids=None):
     """(S, Sd, Sdd[, T2, U2]) of ``source`` at ``points``, or at the grid
     points ``ids`` (all when None) of ``grid``.
@@ -135,19 +135,26 @@ def _moments(source, kernel, domain, hessian, *, points=None, grid=None, ids=Non
     if grid is not None and not separable:
         points = grid.points if ids is None else grid.points[ids]
     order = 2 if hessian else 1
+    D = kernel.dimension
     if not isinstance(source, str):
+        N = source.n_fields
+        if N < 2:
+            raise DegenerateFieldError("sample-based geometry requires at least two fields")
         if separable:
-            val, grad, hess = _grid_arrays(source, kernel, grid, order, ids)
+            column = _grid_sums(kernel, source.domain, source.values, grid, ids)
         else:
-            val, grad, hess = _eval_arrays(SurfSpec(source, kernel), points, _ORDERS[order])
-        return _sample_moments(val, grad, hess)
+            column = _point_columns(*_eval_arrays(SurfSpec(source, kernel), points, _ORDERS[order]))
+        bundle = _bundle(_sample_moment(column, N), D, hessian)
+        if np.any(bundle[0] <= 0):
+            raise DegenerateFieldError("zero sample variance at an evaluation point")
+        return bundle
     if source != "white-noise":
         raise ValueError(f"unknown geometry source {source!r}")
     if domain is None:
         raise ValueError("white-noise geometry requires a voxel domain")
     if separable:
         s = _grid_sums(kernel, domain, np.ones((1, domain.n_voxels)), grid, ids)
-        bundle = _wn_bundle(lambda a, b: s(a, b)[0], domain.dimension, hessian)
+        bundle = _bundle(lambda a, b: s(a, b)[0], D, hessian)
     else:
         parts = [_inner_products(*des[: order + 1])
                  for _, des in _design(kernel, domain, points, order)]

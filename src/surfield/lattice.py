@@ -93,10 +93,18 @@ class VoxelSet:
         """
         idx = np.empty(self.coords.shape, dtype=np.int64)
         for d in range(self.dimension):
-            pos = np.searchsorted(self.axis_values[d], self.coords[:, d])
-            idx[:, d] = self.axis_index_values[d][pos]
+            idx[:, d] = self.axis_index_values[d][self.axis_positions[:, d]]
         idx.setflags(write=False)
         return idx
+
+    @cached_property
+    def axis_positions(self) -> np.ndarray:
+        """Position of each voxel's coordinate in ``axis_values``, shape (n, D)."""
+        pos = np.empty(self.coords.shape, dtype=np.int64)
+        for d in range(self.dimension):
+            pos[:, d] = np.searchsorted(self.axis_values[d], self.coords[:, d])
+        pos.setflags(write=False)
+        return pos
 
     @cached_property
     def axis_index_values(self) -> tuple[np.ndarray, ...]:

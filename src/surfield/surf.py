@@ -262,11 +262,7 @@ def _padded_data_tensor(domain: VoxelSet, values: np.ndarray) -> np.ndarray:
     sum exactly over the set."""
     shape = tuple(a.size for a in domain.axis_values)
     data = np.zeros((values.shape[0],) + shape)
-    pos = tuple(
-        np.searchsorted(domain.axis_values[d], domain.coords[:, d])
-        for d in range(domain.dimension)
-    )
-    data[(slice(None),) + pos] = values
+    data[(slice(None),) + tuple(domain.axis_positions.T)] = values
     return data
 
 
@@ -338,7 +334,7 @@ def _grid_arrays(ensemble: FieldEnsemble, kernel: GaussianKernel, grid: RefinedG
     D = kernel.dimension
     s = _grid_sums(kernel, ensemble.domain, ensemble.values, grid, ids)
     # The value stays the gathered (column-major) array: its layout sets the
-    # summation order of the sample moments computed from it.
+    # summation order of the t statistic computed from it.
     out = [s(_unit(D))]
     for n in range(1, derivatives + 1):
         out.append(np.empty(out[0].shape + (D,) * n))

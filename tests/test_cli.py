@@ -155,6 +155,17 @@ def test_lkc_fields_must_match_preset(tmp_path, capsys):
     assert main(args + ["--fields", str(good), "--out", str(tmp_path / "g")]) == 0
 
 
+def test_lkc_subject_constant_fields_rejected(tmp_path, capsys):
+    dom = make_domain_preset("nonstat3d")
+    x = np.random.default_rng(3).standard_normal(dom.n_voxels)
+    path = tmp_path / "const.srf1"
+    write_srf1(path, FieldEnsemble(dom, np.tile(x, (5, 1))))
+    rc = main(["lkc", "--fields", str(path), "--fwhm", "3", "--source", "ensemble",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: zero sample variance at an evaluation point\n"
+
+
 @pytest.mark.parametrize("command", ["fwer-sim", "census", "check-nondegeneracy", "surf eval"])
 def test_fwer_sim_dry_run(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"

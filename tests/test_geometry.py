@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from surfield import geometry
 from surfield.geometry import (
     christoffel,
     christoffel_on_grid,
@@ -14,9 +15,9 @@ from surfield.geometry import (
     theta_angle,
 )
 from surfield.kernel import GaussianKernel
-from surfield.lattice import RngSpec, VoxelSet, make_domain_preset, sample_ensemble
+from surfield.lattice import FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
 from surfield.manifold import EdgeType, VoxelManifold, refined_grid
-from surfield.surf import SurfSpec, surf_eval
+from surfield.surf import DegenerateFieldError, SurfSpec, smooth_on_grid, surf_eval
 
 LOG2 = math.log(2.0)
 
@@ -353,3 +354,82 @@ def test_metric_on_grid_point_ids_match_full_grid_rows(monkeypatch, ensemble):
         slab = np.arange(a, b)
         np.testing.assert_allclose(metric_on_grid(source, k, grid, point_ids=slab), full[slab],
                                    rtol=0, atol=1e-14 * np.abs(full).max())
+
+
+def centred_sample_bundle(val, grad, hess):
+    """(S, Sd, Sdd, T2, U2) as centred sample inner products with the N-1
+    denominator, from (N, P), (N, P, D) and (N, P, D, D) arrays."""
+    cv, cg, ch = (a - a.mean(axis=0) for a in (val, grad, hess))
+    n1 = val.shape[0] - 1
+    return (
+        np.einsum("np,np->p", cv, cv) / n1,
+        np.einsum("np,npd->pd", cv, cg) / n1,
+        np.einsum("npd,npe->pde", cg, cg) / n1,
+        np.einsum("npkd,npe->pkde", ch, cg) / n1,
+        np.einsum("npkd,np->pkd", ch, cv) / n1,
+    )
+
+
+def assert_bundles_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("name,D", [("nonstat2d", 2), ("nonstat3d", 3)])
+def test_ensemble_bundle_matches_centred_sample_inner_products(name, D):
+    dom = make_domain_preset(name)
+    grid = refined_grid(VoxelManifold(dom), 1)
+    ens = sample_ensemble(dom, 7, RngSpec(30 + D))
+    k = GaussianKernel.isotropic(2.0, D)
+    arr = smooth_on_grid(ens, k, grid, derivatives=2)
+    want = centred_sample_bundle(arr["value"], arr["grad"], arr["hess"])
+    ids = np.arange(3, grid.n_points, 11)
+    for hessian in (False, True):
+        n = 5 if hessian else 3
+        assert_bundles_close(geometry._moments(ens, k, None, hessian, grid=grid), want[:n])
+        assert_bundles_close(geometry._moments(ens, k, None, hessian, grid=grid, ids=ids),
+                             [w[ids] for w in want[:n]])
+    spec = SurfSpec(ens, k)
+    pts = grid.points[ids] + 0.3
+    want = centred_sample_bundle(*(surf_eval(spec, pts, o) for o in ("value", "gradient", "hessian")))
+    for hessian in (False, True):
+        n = 5 if hessian else 3
+        assert_bundles_close(geometry._moments(ens, k, None, hessian, points=pts), want[:n])
+
+
+def test_subject_constant_ensemble_has_zero_sample_variance():
+    dom = make_domain_preset("nonstat3d")
+    grid = refined_grid(VoxelManifold(dom), 1)
+    x = np.random.default_rng(5).standard_normal(dom.n_voxels)
+    ens = FieldEnsemble(dom, np.tile(x, (6, 1)))
+    k = GaussianKernel.isotropic(2.0, 3)
+    ids = np.arange(0, grid.n_points, 7)
+    for run in (
+        lambda: metric_on_grid(ens, k, grid),
+        lambda: christoffel_on_grid(ens, k, grid, point_ids=ids),
+        lambda: metric(ens, k, None, grid.points[ids]),
+        lambda: metric_on_grid(ens, GaussianKernel.isotropic(2.0, 3, 5.0), grid, point_ids=ids),
+    ):
+        with pytest.raises(DegenerateFieldError, match="zero sample variance at an evaluation point"):
+            run()
+
+
+def test_single_field_ensemble_fails_before_smoothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("smoothed a one-field ensemble")
+
+    monkeypatch.setattr(geometry, "_grid_sums", forbidden)
+    monkeypatch.setattr(geometry, "_eval_arrays", forbidden)
+    dom = make_domain_preset("nonstat2d")
+    grid = refined_grid(VoxelManifold(dom), 1)
+    ens = sample_ensemble(dom, 1, RngSpec(2))
+    k = GaussianKernel.isotropic(2.0, 2)
+    for run in (
+        lambda: metric_on_grid(ens, k, grid),
+        lambda: christoffel_on_grid(ens, k, grid, point_ids=np.arange(5)),
+        lambda: metric(ens, k, None, grid.points[:5]),
+    ):
+        with pytest.raises(DegenerateFieldError, match="at least two fields"):
+            run()
