@@ -271,18 +271,21 @@ def _cmd_surf_eval(args) -> int:
         print(json.dumps({"plan": config}, indent=2))
         return 0
     ens = read_srf1(args.fields)
-    kern = _kernel_for(args, ens.domain.dimension)
-    spec = SurfSpec(ens, kern, normalized=args.normalized)
+    D = ens.domain.dimension
+    spec = SurfSpec(ens, _kernel_for(args, D), normalized=args.normalized)
     pts = []
     with open(args.points, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            if row:
-                pts.append([float(c) for c in row[: ens.domain.dimension]])
+        next(reader, None)  # header
+        for row in filter(None, reader):
+            if len(row) < D:
+                raise ConfigError(f"{args.points} line {reader.line_num}: "
+                                  f"{len(row)} coordinate(s) for {D}-D fields")
+            pts.append([float(c) for c in row[:D]])
+    if not pts:
+        raise ConfigError(f"{args.points} holds no points")
     pts = np.asarray(pts)
     out = _out_dir(args)
-    D = ens.domain.dimension
     vals, grads, _ = _eval_arrays(spec, pts, args.order)
     path = out / "surf_eval.csv"
     with open(path, "w", newline="") as fh:

@@ -87,11 +87,13 @@ def write_csv(path: str | Path, ensemble: FieldEnsemble) -> None:
 def read_csv(path: str | Path) -> FieldEnsemble:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         D = sum(1 for h in header if h.startswith("x"))
         if D == 0:
             raise ValueError("CSV header must contain coordinate columns x0..x{D-1}")
         rows = [[float(c) for c in row] for row in reader if row]
+    if not rows:
+        raise ValueError(f"CSV {path} has no data rows")
     data = np.asarray(rows, dtype=np.float64)
     coords = data[:, :D]
     values = data[:, D:].T

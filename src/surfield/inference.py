@@ -184,9 +184,8 @@ def _grid_local_maxima(grid: RefinedGrid, values: np.ndarray) -> np.ndarray:
     P = grid.n_points
     if values.shape != (P,):
         raise ValueError(f"expected {P} grid values, got array of shape {values.shape}")
-    lut, kmin, _ = grid.id_map
-    lut = np.pad(lut, 1, constant_values=-1)
-    base = np.ravel_multi_index(tuple((grid.keys - kmin + 1).T), lut.shape)
+    lut = np.pad(grid.id_map, 1, constant_values=-1)
+    base = np.ravel_multi_index(tuple((grid.keys - grid.key_min + 1).T), lut.shape)
     strides = np.asarray(lut.strides) // lut.itemsize
     lut = lut.ravel()
     top = np.ones(P, dtype=bool)
@@ -248,7 +247,7 @@ def maximize_t_field(
     if grid is None:
         grid = refined_grid(manifold, r_scan)
     if grid_values is None:
-        grid_values, _ = t_field_on_grid(spec, grid)
+        grid_values = t_field_on_grid(spec, grid)
     max_ids = _grid_local_maxima(grid, grid_values)[:starts]
     return _ascend(spec, manifold, grid, grid_values, max_ids)
 
@@ -270,9 +269,9 @@ def _ascend(spec: SurfSpec, manifold: VoxelManifold, grid: RefinedGrid,
     point evaluated, starting from the highest scan-grid maximum.
     """
     best_pt, best_val = grid.points[max_ids[0]].copy(), float(grid_values[max_ids[0]])
-    boxes = [grid.incident_boxes(int(i)) for i in max_ids]
-    x = np.repeat(grid.points[max_ids], [len(b) for b in boxes], axis=0)
-    lo, hi = manifold.box_bounds(np.concatenate(boxes))
+    owner, boxes = grid.incident_boxes(max_ids)
+    x = grid.points[max_ids[owner]]
+    lo, hi = manifold.box_bounds(boxes)
     raw = SurfSpec(spec.ensemble, spec.kernel)  # scale invariance: skip normalization
 
     def evaluate(pts):
@@ -427,7 +426,7 @@ def fwer_experiment(
         spec = SurfSpec(ens, kern)
         lk = lkc_compute(ens, kern, man, r_lkc, grid=grid_lkc)
         u_hat = threshold(lk, ftype, alpha)
-        tvals, _ = t_field_on_grid(spec, grid1)
+        tvals = t_field_on_grid(spec, grid1)
         sup0 = float(tvals[lattice_ids].max())
         sup1 = float(tvals.max())
         max_ids = _grid_local_maxima(grid1, tvals)

@@ -79,6 +79,9 @@ class GaussianKernel:
         are None."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         voxels = np.atleast_2d(np.asarray(voxels, dtype=np.float64))
+        if points.shape[1] != self.dimension or voxels.shape[1] != self.dimension:
+            raise ValueError(f"points of dimension {points.shape[1]} and voxels of dimension "
+                             f"{voxels.shape[1]} do not match the {self.dimension}-D kernel")
         t = points[:, None, :] - voxels[None, :, :]
         k = np.exp(-np.einsum("d,pmd->pm", self.decay, t * t))
         out = [k, None, None]
@@ -126,8 +129,6 @@ def kernel_eval(kernel: GaussianKernel, x, v, order: str = "value"):
     """Evaluate K, its gradient, or its Hessian at a single (x, v) pair."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     v = np.asarray(v, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != kernel.dimension or v.shape[1] != kernel.dimension:
-        raise ValueError("point dimension does not match kernel dimension")
     if order == "value":
         return float(kernel.pairwise_value(x, v)[0, 0])
     if order == "gradient":

@@ -145,26 +145,13 @@ class VoxelManifold:
         box[:, list(S)] -= 1
         return box
 
-    def occupied(self, idx: np.ndarray) -> np.ndarray:
-        """Occupancy for integer index vectors (…, D); out of range is empty."""
-        idx = np.asarray(idx)
-        rel = idx - self._origin
-        ok = np.all((rel >= 0) & (rel < self._extents), axis=-1)
-        rel = np.where(ok[..., None], rel, 0)
-        out = self.occupancy[tuple(np.moveaxis(rel, -1, 0))]
-        return out & ok
-
-    def box_center(self, idx: np.ndarray) -> np.ndarray:
-        """Center coordinates of the boxes with the given index vectors."""
+    def box_bounds(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of the boxes with the given index vectors."""
         idx = np.atleast_2d(np.asarray(idx))
-        out = np.empty(idx.shape, dtype=np.float64)
+        center = np.empty(idx.shape, dtype=np.float64)
         for d in range(self.dimension):
             pos = np.searchsorted(self.domain.axis_index_values[d], idx[:, d])
-            out[:, d] = self.domain.axis_values[d][pos]
-        return out
-
-    def box_bounds(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        center = self.box_center(idx)
+            center[:, d] = self.domain.axis_values[d][pos]
         half = self.domain.spacing / 2.0
         return center - half, center + half
 
@@ -182,12 +169,21 @@ class RefinedGrid:
     be odd).  ``r = 0`` is the compatibility mode that returns the voxel
     lattice itself.
 
+    Every grid table comes from one count over the dense key box: for each
+    key, the occupied boxes incident to it, each counted once per choice of
+    the lower or upper box along every axis (the two coincide off the
+    box-boundary planes).  A point on j planes counts each of its boxes
+    2^(D-j) times, so count / 2^D is its share of occupied incident boxes.
+
     Attributes
     ----------
     keys : (P, D) int64 exact grid keys (box index * (r+1) + sub-step),
-        sorted by flat key with axis 0 slowest
+        the keys of positive count in C order (axis 0 slowest)
     points : (P, D) float64 coordinates, derived from the keys on first use
     vol_weight : (P,) float64 tensor-trapezoid multiplicity for volume sums
+    id_map : dense key-box -> point id map (-1 where no grid point); entry
+        ``keys[i] - key_min`` holds i
+    key_min : (D,) int64 key at the id map's origin
     axis_keys, axis_coords : per axis, the sorted grid keys and their coordinates
     face_tables, edge_tables : boundary quadrature tables (r >= 1, see
         ``_build_boundary_tables``)
@@ -199,21 +195,11 @@ class RefinedGrid:
         D = manifold.dimension
         self.dimension = D
         dom = manifold.domain
-        if self.r == 0:
-            self.keys = dom.axis_index.copy()
-            order = np.lexsort(self.keys.T[::-1])
-            self.keys = self.keys[order]
-            self.vol_weight = np.ones(len(self.keys))
-            self.axis_keys = list(dom.axis_index_values)
-            self.axis_coords = list(dom.axis_values)
-            self._finalize()
-            return
-        if self.r < 0 or self.r % 2 == 0:
+        if self.r < 0 or (self.r % 2 == 0 and self.r != 0):
             raise ValueError("added resolution must be odd and positive (or 0 for the lattice)")
-        _check_grid_size(dom.n_voxels, D, self.r)
+        _check_grid_size(manifold, self.r)
         h = (self.r + 1) // 2
         step = self.r + 1
-        idx = dom.axis_index
         z = np.arange(-h, h + 1)
 
         # per-axis key -> coordinate maps, from the generating boxes
@@ -228,52 +214,34 @@ class RefinedGrid:
             self.axis_keys.append(uk)
             self.axis_coords.append(ac[first])
 
-        # flat composite keys for exact dedup
-        kmin = np.array([a[0] for a in self.axis_keys])
-        ext = np.array([a[-1] - a[0] + 1 for a in self.axis_keys])
-        strides = np.ones(D, dtype=np.int64)
-        for d in range(D - 2, -1, -1):
-            strides[d] = strides[d + 1] * ext[d + 1]
-        combos = np.stack(np.meshgrid(*([z] * D), indexing="ij"), axis=-1).reshape(-1, D)
-        raw = (idx[:, None, :] * step + combos[None, :, :]).reshape(-1, D)
-        flat = (raw - kmin) @ strides
-        uflat, first = np.unique(flat, return_index=True)
-        self.keys = raw[first]
-        del raw, flat
-        self._flat = uflat
-        self._flat_min = kmin
-        self._flat_strides = strides
-
-        self.vol_weight = self._volume_weights(h, step)
-        self._build_boundary_tables(h, step)
-        self._finalize()
+        # occupied incident boxes per key of the dense key box, one axis at a
+        # time: the sum of the lower- and upper-box slices of the padded
+        # occupancy (its index 0 is the box below the origin)
+        self.key_min = np.array([a[0] for a in self.axis_keys])
+        count = manifold._padded.astype(np.uint8)
+        for d in range(D):
+            span = np.arange(self.axis_keys[d][0], self.axis_keys[d][-1] + 1)
+            lower, upper = self._sides(span) - (manifold._origin[d] - 1)
+            count = count.take(lower, axis=d) + count.take(upper, axis=d)
+        present = count > 0
+        self.keys = np.argwhere(present)
+        self.keys += self.key_min
+        self.vol_weight = count[present] / (1 << D)
+        self.id_map = np.full(present.shape, -1, dtype=np.int64)
+        self.id_map[present] = np.arange(len(self.keys))
+        for a in (self.keys, self.vol_weight, self.id_map):
+            a.setflags(write=False)
+        if self.r:
+            self._build_boundary_tables(h, step)
 
     # -- construction helpers -------------------------------------------------
 
-    def _volume_weights(self, h: int, step: int) -> np.ndarray:
-        """Share of the 2^j boxes around each point (on j box-boundary
-        planes) that are occupied."""
-        man = self.manifold
-        D = self.dimension
-        on_plane = (np.mod(self.keys, step) == h)
-        upper_box = (self.keys + h) // step
-        weight = np.ones(len(self.keys), dtype=np.float64)
-        plane_bits = on_plane @ (1 << np.arange(D))
-        for pb in range(1, 1 << D):
-            sel = np.nonzero(plane_bits == pb)[0]
-            if sel.size == 0:
-                continue
-            axes = [d for d in range(D) if (pb >> d) & 1]
-            base = upper_box[sel]
-            count = np.zeros(sel.size, dtype=np.int64)
-            for code in range(1 << len(axes)):
-                cand = base.copy()
-                for a, d in enumerate(axes):
-                    if not (code >> a) & 1:
-                        cand[:, d] -= 1
-                count += man.occupied(cand)
-            weight[sel] = count / (1 << len(axes))
-        return weight
+    def _sides(self, keys: np.ndarray) -> np.ndarray:
+        """Index of the lower and upper box incident to integer keys along
+        their axis, stacked (2, ...); they differ only on the box-boundary
+        planes, and never at r = 0."""
+        h, step = (self.r + 1) // 2, self.r + 1
+        return np.stack([-((h - keys) // step), (keys + h) // step])
 
     def _build_boundary_tables(self, h: int, step: int):
         """Quadrature tables for boundary strata.
@@ -298,21 +266,15 @@ class RefinedGrid:
             tangential = [d for d in range(D) if d != m]
             n_faces = cells.shape[0]
             npt = (self.r + 2) ** (D - 1)
-            combos = (
-                np.stack(np.meshgrid(*([z] * (D - 1)), indexing="ij"), axis=-1).reshape(-1, D - 1)
-                if D > 1
-                else np.zeros((1, 0), dtype=np.int64)
-            )
-            wts = np.ones(npt)
-            for a in range(D - 1):
-                wts *= zw[combos[:, a] + h]
+            # tangential sub-steps of the face's points, axis 0 slowest
+            sub = np.indices((self.r + 2,) * (D - 1)).reshape(D - 1, npt).T
             keys = np.empty((n_faces, npt, D), dtype=np.int64)
             keys[:, :, m] = box[:, m, None] * step + h
             for a, d in enumerate(tangential):
-                keys[:, :, d] = box[:, d, None] * step + combos[None, :, a]
+                keys[:, :, d] = box[:, d, None] * step + sub[None, :, a] - h
             self.face_tables[m] = {
                 "ids": self._lookup_ids(keys.reshape(-1, D)),
-                "weights": np.tile(wts, n_faces),
+                "weights": np.tile(zw[sub].prod(axis=1), n_faces),
                 "outward": np.repeat(outward, npt),
             }
 
@@ -341,18 +303,15 @@ class RefinedGrid:
                 }
             )
 
-    def _finalize(self):
-        for a in ("keys", "vol_weight"):
-            getattr(self, a).setflags(write=False)
-
     # -- lookups ---------------------------------------------------------------
 
     def _lookup_ids(self, keys: np.ndarray) -> np.ndarray:
-        flat = (keys - self._flat_min) @ self._flat_strides
-        pos = np.searchsorted(self._flat, flat)
-        if np.any(pos >= len(self._flat)) or np.any(self._flat[pos] != flat):
-            raise AssertionError("boundary table key not present in grid")
-        return pos
+        rel = keys - self.key_min
+        if np.all((rel >= 0) & (rel < self.id_map.shape)):
+            ids = self.id_map[tuple(rel.T)]
+            if np.all(ids >= 0):
+                return ids
+        raise AssertionError("boundary table key not present in grid")
 
     @cached_property
     def axis_positions(self) -> np.ndarray:
@@ -374,50 +333,39 @@ class RefinedGrid:
     def n_points(self) -> int:
         return len(self.keys)
 
-    @cached_property
-    def id_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense key-space -> point id map (-1 where no grid point), with its
-        key offset and extent: (lut, kmin, ext)."""
-        kmin = self.keys.min(axis=0)
-        ext = self.keys.max(axis=0) - kmin + 1
-        if np.prod(ext) > _INDEX_SPACE_CAP:
-            raise ValueError("grid key space too large for dense neighbor map")
-        lut = np.full(tuple(ext), -1, dtype=np.int64)
-        rel = self.keys - kmin
-        lut[tuple(rel.T)] = np.arange(self.n_points)
-        return lut, kmin, ext
-
-    def incident_boxes(self, i: int) -> np.ndarray:
-        """Index vectors of the occupied boxes containing grid point i."""
+    def incident_boxes(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Occupied boxes containing the grid points ``ids``: (owner, boxes),
+        where ``boxes[j]`` is the index vector of a box that holds point
+        ``ids[owner[j]]``.  Ordered by position in ``ids``, then with axis 0
+        slowest and the lower box first."""
+        D = self.dimension
+        lower, upper = self._sides(self.keys[np.atleast_1d(ids)])
+        bits = np.indices((2,) * D).reshape(D, -1).T == 1
+        boxes = np.where(bits, upper[:, None], lower[:, None])
+        distinct = np.all(~bits | (upper != lower)[:, None], axis=-1)
         man = self.manifold
-        if self.r == 0:
-            return self.keys[i][None, :]
-        h = (self.r + 1) // 2
-        step = self.r + 1
-        key = self.keys[i]
-        on_plane = (key % step) == h
-        upper = (key + h) // step
-        choices = []
-        for d in range(self.dimension):
-            choices.append([upper[d] - 1, upper[d]] if on_plane[d] else [upper[d]])
-        cand = np.array(list(itertools.product(*choices)), dtype=np.int64)
-        return cand[man.occupied(cand)]
+        occupied = man._padded[tuple(np.moveaxis(boxes - man._origin + 1, -1, 0))]
+        owner, choice = np.nonzero(distinct & occupied)
+        return owner, boxes[owner, choice]
 
 
-def _check_grid_size(n_voxels: int, D: int, r: int) -> None:
+def _check_grid_size(manifold: VoxelManifold, r: int) -> None:
     """Refuse, before allocating, a grid whose build would exceed
-    ``_GRID_BYTES_CAP``.  Each box generates (r+2)^D candidate keys (D keys,
-    a flat key and np.unique's two sort buffers, in int64) and owns about
-    (r+1)^D distinct points (keys, axis positions and coordinates, the volume
-    weight and the flat key)."""
-    candidates = n_voxels * (r + 2) ** D
-    points = n_voxels * (r + 1) ** D
-    nbytes = 8 * ((D + 3) * candidates + (3 * D + 2) * points)
+    ``_GRID_BYTES_CAP``.  Every key of the dense key box (index box x (r+1)
+    per axis, plus the closing plane) costs its id (int64), its count and
+    mask and the count's partial sums; each box owns about (r+1)^D points
+    (keys and their argwhere buffer, axis positions and coordinates, the
+    volume weight)."""
+    D = manifold.dimension
+    extents = manifold._extents
+    cells = int(np.prod((extents - 1) * (r + 1) + (r + 1) // 2 * 2 + 1))
+    points = manifold.domain.n_voxels * (r + 1) ** D
+    nbytes = 12 * cells + 8 * (4 * D + 1) * points
     if nbytes > _GRID_BYTES_CAP:
         raise ValueError(
-            f"refined grid at r = {r} has about {points:,} points and needs about "
-            f"{nbytes / 2**30:.1f} GiB to build, above the {_GRID_BYTES_CAP / 2**30:.0f} GiB "
-            "cap; use a smaller added resolution"
+            f"refined grid at r = {r} spans a key box of {cells:,} cells with about "
+            f"{points:,} points and needs about {nbytes / 2**30:.1f} GiB to build, above the "
+            f"{_GRID_BYTES_CAP / 2**30:.0f} GiB cap; use a smaller added resolution"
         )
 
 

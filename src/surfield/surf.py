@@ -368,7 +368,6 @@ def smooth_on_grid(
     return {k: a for k, a in zip(("value", "grad", "hess"), arrays) if a is not None}
 
 
-def t_field_on_grid(spec: SurfSpec, grid: RefinedGrid, with_gradient: bool = False):
-    """t statistic at every grid point via the separable engine."""
-    arr = smooth_on_grid(spec.ensemble, spec.kernel, grid, derivatives=1 if with_gradient else 0)
-    return _t_from_arrays(arr["value"], arr.get("grad"))[:2]
+def t_field_on_grid(spec: SurfSpec, grid: RefinedGrid) -> np.ndarray:
+    """t statistic at every grid point via the separable engine, (P,)."""
+    return _t_from_arrays(smooth_on_grid(spec.ensemble, spec.kernel, grid)["value"])[0]

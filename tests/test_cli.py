@@ -218,6 +218,25 @@ def test_surf_eval_cli(tmp_path):
     assert float(rows[0]["value0"]) == pytest.approx(want[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("points, message", [
+    ("x0,x1\n2.0,3.0\n1.0\n", "pts.csv line 3: 1 coordinate(s) for 2-D fields"),
+    ("x0,x1\n", "pts.csv holds no points"),
+    ("", "pts.csv holds no points"),
+])
+def test_surf_eval_rejects_bad_points(tmp_path, capsys, points, message):
+    dom = VoxelSet(np.argwhere(np.ones((5, 5))).astype(float))
+    srf, pts = tmp_path / "f.srf1", tmp_path / "pts.csv"
+    write_srf1(srf, sample_ensemble(dom, 2, RngSpec(1)))
+    pts.write_text(points)
+    out = tmp_path / "o"
+    rc = main(["surf", "eval", "--fields", str(srf), "--points", str(pts), "--fwhm", "2",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (out / "surf_eval.csv").exists()
+
+
 def test_cli_identical_runs_identical_files(tmp_path):
     args = ["lkc", "--preset", "stat1d", "--fwhm", "2", "--source", "ensemble",
             "--n-subjects", "8", "--seed", "11", "--r", "3"]

@@ -235,7 +235,7 @@ def _dense_oracle(spec, man, candidates):
     from surfield.surf import t_field_on_grid
 
     scan_grid = refined_grid(man, 9)
-    sv, _ = t_field_on_grid(spec, scan_grid)
+    sv = t_field_on_grid(spec, scan_grid)
     basins = [scan_grid.points[i] for i in _grid_local_maxima(scan_grid, sv)[:3]]
     oracle_pt, oracle_val = None, -np.inf
     for c in list(candidates) + basins:
@@ -255,7 +255,7 @@ def test_maximizer_beats_grid_and_matches_dense_scan():
     grid = refined_grid(man, 1)
     from surfield.surf import t_field_on_grid
 
-    gv, _ = t_field_on_grid(spec, grid)
+    gv = t_field_on_grid(spec, grid)
     pt, val = maximize_t_field(spec, man, starts=10, grid=grid, grid_values=gv)
     assert val >= gv.max() - 1e-12
     oracle_pt, oracle_val = _dense_oracle(spec, man, [pt])
@@ -296,7 +296,7 @@ def test_maximizer_crosses_saddle_region_to_the_box_maximum():
     spec = SurfSpec(ens, GaussianKernel.isotropic(1.0, 2))
     from surfield.surf import t_field_on_grid
 
-    gv, _ = t_field_on_grid(spec, grid)
+    gv = t_field_on_grid(spec, grid)
     _, val = maximize_t_field(spec, man, grid=grid, grid_values=gv)
     assert val >= 2.9945835398761638 - 1e-12
 

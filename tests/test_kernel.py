@@ -106,3 +106,22 @@ def test_kernel_from_config():
         kernel_from_config({"type": "gaussian", "fwhm": 2.0})
     with pytest.raises(ValueError):
         kernel_from_config({"type": "gaussian"})
+
+
+def test_point_dimension_must_match_kernel():
+    from surfield.geometry import metric
+    from surfield.lattice import RngSpec, VoxelSet, sample_ensemble
+    from surfield.surf import SurfSpec, surf_eval
+
+    k = GaussianKernel.isotropic(2.0, 2)
+    dom = VoxelSet(np.argwhere(np.ones((4, 4))).astype(float))
+    ens = sample_ensemble(dom, 3, RngSpec(2))
+    for call in (
+        lambda: k.pairwise_value([[1.0]], dom.coords),
+        lambda: kernel_eval(k, [1.0], [1.0, 1.0]),
+        lambda: surf_eval(SurfSpec(ens, k), [[1.0]]),
+        lambda: metric("white-noise", k, dom, [1.0]),
+        lambda: metric(ens, k, None, [[1.0, 2.0, 3.0]]),
+    ):
+        with pytest.raises(ValueError, match="do not match the 2-D kernel"):
+            call()

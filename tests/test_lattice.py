@@ -133,3 +133,11 @@ def test_csv_roundtrip(tmp_path):
     back = read_csv(path)
     assert np.array_equal(back.values, ens.values)
     assert np.array_equal(back.domain.coords, dom.coords)
+
+
+@pytest.mark.parametrize("text", ["x0,x1,f0\n", "x0,x1,f0\n\n"])
+def test_csv_without_data_rows_rejected(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="no data rows"):
+        read_csv(path)

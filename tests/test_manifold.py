@@ -52,6 +52,71 @@ def test_oversized_grid_refused_before_allocating():
     assert peak < 1 << 20
 
 
+def test_nearly_empty_index_box_refused_before_allocating():
+    # 360 voxels on the diagonal span a 360^3 index box: the r = 1 key box
+    # alone (721^3 ids) is over the cap, whatever the voxel count
+    diagonal = VoxelSet(np.repeat(np.arange(360.0)[:, None], 3, axis=1))
+    man = VoxelManifold(diagonal)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="r = 1 .* GiB"):
+            refined_grid(man, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _gapped_mask(rng, D):
+    """Random voxel subset of a regular lattice with spacing (1, 0.5, 2)[:D]
+    and the middle axis-0 row removed, so the boxes form separate slabs.  The
+    origin's box and its axis neighbors fix the spacing."""
+    n = rng.integers(4, 7, D)
+    occ = rng.random(n) < 0.6
+    occ[(0,) * D] = True
+    occ[tuple(np.eye(D, dtype=int))] = True
+    idx = np.argwhere(occ)
+    idx = idx[idx[:, 0] != n[0] // 2]
+    spacing = np.array([1.0, 0.5, 2.0])[:D]
+    return idx, spacing, VoxelSet(idx * spacing + 0.25)
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_grid_tables_match_brute_force(D, r):
+    # every table against closed-box membership in coordinates: a point lies
+    # in the boxes whose extent holds it, and on j box-boundary planes it
+    # has 2^j lattice boxes around it, occupied or not
+    rng = np.random.default_rng(100 * D + r)
+    idx, spacing, dom = _gapped_mask(rng, D)
+    g = refined_grid(VoxelManifold(dom), r)
+    h = (r + 1) // 2
+    z = np.arange(-h, h + 1) / (r + 1)
+    sub = np.stack(np.meshgrid(*([z] * D), indexing="ij"), axis=-1).reshape(-1, D)
+    eighths = lambda x: set(map(tuple, np.round(x.reshape(-1, D) * 8).astype(int)))
+    expected = eighths(dom.coords[:, None] + sub * spacing)
+    assert eighths(g.points) == expected and len(expected) == g.n_points
+
+    holds = np.all(np.abs(g.points[:, None] - dom.coords[None]) <= spacing / 2 + 1e-9, axis=-1)
+    u = (g.points - 0.25) / spacing
+    planes = np.sum(np.isclose(np.abs(u - np.round(u)), 0.5), axis=1) if r else 0
+    np.testing.assert_array_equal(g.vol_weight, holds.sum(axis=1) / 2.0**planes)
+
+    ids = rng.permutation(g.n_points)[: min(g.n_points, 60)]
+    owner, boxes = g.incident_boxes(ids)
+    want_owner, want_boxes = [], []
+    for j, i in enumerate(ids):
+        inside = dom.axis_index[holds[i]]
+        inside = inside[np.lexsort(inside.T[::-1])]
+        want_owner += [j] * len(inside)
+        want_boxes.append(inside)
+    np.testing.assert_array_equal(owner, want_owner)
+    np.testing.assert_array_equal(boxes, np.concatenate(want_boxes))
+
+    assert np.count_nonzero(g.id_map >= 0) == g.n_points
+    np.testing.assert_array_equal(g.id_map[tuple((g.keys - g.key_min).T)], np.arange(g.n_points))
+
+
 def test_points_derive_from_keys():
     g = refined_grid(VoxelManifold(make_domain_preset("nonstat2d")), 3)
     assert "points" not in vars(g)
