@@ -278,10 +278,12 @@ def _cmd_surf_eval(args) -> int:
         reader = csv.reader(fh)
         next(reader, None)  # header
         for row in filter(None, reader):
-            if len(row) < D:
-                raise ConfigError(f"{args.points} line {reader.line_num}: "
-                                  f"{len(row)} coordinate(s) for {D}-D fields")
-            pts.append([float(c) for c in row[:D]])
+            try:
+                if len(row) < D:
+                    raise ValueError(f"{len(row)} coordinate(s) for {D}-D fields")
+                pts.append([float(c) for c in row[:D]])
+            except ValueError as e:
+                raise ConfigError(f"{args.points} line {reader.line_num}: {e}") from None
     if not pts:
         raise ConfigError(f"{args.points} holds no points")
     pts = np.asarray(pts)

@@ -91,7 +91,14 @@ def read_csv(path: str | Path) -> FieldEnsemble:
         D = sum(1 for h in header if h.startswith("x"))
         if D == 0:
             raise ValueError("CSV header must contain coordinate columns x0..x{D-1}")
-        rows = [[float(c) for c in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} values for {len(header)} columns")
+                rows.append([float(c) for c in row])
+            except ValueError as e:
+                raise ValueError(f"CSV {path} line {reader.line_num}: {e}") from None
     if not rows:
         raise ValueError(f"CSV {path} has no data rows")
     data = np.asarray(rows, dtype=np.float64)

@@ -177,16 +177,16 @@ class RefinedGrid:
 
     Attributes
     ----------
-    keys : (P, D) int64 exact grid keys (box index * (r+1) + sub-step),
+    keys : (P, D) int32 exact grid keys (box index * (r+1) + sub-step),
         the keys of positive count in C order (axis 0 slowest)
     points : (P, D) float64 coordinates, derived from the keys on first use
     vol_weight : (P,) float64 tensor-trapezoid multiplicity for volume sums
-    id_map : dense key-box -> point id map (-1 where no grid point); entry
-        ``keys[i] - key_min`` holds i
+    id_map : dense int32 key-box -> point id map (-1 where no grid point);
+        entry ``keys[i] - key_min`` holds i
     key_min : (D,) int64 key at the id map's origin
     axis_keys, axis_coords : per axis, the sorted grid keys and their coordinates
-    face_tables, edge_tables : boundary quadrature tables (r >= 1, see
-        ``_build_boundary_tables``)
+    face_tables, edge_tables : boundary quadrature tables with int32 ids
+        (r >= 1, see ``_build_boundary_tables``)
     """
 
     def __init__(self, manifold: VoxelManifold, r: int):
@@ -213,22 +213,25 @@ class RefinedGrid:
             uk, first = np.unique(ak, return_index=True)
             self.axis_keys.append(uk)
             self.axis_coords.append(ac[first])
+        spans = [np.arange(k[0], k[-1] + 1, dtype=np.int32) for k in self.axis_keys]
+        self._key_positions = [np.searchsorted(k, s) for k, s in zip(self.axis_keys, spans)]
 
         # occupied incident boxes per key of the dense key box, one axis at a
         # time: the sum of the lower- and upper-box slices of the padded
         # occupancy (its index 0 is the box below the origin)
         self.key_min = np.array([a[0] for a in self.axis_keys])
         count = manifold._padded.astype(np.uint8)
-        for d in range(D):
-            span = np.arange(self.axis_keys[d][0], self.axis_keys[d][-1] + 1)
+        for d, span in enumerate(spans):
             lower, upper = self._sides(span) - (manifold._origin[d] - 1)
             count = count.take(lower, axis=d) + count.take(upper, axis=d)
         present = count > 0
-        self.keys = np.argwhere(present)
-        self.keys += self.key_min
         self.vol_weight = count[present] / (1 << D)
-        self.id_map = np.full(present.shape, -1, dtype=np.int64)
-        self.id_map[present] = np.arange(len(self.keys))
+        # keys and ids fit int32: _check_grid_size caps the key box far below 2^31
+        self.keys = np.empty((len(self.vol_weight), D), dtype=np.int32)
+        for d, span in enumerate(np.ix_(*spans)):
+            self.keys[:, d] = np.broadcast_to(span, present.shape)[present]
+        self.id_map = np.full(present.shape, -1, dtype=np.int32)
+        self.id_map[present] = np.arange(len(self.keys), dtype=np.int32)
         for a in (self.keys, self.vol_weight, self.id_map):
             a.setflags(write=False)
         if self.r:
@@ -313,19 +316,17 @@ class RefinedGrid:
                 return ids
         raise AssertionError("boundary table key not present in grid")
 
-    @cached_property
-    def axis_positions(self) -> np.ndarray:
-        """Per-point position of each coordinate within ``axis_coords``."""
-        pos = np.empty(self.keys.shape, dtype=np.int64)
-        for d in range(self.dimension):
-            pos[:, d] = np.searchsorted(self.axis_keys[d], self.keys[:, d])
-        return pos
+    def axis_positions(self, ids=None):
+        """Per axis, the positions of the points ``ids`` (all when None) in ``axis_coords``."""
+        keys = self.keys if ids is None else self.keys.take(ids, axis=0)
+        for d, positions in enumerate(self._key_positions):
+            yield positions[keys[:, d] - self.key_min[d]]
 
     @cached_property
     def points(self) -> np.ndarray:
         pts = np.empty(self.keys.shape, dtype=np.float64)
-        for d in range(self.dimension):
-            pts[:, d] = self.axis_coords[d][self.axis_positions[:, d]]
+        for d, pos in enumerate(self.axis_positions()):
+            pts[:, d] = self.axis_coords[d][pos]
         pts.setflags(write=False)
         return pts
 
@@ -349,24 +350,25 @@ class RefinedGrid:
         return owner, boxes[owner, choice]
 
 
-def _check_grid_size(manifold: VoxelManifold, r: int) -> None:
-    """Refuse, before allocating, a grid whose build would exceed
-    ``_GRID_BYTES_CAP``.  Every key of the dense key box (index box x (r+1)
-    per axis, plus the closing plane) costs its id (int64), its count and
-    mask and the count's partial sums; each box owns about (r+1)^D points
-    (keys and their argwhere buffer, axis positions and coordinates, the
-    volume weight)."""
+def _check_grid_size(manifold: VoxelManifold, r: int) -> int:
+    """Estimated bytes of a grid build; refuse, before allocating, a grid
+    whose build would exceed ``_GRID_BYTES_CAP``.  Every key of the dense key
+    box (index box x (r+1) per axis, plus the closing plane) costs its id
+    (int32), its count and mask and the count's partial sums; each box owns
+    about (r+1)^D points (int32 keys and the per-axis buffer that builds
+    them, the float64 volume weight; coordinates are made only on use)."""
     D = manifold.dimension
     extents = manifold._extents
     cells = int(np.prod((extents - 1) * (r + 1) + (r + 1) // 2 * 2 + 1))
     points = manifold.domain.n_voxels * (r + 1) ** D
-    nbytes = 12 * cells + 8 * (4 * D + 1) * points
+    nbytes = 12 * cells + (4 * D + 12) * points
     if nbytes > _GRID_BYTES_CAP:
         raise ValueError(
             f"refined grid at r = {r} spans a key box of {cells:,} cells with about "
             f"{points:,} points and needs about {nbytes / 2**30:.1f} GiB to build, above the "
             f"{_GRID_BYTES_CAP / 2**30:.0f} GiB cap; use a smaller added resolution"
         )
+    return nbytes
 
 
 def refined_grid(manifold: VoxelManifold, r: int) -> RefinedGrid:

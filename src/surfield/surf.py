@@ -292,10 +292,9 @@ def _grid_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, gri
     grid rows those points touch are contracted."""
     D, N = domain.dimension, values.shape[0]
     data = _padded_data_tensor(domain, values)
-    pos = grid.axis_positions if ids is None else grid.axis_positions[ids]
-    axes = tuple(pos[:, d] for d in range(D))
+    axes = tuple(grid.axis_positions(ids))
     rows = slice(None)
-    if ids is not None and len(pos):
+    if ids is not None and len(axes[0]):
         lo = int(axes[0].min())
         rows = slice(lo, int(axes[0].max()) + 1)
         axes = (axes[0] - lo,) + axes[1:]

@@ -1,12 +1,13 @@
 import csv
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from surfield.cli import main
-from surfield.fieldio import write_srf1
+from surfield.fieldio import read_csv, write_srf1
 from surfield.lattice import FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
 
 
@@ -220,6 +221,7 @@ def test_surf_eval_cli(tmp_path):
 
 @pytest.mark.parametrize("points, message", [
     ("x0,x1\n2.0,3.0\n1.0\n", "pts.csv line 3: 1 coordinate(s) for 2-D fields"),
+    ("x0,x1\n2.0,3.0\n\n1.0,a\n", "pts.csv line 4: could not convert string to float: 'a'"),
     ("x0,x1\n", "pts.csv holds no points"),
     ("", "pts.csv holds no points"),
 ])
@@ -235,6 +237,18 @@ def test_surf_eval_rejects_bad_points(tmp_path, capsys, points, message):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not (out / "surf_eval.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x0,x1,value0\n0,0,1\n1,0\n", "f.csv line 3: 2 values for 3 columns"),
+    ("x0,x1,value0\n0,0,1,2\n", "f.csv line 2: 4 values for 3 columns"),
+    ("x0,x1,value0\n0,0,1\n\n1,b,2\n", "f.csv line 4: could not convert string to float: 'b'"),
+])
+def test_read_csv_names_file_and_line_of_bad_row(tmp_path, text, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_csv(path)
 
 
 def test_cli_identical_runs_identical_files(tmp_path):

@@ -1,18 +1,27 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from surfield.lattice import VoxelSet, make_domain_preset
+import surfield
+from surfield.kernel import GaussianKernel
+from surfield.lattice import RngSpec, VoxelSet, make_domain_preset, sample_ensemble
+from surfield.lkc import lkc_compute
 from surfield.manifold import (
     EdgeType,
     VoxelManifold,
+    _check_grid_size,
     classify_boundary,
     euler_characteristic,
     refined_grid,
 )
+from surfield.surf import SurfSpec, _grid_sums, t_field_on_grid
 
 
 def box_set(n1, n2=None, n3=None):
@@ -67,6 +76,41 @@ def test_nearly_empty_index_box_refused_before_allocating():
     assert peak < 1 << 20
 
 
+def test_grid_size_estimate_bounds_the_build():
+    man = VoxelManifold(make_domain_preset("stat3d", 1.0).interior)
+    estimate = _check_grid_size(man, 3)
+    tracemalloc.start()
+    try:
+        refined_grid(man, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate < 1.5 * peak
+
+
+def test_stat3d_r7_white_noise_lkc_peak_rss():
+    # The peak resident size of a fresh process's own address space (VmHWM).
+    # Its ru_maxrss would not do: Linux carries the peak of the forking
+    # process, here the test runner, over into the child across exec.
+    code = (
+        "from surfield.kernel import GaussianKernel\n"
+        "from surfield.lattice import make_domain_preset\n"
+        "from surfield.lkc import lkc_compute\n"
+        "from surfield.manifold import VoxelManifold, refined_grid\n"
+        "man = VoxelManifold(make_domain_preset('stat3d', 1.0).interior)\n"
+        "grid = refined_grid(man, 7)\n"
+        "lkc_compute('white-noise', GaussianKernel.isotropic(2.0, 3), man, 7,\n"
+        "            sample_domain=make_domain_preset('stat3d', 2.0), grid=grid)\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    src = str(Path(surfield.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert int(out.stdout.split()[-1]) / 1024 <= 320  # VmHWM is in kB
+
+
 def _gapped_mask(rng, D):
     """Random voxel subset of a regular lattice with spacing (1, 0.5, 2)[:D]
     and the middle axis-0 row removed, so the boxes form separate slabs.  The
@@ -115,6 +159,33 @@ def test_grid_tables_match_brute_force(D, r):
 
     assert np.count_nonzero(g.id_map >= 0) == g.n_points
     np.testing.assert_array_equal(g.id_map[tuple((g.keys - g.key_min).T)], np.arange(g.n_points))
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_grid_stores_only_keys_per_point(D):
+    rng = np.random.default_rng(7 + D)
+    _, _, dom = _gapped_mask(rng, D)
+    man = VoxelManifold(dom)
+    g = refined_grid(man, 3)
+    assert g.keys.dtype == np.int32 and g.id_map.dtype == np.int32
+    slab = np.sort(rng.choice(np.arange(g.n_points // 4, 3 * g.n_points // 4), 40, replace=False))
+    for ids, keys in ((None, g.keys), (slab, g.keys[slab])):
+        for d, pos in enumerate(g.axis_positions(ids)):
+            np.testing.assert_array_equal(pos, np.searchsorted(g.axis_keys[d], keys[:, d]))
+
+    kern = GaussianKernel.isotropic(2.0, D)
+    ens = sample_ensemble(dom, 4, RngSpec(D))
+    for values in (ens.values, np.ones((1, dom.n_voxels))):
+        full = _grid_sums(kern, dom, values, g)
+        part = _grid_sums(kern, dom, values, g, ids=slab)
+        for a, b in [((0,) * D, None), ((1,) + (0,) * (D - 1), (0,) * (D - 1) + (1,))]:
+            assert np.array_equal(part(a, b), full(a, b)[:, slab])
+
+    lkc_compute("white-noise", kern, man, 3, sample_domain=dom, grid=g)
+    t_field_on_grid(SurfSpec(ens, kern), g)
+    per_point = [k for k, v in vars(g).items()
+                 if isinstance(v, np.ndarray) and v.shape == (g.n_points, D)]
+    assert per_point == ["keys"]
 
 
 def test_points_derive_from_keys():
