@@ -2,20 +2,19 @@
 
 The unit-variance smoothed field induces a metric whose entries are rational
 expressions in a handful of inner products among the field, its gradient and
-its Hessian.  One builder fills that bundle (S, Sd, Sdd[, T2, U2]) entry by
-entry from ``moment(a, b)``, the inner product of the derivatives of per-axis
-orders ``a`` and ``b``.  Two providers supply it:
+its Hessian.  One builder (``surf._bundle``) fills that bundle (S, Sd,
+Sdd[, T2, U2]) entry by entry from ``moment(a, b)``, the inner product of the
+derivatives of per-axis orders ``a`` and ``b``.  Two providers supply it:
 
 * white noise, where independence across voxels collapses the double sums
   to single sums of kernel-derivative products (deterministic, the
-  theoretical reference); on tensor-product grids these are separable
-  contractions of the voxel-occupancy tensor;
+  theoretical reference): contractions of the voxel-occupancy tensor;
 * an ensemble, where they are sample covariances of centred (N, Q) columns,
-  one per derivative: separable contractions of the data tensor on grids,
-  one kernel-design sweep at arbitrary points.
+  one per derivative: contractions of the data tensor.
 
-At arbitrary points the white-noise bundle is the kernel design's inner
-products over voxels, the same sums that normalize fields in ``surf``.
+Both read the sums ``s(a, b=None)`` of ``surf``'s engines: ``_grid_sums`` on
+tensor-product grids, ``_point_sums`` at arbitrary points and for truncated
+kernels; the white-noise point sums are the ones that normalize fields.
 """
 from __future__ import annotations
 
@@ -27,8 +26,7 @@ import numpy as np
 from .kernel import GaussianKernel
 from .lattice import VoxelSet
 from .manifold import EdgeType, RefinedGrid
-from .surf import DegenerateFieldError, SurfSpec
-from .surf import _ORDERS, _design, _eval_arrays, _grid_sums, _inner_products, _unit
+from .surf import DegenerateFieldError, _bundle, _grid_sums, _point_sums
 
 __all__ = [
     "metric",
@@ -53,29 +51,6 @@ _EIG_CLIP = 1e-12
 # white noise, a centred sum over subjects for an ensemble.
 
 
-def _bundle(moment, D: int, hessian: bool):
-    """(S, Sd, Sdd[, T2, U2]) with S = <X, X>, Sd = <X, dX>, Sdd = <dX, dX>,
-    T2 = <ddX, dX> and U2 = <ddX, X> per point, each entry filled straight
-    from ``moment(a, b)``."""
-    zero = _unit(D)
-    S = moment(zero, zero)
-    Sd = np.empty(S.shape + (D,))
-    Sdd = np.empty(S.shape + (D, D))
-    for d in range(D):
-        Sd[..., d] = moment(zero, _unit(D, d))
-    for d, e in combinations_with_replacement(range(D), 2):
-        Sdd[..., d, e] = Sdd[..., e, d] = moment(_unit(D, d), _unit(D, e))
-    if not hessian:
-        return S, Sd, Sdd
-    T2 = np.empty(S.shape + (D, D, D))  # <dk dd X, de X>
-    U2 = np.empty(S.shape + (D, D))  # <dk dd X, X>
-    for k, d in combinations_with_replacement(range(D), 2):
-        U2[..., k, d] = U2[..., d, k] = moment(_unit(D, k, d), zero)
-        for e in range(D):
-            T2[..., k, d, e] = T2[..., d, k, e] = moment(_unit(D, k, d), _unit(D, e))
-    return S, Sd, Sdd, T2, U2
-
-
 def _sample_moment(column, N: int):
     """moment(a, b) of an N-field ensemble: the sample covariance, with the
     N-1 denominator, of the (N, Q) columns ``column(a)`` and ``column(b)``,
@@ -88,12 +63,6 @@ def _sample_moment(column, N: int):
         return v - v.mean(axis=0)
 
     return lambda a, b: np.einsum("np,np->p", centred(a), centred(b)) * w
-
-
-def _point_columns(*arrays):
-    """column(a) over ``_eval_arrays``' (val, grad, hess): the (N, P) view
-    of the derivative of per-axis orders ``a``, taken a[d] times along d."""
-    return lambda a: arrays[sum(a)][(...,) + tuple(d for d, n in enumerate(a) for _ in range(n))]
 
 
 def _metric_expr(S, Sd, Sdd) -> np.ndarray:
@@ -128,23 +97,24 @@ def _moments(source, kernel, domain, hessian, *, points=None, grid=None, ids=Non
 
     ``source`` is "white-noise" (single sums over ``domain``) or a
     FieldEnsemble (sample covariances over its own domain).  Untruncated
-    kernels on a grid use the separable tensor engine, everything else the
-    chunked kernel design.
+    kernels on a grid use the tensor-grid engine, everything else the point
+    engine.
     """
     separable = grid is not None and kernel.truncation is None
     if grid is not None and not separable:
         points = grid.points if ids is None else grid.points[ids]
-    order = 2 if hessian else 1
     D = kernel.dimension
+
+    def sums(dom, values, pairs=False):
+        if separable:
+            return _grid_sums(kernel, dom, values, grid, ids)
+        return _point_sums(kernel, dom, values, points, 2 if hessian else 1, pairs)
+
     if not isinstance(source, str):
         N = source.n_fields
         if N < 2:
             raise DegenerateFieldError("sample-based geometry requires at least two fields")
-        if separable:
-            column = _grid_sums(kernel, source.domain, source.values, grid, ids)
-        else:
-            column = _point_columns(*_eval_arrays(SurfSpec(source, kernel), points, _ORDERS[order]))
-        bundle = _bundle(_sample_moment(column, N), D, hessian)
+        bundle = _bundle(_sample_moment(sums(source.domain, source.values), N), D, hessian)
         if np.any(bundle[0] <= 0):
             raise DegenerateFieldError("zero sample variance at an evaluation point")
         return bundle
@@ -152,13 +122,8 @@ def _moments(source, kernel, domain, hessian, *, points=None, grid=None, ids=Non
         raise ValueError(f"unknown geometry source {source!r}")
     if domain is None:
         raise ValueError("white-noise geometry requires a voxel domain")
-    if separable:
-        s = _grid_sums(kernel, domain, np.ones((1, domain.n_voxels)), grid, ids)
-        bundle = _bundle(lambda a, b: s(a, b)[0], D, hessian)
-    else:
-        parts = [_inner_products(*des[: order + 1])
-                 for _, des in _design(kernel, domain, points, order)]
-        bundle = tuple(np.concatenate(p) for p in zip(*parts))
+    s = sums(domain, np.ones((1, domain.n_voxels)), pairs=True)
+    bundle = _bundle(lambda a, b: s(a, b)[0], D, hessian)
     if np.any(bundle[0] < 1e-30):
         raise DegenerateFieldError("vanishing field variance at an evaluation point")
     return bundle

@@ -19,7 +19,6 @@ import numpy as np
 from scipy import optimize as _sciopt  # noqa: F401  (bench/tracing.py wraps _sciopt.minimize)
 from scipy import sparse as _sparse
 from scipy import special as _special
-from scipy import stats as _stats
 
 from .kernel import GaussianKernel
 from .lattice import FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
@@ -78,12 +77,12 @@ def ec_density(ftype: FieldType, d: int, u) -> np.ndarray | float:
         raise ValueError("ec densities implemented for d in 0..3")
     if ftype.kind == "gaussian":
         if d == 0:
-            return _stats.norm.sf(u)
+            return _special.ndtr(-u)
         herm = {1: 1.0, 2: u, 3: u**2 - 1.0}[d]
         return (TWO_PI) ** (-(d + 1) / 2.0) * herm * np.exp(-(u**2) / 2.0)
     nu = float(ftype.nu)
     if d == 0:
-        return _stats.t.sf(u, df=nu)
+        return _special.stdtr(nu, -u)
     base = (1.0 + u**2 / nu) ** (-(nu - 1.0) / 2.0)
     if d == 1:
         return base / TWO_PI
@@ -260,13 +259,14 @@ def _ascend(spec: SurfSpec, manifold: VoxelManifold, grid: RefinedGrid,
     advancing together.
 
     Each sweep evaluates t, its gradient and Hessian at the trial points of
-    every running pair from one kernel-design sweep.  Trial points lie on
-    the projection arc P(x + alpha d) of the direction ``_ascent_direction``
-    gives; a trial is accepted when it gains ``_ARMIJO`` of its first-order
-    prediction (or both are at rounding level), else alpha halves for the
-    next sweep.  A pair retires only when its projected gradient vanishes
-    or at the sweep cap, never on a failed line search.  Returns the best
-    point evaluated, starting from the highest scan-grid maximum.
+    every running pair from one call of the separable point engine
+    (``surf._point_sums``).  Trial points lie on the projection arc
+    P(x + alpha d) of the direction ``_ascent_direction`` gives; a trial is
+    accepted when it gains ``_ARMIJO`` of its first-order prediction (or
+    both are at rounding level), else alpha halves for the next sweep.  A
+    pair retires only when its projected gradient vanishes or at the sweep
+    cap, never on a failed line search.  Returns the best point evaluated,
+    starting from the highest scan-grid maximum.
     """
     best_pt, best_val = grid.points[max_ids[0]].copy(), float(grid_values[max_ids[0]])
     owner, boxes = grid.incident_boxes(max_ids)

@@ -70,7 +70,8 @@ def _slabs(grid: RefinedGrid) -> np.ndarray:
     """Slab bounds in grid ids (first id of each slab, then the point count).
     Ids sort with axis 0 slowest, so a slab is a run of whole axis-0 rows:
     at most ``_SLAB_POINTS`` points, or one row where a row alone holds more."""
-    starts = np.searchsorted(grid.keys[:, 0], grid.axis_keys[0])
+    counts = np.count_nonzero(grid.id_map.reshape(len(grid.id_map), -1) >= 0, axis=1)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
     bounds = [0]
     for a, b in zip(starts[1:], np.append(starts[2:], grid.n_points)):
         if b - bounds[-1] > _SLAB_POINTS:  # row [a, b) opens the next slab

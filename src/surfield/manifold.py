@@ -350,17 +350,22 @@ class RefinedGrid:
         return owner, boxes[owner, choice]
 
 
-def _check_grid_size(manifold: VoxelManifold, r: int) -> int:
-    """Estimated bytes of a grid build; refuse, before allocating, a grid
-    whose build would exceed ``_GRID_BYTES_CAP``.  Every key of the dense key
-    box (index box x (r+1) per axis, plus the closing plane) costs its id
-    (int32), its count and mask and the count's partial sums; each box owns
-    about (r+1)^D points (int32 keys and the per-axis buffer that builds
-    them, the float64 volume weight; coordinates are made only on use)."""
+def _check_grid_size(manifold: VoxelManifold, r: int) -> tuple[int, int]:
+    """Estimated points and bytes of a grid build; refuse, before allocating,
+    a grid whose build would exceed ``_GRID_BYTES_CAP``.  Every key of the
+    dense key box (index box x (r+1) per axis, plus the closing plane) costs
+    its id (int32), its count and mask and the count's partial sums; each
+    point its int32 keys, the per-axis buffer that builds them and its
+    float64 volume weight (coordinates are made only on use).  Points are
+    bounded by (r+1)^D per box plus the (r+2)^(D-1) points of each upper box
+    face with no box above it, one per run of boxes along each axis."""
     D = manifold.dimension
     extents = manifold._extents
     cells = int(np.prod((extents - 1) * (r + 1) + (r + 1) // 2 * 2 + 1))
     points = manifold.domain.n_voxels * (r + 1) ** D
+    if r and 12 * cells + (4 * D + 12) * points <= _GRID_BYTES_CAP:
+        runs = sum(np.count_nonzero(np.diff(manifold._padded, axis=d)) for d in range(D)) // 2
+        points += runs * (r + 2) ** (D - 1)
     nbytes = 12 * cells + (4 * D + 12) * points
     if nbytes > _GRID_BYTES_CAP:
         raise ValueError(
@@ -368,7 +373,7 @@ def _check_grid_size(manifold: VoxelManifold, r: int) -> int:
             f"{points:,} points and needs about {nbytes / 2**30:.1f} GiB to build, above the "
             f"{_GRID_BYTES_CAP / 2**30:.0f} GiB cap; use a smaller added resolution"
         )
-    return nbytes
+    return points, nbytes
 
 
 def refined_grid(manifold: VoxelManifold, r: int) -> RefinedGrid:

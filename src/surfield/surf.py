@@ -6,18 +6,21 @@ derivatives) at any point.  This module evaluates single fields, ensembles,
 the normalized variant (unit pointwise variance), covariances, and the
 one-sample t-statistic field, in batched/columnar form.
 
-Two engines back every kernel sum.  At arbitrary points, one sweep over the
-kernel design (K, grad K and Hess K for a slab of points x all voxels) gives
-the smoothed fields and, through its inner products over voxels, the
-normalization.  On (subsets of) the tensor-product grids that the curvature
-and simulation pipelines evaluate on, one separable helper contracts a data
-tensor with a kernel-factor matrix per axis for each derivative multi-index.
+Two separable engines back every kernel sum, each as ``s(a, b=None)``: the
+sums over voxels of the data times the kernel derivative of per-axis orders
+``a`` (times that of orders ``b``).  On (subsets of) the tensor-product grids
+that the curvature and simulation pipelines evaluate on, ``_grid_sums``
+contracts the data tensor with one kernel-factor matrix per axis and
+multi-index.  At arbitrary points, ``_point_sums`` contracts it with per-point
+stacks of the 1-D factors of every order; a truncated kernel, which is not
+separable, sums those factors over all point x voxel pairs under its mask.
+Over the voxel occupancy the same sums give the normalization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -34,7 +37,7 @@ __all__ = [
     "smooth_on_grid",
 ]
 
-_CHUNK_CELLS = 4_000_000  # max point x voxel x design-column entries per design slab
+_CHUNK_CELLS = 4_000_000  # max entries of the point engine's factor stacks or axis-0 product per chunk
 
 
 class DegenerateFieldError(ValueError):
@@ -60,101 +63,130 @@ class SurfSpec:
 
 
 # ---------------------------------------------------------------------------
-# Generic chunked engine
+# Point engine
 # ---------------------------------------------------------------------------
-
-
-def _chunks(n: int, m: int):
-    size = max(1, _CHUNK_CELLS // max(m, 1))
-    for s in range(0, n, size):
-        yield slice(s, min(s + size, n))
 
 
 _ORDERS = ("value", "gradient", "hessian")
 
 
-def _design(kernel: GaussianKernel, domain: VoxelSet, points: np.ndarray, order: int):
-    """Kernel design slabs over the domain's voxels: yields (slab slice,
-    (K, grad K, Hess K)) with shapes (p, M), (p, M, D), (p, M, D, D) and the
-    derivatives above ``order`` None.  A slab holds at most _CHUNK_CELLS
-    point x voxel x design-column entries."""
-    D = kernel.dimension
-    width = (1, 1 + D, 1 + D + D * D)[order]
-    vox = domain.coords
-    for sl in _chunks(points.shape[0], vox.shape[0] * width):
-        yield sl, kernel._pairwise(points[sl], vox, order)
+def _stack_contract(data: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
+    """(P, k^D, N) sums of the subjects-last (m1..mD, N) data tensor against
+    per-point factor stacks (P, k, m_d): axis 0 as one matmul over every
+    point and stacked factor, each further axis as one batched product per
+    point.  The stacked factors of axis 0 vary slowest."""
+    P, k, m = stacks[0].shape
+    out = (stacks[0].reshape(P * k, m) @ data.reshape(m, -1)).reshape(P, k, -1)
+    for F in stacks[1:]:
+        m = F.shape[-1]
+        out = np.matmul(F[:, None], out.reshape(P, out.shape[1], m, -1)).reshape(P, -1, out.shape[-1] // m)
+    return out
 
 
-def _inner_products(K, G=None, H=None) -> tuple:
-    """Single sums over the voxel axis of one design slab: (S,), (S, Sd, Sdd)
-    or (S, Sd, Sdd, T2, U2) with S = <K, K>, Sd = <K, dK>, Sdd = <dK, dK>,
-    T2 = <ddK, dK> and U2 = <ddK, K> per point."""
-    S = np.einsum("pm,pm->p", K, K)
-    if G is None:
-        return (S,)
-    Gt = G.transpose(0, 2, 1)
-    out = (S, np.matmul(Gt, K[..., None])[..., 0], np.matmul(Gt, G))
-    if H is None:
-        return out
-    p, M, D = G.shape
-    Ht = H.reshape(p, M, D * D).transpose(0, 2, 1)
-    T2 = np.matmul(Ht, G).reshape(p, D, D, D)
-    U2 = np.matmul(Ht, K[..., None]).reshape(p, D, D)
-    return out + (T2, U2)
+def _point_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, points: np.ndarray,
+                order: int, pairs: bool = False):
+    """s(a, b=None) at arbitrary points: the sum over the domain's voxels v of
+    values[:, v] times the kernel derivative of per-axis orders a at (point,
+    v), times that of orders b, shape (N, P); for |a| <= order and, with
+    ``pairs``, |b| <= 1.  Per axis, the 1-D factors of each order (or product
+    of two) are stacked per point.  Untruncated kernels contract the stacks
+    with the subjects-last data tensor (``_stack_contract``); a truncated
+    kernel's stacks span all point x voxel pairs, and their products under
+    the truncation mask multiply the values."""
+    D, N = kernel.dimension, values.shape[0]
+    points = np.atleast_2d(points)
+    if points.shape[1] != D:
+        raise ValueError(f"points of dimension {points.shape[1]} do not match the {D}-D kernel")
+    orders = [a for a in product(range(order + 1), repeat=D) if sum(a) <= order]
+    keys = [(a, b) for a in orders for b in orders if sum(b) <= 1] if pairs else [(a, None) for a in orders]
+    # Every factor a Hessian needs is stacked whatever ``order`` is, so that
+    # no sum's bits depend on which others were asked for.
+    kinds = [(a, b) for a in range(2) for b in range(a, 3)] if pairs else [(o,) for o in range(3)]
+    index = {key: tuple(kinds.index(tuple(sorted(o[d] for o in key if o is not None))) for d in range(D))
+             for key in keys}
+    truncated = kernel.truncation is not None
+    if truncated:  # up to 4 D (P, M) arrays per stacked factor are cached per chunk
+        targets, width = domain.coords.T, 4 * len(kinds) * D * domain.n_voxels
+    else:
+        targets = domain.axis_values
+        data = np.zeros(tuple(a.size for a in targets) + (N,))
+        data[tuple(domain.axis_positions.T)] = values.T
+        width = len(kinds) * data.size // data.shape[0]
+    step = max(1, _CHUNK_CELLS // width)
+    out = {key: np.empty((N, len(points))) for key in keys}
+    for start in range(0, len(points), step):
+        t = [points[start:start + step, d, None] - targets[d] for d in range(D)]
+        factor = cache(lambda d, o: kernel.axis_factor(d, t[d], o))
+        kind = cache(lambda d, i: factor(d, kinds[i][0]) * factor(d, kinds[i][1]) if pairs else factor(d, i))
+        if truncated:
+            # products over the leading axes are shared; symmetric keys share a column
+            mask = sum(u * u for u in t) <= kernel.truncation**2
+            lead = cache(lambda idx: lead(idx[:-1]) * kind(len(idx) - 1, idx[-1]) if idx else mask)
+            column = cache(lambda idx: (lead(idx[:-1]) * kind(D - 1, idx[-1])) @ values.T)
+        else:
+            res = _stack_contract(data, [np.stack([kind(d, i) for i in range(len(kinds))], axis=1)
+                                         for d in range(D)])
+            column = lambda idx: res[:, np.ravel_multi_index(idx, (len(kinds),) * D)]
+        for key in keys:
+            out[key][:, start:start + step] = column(index[key]).T
+    return lambda a, b=None: out[a, b]
 
 
-def _contract_voxels(X: np.ndarray, design: np.ndarray) -> np.ndarray:
-    """sum_m X[n, m] design[p, m, ...] as one matrix product over the voxel
-    axis, shape (N, p, ...)."""
-    p, M = design.shape[:2]
-    out = X @ design.reshape(p, M, -1).transpose(1, 0, 2).reshape(M, -1)
-    return out.reshape((X.shape[0],) + (p,) + design.shape[2:])
+def _bundle(moment, D: int, hessian: bool):
+    """(S, Sd, Sdd[, T2, U2]) with S = <X, X>, Sd = <X, dX>, Sdd = <dX, dX>,
+    T2 = <ddX, dX> and U2 = <ddX, X> per point, each entry filled straight
+    from ``moment(a, b)``."""
+    zero = _unit(D)
+    S = moment(zero, zero)
+    Sd = np.empty(S.shape + (D,))
+    Sdd = np.empty(S.shape + (D, D))
+    for d in range(D):
+        Sd[..., d] = moment(zero, _unit(D, d))
+    for d, e in combinations_with_replacement(range(D), 2):
+        Sdd[..., d, e] = Sdd[..., e, d] = moment(_unit(D, d), _unit(D, e))
+    if not hessian:
+        return S, Sd, Sdd
+    T2 = np.empty(S.shape + (D, D, D))  # <dk dd X, de X>
+    U2 = np.empty(S.shape + (D, D))  # <dk dd X, X>
+    for k, d in combinations_with_replacement(range(D), 2):
+        U2[..., k, d] = U2[..., d, k] = moment(_unit(D, k, d), zero)
+        for e in range(D):
+            T2[..., k, d, e] = T2[..., d, k, e] = moment(_unit(D, k, d), _unit(D, e))
+    return S, Sd, Sdd, T2, U2
 
 
 def _eval_arrays(spec: SurfSpec, points: np.ndarray, order: str, field: int | None = None):
-    """(val, grad, hess) of the smoothed field(s) from one kernel-design
-    sweep; the derivatives above ``order`` are None.  The normalization
-    reads the design's inner products: sigma^2 = S, grad sigma^2 = 2 Sd,
+    """(val, grad, hess) of the smoothed field(s) from one point-engine call;
+    the derivatives above ``order`` are None.  The normalization reads the
+    white-noise moments of the domain: sigma^2 = S, grad sigma^2 = 2 Sd,
     Hess sigma^2 = 2 (U2 + Sdd)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(points)):
         raise ValueError("query points must be finite")
     X = spec.ensemble.values if field is None else spec.ensemble.values[[field]]
-    N, P, D = X.shape[0], points.shape[0], spec.kernel.dimension
-    n = _ORDERS.index(order)
-    val = np.empty((N, P))
-    grad = np.empty((N, P, D)) if n >= 1 else None
-    hess = np.empty((N, P, D, D)) if n == 2 else None
-    for sl, des in _design(spec.kernel, spec.ensemble.domain, points, n):
-        v = _contract_voxels(X, des[0])
-        if spec.normalized:
-            ip = _inner_products(*des[: n + 1])
-            if np.any(ip[0] < 1e-30):
-                raise DegenerateFieldError("normalization denominator vanished at a query point")
-            sig = np.sqrt(ip[0])
-        val[:, sl] = v / sig if spec.normalized else v
-        if grad is not None:
-            gg = g = _contract_voxels(X, des[1])
-            if spec.normalized:
-                dsig = ip[1] / sig[:, None]
-                g = g / sig[None, :, None] - v[:, :, None] * dsig[None] / ip[0][None, :, None]
-            grad[:, sl] = g
-        if hess is not None:
-            hh = _contract_voxels(X, des[2])
-            if spec.normalized:
-                ddsig = (ip[4] + ip[2]) / sig[:, None, None] - (
-                    dsig[:, :, None] * dsig[:, None, :]
-                ) / sig[:, None, None]
-                s = sig[None, :, None, None]
-                hh = (
-                    hh / s
-                    - (gg[:, :, :, None] * dsig[None, :, None, :]) / s**2
-                    - (gg[:, :, None, :] * dsig[None, :, :, None]) / s**2
-                    - v[:, :, None, None] * ddsig[None] / s**2
-                    + 2.0 * v[:, :, None, None] * (dsig[:, :, None] * dsig[:, None, :])[None] / s**3
-                )
-            hess[:, sl] = hh
-    return val, grad, hess
+    kern, dom, n = spec.kernel, spec.ensemble.domain, _ORDERS.index(order)
+    v, g, h = _derivative_arrays(_point_sums(kern, dom, X, points, n), kern.dimension, n)
+    if not spec.normalized:
+        return v, g, h
+    w = _point_sums(kern, dom, np.ones((1, dom.n_voxels)), points, max(n, 1), pairs=True)
+    S, Sd, Sdd, *hess_moments = _bundle(lambda a, b: w(a, b)[0], kern.dimension, n == 2)
+    if np.any(S < 1e-30):
+        raise DegenerateFieldError("normalization denominator vanished at a query point")
+    sig = np.sqrt(S)
+    if g is not None:
+        dsig = Sd / sig[:, None]
+        grad = g / sig[None, :, None] - v[:, :, None] * dsig[None] / S[None, :, None]
+    if h is not None:
+        ddsig = (hess_moments[1] + Sdd - dsig[:, :, None] * dsig[:, None, :]) / sig[:, None, None]
+        s = sig[None, :, None, None]
+        h = (
+            h / s
+            - (g[:, :, :, None] * dsig[None, :, None, :]) / s**2
+            - (g[:, :, None, :] * dsig[None, :, :, None]) / s**2
+            - v[:, :, None, None] * ddsig[None] / s**2
+            + 2.0 * v[:, :, None, None] * (dsig[:, :, None] * dsig[:, None, :])[None] / s**3
+        )
+    return v / sig, None if g is None else grad, h
 
 
 def surf_eval(
@@ -325,15 +357,11 @@ def _grid_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, gri
     return s
 
 
-def _grid_arrays(ensemble: FieldEnsemble, kernel: GaussianKernel, grid: RefinedGrid,
-                 derivatives: int, ids=None):
-    """(val, grad, hess) of the smoothed fields at the grid points ``ids``
-    (all when None), one separable contraction per derivative multi-index;
-    the derivatives above ``derivatives`` are None."""
-    D = kernel.dimension
-    s = _grid_sums(kernel, ensemble.domain, ensemble.values, grid, ids)
-    # The value stays the gathered (column-major) array: its layout sets the
-    # summation order of the t statistic computed from it.
+def _derivative_arrays(s, D: int, derivatives: int):
+    """(val, grad, hess) from the sums ``s(a)``, one call per derivative
+    multi-index; the derivatives above ``derivatives`` are None."""
+    # The value stays the array s returns: on grids its (column-major)
+    # layout sets the summation order of the t statistic computed from it.
     out = [s(_unit(D))]
     for n in range(1, derivatives + 1):
         out.append(np.empty(out[0].shape + (D,) * n))
@@ -363,7 +391,8 @@ def smooth_on_grid(
     """
     if kernel.truncation is not None:
         raise NotImplementedError("tensor-grid smoothing requires an untruncated kernel")
-    arrays = _grid_arrays(ensemble, kernel, grid, derivatives)
+    s = _grid_sums(kernel, ensemble.domain, ensemble.values, grid)
+    arrays = _derivative_arrays(s, kernel.dimension, derivatives)
     return {k: a for k, a in zip(("value", "grad", "hess"), arrays) if a is not None}
 
 

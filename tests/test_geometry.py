@@ -421,7 +421,7 @@ def test_single_field_ensemble_fails_before_smoothing(monkeypatch):
         raise AssertionError("smoothed a one-field ensemble")
 
     monkeypatch.setattr(geometry, "_grid_sums", forbidden)
-    monkeypatch.setattr(geometry, "_eval_arrays", forbidden)
+    monkeypatch.setattr(geometry, "_point_sums", forbidden)
     dom = make_domain_preset("nonstat2d")
     grid = refined_grid(VoxelManifold(dom), 1)
     ens = sample_ensemble(dom, 1, RngSpec(2))
@@ -433,3 +433,35 @@ def test_single_field_ensemble_fails_before_smoothing(monkeypatch):
     ):
         with pytest.raises(DegenerateFieldError, match="at least two fields"):
             run()
+
+
+@pytest.mark.parametrize("truncation", [None, 3.0])
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_white_noise_point_bundle_matches_direct_sums(D, truncation):
+    # S, Sd, Sdd, T2 and U2 at points near a masked domain, against sums of
+    # np.exp kernel derivatives over every (point, voxel) pair
+    if D == 1:
+        dom = VoxelSet(np.r_[0:6, 9:15].astype(float)[:, None])
+    else:
+        dom = make_domain_preset("nonstat2d" if D == 2 else "nonstat3d")
+    pts = np.random.default_rng(60 + D).uniform(0.5, 4.5, size=(6, D))
+    k = GaussianKernel((2.0, 2.6, 3.1)[:D], truncation)
+    c = 4 * LOG2 / np.asarray(k.fwhm) ** 2
+    t = pts[:, None, :] - dom.coords[None, :, :]
+    K = np.exp(-(t * t) @ c)
+    if truncation is not None:
+        K[np.sum(t * t, axis=-1) > truncation**2] = 0.0
+    G = -2 * c * t * K[..., None]
+    H = (4 * c[:, None] * c * t[..., :, None] * t[..., None, :] - 2 * np.diag(c)) * K[..., None, None]
+    want = (
+        np.einsum("pm,pm->p", K, K),
+        np.einsum("pm,pmd->pd", K, G),
+        np.einsum("pmd,pme->pde", G, G),
+        np.einsum("pmkd,pme->pkde", H, G),
+        np.einsum("pmkd,pm->pkd", H, K),
+    )
+    got = geometry._moments("white-noise", k, dom, True, points=pts)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-11, atol=1e-12 * np.abs(w).max())
+    np.testing.assert_allclose(metric("white-noise", k, dom, pts), geometry._metric_expr(*want[:3]),
+                               rtol=1e-9, atol=1e-11)

@@ -28,6 +28,15 @@ from surfield.surf import SurfSpec, surf_covariance, t_field
 # ---------------------------------------------------------------------------
 
 
+def test_marginal_tails_match_scipy_stats_bit_for_bit():
+    # rho_0 reads scipy.special directly; the threshold sweep and other
+    # levels give the same bits as the scipy.stats survival functions
+    u = np.concatenate([np.linspace(-10.0, 50.0, 4097), np.random.default_rng(3).uniform(-6, 12, 6000)])
+    np.testing.assert_array_equal(ec_density(FieldType.gaussian(), 0, u), st.norm.sf(u))
+    for nu in (1, 9, 19, 49):
+        np.testing.assert_array_equal(ec_density(FieldType.student_t(nu), 0, u), st.t.sf(u, df=nu))
+
+
 def test_gaussian_density_examples():
     g = FieldType.gaussian()
     assert ec_density(g, 0, 1.6449) == pytest.approx(0.05, abs=2e-5)

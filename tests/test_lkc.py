@@ -250,3 +250,25 @@ def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
     assert len(lkc_module._slabs(grid)) > 20
     np.testing.assert_allclose(many.values, one.values, rtol=1e-13, atol=0)
     assert many.diagnostics == one.diagnostics
+
+
+@pytest.mark.parametrize("name", ["stat3d", "nonstat3d", "gapped"])
+def test_slab_bounds_match_key_search(monkeypatch, nonstat3d_r3, name):
+    # the row starts from per-row point counts equal those found by
+    # searching the sorted axis-0 keys for each axis-0 grid key, also where
+    # a gap between boxes leaves key rows without points
+    if name == "stat3d":
+        grid = refined_grid(VoxelManifold(make_domain_preset("stat3d", 1.0).interior), 3)
+    elif name == "gapped":
+        coords = box_manifold(5, 3, 3).domain.coords
+        grid = refined_grid(VoxelManifold(VoxelSet(coords[coords[:, 0] != 3])), 3)
+    else:
+        grid = nonstat3d_r3[1]
+    starts = np.searchsorted(grid.keys[:, 0], grid.axis_keys[0])
+    for slab_points in (1 << 16, 5000, 1):
+        monkeypatch.setattr(lkc_module, "_SLAB_POINTS", slab_points)
+        want = [0]
+        for a, b in zip(starts[1:], np.append(starts[2:], grid.n_points)):
+            if b - want[-1] > slab_points:
+                want.append(a)
+        np.testing.assert_array_equal(lkc_module._slabs(grid), want + [grid.n_points])

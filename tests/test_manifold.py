@@ -11,7 +11,7 @@ import pytest
 
 import surfield
 from surfield.kernel import GaussianKernel
-from surfield.lattice import RngSpec, VoxelSet, make_domain_preset, sample_ensemble
+from surfield.lattice import PRESET_NAMES, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
 from surfield.lkc import lkc_compute
 from surfield.manifold import (
     EdgeType,
@@ -78,7 +78,7 @@ def test_nearly_empty_index_box_refused_before_allocating():
 
 def test_grid_size_estimate_bounds_the_build():
     man = VoxelManifold(make_domain_preset("stat3d", 1.0).interior)
-    estimate = _check_grid_size(man, 3)
+    _, estimate = _check_grid_size(man, 3)
     tracemalloc.start()
     try:
         refined_grid(man, 3)
@@ -86,6 +86,15 @@ def test_grid_size_estimate_bounds_the_build():
     finally:
         tracemalloc.stop()
     assert peak <= estimate < 1.5 * peak
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_grid_size_estimate_covers_the_points(name, r):
+    dom = make_domain_preset(name, 2.0 if name.startswith("stat") else None)
+    for man in map(VoxelManifold, filter(None, (dom, dom.interior))):
+        points, _ = _check_grid_size(man, r)
+        assert points >= refined_grid(man, r).n_points
 
 
 def test_stat3d_r7_white_noise_lkc_peak_rss():

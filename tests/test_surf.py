@@ -250,3 +250,108 @@ def test_normalized_degenerate_point_rejected():
     spec = SurfSpec(FieldEnsemble(dom, np.ones((1, 2))), k, normalized=True)
     with pytest.raises(DegenerateFieldError):
         surf_eval(spec, [[50.0]], "value")
+
+
+# ---------------------------------------------------------------------------
+# Point engine against direct sums
+# ---------------------------------------------------------------------------
+
+
+def direct_sums(kernel, domain, values, x):
+    """The smoothed fields (val, grad, hess) and sigma^2 = sum_v K(x, v)^2 with
+    its gradient and Hessian, summed directly over every (point, voxel) pair:
+    np.exp of the full offsets, zero beyond the truncation radius."""
+    c = 4 * LOG2 / np.asarray(kernel.fwhm) ** 2
+    t = x[:, None, :] - domain.coords[None, :, :]
+    k = np.exp(-(t * t) @ c)
+    if kernel.truncation is not None:
+        k[np.sum(t * t, axis=-1) > kernel.truncation**2] = 0.0
+    g = -2 * c * t * k[..., None]
+    h = (4 * c[:, None] * c * t[..., :, None] * t[..., None, :] - 2 * np.diag(c)) * k[..., None, None]
+    fields = (values @ k.T, np.einsum("nm,pmd->npd", values, g), np.einsum("nm,pmde->npde", values, h))
+    s2 = (np.sum(k * k, axis=1), 2 * np.einsum("pm,pmd->pd", k, g),
+          2 * (np.einsum("pmd,pme->pde", g, g) + np.einsum("pm,pmde->pde", k, h)))
+    return fields, s2
+
+
+def direct_normalized(fields, s2):
+    """f s^(-1/2) with its gradient and Hessian, for s = sigma^2."""
+    f, df, ddf = fields
+    s, ds, dds = s2
+    r1, r3, r5 = s**-0.5, s**-1.5, s**-2.5
+    grad = df * r1[:, None] - 0.5 * f[..., None] * r3[:, None] * ds
+    hess = (
+        ddf * r1[:, None, None]
+        - 0.5 * (df[..., :, None] * ds[:, None, :] + ds[:, :, None] * df[..., None, :]) * r3[:, None, None]
+        - 0.5 * f[..., None, None] * r3[:, None, None] * dds
+        + 0.75 * f[..., None, None] * r5[:, None, None] * ds[:, :, None] * ds[:, None, :]
+    )
+    return f * r1, grad, hess
+
+
+def point_engine_case(D):
+    """A masked domain of dimension D and points within 4 voxels of it."""
+    if D == 1:
+        dom = VoxelSet(np.r_[0:6, 9:15].astype(float)[:, None])
+    else:
+        dom = make_domain_preset("nonstat2d" if D == 2 else "nonstat3d")
+    rng = np.random.default_rng(40 + D)
+    pts = rng.uniform(0.5, 4.5, size=(7, D))
+    flip = rng.random(pts.shape) < 0.4
+    pts[flip] = (15.0 if D == 1 else 21.0) - pts[flip]
+    return dom, pts
+
+
+@pytest.mark.parametrize("truncation", [None, 3.0])
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_point_engine_matches_direct_sums(D, truncation):
+    dom, pts = point_engine_case(D)
+    ens = sample_ensemble(dom, 4, RngSpec(7 + D))
+    k = GaussianKernel((2.0, 2.6, 3.1)[:D], truncation)
+    fields, s2 = direct_sums(k, dom, ens.values, pts)
+    for normalized, want in ((False, fields), (True, direct_normalized(fields, s2))):
+        spec = SurfSpec(ens, k, normalized)
+        for order, w in zip(("value", "gradient", "hessian"), want):
+            tol = dict(rtol=1e-11, atol=1e-12 * np.abs(w).max())
+            np.testing.assert_allclose(surf_eval(spec, pts, order), w, **tol)
+            np.testing.assert_allclose(surf_eval(spec, pts, order, field=2), w[2], **tol)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_truncated_point_engine_matches_untruncated_at_large_radius(D):
+    from surfield import geometry
+
+    dom, pts = point_engine_case(D)
+    ens = sample_ensemble(dom, 5, RngSpec(11 + D))
+    fwhm = (2.0, 2.6, 3.1)[:D]
+    wide, plain = GaussianKernel(fwhm, 1e3), GaussianKernel(fwhm)
+    for normalized in (False, True):
+        for order in ("value", "gradient", "hessian"):
+            want = surf_eval(SurfSpec(ens, plain, normalized), pts, order)
+            got = surf_eval(SurfSpec(ens, wide, normalized), pts, order)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
+    for source in ("white-noise", ens):
+        want = geometry._moments(source, plain, dom, True, points=pts)
+        for g, w in zip(geometry._moments(source, wide, dom, True, points=pts), want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-13 * np.abs(w).max())
+
+
+def test_untruncated_point_paths_never_build_the_pairwise_design(monkeypatch):
+    from surfield.geometry import christoffel, metric
+    from surfield.inference import maximize_t_field
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built the dense point x voxel kernel design")
+
+    monkeypatch.setattr(GaussianKernel, "_pairwise", forbidden)
+    dom, pts = point_engine_case(2)
+    ens = sample_ensemble(dom, 6, RngSpec(19))
+    k = GaussianKernel.isotropic(2.0, 2)
+    for normalized in (False, True):
+        for order in ("value", "gradient", "hessian"):
+            surf_eval(SurfSpec(ens, k, normalized), pts, order)
+    t_field(SurfSpec(ens, k), pts, "both")
+    maximize_t_field(SurfSpec(ens, k), VoxelManifold(dom), starts=3)
+    for source in ("white-noise", ens):
+        metric(source, k, dom, pts)
+        christoffel(source, k, dom, pts)
