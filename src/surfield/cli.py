@@ -22,6 +22,7 @@ from . import __version__
 from .fieldio import read_srf1
 from .inference import (
     FieldType,
+    ThresholdError,
     fwer_experiment,
     nondegeneracy_check,
     threshold,
@@ -148,8 +149,12 @@ def _cmd_lkc(args) -> int:
 
 def _cmd_threshold(args) -> int:
     lk = [float(x) for x in args.lkcs.split(",")]
+    if not np.all(np.isfinite(lk)):
+        raise ConfigError(f"--lkcs must be finite, got {args.lkcs}")
     if args.family == "t" and args.df is None:
         raise ConfigError("--family t requires --df")
+    if args.df is not None and not np.isfinite(args.df):
+        raise ConfigError(f"--df must be finite, got {args.df}")
     ftype = FieldType.gaussian() if args.family == "gaussian" else FieldType.student_t(args.df)
     config = {"lkcs": lk, "family": args.family, "df": args.df, "alpha": args.alpha}
     if args.dry_run:
@@ -389,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ThresholdError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

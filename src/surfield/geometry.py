@@ -9,8 +9,9 @@ derivatives of per-axis orders ``a`` and ``b``.  Two providers supply it:
 * white noise, where independence across voxels collapses the double sums
   to single sums of kernel-derivative products (deterministic, the
   theoretical reference): contractions of the voxel-occupancy tensor;
-* an ensemble, where they are sample covariances of centred (N, Q) columns,
-  one per derivative: contractions of the data tensor.
+* an ensemble, where they are sample covariances of (N, Q) columns, one per
+  derivative, each centred over the subjects: contractions of the
+  subjects-last (m1..mD, N) data tensor.
 
 Both read the sums ``s(a, b=None)`` of ``surf``'s engines: ``_grid_sums`` on
 tensor-product grids, ``_point_sums`` at arbitrary points and for truncated
@@ -54,13 +55,15 @@ _EIG_CLIP = 1e-12
 def _sample_moment(column, N: int):
     """moment(a, b) of an N-field ensemble: the sample covariance, with the
     N-1 denominator, of the (N, Q) columns ``column(a)`` and ``column(b)``,
-    each centred once per call."""
+    each centred in place on first use: the moments are the only reader of
+    the columns."""
     w = 1.0 / (N - 1)
 
     @cache
     def centred(a: tuple) -> np.ndarray:
         v = column(a)
-        return v - v.mean(axis=0)
+        v -= v.mean(axis=0)
+        return v
 
     return lambda a, b: np.einsum("np,np->p", centred(a), centred(b)) * w
 

@@ -34,10 +34,10 @@ class GaussianKernel:
         f = tuple(float(x) for x in f)
         if len(f) < 1 or len(f) > 3:
             raise ValueError("kernel dimension must be 1..3")
-        if any(x <= 0 for x in f):
-            raise ValueError("fwhm must be positive")
-        if self.truncation is not None and self.truncation <= 0:
-            raise ValueError("truncation radius must be positive")
+        if not all(0 < x < math.inf for x in f):
+            raise ValueError(f"fwhm must be positive and finite, got {f}")
+        if self.truncation is not None and not 0 < self.truncation < math.inf:
+            raise ValueError(f"truncation radius must be positive and finite, got {self.truncation}")
         object.__setattr__(self, "fwhm", f)
 
     @classmethod

@@ -8,13 +8,16 @@ one-sample t-statistic field, in batched/columnar form.
 
 Two separable engines back every kernel sum, each as ``s(a, b=None)``: the
 sums over voxels of the data times the kernel derivative of per-axis orders
-``a`` (times that of orders ``b``).  On (subsets of) the tensor-product grids
-that the curvature and simulation pipelines evaluate on, ``_grid_sums``
-contracts the data tensor with one kernel-factor matrix per axis and
-multi-index.  At arbitrary points, ``_point_sums`` contracts it with per-point
-stacks of the 1-D factors of every order; a truncated kernel, which is not
-separable, sums those factors over all point x voxel pairs under its mask.
-Over the voxel occupancy the same sums give the normalization.
+``a`` (times that of orders ``b``).  For untruncated kernels both read one
+data tensor, laid out subjects last: (m1..mD, N) over the domain's axis
+values.  On (subsets of) the tensor-product grids that the curvature and
+simulation pipelines evaluate on, ``_grid_sums`` contracts it with one
+kernel-factor matrix per axis and multi-index, one GEMM per axis, and takes
+contiguous (N, Q) columns at the grid points.  At arbitrary points,
+``_point_sums`` contracts it with per-point stacks of the 1-D factors of
+every order; a truncated kernel, which is not separable, sums those factors
+over all point x voxel pairs under its mask.  Over the voxel occupancy
+(N = 1) the same sums give the normalization.
 """
 from __future__ import annotations
 
@@ -70,6 +73,15 @@ class SurfSpec:
 _ORDERS = ("value", "gradient", "hessian")
 
 
+def _data_tensor(domain: VoxelSet, values: np.ndarray) -> np.ndarray:
+    """Embed (N, n_voxels) values into the dense subjects-last (m1..mD, N)
+    tensor over the domain's axis values (zeros off the voxel set), so
+    separable contractions sum exactly over the set."""
+    data = np.zeros(tuple(a.size for a in domain.axis_values) + (values.shape[0],))
+    data[tuple(domain.axis_positions.T)] = values.T
+    return data
+
+
 def _stack_contract(data: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
     """(P, k^D, N) sums of the subjects-last (m1..mD, N) data tensor against
     per-point factor stacks (P, k, m_d): axis 0 as one matmul over every
@@ -108,9 +120,7 @@ def _point_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, po
     if truncated:  # up to 4 D (P, M) arrays per stacked factor are cached per chunk
         targets, width = domain.coords.T, 4 * len(kinds) * D * domain.n_voxels
     else:
-        targets = domain.axis_values
-        data = np.zeros(tuple(a.size for a in targets) + (N,))
-        data[tuple(domain.axis_positions.T)] = values.T
+        targets, data = domain.axis_values, _data_tensor(domain, values)
         width = len(kinds) * data.size // data.shape[0]
     step = max(1, _CHUNK_CELLS // width)
     out = {key: np.empty((N, len(points))) for key in keys}
@@ -288,23 +298,14 @@ def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
 # ---------------------------------------------------------------------------
 
 
-def _padded_data_tensor(domain: VoxelSet, values: np.ndarray) -> np.ndarray:
-    """Embed (N, n_voxels) values into the dense (N, m1..mD) tensor over the
-    domain's axis values (zeros off the voxel set), so separable contractions
-    sum exactly over the set."""
-    shape = tuple(a.size for a in domain.axis_values)
-    data = np.zeros((values.shape[0],) + shape)
-    data[(slice(None),) + tuple(domain.axis_positions.T)] = values
-    return data
-
-
 def _contract(data: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """Apply per-axis smoothing matrices to (N, m1..mD) data."""
+    """(N, q1..qD) sums of the subjects-last (m1..mD, N) data tensor against
+    per-axis (q_d, m_d) matrices, flattened to (N, q1 * .. * qD).  Each axis
+    is one GEMM on the leading axis, which moves that axis to the end."""
     out = data
-    D = len(mats)
-    for d in range(D):
-        out = np.moveaxis(np.tensordot(mats[d], out, axes=(1, d + 1)), 0, d + 1)
-    return out
+    for F in mats:
+        out = out.reshape(F.shape[1], -1).T @ F.T
+    return out.reshape(data.shape[-1], -1)
 
 
 def _unit(D: int, *axes: int) -> tuple:
@@ -317,13 +318,12 @@ def _unit(D: int, *axes: int) -> tuple:
 
 def _grid_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, grid: RefinedGrid,
                ids=None):
-    """s(a, b=None): the (N, m1..mD) data tensor of ``values`` over ``domain``
-    contracted along each axis d with the kernel factor of derivative order
-    a[d] (times the factor of order b[d]) and gathered at the grid points
-    ``ids`` (all when None), shape (N, Q).  With ``ids``, only the axis-0
-    grid rows those points touch are contracted."""
-    D, N = domain.dimension, values.shape[0]
-    data = _padded_data_tensor(domain, values)
+    """s(a, b=None): the subjects-last data tensor of ``values`` over
+    ``domain`` contracted along each axis d with the kernel factor of
+    derivative order a[d] (times the factor of order b[d]), then taken at the
+    grid points ``ids`` (all when None) as contiguous (N, Q) columns.  With
+    ``ids``, only the axis-0 grid rows those points touch are contracted."""
+    D, data = domain.dimension, _data_tensor(domain, values)
     axes = tuple(grid.axis_positions(ids))
     rows = slice(None)
     if ids is not None and len(axes[0]):
@@ -332,27 +332,16 @@ def _grid_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, gri
         axes = (axes[0] - lo,) + axes[1:]
 
     @cache
-    def flat_index(shape: tuple, strides: tuple) -> tuple:
-        """Axis order of a (m1..mD) array's memory layout and the flat
-        positions of ``axes`` in it."""
-        perm = np.argsort([-st for st in strides], kind="stable")
-        return perm, np.ravel_multi_index(tuple(axes[p] for p in perm), tuple(np.take(shape, perm)))
-
-    @cache
     def factor(d: int, order: int) -> np.ndarray:
         t = grid.axis_coords[d][rows if d == 0 else slice(None), None] - domain.axis_values[d]
         return kernel.axis_factor(d, t, order)
 
+    flat = np.ravel_multi_index(axes, tuple(len(factor(d, 0)) for d in range(D)))
+
     def s(a: tuple, b: tuple | None = None) -> np.ndarray:
         mats = [factor(d, a[d]) if b is None else factor(d, a[d]) * factor(d, b[d])
                 for d in range(D)]
-        out = _contract(data, mats)
-        if N > 1:
-            return out[(slice(None),) + axes]
-        # One field: a flat take in memory order, an exact copy of the
-        # per-axis gather at a fraction of its cost.
-        perm, idx = flat_index(out.shape[1:], out.strides[1:])
-        return out[0].transpose(perm).reshape(-1).take(idx).reshape(1, -1)
+        return _contract(data, mats).take(flat, axis=1)
 
     return s
 
@@ -360,8 +349,6 @@ def _grid_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, gri
 def _derivative_arrays(s, D: int, derivatives: int):
     """(val, grad, hess) from the sums ``s(a)``, one call per derivative
     multi-index; the derivatives above ``derivatives`` are None."""
-    # The value stays the array s returns: on grids its (column-major)
-    # layout sets the summation order of the t statistic computed from it.
     out = [s(_unit(D))]
     for n in range(1, derivatives + 1):
         out.append(np.empty(out[0].shape + (D,) * n))
@@ -381,10 +368,10 @@ def smooth_on_grid(
 ) -> dict[str, np.ndarray]:
     """Smoothed fields (and exact derivatives) at every grid point.
 
-    Exploits kernel separability: the data tensor is contracted with one
-    smoothing matrix per axis, then gathered at the grid's points.  Returns
-    'value': (N, P) plus, if requested, 'grad': (N, P, D) and
-    'hess': (N, P, D, D).
+    Exploits kernel separability: the subjects-last data tensor is
+    contracted with one smoothing matrix per axis, then taken at the grid's
+    points.  Returns 'value': (N, P) plus, if requested, 'grad': (N, P, D)
+    and 'hess': (N, P, D, D).
 
     The separable path cannot express a Euclidean truncation radius exactly,
     so truncated kernels must use the generic point path.

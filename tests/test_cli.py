@@ -196,6 +196,37 @@ def test_threshold_t_family_requires_df(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--fwhm", "nan"], "error: fwhm must be positive and finite"),
+    (["--fwhm", "inf"], "error: fwhm must be positive and finite"),
+    (["--fwhm", "3", "--truncation", "nan"], "error: truncation radius must be positive and finite"),
+])
+def test_lkc_rejects_non_finite_kernel(tmp_path, capsys, extra, message):
+    rc = main(["lkc", "--preset", "nonstat2d", *extra, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lkcs, df, message", [
+    ("1,nan,100", "49", "config error: --lkcs must be finite"),
+    ("1,20,inf", "49", "config error: --lkcs must be finite"),
+    ("1,20,100", "nan", "config error: --df must be finite"),
+])
+def test_threshold_rejects_non_finite_input(tmp_path, capsys, lkcs, df, message):
+    rc = main(["threshold", "--lkcs", lkcs, "--family", "t", "--df", df, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "o").exists()
+
+
+def test_threshold_without_crossing_is_an_error(tmp_path, capsys):
+    rc = main(["threshold", "--lkcs", "0,0,0", "--family", "t", "--df", "40", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: no level with expected EC")
+    assert not (tmp_path / "o").exists()
+
+
 def test_surf_eval_cli(tmp_path):
     dom = VoxelSet(np.arange(0.0, 10.0)[:, None])
     ens = sample_ensemble(dom, 2, RngSpec(1))

@@ -93,6 +93,15 @@ def test_invalid_construction():
         GaussianKernel.isotropic(2.0, 1, truncation=0.0)
 
 
+@pytest.mark.parametrize("fwhm, truncation", [
+    ((math.nan,) * 2, None), ((math.inf,) * 2, None), ((2.0, math.nan), None),
+    ((2.0, 2.0), math.nan), ((2.0, 2.0), math.inf),
+])
+def test_non_finite_parameters_rejected(fwhm, truncation):
+    with pytest.raises(ValueError, match="finite"):
+        GaussianKernel(fwhm, truncation)
+
+
 def test_kernel_from_config():
     from surfield.kernel import kernel_from_config
 

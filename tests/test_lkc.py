@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surfield
 from surfield.geometry import sqrt_det_psd, sqrt_det_sub, theta_batch
 from surfield.kernel import GaussianKernel
 from surfield.lattice import RngSpec, VoxelSet, make_domain_preset, sample_ensemble
@@ -272,3 +277,30 @@ def test_slab_bounds_match_key_search(monkeypatch, nonstat3d_r3, name):
             if b - want[-1] > slab_points:
                 want.append(a)
         np.testing.assert_array_equal(lkc_module._slabs(grid), want + [grid.n_points])
+
+
+def test_ensemble_lkcs_and_t_field_bits_independent_of_blas_threads():
+    # Each run is a fresh process, since OpenBLAS reads its thread count at load.
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from surfield.kernel import GaussianKernel\n"
+        "from surfield.lattice import RngSpec, make_domain_preset, sample_ensemble\n"
+        "from surfield.lkc import lkc_compute\n"
+        "from surfield.manifold import VoxelManifold, refined_grid\n"
+        "from surfield.surf import SurfSpec, t_field_on_grid\n"
+        "dom = make_domain_preset('nonstat3d')\n"
+        "man, k = VoxelManifold(dom), GaussianKernel.isotropic(3.0, 3)\n"
+        "ens = sample_ensemble(dom, 50, RngSpec(5))\n"
+        "grid = refined_grid(man, 1)\n"
+        "print(np.array(lkc_compute(ens, k, man, 1, grid=grid).values).tobytes().hex())\n"
+        "print(hashlib.sha256(t_field_on_grid(SurfSpec(ens, k), grid).tobytes()).hexdigest())\n"
+    )
+    src = str(Path(surfield.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                   text=True, timeout=120, check=True).stdout)
+    assert runs[0] == runs[1]

@@ -355,3 +355,32 @@ def test_untruncated_point_paths_never_build_the_pairwise_design(monkeypatch):
     for source in ("white-noise", ens):
         metric(source, k, dom, pts)
         christoffel(source, k, dom, pts)
+
+
+# ---------------------------------------------------------------------------
+# Grid engine against direct sums
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_fields", [4, 1])
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_grid_engine_matches_direct_sums(D, n_fields):
+    from surfield.surf import _derivative_arrays, _grid_sums
+
+    dom, _ = point_engine_case(D)
+    ens = sample_ensemble(dom, 4, RngSpec(23 + D))
+    ens = FieldEnsemble(dom, ens.values[:n_fields])
+    k = GaussianKernel((2.0, 2.6, 3.1)[:D])
+    grid = refined_grid(VoxelManifold(dom), 3 if D < 3 else 1)
+    full = smooth_on_grid(ens, k, grid, derivatives=2)
+    rng = np.random.default_rng(D)
+    # every point of the 1-D grid; elsewhere a sample (the direct Hessian is (P, M, D, D))
+    check = np.arange(grid.n_points) if D == 1 else np.sort(rng.choice(grid.n_points, 300, replace=False))
+    start = grid.n_points // 3
+    slab = np.arange(start, start + min(300, grid.n_points // 2))
+    part = _derivative_arrays(_grid_sums(k, dom, ens.values, grid, ids=slab), D, 2)
+    for ids, got in ((check, [full[key][:, check] for key in ("value", "grad", "hess")]), (slab, part)):
+        want, _ = direct_sums(k, dom, ens.values, grid.points[ids])
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=1e-11, atol=1e-12 * np.abs(w).max())
