@@ -77,8 +77,8 @@ def _load_domain(args) -> tuple[VoxelSet, str, FieldEnsemble | None]:
             raise ConfigError(f"preset must be one of {PRESET_NAMES}")
         needs_f = args.preset.startswith("stat")
         fwhm = getattr(args, "fwhm", None)
-        if needs_f and not fwhm:
-            raise ConfigError("stationary presets require --fwhm")
+        if needs_f and not (fwhm is not None and 0 < fwhm < np.inf):
+            raise ConfigError(f"stationary presets require a positive, finite --fwhm, got {fwhm}")
         dom = make_domain_preset(args.preset, fwhm if needs_f else None)
         if ens is not None and not np.array_equal(
             np.unique(ens.domain.coords, axis=0), np.unique(dom.coords, axis=0)
@@ -151,6 +151,10 @@ def _cmd_threshold(args) -> int:
     lk = [float(x) for x in args.lkcs.split(",")]
     if not np.all(np.isfinite(lk)):
         raise ConfigError(f"--lkcs must be finite, got {args.lkcs}")
+    # LkcVector's rule at the top nonzero L_D (trailing zeros: a lower-dimensional set)
+    D = max((d for d, v in enumerate(lk) if v != 0), default=0)
+    if lk[D] < 0 or (D >= 2 and lk[D - 1] <= 0):
+        raise ConfigError(f"--lkcs needs L_D > 0 and, for D >= 2, L_(D-1) > 0, got {args.lkcs}")
     if args.family == "t" and args.df is None:
         raise ConfigError("--family t requires --df")
     if args.df is not None and not np.isfinite(args.df):

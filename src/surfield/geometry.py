@@ -16,6 +16,9 @@ derivatives of per-axis orders ``a`` and ``b``.  Two providers supply it:
 Both read the sums ``s(a, b=None)`` of ``surf``'s engines: ``_grid_sums`` on
 tensor-product grids, ``_point_sums`` at arbitrary points and for truncated
 kernels; the white-noise point sums are the ones that normalize fields.
+
+Boundary strata read the metric alone: ``orthonormal_frame`` adapts a frame
+to a face plane, ``theta_batch`` gives a 3-D edge's angle in closed form.
 """
 from __future__ import annotations
 
@@ -219,27 +222,6 @@ def orthonormal_frame(lam: np.ndarray, I: tuple[int, int]):
     return U, V, N
 
 
-def _beta_angle(lam: np.ndarray) -> np.ndarray:
-    """Opening angle, measured in the metric, of the canonical solid wedge
-    {y1 <= 0, y2 <= 0} at an edge running along axis 0, for metric(s) in
-    edge-adapted coordinates."""
-    _, V, N = orthonormal_frame(lam, (0, 1))
-    mvec = np.cross(V, N)
-    m1, m2, m3 = mvec[..., 0], mvec[..., 1], mvec[..., 2]
-    shape = mvec.shape
-    a = np.zeros(shape)
-    b = np.zeros(shape)
-    a[..., 0] = m2 / m1
-    a[..., 1] = -1.0
-    b[..., 0] = m3 / m1
-    b[..., 2] = -1.0
-    la = np.einsum("...d,...de,...e->...", a, lam, a)
-    lb = np.einsum("...d,...de,...e->...", b, lam, b)
-    ab = np.einsum("...d,...de,...e->...", a, lam, b)
-    cosb = ab / np.sqrt(la * lb)
-    return np.arccos(np.clip(cosb, -1.0, 1.0))
-
-
 def theta_angle(
     lam: np.ndarray,
     tangent_axis: int,
@@ -255,12 +237,7 @@ def theta_angle(
     concave.  Convex edges contribute pi - beta, double-convex -2 beta,
     concave beta - pi.  Returns a scalar for one matrix, else shape (...).
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    flat = lam.reshape(-1, 3, 3)
-    n = flat.shape[0]
-    types = np.full(n, EdgeType(edge_type), dtype=np.int8)
-    out = theta_batch(flat, tangent_axis, types, np.tile(np.asarray(refl), (n, 1)))
-    return out.reshape(lam.shape[:-2])[()]
+    return theta_batch(np.asarray(lam, dtype=np.float64), tangent_axis, EdgeType(edge_type), refl)[()]
 
 
 def theta_batch(
@@ -269,24 +246,27 @@ def theta_batch(
     types: np.ndarray,
     refl: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized theta over points sharing a tangent axis.
+    """Vectorized theta over points sharing a tangent axis k.
 
-    ``lam`` (Q, 3, 3), ``types`` (Q,) EdgeType codes, ``refl`` (Q, 2)."""
+    ``lam`` (..., 3, 3), ``types`` (...) EdgeType codes, ``refl`` (..., 2).
+    The canonical wedge opens at pi minus the metric angle between its face
+    conormals lam^-1 e_p and lam^-1 e_q (transverse axes p < q), so cos beta
+    = s_p s_q (l_kk l_pq - l_kp l_kq) / sqrt((l_kk l_pp - l_kp^2)(l_kk l_qq
+    - l_kq^2)): a reflection (s = -1) of one transverse axis flips its sign.
+    """
     k = tangent_axis
     p, q = [d for d in range(3) if d != k]
-    perm = (k, p, q)
-    lamp = lam[:, perm, :][:, :, perm]
-    signs = np.concatenate([np.ones((len(lam), 1)), refl.astype(np.float64)], axis=1)
-    lamp = lamp * signs[:, :, None] * signs[:, None, :]
-    beta = _beta_angle(lamp)
-    out = np.empty(len(lam))
-    conv = types == EdgeType.CONVEX
-    dbl = types == EdgeType.DOUBLE_CONVEX
-    conc = types == EdgeType.CONCAVE
-    out[conv] = np.pi - beta[conv]
-    out[dbl] = -2.0 * beta[dbl]
-    out[conc] = beta[conc] - np.pi
-    return out
+    lkk = lam[..., k, k]
+    minor_p = lkk * lam[..., p, p] - lam[..., k, p] ** 2
+    minor_q = lkk * lam[..., q, q] - lam[..., k, q] ** 2
+    if not np.all((lkk > 0) & (minor_p > 0) & (minor_q > 0)):
+        raise np.linalg.LinAlgError("metric is singular on a face plane of the edge")
+    cross = lkk * lam[..., p, q] - lam[..., k, p] * lam[..., k, q]
+    cosb = np.prod(refl, axis=-1) * cross / np.sqrt(minor_p * minor_q)
+    beta = np.arccos(np.clip(cosb, -1.0, 1.0))
+    # convex pi - beta, double-convex -2 beta, concave -(pi - beta)
+    out = np.where(types == EdgeType.DOUBLE_CONVEX, -2.0 * beta, np.pi - beta)
+    return np.where(types == EdgeType.CONCAVE, -out, out)
 
 
 # ---------------------------------------------------------------------------

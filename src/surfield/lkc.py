@@ -143,7 +143,7 @@ def _face_correction(
         integrand = (
             (U[:, k] ** 2 + V[:, k] ** 2) * np.einsum("pd,pd->p", N, gam[:, k, k, :])
             + V[:, l] ** 2 * np.einsum("pd,pd->p", N, gam[:, l, l, :])
-            + V[:, k] * V[:, l] * np.einsum("pd,pd->p", N, gam[:, k, l, :])
+            + 2.0 * V[:, k] * V[:, l] * np.einsum("pd,pd->p", N, gam[:, k, l, :])
         )
         area, _ = sqrt_det_sub(lam_pts, (k, l))
         sums.append(float(np.sum(table["weights"] * integrand * area)))

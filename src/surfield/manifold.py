@@ -124,8 +124,7 @@ class VoxelManifold:
         spans one box extent along every other axis.  Returns a boolean array
         (2^|S|, *cells): entry ``code`` holds the box on the upper side of the
         plane of axis ``S[a]`` where bit a of ``code`` is set, on the lower
-        side otherwise.  Use ``_cell_boxes`` to turn cell positions into box
-        indices.
+        side otherwise.
         """
         O = self._padded
         shape = tuple(n - 1 if d in S else n - 2 for d, n in enumerate(O.shape))
@@ -137,13 +136,6 @@ class VoxelManifold:
                 sl[d] = slice(up, O.shape[d] - 1 + up)
             out[code] = O[tuple(sl)]
         return out
-
-    def _cell_boxes(self, S: tuple[int, ...], cells: np.ndarray) -> np.ndarray:
-        """Box index of (K, D) cell positions from ``_cell_patterns(S)``: the
-        spanned box, or along an axis of ``S`` the box below the plane."""
-        box = cells + self._origin
-        box[:, list(S)] -= 1
-        return box
 
     def box_bounds(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners of the boxes with the given index vectors."""
@@ -185,8 +177,9 @@ class RefinedGrid:
         entry ``keys[i] - key_min`` holds i
     key_min : (D,) int64 key at the id map's origin
     axis_keys, axis_coords : per axis, the sorted grid keys and their coordinates
-    face_tables, edge_tables : boundary quadrature tables with int32 ids
-        (r >= 1, see ``_build_boundary_tables``)
+    face_tables, edge_tables : boundary quadrature tables (r >= 1): per face
+        normal axis m, int32 "ids", "weights" and "outward" sides; in 3D, per
+        edge tangent axis k, "ids", "weights", "types", "refl" and "tangent"
     """
 
     def __init__(self, manifold: VoxelManifold, r: int):
@@ -247,64 +240,47 @@ class RefinedGrid:
         return np.stack([-((h - keys) // step), (keys + h) // step])
 
     def _build_boundary_tables(self, h: int, step: int):
-        """Quadrature tables for boundary strata.
+        """Quadrature tables for boundary strata, one entry per (unit cell of
+        the stratum, grid point on it).
 
-        Faces: one entry per (exterior unit face, grid point on it), carrying
-        the tensor-trapezoid multiplicity and the outward side.  Edges (3D):
-        one entry per (boundary unit edge segment, grid point on it) with the
-        segment's type and the axis reflections that bring its occupancy to
-        the canonical orientation.
+        A cell on the planes of the axes S holds the points at the plane key
+        on each axis of S and at every sub-step of its box on each spanned
+        axis; entries run over the cells in ``argwhere`` order, then over the
+        sub-steps with axis 0 slowest.  Faces add their outward side, edges
+        their type and the reflections to the canonical orientation.
         """
         man = self.manifold
         D = self.dimension
-        z = np.arange(-h, h + 1)
         zw = np.ones(self.r + 2)
         zw[0] = zw[-1] = 0.5
+
+        def table(S: list[int], cells: np.ndarray, **columns) -> dict:
+            """Ids and weights of ``cells`` on the planes of S, plus per-cell ``columns``."""
+            spanned = [d for d in range(D) if d not in S]
+            npt = (self.r + 2) ** len(spanned)
+            sub = np.indices((self.r + 2,) * len(spanned)).reshape(len(spanned), npt).T
+            # the spanned box, or along an axis of S the box below the plane
+            box = cells + man._origin
+            box[:, S] -= 1
+            keys = np.empty((len(cells), npt, D), dtype=np.int64)
+            keys[:, :, S] = box[:, None, S] * step + h
+            keys[:, :, spanned] = box[:, None, spanned] * step + sub - h
+            return {
+                "ids": self._lookup_ids(keys.reshape(-1, D)),
+                "weights": np.tile(zw[sub].prod(axis=1), len(cells)),
+                **{name: np.repeat(v, npt, axis=0) for name, v in columns.items()},
+            }
 
         self.face_tables: dict[int, dict[str, np.ndarray]] = {}
         for m in range(D):
             cells, outward = _exterior_faces(man, m)
-            # the face lies on the upper plane of the box below it
-            box = man._cell_boxes((m,), cells)
-            tangential = [d for d in range(D) if d != m]
-            n_faces = cells.shape[0]
-            npt = (self.r + 2) ** (D - 1)
-            # tangential sub-steps of the face's points, axis 0 slowest
-            sub = np.indices((self.r + 2,) * (D - 1)).reshape(D - 1, npt).T
-            keys = np.empty((n_faces, npt, D), dtype=np.int64)
-            keys[:, :, m] = box[:, m, None] * step + h
-            for a, d in enumerate(tangential):
-                keys[:, :, d] = box[:, d, None] * step + sub[None, :, a] - h
-            self.face_tables[m] = {
-                "ids": self._lookup_ids(keys.reshape(-1, D)),
-                "weights": np.tile(zw[sub].prod(axis=1), n_faces),
-                "outward": np.repeat(outward, npt),
-            }
-
+            self.face_tables[m] = table([m], cells, outward=outward)
         self.edge_tables: list[dict[str, np.ndarray]] = []
-        if D != 3:
-            return
-        for k in range(3):
-            p, q = [d for d in range(3) if d != k]
+        for k in range(3 if D == 3 else 0):
             cells, codes = _edge_cells(man, k)
-            # along k the segment spans its box; transverse it sits on the planes
-            box = man._cell_boxes((p, q), cells)
-            npt = self.r + 2
-            n_cells = cells.shape[0]
-            keys = np.empty((n_cells, npt, 3), dtype=np.int64)
-            keys[:, :, k] = box[:, k, None] * step + z[None, :]
-            keys[:, :, p] = box[:, p, None] * step + h
-            keys[:, :, q] = box[:, q, None] * step + h
-            self.edge_tables.append(
-                {
-                    "ids": self._lookup_ids(keys.reshape(-1, 3)),
-                    "weights": np.tile(zw, n_cells),
-                    "types": np.repeat(_EDGE_TYPE[codes], npt),
-                    "refl": np.repeat(_EDGE_REFL[codes], npt, axis=0),
-                    "tangent": k,
-                    "trans": (p, q),
-                }
-            )
+            transverse = [d for d in range(3) if d != k]
+            tab = table(transverse, cells, types=_EDGE_TYPE[codes], refl=_EDGE_REFL[codes])
+            self.edge_tables.append(dict(tab, tangent=k))
 
     # -- lookups ---------------------------------------------------------------
 

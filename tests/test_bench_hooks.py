@@ -1,0 +1,26 @@
+"""The benchmark's tracer wraps surfield from outside, by name; a rename in
+the package must not leave it looking up a name that is gone."""
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from bench.tracing import KERNEL_METHODS, LAYERS, Tracer
+    from surfield.kernel import GaussianKernel
+
+    mods = {name: importlib.import_module(f"surfield.{name}") for name in LAYERS}
+    before = {name: dict(vars(mod)) for name, mod in mods.items()}
+    methods = {m: getattr(GaussianKernel, m) for m in KERNEL_METHODS}
+    tr = Tracer()
+    tr.install()
+    try:
+        assert all(getattr(GaussianKernel, m) is not fn for m, fn in methods.items())
+        assert mods["inference"]._sciopt is not before["inference"]["_sciopt"]
+        assert mods["manifold"].refined_grid is not before["manifold"]["refined_grid"]
+    finally:
+        tr.uninstall()
+    assert {name: dict(vars(mod)) for name, mod in mods.items()} == before
+    assert {m: getattr(GaussianKernel, m) for m in KERNEL_METHODS} == methods

@@ -208,13 +208,27 @@ def test_lkc_rejects_non_finite_kernel(tmp_path, capsys, extra, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["lkc", "census"])
+@pytest.mark.parametrize("fwhm", [None, "nan", "inf", "0", "-2"])
+def test_stationary_preset_rejects_bad_fwhm(tmp_path, capsys, command, fwhm):
+    extra = [] if fwhm is None else [f"--fwhm={fwhm}"]
+    rc = main([command, "--preset", "stat2d", *extra, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: stationary presets require a positive, finite --fwhm")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("lkcs, df, message", [
     ("1,nan,100", "49", "config error: --lkcs must be finite"),
     ("1,20,inf", "49", "config error: --lkcs must be finite"),
     ("1,20,100", "nan", "config error: --df must be finite"),
+    # LkcVector's rule at the top nonzero L_D: L_D > 0 and, for D >= 2, L_(D-1) > 0
+    *[(lkcs, "40", "config error: --lkcs needs L_D > 0")
+      for lkcs in ("1,-1e9,100", "1,20,-100", "1,0,100", "1,-5", "-1")],
 ])
 def test_threshold_rejects_non_finite_input(tmp_path, capsys, lkcs, df, message):
-    rc = main(["threshold", "--lkcs", lkcs, "--family", "t", "--df", df, "--out", str(tmp_path / "o")])
+    rc = main(["threshold", f"--lkcs={lkcs}", "--family", "t", "--df", df, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "o").exists()

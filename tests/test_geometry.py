@@ -264,26 +264,41 @@ def wedge_angle_oracle(lam):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_theta_matches_direct_wedge_angle(seed):
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 2]),
+    st.sampled_from([(1, 1), (-1, 1), (1, -1), (-1, -1)]),
+)
+def test_theta_matches_direct_wedge_angle(seed, k, refl):
+    # the oracle's frame: tangent axis first, then the transverse axes in
+    # ascending order, each reflected to the canonical orientation
     lam = random_spd(np.random.default_rng(seed))
-    beta = wedge_angle_oracle(lam)
-    got = theta_angle(lam, 0, EdgeType.CONVEX)
+    axes = [k] + [d for d in range(3) if d != k]
+    signs = np.array([1.0, *refl])
+    beta = wedge_angle_oracle(lam[np.ix_(axes, axes)] * np.outer(signs, signs))
+    got = theta_angle(lam, k, EdgeType.CONVEX, refl)
     assert got == pytest.approx(math.pi - beta, rel=1e-9, abs=1e-9)
-    assert theta_angle(lam, 0, EdgeType.DOUBLE_CONVEX) == pytest.approx(-2 * beta, rel=1e-9)
-    assert theta_angle(lam, 0, EdgeType.CONCAVE) == pytest.approx(beta - math.pi, rel=1e-9, abs=1e-9)
+    assert theta_angle(lam, k, EdgeType.DOUBLE_CONVEX, refl) == pytest.approx(-2 * beta, rel=1e-9)
+    assert theta_angle(lam, k, EdgeType.CONCAVE, refl) == pytest.approx(
+        beta - math.pi, rel=1e-9, abs=1e-9
+    )
 
 
 def test_theta_reflection_consistency():
     # reflecting a transverse axis flips the sign of the mixed metric terms;
-    # an edge whose solid quadrant is (+,-) must give the same angle as the
-    # canonical computation on the reflected metric
+    # an edge whose solid quadrant is reflected along one transverse axis
+    # must give the same angle as the canonical computation on the
+    # reflected metric, for every tangent axis and either transverse axis
     rng = np.random.default_rng(99)
     lam = random_spd(rng)
-    R = np.diag([1.0, -1.0, 1.0])
-    direct = theta_angle(R @ lam @ R, 0, EdgeType.CONVEX)
-    via_refl = theta_angle(lam, 0, EdgeType.CONVEX, refl=(-1, 1))
-    assert direct == pytest.approx(via_refl, rel=1e-12)
+    for k in range(3):
+        for a, axis in enumerate(d for d in range(3) if d != k):
+            R = np.diag([-1.0 if d == axis else 1.0 for d in range(3)])
+            refl = (-1, 1) if a == 0 else (1, -1)
+            direct = theta_angle(R @ lam @ R, k, EdgeType.CONVEX)
+            via_refl = theta_angle(lam, k, EdgeType.CONVEX, refl=refl)
+            assert direct == pytest.approx(via_refl, rel=1e-12)
+            assert direct != pytest.approx(theta_angle(lam, k, EdgeType.CONVEX), rel=1e-6)
 
 
 def test_cube_consistency_edge_sum():
@@ -303,6 +318,10 @@ def test_cube_consistency_edge_sum():
 def test_singular_metric_rejected():
     with pytest.raises(np.linalg.LinAlgError):
         orthonormal_frame(np.zeros((3, 3)), (0, 1))
+    # a face plane of the edge on which the metric is degenerate
+    for k, lam in ((0, np.diag([1.0, 1.0, 0.0])), (2, np.diag([1.0, 0.0, 1.0])), (1, np.zeros((3, 3)))):
+        with pytest.raises(np.linalg.LinAlgError):
+            theta_angle(lam, k, EdgeType.CONVEX)
 
 
 def test_sqrt_det_psd_repair():

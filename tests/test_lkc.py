@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import surfield
-from surfield.geometry import sqrt_det_psd, sqrt_det_sub, theta_batch
+from surfield.geometry import (
+    christoffel_on_grid,
+    metric_on_grid,
+    orthonormal_frame,
+    sqrt_det_psd,
+    sqrt_det_sub,
+    theta_batch,
+)
 from surfield.kernel import GaussianKernel
 from surfield.lattice import RngSpec, VoxelSet, make_domain_preset, sample_ensemble
 from surfield import lkc as lkc_module
@@ -255,6 +262,31 @@ def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
     assert len(lkc_module._slabs(grid)) > 20
     np.testing.assert_allclose(many.values, one.values, rtol=1e-13, atol=0)
     assert many.diagnostics == one.diagnostics
+
+
+def test_face_term_is_the_full_frame_trace(nonstat3d_r3):
+    # oracle: the face integrand is the trace Q(U,U) + Q(V,V) of the second
+    # fundamental form Q(X,Y) = <N, Gamma(X,Y)> over each face's metric
+    # frame, against metric area, rebuilt point by point from the metric
+    # and the Christoffel symbols
+    man, grid = nonstat3d_r3
+    k = GaussianKernel.isotropic(2.0, 3)
+    base = lkc_compute("white-noise", k, man, 3, grid=grid)
+    with_face = lkc_compute("white-noise", k, man, 3, grid=grid, include_face_term=True)
+    h = man.domain.spacing / (grid.r + 1)
+    want = 0.0
+    for m, t in grid.face_tables.items():
+        I = tuple(d for d in range(3) if d != m)
+        uniq, inv = np.unique(t["ids"], return_inverse=True)
+        lam = metric_on_grid("white-noise", k, grid, point_ids=uniq)[inv]
+        gam = christoffel_on_grid("white-noise", k, grid, point_ids=uniq)[inv]
+        U, V, N = orthonormal_frame(lam, I)
+        Q = np.einsum("pabd,pd->pab", gam, N * t["outward"][:, None])
+        trace = np.einsum("pa,pab,pb->p", U, Q, U) + np.einsum("pa,pab,pb->p", V, Q, V)
+        area = np.sqrt(np.linalg.det(lam[:, I][:, :, I]))
+        want += np.sum(t["weights"] * trace * area) * np.prod(h[list(I)])
+    assert with_face[1] - base[1] == pytest.approx(want / (2 * math.pi), rel=1e-10)
+    assert with_face.values[0] == base.values[0] and with_face.values[2:] == base.values[2:]
 
 
 @pytest.mark.parametrize("name", ["stat3d", "nonstat3d", "gapped"])
