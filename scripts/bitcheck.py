@@ -1,0 +1,131 @@
+"""Dump the numbers a refactor of the replication path must hold, and
+compare two dumps.
+
+    PYTHONPATH=<src> OPENBLAS_NUM_THREADS=1 python scripts/bitcheck.py dump OUT.npz
+    python scripts/bitcheck.py compare BEFORE.npz AFTER.npz
+
+``dump`` records criterion 4's two FWER runs (2 x 500 replications,
+per-replication details), the ``fwer-sim`` report at 1 and 3 threads,
+white-noise and ensemble LKCs with the face term off and on, the smoothed
+fields, the t field and the geometry at points and on a grid, and the
+normalized fields.  ``compare`` requires every array to be bit-identical,
+except the normalized gradient and Hessian (keys ``norm_*``), which may move
+by 1e-14 of their largest magnitude.
+"""
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+NORM_TOL = 1e-14
+
+
+def dump(path: str) -> None:
+    from surfield.cli import main
+    from surfield.geometry import christoffel, christoffel_on_grid, metric, metric_on_grid
+    from surfield.inference import fwer_experiment
+    from surfield.kernel import GaussianKernel
+    from surfield.lattice import RngSpec, make_domain_preset, sample_ensemble
+    from surfield.lkc import lkc_compute
+    from surfield.manifold import VoxelManifold, refined_grid
+    from surfield.surf import SurfSpec, smooth_on_grid, surf_eval, t_field, t_field_on_grid
+
+    out: dict[str, np.ndarray] = {}
+    for fwhm, seed in ((3.0, 20260810), (1.0, 20260811)):
+        rep = fwer_experiment("stat2d", fwhm, 50, 500, 0.05, rng=RngSpec(seed), keep_details=True)
+        for name, arr in rep.details.items():
+            out[f"fwer{fwhm:g}_{name}"] = arr
+        out[f"fwer{fwhm:g}_report"] = np.array(json.dumps(rep.to_dict(), sort_keys=True))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "nonstat2d", "fwhm": 2.0, "n_subjects": 12,
+                                   "n_reps": 8, "alpha": 0.1, "seed": 3}))
+        for threads in (1, 3):
+            o = Path(tmp) / f"t{threads}"
+            assert main(["fwer-sim", "--config", str(cfg), "--threads", str(threads), "--out", str(o)]) == 0
+            out[f"cli_report_threads{threads}"] = np.array((o / "fwer_report.json").read_text())
+
+    for preset, fwhm, r, n in (("stat2d", 3.0, 3, 20), ("stat3d", 3.0, 7, 5), ("nonstat1d", 2.0, 3, 20),
+                               ("nonstat2d", 2.0, 3, 20), ("nonstat3d", 2.0, 3, 20)):
+        dom = make_domain_preset(preset, fwhm if preset.startswith("stat") else None)
+        man = VoxelManifold(dom.interior or dom)
+        kern = GaussianKernel.isotropic(fwhm, dom.dimension)
+        grid = refined_grid(man, r)
+        ens = sample_ensemble(dom, n, RngSpec(11))
+        for face in (False, True):
+            wn = lkc_compute("white-noise", kern, man, r, sample_domain=dom, grid=grid, include_face_term=face)
+            est = lkc_compute(ens, kern, man, r, grid=grid, include_face_term=face)
+            out[f"lkc_{preset}_face{int(face)}_wn"] = np.array(wn.values)
+            out[f"lkc_{preset}_face{int(face)}_ens"] = np.array(est.values)
+        del grid
+
+    for preset, trunc in (("nonstat2d", None), ("nonstat3d", None), ("nonstat2d", 6.0)):
+        dom = make_domain_preset(preset)
+        D = dom.dimension
+        kern = GaussianKernel.isotropic(2.0, D, trunc)
+        ens = sample_ensemble(dom, 8, RngSpec(5))
+        draw = np.random.default_rng(9)
+        pts = dom.coords[draw.integers(dom.n_voxels, size=60)] + draw.uniform(-0.5, 0.5, (60, D))
+        tag = f"{preset}_trunc{trunc}"
+        for order in ("value", "gradient", "hessian"):
+            out[f"eval_{tag}_{order}"] = surf_eval(SurfSpec(ens, kern), pts, order)
+            out[f"norm_{tag}_{order}"] = surf_eval(SurfSpec(ens, kern, normalized=True), pts, order)
+        t, gt = t_field(SurfSpec(ens, kern), pts, "both")
+        out[f"t_{tag}"], out[f"gt_{tag}"] = t, gt
+        for source in ("white-noise", ens):
+            s = "wn" if isinstance(source, str) else "ens"
+            out[f"metric_{tag}_{s}"] = metric(source, kern, dom, pts)
+            out[f"christoffel_{tag}_{s}"] = christoffel(source, kern, dom, pts)
+        if trunc is None:
+            grid = refined_grid(VoxelManifold(dom), 1)
+            for key, arr in smooth_on_grid(ens, kern, grid, derivatives=2).items():
+                out[f"grid_{tag}_{key}"] = arr
+            out[f"grid_{tag}_t"] = t_field_on_grid(SurfSpec(ens, kern), grid)
+            ids = np.arange(0, grid.n_points, 3)
+            for source in ("white-noise", ens):
+                s = "wn" if isinstance(source, str) else "ens"
+                out[f"grid_{tag}_metric_{s}"] = metric_on_grid(source, kern, grid, dom, ids)
+                out[f"grid_{tag}_christoffel_{s}"] = christoffel_on_grid(source, kern, grid, dom, ids)
+    np.savez(path, **out)
+    print(f"wrote {len(out)} arrays to {path}")
+
+
+def compare(before: str, after: str) -> int:
+    a, b = np.load(before), np.load(after)
+    bad = sorted(set(a.files) ^ set(b.files))
+    for key in bad:
+        print(f"MISSING {key}")
+    for key in sorted(set(a.files) & set(b.files)):
+        x, y = a[key], b[key]
+        if x.dtype.kind == "U":
+            ok = x.shape == y.shape and bool(np.all(x == y))
+            print(f"{'same' if ok else 'DIFF'} {key}")
+        elif key.startswith("norm_") and not key.endswith("_value"):
+            scale = float(np.max(np.abs(x)))
+            drift = float(np.max(np.abs(x - y))) / scale
+            ok = x.dtype == y.dtype and drift <= NORM_TOL
+            print(f"{'within' if ok else 'DIFF'} {key}: drift {drift:.2e} of max |x|")
+        else:
+            ok = x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+            print(f"{'same' if ok else 'DIFF'} {key}")
+        bad += [] if ok else [key]
+    for dump_ in (a, b):  # the report must not depend on the thread count
+        if str(dump_["cli_report_threads1"]) != str(dump_["cli_report_threads3"]):
+            print("DIFF fwer-sim report between 1 and 3 threads")
+            bad.append("threads")
+    print(f"{len(bad)} difference(s)")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "dump":
+        dump(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    else:
+        sys.exit(__doc__)

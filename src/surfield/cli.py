@@ -198,6 +198,8 @@ def _load_fwer_config(path: str, overrides: dict) -> dict:
         raise ConfigError(f"config {path}: unknown fields {sorted(unknown)}")
     if cfg["preset"] not in PRESET_NAMES:
         raise ConfigError(f"config {path}: preset must be one of {PRESET_NAMES}")
+    if cfg["threads"] < 1:
+        raise ConfigError(f"config {path}: threads must be >= 1, got {cfg['threads']}")
     return cfg
 
 
@@ -391,8 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--lkcs" in argv[:-1]:  # joined, a negative L0 is not read as an option
+        i = argv.index("--lkcs")
+        argv[i:i + 2] = [f"--lkcs={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

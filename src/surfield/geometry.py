@@ -13,9 +13,8 @@ derivatives of per-axis orders ``a`` and ``b``.  Two providers supply it:
   derivative, each centred over the subjects: contractions of the
   subjects-last (m1..mD, N) data tensor.
 
-Both read the sums ``s(a, b=None)`` of ``surf``'s engines: ``_grid_sums`` on
-tensor-product grids, ``_point_sums`` at arbitrary points and for truncated
-kernels; the white-noise point sums are the ones that normalize fields.
+Both read the sums ``s(a, b=None)`` of the engine ``surf._sums`` chooses;
+the white-noise bundle is ``surf._white_noise_moments``, which normalizes fields.
 
 Boundary strata read the metric alone: ``orthonormal_frame`` adapts a frame
 to a face plane, ``theta_batch`` gives a 3-D edge's angle in closed form.
@@ -30,7 +29,7 @@ import numpy as np
 from .kernel import GaussianKernel
 from .lattice import VoxelSet
 from .manifold import EdgeType, RefinedGrid
-from .surf import DegenerateFieldError, _bundle, _grid_sums, _point_sums
+from .surf import DegenerateFieldError, _bundle, _sums, _white_noise_moments
 
 __all__ = [
     "metric",
@@ -97,30 +96,19 @@ def _christoffel_expr(S, Sd, Sdd, T2, U2) -> np.ndarray:
     return g
 
 
-def _moments(source, kernel, domain, hessian, *, points=None, grid=None, ids=None):
+def _moments(source, kernel, domain, hessian, **at):
     """(S, Sd, Sdd[, T2, U2]) of ``source`` at ``points``, or at the grid
-    points ``ids`` (all when None) of ``grid``.
+    points ``ids`` (all when None) of ``grid``, passed in ``at``.
 
     ``source`` is "white-noise" (single sums over ``domain``) or a
-    FieldEnsemble (sample covariances over its own domain).  Untruncated
-    kernels on a grid use the tensor-grid engine, everything else the point
-    engine.
+    FieldEnsemble (sample covariances over its own domain).
     """
-    separable = grid is not None and kernel.truncation is None
-    if grid is not None and not separable:
-        points = grid.points if ids is None else grid.points[ids]
-    D = kernel.dimension
-
-    def sums(dom, values, pairs=False):
-        if separable:
-            return _grid_sums(kernel, dom, values, grid, ids)
-        return _point_sums(kernel, dom, values, points, 2 if hessian else 1, pairs)
-
     if not isinstance(source, str):
         N = source.n_fields
         if N < 2:
             raise DegenerateFieldError("sample-based geometry requires at least two fields")
-        bundle = _bundle(_sample_moment(sums(source.domain, source.values), N), D, hessian)
+        s = _sums(kernel, source.domain, source.values, 2 if hessian else 1, **at)
+        bundle = _bundle(_sample_moment(s, N), kernel.dimension, hessian)
         if np.any(bundle[0] <= 0):
             raise DegenerateFieldError("zero sample variance at an evaluation point")
         return bundle
@@ -128,11 +116,7 @@ def _moments(source, kernel, domain, hessian, *, points=None, grid=None, ids=Non
         raise ValueError(f"unknown geometry source {source!r}")
     if domain is None:
         raise ValueError("white-noise geometry requires a voxel domain")
-    s = sums(domain, np.ones((1, domain.n_voxels)), pairs=True)
-    bundle = _bundle(lambda a, b: s(a, b)[0], D, hessian)
-    if np.any(bundle[0] < 1e-30):
-        raise DegenerateFieldError("vanishing field variance at an evaluation point")
-    return bundle
+    return _white_noise_moments(kernel, domain, hessian, **at)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import optimize as _sciopt  # noqa: F401  (bench/tracing.py wraps _sciopt.minimize)
@@ -364,21 +364,7 @@ class FwerReport:
     details: dict | None = None  # per-replication arrays; not serialized
 
     def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "fwhm": self.fwhm,
-            "n_subjects": self.n_subjects,
-            "n_reps": self.n_reps,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "modes": self.modes,
-            "mean_threshold": self.mean_threshold,
-            "n_failures": self.n_failures,
-        }
-
-
-def _binom_se(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
 
 
 def fwer_experiment(
@@ -410,6 +396,8 @@ def fwer_experiment(
         raise ValueError("n_reps must be >= 1")
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     dom = make_domain_preset(preset, fwhm if preset.startswith("stat") else None)
     inner = dom.interior or dom
     man = VoxelManifold(inner)
@@ -422,57 +410,33 @@ def fwer_experiment(
     ftype = FieldType.student_t(n_subjects - 1)
 
     def one_rep(b: int):
-        ens = sample_ensemble(dom, n_subjects, rng.substream(b))
-        spec = SurfSpec(ens, kern)
-        lk = lkc_compute(ens, kern, man, r_lkc, grid=grid_lkc)
-        u_hat = threshold(lk, ftype, alpha)
-        tvals = t_field_on_grid(spec, grid1)
-        sup0 = float(tvals[lattice_ids].max())
-        sup1 = float(tvals.max())
-        max_ids = _grid_local_maxima(grid1, tvals)
-        _, sup_inf = _ascend(spec, man, grid1, tvals, max_ids[:starts])
-        sup_inf = max(sup_inf, sup1)
-        n_max0 = count_local_maxima_above(grid0, tvals[lattice_ids], u_hat)
-        n_max1 = int(np.count_nonzero(tvals[max_ids] > u_hat))
-        return u_hat, sup0, sup1, sup_inf, n_max0, n_max1
-
-    def safe_rep(b: int):
+        """(u_hat, sup0, sup1, sup_inf, n_max0, n_max1), or the DegenerateFieldError."""
         try:
-            return one_rep(b)
-        except DegenerateFieldError:
-            return None
+            ens = sample_ensemble(dom, n_subjects, rng.substream(b))
+            spec = SurfSpec(ens, kern)
+            lk = lkc_compute(ens, kern, man, r_lkc, grid=grid_lkc)
+            u_hat = threshold(lk, ftype, alpha)
+            tvals = t_field_on_grid(spec, grid1)
+            max_ids = _grid_local_maxima(grid1, tvals)
+            # the ascent starts from the grid maximum, so sup_inf >= sup1
+            _, sup_inf = _ascend(spec, man, grid1, tvals, max_ids[:starts])
+        except DegenerateFieldError as e:
+            return e
+        return (u_hat, float(tvals[lattice_ids].max()), float(tvals.max()), sup_inf,
+                count_local_maxima_above(grid0, tvals[lattice_ids], u_hat),
+                int(np.count_nonzero(tvals[max_ids] > u_hat)))
 
-    results: list = [None] * n_reps
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for b, res in enumerate(ex.map(safe_rep, range(n_reps))):
-                results[b] = res
-    else:
-        for b in range(n_reps):
-            results[b] = safe_rep(b)
-    failures = sum(1 for r in results if r is None)
-    rows = [r for r in results if r is not None]
-    u_hat = np.array([r[0] for r in rows])
-    sup0 = np.array([r[1] for r in rows])
-    sup1 = np.array([r[2] for r in rows])
-    sup_inf = np.array([r[3] for r in rows])
-    n_max0 = np.array([r[4] for r in rows])
-    n_max1 = np.array([r[5] for r in rows])
-    B = len(rows)
-    p0 = float(np.mean(sup0 > u_hat))
-    p1 = float(np.mean(sup1 > u_hat))
-    pinf = float(np.mean(sup_inf > u_hat))
-    modes = {
-        "r0": {"fwer": p0, "std_error": _binom_se(p0, B), "eec": float(n_max0.mean())},
-        "r1": {"fwer": p1, "std_error": _binom_se(p1, B), "eec": float(n_max1.mean())},
-        "rinf": {"fwer": pinf, "std_error": _binom_se(pinf, B), "eec": None},
-    }
-    details = None
-    if keep_details:
-        details = {
-            "u_hat": u_hat, "sup0": sup0, "sup1": sup1, "sup_inf": sup_inf,
-            "n_max0": n_max0, "n_max1": n_max1,
-        }
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        results = list(ex.map(one_rep, range(n_reps)))
+    rows = [r for r in results if not isinstance(r, DegenerateFieldError)]
+    if not rows:
+        raise DegenerateFieldError(f"all {n_reps} replications degenerated, the first: {results[0]}")
+    cols = dict(zip(("u_hat", "sup0", "sup1", "sup_inf", "n_max0", "n_max1"), map(np.array, zip(*rows))))
+    modes = {}
+    for mode, sup, n_max in (("r0", "sup0", "n_max0"), ("r1", "sup1", "n_max1"), ("rinf", "sup_inf", None)):
+        p = float(np.mean(cols[sup] > cols["u_hat"]))
+        modes[mode] = {"fwer": p, "std_error": math.sqrt(p * (1.0 - p) / len(rows)),
+                       "eec": None if n_max is None else float(cols[n_max].mean())}
     return FwerReport(
         preset=preset,
         fwhm=fwhm,
@@ -481,9 +445,9 @@ def fwer_experiment(
         alpha=alpha,
         seed=rng.seed,
         modes=modes,
-        mean_threshold=float(u_hat.mean()),
-        n_failures=failures,
-        details=details,
+        mean_threshold=float(cols["u_hat"].mean()),
+        n_failures=n_reps - len(rows),
+        details=cols if keep_details else None,
     )
 
 

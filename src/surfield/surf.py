@@ -16,8 +16,10 @@ kernel-factor matrix per axis and multi-index, one GEMM per axis, and takes
 contiguous (N, Q) columns at the grid points.  At arbitrary points,
 ``_point_sums`` contracts it with per-point stacks of the 1-D factors of
 every order; a truncated kernel, which is not separable, sums those factors
-over all point x voxel pairs under its mask.  Over the voxel occupancy
-(N = 1) the same sums give the normalization.
+over all point x voxel pairs under its mask.  ``_sums`` alone chooses the
+engine: the grid engine for an untruncated kernel on a grid, else the point
+engine.  Over the voxel occupancy (N = 1) the same sums give the white-noise
+moments that normalize fields and give ``geometry`` its white-noise metric.
 """
 from __future__ import annotations
 
@@ -165,11 +167,22 @@ def _bundle(moment, D: int, hessian: bool):
     return S, Sd, Sdd, T2, U2
 
 
+def _white_noise_moments(kernel: GaussianKernel, domain: VoxelSet, hessian: bool, **at):
+    """The bundle of independent unit-variance voxel noise over ``domain``,
+    whose double sums collapse to single sums of kernel-derivative products
+    over the voxel occupancy; ``at`` places them as in ``_sums``."""
+    s = _sums(kernel, domain, np.ones((1, domain.n_voxels)), 2 if hessian else 1, pairs=True, **at)
+    bundle = _bundle(lambda a, b: s(a, b)[0], kernel.dimension, hessian)
+    if np.any(bundle[0] < 1e-30):
+        raise DegenerateFieldError("vanishing field variance at an evaluation point")
+    return bundle
+
+
 def _eval_arrays(spec: SurfSpec, points: np.ndarray, order: str, field: int | None = None):
     """(val, grad, hess) of the smoothed field(s) from one point-engine call;
-    the derivatives above ``order`` are None.  The normalization reads the
-    white-noise moments of the domain: sigma^2 = S, grad sigma^2 = 2 Sd,
-    Hess sigma^2 = 2 (U2 + Sdd)."""
+    the derivatives above ``order`` are None.  The normalization divides by
+    sigma = sqrt(S), the white-noise moments of the domain giving grad
+    sigma^2 = 2 Sd and Hess sigma^2 = 2 (U2 + Sdd)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(points)):
         raise ValueError("query points must be finite")
@@ -178,25 +191,8 @@ def _eval_arrays(spec: SurfSpec, points: np.ndarray, order: str, field: int | No
     v, g, h = _derivative_arrays(_point_sums(kern, dom, X, points, n), kern.dimension, n)
     if not spec.normalized:
         return v, g, h
-    w = _point_sums(kern, dom, np.ones((1, dom.n_voxels)), points, max(n, 1), pairs=True)
-    S, Sd, Sdd, *hess_moments = _bundle(lambda a, b: w(a, b)[0], kern.dimension, n == 2)
-    if np.any(S < 1e-30):
-        raise DegenerateFieldError("normalization denominator vanished at a query point")
-    sig = np.sqrt(S)
-    if g is not None:
-        dsig = Sd / sig[:, None]
-        grad = g / sig[None, :, None] - v[:, :, None] * dsig[None] / S[None, :, None]
-    if h is not None:
-        ddsig = (hess_moments[1] + Sdd - dsig[:, :, None] * dsig[:, None, :]) / sig[:, None, None]
-        s = sig[None, :, None, None]
-        h = (
-            h / s
-            - (g[:, :, :, None] * dsig[None, :, None, :]) / s**2
-            - (g[:, :, None, :] * dsig[None, :, :, None]) / s**2
-            - v[:, :, None, None] * ddsig[None] / s**2
-            + 2.0 * v[:, :, None, None] * (dsig[:, :, None] * dsig[:, None, :])[None] / s**3
-        )
-    return v / sig, None if g is None else grad, h
+    S, Sd, Sdd, *hess_moments = _white_noise_moments(kern, dom, n == 2, points=points)
+    return _quotient(1, v, g, h, S, Sd, hess_moments[1] + Sdd if hess_moments else None, 1)
 
 
 def surf_eval(
@@ -240,9 +236,33 @@ def surf_covariance(
 # ---------------------------------------------------------------------------
 
 
+def _quotient(c, f, df, ddf, s2, m1, m2, k):
+    """c f / sd with sd = sqrt(s2), and its exact quotient-rule gradient and
+    Hessian (None when df, resp. ddf, is None).  f (..., P), df (..., P, D)
+    and ddf (..., P, D, D) are the numerator and its derivatives; s2 (P,)
+    has d(s2) = 2 m1 / k and dd(s2) = 2 m2 / k, with m1 (P, D), m2 (P, D, D)."""
+    sd = np.sqrt(s2)
+    q = c * f / sd
+    if df is None:
+        return q, None, None
+    ds = m1 / (k * sd[:, None])
+    dq = c * (df * sd[:, None] - f[..., None] * ds) / s2[:, None]
+    if ddf is None:
+        return q, dq, None
+    # dd(sd) = dd(s2) / (2 sd) - d(sd) d(sd)^T / sd
+    dds = (m2 / k - ds[:, :, None] * ds[:, None, :]) / sd[:, None, None]
+    cross = df[..., :, None] * ds[:, None, :]
+    ddq = c * (
+        ddf / sd[:, None, None]
+        - (cross + np.swapaxes(cross, -1, -2) + f[..., None, None] * dds) / s2[:, None, None]
+        + 2.0 * (f / (s2 * sd))[..., None, None] * ds[:, :, None] * ds[:, None, :]
+    )
+    return q, dq, ddq
+
+
 def _t_from_arrays(val: np.ndarray, grad: np.ndarray | None = None, hess: np.ndarray | None = None):
-    """sqrt(N) * mean / sd with its exact quotient-rule gradient and Hessian
-    (None when the field derivative is None); val is (N, P)."""
+    """sqrt(N) * mean / sd, sd with the N-1 denominator, and its exact
+    gradient and Hessian (None when the field derivative is None); val (N, P)."""
     N = val.shape[0]
     if N < 2:
         raise DegenerateFieldError("t statistic requires at least two fields")
@@ -251,28 +271,15 @@ def _t_from_arrays(val: np.ndarray, grad: np.ndarray | None = None, hess: np.nda
     s2 = np.einsum("np,np->p", resid, resid) / (N - 1)
     if np.any(s2 <= 0):
         raise DegenerateFieldError("zero sample variance at a query point")
-    sd = np.sqrt(s2)
-    t = np.sqrt(N) * mean / sd
-    if grad is None:
-        return t, None, None
-    gmean = grad.mean(axis=0)
-    gresid = grad - gmean
-    # d(sd)/dx = cov(X~, dX~)/sd  with the same N-1 denominator
-    ds = np.einsum("np,npd->pd", resid, gresid) / ((N - 1) * sd[:, None])
-    gt = np.sqrt(N) * (gmean * sd[:, None] - mean[:, None] * ds) / s2[:, None]
-    if hess is None:
-        return t, gt, None
-    # dd(sd) = (cov(dX~, dX~) + cov(X~, ddX~)) / sd - d(sd) d(sd)^T / sd
-    cov = (np.einsum("npd,npe->pde", gresid, gresid)
-           + np.einsum("np,npde->pde", resid, hess - hess.mean(axis=0))) / (N - 1)
-    dds = (cov - ds[:, :, None] * ds[:, None, :]) / sd[:, None, None]
-    cross = gmean[:, :, None] * ds[:, None, :]
-    ht = np.sqrt(N) * (
-        hess.mean(axis=0) / sd[:, None, None]
-        - (cross + cross.transpose(0, 2, 1) + mean[:, None, None] * dds) / s2[:, None, None]
-        + 2.0 * (mean / (s2 * sd))[:, None, None] * ds[:, :, None] * ds[:, None, :]
-    )
-    return t, gt, ht
+    gmean = hmean = m1 = m2 = None
+    if grad is not None:
+        gmean = grad.mean(axis=0)
+        gresid = grad - gmean
+        m1 = np.einsum("np,npd->pd", resid, gresid)
+    if hess is not None:
+        hmean = hess.mean(axis=0)
+        m2 = np.einsum("npd,npe->pde", gresid, gresid) + np.einsum("np,npde->pde", resid, hess - hmean)
+    return _quotient(np.sqrt(N), mean, gmean, hmean, s2, m1, m2, N - 1)
 
 
 def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
@@ -346,6 +353,19 @@ def _grid_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, gri
     return s
 
 
+def _sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, order: int, pairs: bool = False,
+          *, points=None, grid=None, ids=None):
+    """s(a, b=None) of ``values`` over ``domain``, at ``points`` or at the
+    grid points ``ids`` (all when None) of ``grid``: the tensor-grid engine
+    for an untruncated kernel on a grid, else the point engine, which alone
+    sums a truncated kernel exactly (``order`` and ``pairs`` as there)."""
+    if grid is not None and kernel.truncation is None:
+        return _grid_sums(kernel, domain, values, grid, ids)
+    if grid is not None:
+        points = grid.points if ids is None else grid.points[ids]
+    return _point_sums(kernel, domain, values, points, order, pairs)
+
+
 def _derivative_arrays(s, D: int, derivatives: int):
     """(val, grad, hess) from the sums ``s(a)``, one call per derivative
     multi-index; the derivatives above ``derivatives`` are None."""
@@ -368,21 +388,17 @@ def smooth_on_grid(
 ) -> dict[str, np.ndarray]:
     """Smoothed fields (and exact derivatives) at every grid point.
 
-    Exploits kernel separability: the subjects-last data tensor is
+    An untruncated kernel is separable: the subjects-last data tensor is
     contracted with one smoothing matrix per axis, then taken at the grid's
-    points.  Returns 'value': (N, P) plus, if requested, 'grad': (N, P, D)
-    and 'hess': (N, P, D, D).
-
-    The separable path cannot express a Euclidean truncation radius exactly,
-    so truncated kernels must use the generic point path.
+    points; a truncated kernel goes through the point engine.  Returns
+    'value': (N, P) plus, if requested, 'grad': (N, P, D) and 'hess':
+    (N, P, D, D).
     """
-    if kernel.truncation is not None:
-        raise NotImplementedError("tensor-grid smoothing requires an untruncated kernel")
-    s = _grid_sums(kernel, ensemble.domain, ensemble.values, grid)
+    s = _sums(kernel, ensemble.domain, ensemble.values, derivatives, grid=grid)
     arrays = _derivative_arrays(s, kernel.dimension, derivatives)
     return {k: a for k, a in zip(("value", "grad", "hess"), arrays) if a is not None}
 
 
 def t_field_on_grid(spec: SurfSpec, grid: RefinedGrid) -> np.ndarray:
-    """t statistic at every grid point via the separable engine, (P,)."""
+    """t statistic at every grid point, (P,)."""
     return _t_from_arrays(smooth_on_grid(spec.ensemble, spec.kernel, grid)["value"])[0]

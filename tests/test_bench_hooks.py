@@ -24,3 +24,28 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         tr.uninstall()
     assert {name: dict(vars(mod)) for name, mod in mods.items()} == before
     assert {m: getattr(GaussianKernel, m) for m in KERNEL_METHODS} == methods
+
+
+def test_tracer_nests_replication_spans_under_the_harness(monkeypatch):
+    # replications run in an executor's worker thread, outside the thread
+    # that entered fwer_experiment
+    monkeypatch.syspath_prepend(str(ROOT))
+    from bench.tracing import Tracer
+    from surfield import inference
+
+    tr = Tracer()
+    tr.install()
+    try:
+        inference.fwer_experiment("nonstat1d", 2.0, 6, 2, threads=1)
+    finally:
+        tr.uninstall()
+
+    def ancestors(i):
+        while tr.parent[i] >= 0:
+            i = tr.parent[i]
+            yield tr.names[i]
+
+    for name in ("inference.threshold", "lkc.lkc_compute"):
+        spans = [i for i, n in enumerate(tr.names) if n == name]
+        assert len(spans) == 2
+        assert all("inference.fwer_experiment" in ancestors(i) for i in spans)

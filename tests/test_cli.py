@@ -68,6 +68,12 @@ def test_threshold_cli(tmp_path, capsys):
     assert abs(float(printed) - 1.959964) < 1e-5
     payload = json.loads((out / "threshold.json").read_text())
     assert payload["u_alpha"] == pytest.approx(1.959964, abs=1e-5)
+    # a negative L0 (an Euler characteristic) after a space is a value, not an option
+    levels = []
+    for lkcs in (["--lkcs", "-1,20,100"], ["--lkcs=-1,20,100"]):
+        assert main(["threshold", *lkcs, "--out", str(tmp_path / "n")]) == 0
+        levels.append(capsys.readouterr().out)
+    assert levels[0] == levels[1]
 
 
 def test_census_cli(tmp_path, capsys):
@@ -123,6 +129,12 @@ def test_fwer_sim_config_validation(tmp_path):
     bad.write_text(json.dumps({"preset": "stat2d", "fwhm": 2.0, "n_subjects": 5,
                                "n_reps": 2, "r_scan": 1}))
     assert main(["fwer-sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    for threads in (0, -3):
+        bad.write_text(json.dumps({"preset": "stat2d", "fwhm": 2.0, "n_subjects": 5,
+                                   "n_reps": 2, "threads": threads}))
+        assert main(["fwer-sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    bad.write_text(json.dumps({"preset": "stat2d", "fwhm": 2.0, "n_subjects": 5, "n_reps": 2}))
+    assert main(["fwer-sim", "--config", str(bad), "--threads", "0", "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("case", ["short_header", "huge_voxel_count", "cut_values"])

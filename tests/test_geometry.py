@@ -439,8 +439,7 @@ def test_single_field_ensemble_fails_before_smoothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("smoothed a one-field ensemble")
 
-    monkeypatch.setattr(geometry, "_grid_sums", forbidden)
-    monkeypatch.setattr(geometry, "_point_sums", forbidden)
+    monkeypatch.setattr(geometry, "_sums", forbidden)
     dom = make_domain_preset("nonstat2d")
     grid = refined_grid(VoxelManifold(dom), 1)
     ens = sample_ensemble(dom, 1, RngSpec(2))

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
+from surfield.cli import main
 from surfield.inference import (
     FieldType,
     ThresholdError,
@@ -20,7 +22,7 @@ from surfield.kernel import GaussianKernel
 from surfield.lattice import FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
 from surfield.lkc import lkc_compute
 from surfield.manifold import VoxelManifold, refined_grid
-from surfield.surf import SurfSpec, surf_covariance, t_field
+from surfield.surf import DegenerateFieldError, SurfSpec, surf_covariance, t_field
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +260,18 @@ def _dense_oracle(spec, man, candidates):
 def test_maximizer_beats_grid_and_matches_dense_scan():
     center = np.array([3.37, 4.21])
     ens = bump_ensemble(center)
-    k = GaussianKernel.isotropic(2.0, 2)
-    spec = SurfSpec(ens, k)
     man = VoxelManifold(ens.domain)
     grid = refined_grid(man, 1)
     from surfield.surf import t_field_on_grid
 
-    gv = t_field_on_grid(spec, grid)
-    pt, val = maximize_t_field(spec, man, starts=10, grid=grid, grid_values=gv)
-    assert val >= gv.max() - 1e-12
-    oracle_pt, oracle_val = _dense_oracle(spec, man, [pt])
-    assert np.linalg.norm(pt - oracle_pt) < 1e-4
-    assert val >= oracle_val - 1e-9 * max(1.0, abs(oracle_val))
+    for k in (GaussianKernel.isotropic(2.0, 2), GaussianKernel.isotropic(2.0, 2, 6.0)):
+        spec = SurfSpec(ens, k)
+        gv = t_field_on_grid(spec, grid)
+        pt, val = maximize_t_field(spec, man, starts=10, grid=grid, grid_values=gv)
+        assert val >= gv.max() - 1e-12
+        oracle_pt, oracle_val = _dense_oracle(spec, man, [pt])
+        assert np.linalg.norm(pt - oracle_pt) < 1e-4
+        assert val >= oracle_val - 1e-9 * max(1.0, abs(oracle_val))
 
 
 @pytest.mark.parametrize("center, on_bound", [
@@ -381,11 +383,24 @@ def test_fwer_smoke_and_nesting():
 
 
 def test_fwer_deterministic_across_thread_counts():
-    import json
-
     a = fwer_experiment("nonstat1d", 2.0, 15, 12, 0.1, rng=9, threads=1)
     b = fwer_experiment("nonstat1d", 2.0, 15, 12, 0.1, rng=9, threads=4)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        fwer_experiment("nonstat1d", 2.0, 15, 12, 0.1, rng=9, threads=0)
+
+
+def test_fwer_all_degenerate_replications_raise(tmp_path, capsys):
+    # at FWHM 1e-4 the smoothed fields vanish off the voxels: every
+    # replication's sample variance is zero somewhere
+    with pytest.raises(DegenerateFieldError, match="all 2 replications degenerated, the first: zero"):
+        fwer_experiment("nonstat1d", 1e-4, 5, 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "nonstat1d", "fwhm": 1e-4, "n_subjects": 5, "n_reps": 2}))
+    assert main(["fwer-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: all 2 replications degenerated")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
