@@ -6,7 +6,9 @@ compare two dumps.
 
 ``dump`` records criterion 4's two FWER runs (2 x 500 replications,
 per-replication details), the ``fwer-sim`` report at 1 and 3 threads,
-white-noise and ensemble LKCs with the face term off and on, the smoothed
+white-noise and ensemble LKCs with the face term off and on, the
+white-noise LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d
+box at r = 7, FWHM 1, 1.5, ..., 4, each over its padded domain), the smoothed
 fields, the t field and the geometry at points and on a grid, and the
 normalized fields.  ``compare`` requires every array to be bit-identical,
 except the normalized gradient and Hessian (keys ``norm_*``), which may move
@@ -63,6 +65,14 @@ def dump(path: str) -> None:
             out[f"lkc_{preset}_face{int(face)}_wn"] = np.array(wn.values)
             out[f"lkc_{preset}_face{int(face)}_ens"] = np.array(est.values)
         del grid
+
+    man = VoxelManifold(make_domain_preset("stat3d", 1.0).interior)
+    grid = refined_grid(man, 7)
+    for fwhm in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
+        dom = make_domain_preset("stat3d", fwhm)
+        wn = lkc_compute("white-noise", GaussianKernel.isotropic(fwhm, 3), man, 7, sample_domain=dom, grid=grid)
+        out[f"wn3d_r7_fwhm{fwhm:g}"] = np.array(wn.values)
+    del grid
 
     for preset, trunc in (("nonstat2d", None), ("nonstat3d", None), ("nonstat2d", 6.0)):
         dom = make_domain_preset(preset)

@@ -190,8 +190,8 @@ def _load_fwer_config(path: str, overrides: dict) -> dict:
     for key in ("preset", "fwhm", "n_subjects", "n_reps"):
         if key not in cfg:
             raise ConfigError(f"config {path}: missing required field {key!r}")
-    for key, typ in _FWER_SCHEMA.items():
-        if key in cfg and not isinstance(cfg[key], typ):
+    for key, typ in _FWER_SCHEMA.items():  # JSON true/false are ints to isinstance
+        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], typ)):
             raise ConfigError(f"config {path}: field {key!r} must be {typ}")
     unknown = set(cfg) - set(_FWER_SCHEMA)
     if unknown:

@@ -16,6 +16,11 @@ derivatives of per-axis orders ``a`` and ``b``.  Two providers supply it:
 Both read the sums ``s(a, b=None)`` of the engine ``surf._sums`` chooses;
 the white-noise bundle is ``surf._white_noise_moments``, which normalizes fields.
 
+The bundle and the metric are stored components first and exposed as
+(..., D, D) views (``surf._components_first``), so every per-entry pass
+streams one contiguous column, not a strided slice of the whole array;
+``metric_on_grid`` and ``christoffel_on_grid`` results are not C-contiguous.
+
 Boundary strata read the metric alone: ``orthonormal_frame`` adapts a frame
 to a face plane, ``theta_batch`` gives a 3-D edge's angle in closed form.
 """
@@ -29,7 +34,7 @@ import numpy as np
 from .kernel import GaussianKernel
 from .lattice import VoxelSet
 from .manifold import EdgeType, RefinedGrid
-from .surf import DegenerateFieldError, _bundle, _sums, _white_noise_moments
+from .surf import DegenerateFieldError, _bundle, _components_first, _sums, _white_noise_moments
 
 __all__ = [
     "metric",
@@ -74,7 +79,7 @@ def _metric_expr(S, Sd, Sdd) -> np.ndarray:
     """Sdd / S - Sd Sd^T / S^2, filled per unique (d, e) entry."""
     D = Sd.shape[-1]
     S2 = S**2
-    lam = np.empty(Sdd.shape)
+    lam = _components_first(S.shape, D, D)
     for d, e in combinations_with_replacement(range(D), 2):
         lam[..., d, e] = lam[..., e, d] = Sdd[..., d, e] / S - Sd[..., d] * Sd[..., e] / S2
     return lam
@@ -269,14 +274,12 @@ def _closed_det(lam: np.ndarray) -> np.ndarray:
     return a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
 
 
-def _is_pd(lam: np.ndarray) -> np.ndarray:
-    D = lam.shape[-1]
+def _is_pd(lam: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Sylvester's criterion; ``det = _closed_det(lam)`` is the last minor."""
     ok = lam[..., 0, 0] > 0
-    if D >= 2:
+    if lam.shape[-1] == 3:
         ok &= lam[..., 0, 0] * lam[..., 1, 1] - lam[..., 0, 1] ** 2 > 0
-    if D == 3:
-        ok &= _closed_det(lam) > 0
-    return ok
+    return ok & (det > 0)
 
 
 def sqrt_det_psd(lam: np.ndarray) -> tuple[np.ndarray, int]:
@@ -284,7 +287,7 @@ def sqrt_det_psd(lam: np.ndarray) -> tuple[np.ndarray, int]:
     finite-sample noise made a matrix indefinite.  Returns (values, n_repaired)."""
     lam = np.asarray(lam)
     det = _closed_det(lam)
-    bad = ~_is_pd(lam)
+    bad = ~_is_pd(lam, det)
     n_bad = int(bad.sum())
     if n_bad:
         ev = np.linalg.eigvalsh(lam[bad])

@@ -144,22 +144,31 @@ def _point_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, po
     return lambda a, b=None: out[a, b]
 
 
+def _components_first(lead: tuple, *components: int) -> np.ndarray:
+    """An empty array of shape lead + components stored components first:
+    a view whose every entry [..., d, e] is one contiguous column."""
+    k = len(components)
+    return np.moveaxis(np.empty(components + lead), range(k), range(-k, 0))
+
+
 def _bundle(moment, D: int, hessian: bool):
     """(S, Sd, Sdd[, T2, U2]) with S = <X, X>, Sd = <X, dX>, Sdd = <dX, dX>,
     T2 = <ddX, dX> and U2 = <ddX, X> per point, each entry filled straight
-    from ``moment(a, b)``."""
+    from ``moment(a, b)``.  The component arrays are stored components first
+    (``_components_first``) and exposed as (..., D[, D[, D]]) views, so each
+    per-entry pass streams one contiguous column."""
     zero = _unit(D)
     S = moment(zero, zero)
-    Sd = np.empty(S.shape + (D,))
-    Sdd = np.empty(S.shape + (D, D))
+    Sd = _components_first(S.shape, D)
+    Sdd = _components_first(S.shape, D, D)
     for d in range(D):
         Sd[..., d] = moment(zero, _unit(D, d))
     for d, e in combinations_with_replacement(range(D), 2):
         Sdd[..., d, e] = Sdd[..., e, d] = moment(_unit(D, d), _unit(D, e))
     if not hessian:
         return S, Sd, Sdd
-    T2 = np.empty(S.shape + (D, D, D))  # <dk dd X, de X>
-    U2 = np.empty(S.shape + (D, D))  # <dk dd X, X>
+    T2 = _components_first(S.shape, D, D, D)  # <dk dd X, de X>
+    U2 = _components_first(S.shape, D, D)  # <dk dd X, X>
     for k, d in combinations_with_replacement(range(D), 2):
         U2[..., k, d] = U2[..., d, k] = moment(_unit(D, k, d), zero)
         for e in range(D):

@@ -135,6 +135,15 @@ def test_fwer_sim_config_validation(tmp_path):
         assert main(["fwer-sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     bad.write_text(json.dumps({"preset": "stat2d", "fwhm": 2.0, "n_subjects": 5, "n_reps": 2}))
     assert main(["fwer-sim", "--config", str(bad), "--threads", "0", "--out", str(tmp_path / "o")]) == 2
+    # JSON booleans are ints to isinstance; no numeric field takes one
+    base = {"preset": "stat2d", "fwhm": 2.0, "n_subjects": 5, "n_reps": 2}
+    for key in ("fwhm", "n_subjects", "n_reps", "alpha", "r_lkc", "seed", "threads"):
+        bad.write_text(json.dumps(dict(base, **{key: True})))
+        assert main(["fwer-sim", "--config", str(bad), "--dry-run"]) == 2, key
+    bad.write_text(json.dumps(dict(base, n_subjects=True, n_reps=True, threads=True)))
+    assert main(["fwer-sim", "--config", str(bad), "--dry-run"]) == 2
+    bad.write_text(json.dumps(base))
+    assert main(["fwer-sim", "--config", str(bad), "--dry-run"]) == 0
 
 
 @pytest.mark.parametrize("case", ["short_header", "huge_voxel_count", "cut_values"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from surfield.geometry import (
     metric_on_grid,
     orthonormal_frame,
     sqrt_det_psd,
+    sqrt_det_sub,
     theta_angle,
+    theta_batch,
 )
 from surfield.kernel import GaussianKernel
 from surfield.lattice import FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
@@ -330,6 +333,42 @@ def test_sqrt_det_psd_repair():
     assert vals[0] == pytest.approx(math.sqrt(6.0))
     assert n_bad == 1
     assert vals[1] >= 0.0
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_determinants_and_angles_independent_of_metric_layout(D):
+    # _metric_expr fills a components-first view; the readers must give the
+    # same bits on it as on a C-contiguous copy, repair path included
+    rng = np.random.default_rng(70 + D)
+    Q = 200
+    S = rng.uniform(0.5, 2.0, Q)
+    Sd = rng.normal(size=(Q, D))
+    A = rng.normal(size=(Q, D, D))
+    Sdd = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(D) + Sd[:, :, None] * Sd[:, None, :] / S[:, None, None]
+    # indefinite rows (lam = Sdd there); in 3-D every 2x2 principal minor
+    # stays positive, so theta_batch accepts the whole batch
+    indefinite = np.full((D, D), -0.9) + 1.9 * np.eye(D) if D == 3 else np.array([[1.0, 2.0], [2.0, 1.0]])
+    S[::40], Sd[::40], Sdd[::40] = 1.0, 0.0, indefinite
+    lam = geometry._metric_expr(S, Sd, Sdd)
+    dense = np.ascontiguousarray(lam)
+    assert lam[..., 0, 1].flags.c_contiguous and not lam.flags.c_contiguous
+    vals, n_bad = sqrt_det_psd(lam)
+    assert n_bad >= Q // 40
+    want = sqrt_det_psd(dense)
+    assert np.array_equal(vals, want[0]) and n_bad == want[1]
+    for n in range(1, D):
+        for axes in itertools.combinations(range(D), n):
+            got, want = sqrt_det_sub(lam, axes), sqrt_det_sub(dense, axes)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    if D == 3:
+        types = rng.integers(3, size=Q)
+        refl = rng.choice([-1, 1], size=(Q, 2))
+        for k in range(3):
+            assert np.array_equal(theta_batch(lam, k, types, refl), theta_batch(dense, k, types, refl))
+    grid = refined_grid(VoxelManifold(make_domain_preset("nonstat2d" if D == 2 else "nonstat3d")), 1)
+    lam = metric_on_grid("white-noise", GaussianKernel.isotropic(2.0, D), grid)
+    assert lam.shape == (grid.n_points, D, D)
+    assert np.array_equal(lam, np.swapaxes(lam, -1, -2))
 
 
 def test_metric_on_grid_tensor_matches_point_path():
