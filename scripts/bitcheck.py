@@ -85,8 +85,8 @@ def dump(path: str) -> None:
         for order in ("value", "gradient", "hessian"):
             out[f"eval_{tag}_{order}"] = surf_eval(SurfSpec(ens, kern), pts, order)
             out[f"norm_{tag}_{order}"] = surf_eval(SurfSpec(ens, kern, normalized=True), pts, order)
-        t, gt = t_field(SurfSpec(ens, kern), pts, "both")
-        out[f"t_{tag}"], out[f"gt_{tag}"] = t, gt
+        out[f"t_{tag}"] = t_field(SurfSpec(ens, kern), pts, "value")
+        out[f"gt_{tag}"] = t_field(SurfSpec(ens, kern), pts, "gradient")
         for source in ("white-noise", ens):
             s = "wn" if isinstance(source, str) else "ens"
             out[f"metric_{tag}_{s}"] = metric(source, kern, dom, pts)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -200,6 +201,10 @@ def _load_fwer_config(path: str, overrides: dict) -> dict:
         raise ConfigError(f"config {path}: preset must be one of {PRESET_NAMES}")
     if cfg["threads"] < 1:
         raise ConfigError(f"config {path}: threads must be >= 1, got {cfg['threads']}")
+    if not 0 < cfg["fwhm"] < math.inf:  # JSON reads Infinity and NaN
+        raise ConfigError(f"config {path}: fwhm must be finite and positive, got {cfg['fwhm']}")
+    if not 0 < cfg["alpha"] < 1:
+        raise ConfigError(f"config {path}: alpha must lie in (0, 1), got {cfg['alpha']}")
     return cfg
 
 

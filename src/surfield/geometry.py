@@ -8,13 +8,14 @@ derivatives of per-axis orders ``a`` and ``b``.  Two providers supply it:
 
 * white noise, where independence across voxels collapses the double sums
   to single sums of kernel-derivative products (deterministic, the
-  theoretical reference): contractions of the voxel-occupancy tensor;
+  theoretical reference): contractions of the domain's ``unit_field``;
 * an ensemble, where they are sample covariances of (N, Q) columns, one per
   derivative, each centred over the subjects: contractions of the
-  subjects-last (m1..mD, N) data tensor.
+  ensemble's own subjects-last data tensor (``FieldEnsemble.dense``).
 
 Both read the sums ``s(a, b=None)`` of the engine ``surf._sums`` chooses;
-the white-noise bundle is ``surf._white_noise_moments``, which normalizes fields.
+the white-noise bundle is ``surf._white_noise_moments``, which normalizes
+fields.  The curvature integrals read metric and face term from one bundle.
 
 The bundle and the metric are stored components first and exposed as
 (..., D, D) views (``surf._components_first``), so every per-entry pass
@@ -34,7 +35,8 @@ import numpy as np
 from .kernel import GaussianKernel
 from .lattice import VoxelSet
 from .manifold import EdgeType, RefinedGrid
-from .surf import DegenerateFieldError, _bundle, _components_first, _sums, _white_noise_moments
+from .surf import (DegenerateFieldError, _bundle, _check_dimensions, _components_first, _sums,
+                   _white_noise_moments)
 
 __all__ = [
     "metric",
@@ -112,7 +114,8 @@ def _moments(source, kernel, domain, hessian, **at):
         N = source.n_fields
         if N < 2:
             raise DegenerateFieldError("sample-based geometry requires at least two fields")
-        s = _sums(kernel, source.domain, source.values, 2 if hessian else 1, **at)
+        _check_dimensions(kernel, {"ensemble's domain": source.domain, "grid": at.get("grid")})
+        s = _sums(kernel, source, 2 if hessian else 1, **at)
         bundle = _bundle(_sample_moment(s, N), kernel.dimension, hessian)
         if np.any(bundle[0] <= 0):
             raise DegenerateFieldError("zero sample variance at an evaluation point")
@@ -121,6 +124,7 @@ def _moments(source, kernel, domain, hessian, **at):
         raise ValueError(f"unknown geometry source {source!r}")
     if domain is None:
         raise ValueError("white-noise geometry requires a voxel domain")
+    _check_dimensions(kernel, {"voxel domain": domain, "grid": at.get("grid")})
     return _white_noise_moments(kernel, domain, hessian, **at)
 
 
@@ -149,26 +153,16 @@ def christoffel(source, kernel: GaussianKernel, domain: VoxelSet | None, x) -> n
     return g[0] if x.ndim == 1 else g
 
 
-def metric_on_grid(
-    source,
-    kernel: GaussianKernel,
-    grid: RefinedGrid,
-    sample_domain: VoxelSet | None = None,
-    point_ids: np.ndarray | None = None,
-) -> np.ndarray:
-    """Metric at all grid points (or a subset), (Q, D, D); the fast path for
-    curvature integrals."""
+def metric_on_grid(source, kernel: GaussianKernel, grid: RefinedGrid, sample_domain: VoxelSet | None = None,
+                   point_ids: np.ndarray | None = None) -> np.ndarray:
+    """Metric at all grid points (or a subset), (Q, D, D)."""
     domain = sample_domain or grid.manifold.domain
     return _metric_expr(*_moments(source, kernel, domain, False, grid=grid, ids=point_ids))
 
 
-def christoffel_on_grid(
-    source,
-    kernel: GaussianKernel,
-    grid: RefinedGrid,
-    sample_domain: VoxelSet | None = None,
-    point_ids: np.ndarray | None = None,
-) -> np.ndarray:
+def christoffel_on_grid(source, kernel: GaussianKernel, grid: RefinedGrid,
+                        sample_domain: VoxelSet | None = None,
+                        point_ids: np.ndarray | None = None) -> np.ndarray:
     """Christoffel symbols at all grid points (or a subset), (Q, D, D, D)."""
     domain = sample_domain or grid.manifold.domain
     return _christoffel_expr(*_moments(source, kernel, domain, True, grid=grid, ids=point_ids))

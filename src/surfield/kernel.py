@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["GaussianKernel", "kernel_eval", "kernel_from_config"]
+__all__ = ["GaussianKernel", "kernel_eval"]
 
 LOG2 = math.log(2.0)
 
@@ -110,19 +110,6 @@ class GaussianKernel:
     def pairwise_hessian(self, points: np.ndarray, voxels: np.ndarray) -> np.ndarray:
         """Hessian in x of K(x, v) for all pairs, shape (P, M, D, D)."""
         return self._pairwise(points, voxels, 2)[2]
-
-
-def kernel_from_config(obj: dict) -> GaussianKernel:
-    """Parse the run-config kernel object:
-    {"type": "gaussian", "fwhm": [f1, ..., fD], "truncation": null | rho}."""
-    if not isinstance(obj, dict) or obj.get("type") != "gaussian":
-        raise ValueError('kernel config must be {"type": "gaussian", ...}')
-    fwhm = obj.get("fwhm")
-    if fwhm is None:
-        raise ValueError("kernel config requires 'fwhm'")
-    if np.isscalar(fwhm):
-        raise ValueError("kernel config 'fwhm' must be a per-axis list")
-    return GaussianKernel(tuple(float(f) for f in fwhm), obj.get("truncation"))
 
 
 def kernel_eval(kernel: GaussianKernel, x, v, order: str = "value"):

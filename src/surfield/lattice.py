@@ -4,7 +4,10 @@ A voxel set is a finite collection of points in R^D together with the
 per-axis spacing derived from the minimum positive coordinate gap.  Random
 data lives on the voxel set as lattice fields; seeded Gaussian ensembles are
 generated through splittable RNG streams so that replications are
-embarrassingly parallel and reproducible.
+embarrassingly parallel and reproducible.  Each ensemble owns the data
+tensor every separable kernel sum reads (``FieldEnsemble.dense``), built
+once; a voxel set owns the field of ones whose sums are the white-noise
+moments (``VoxelSet.unit_field``).
 """
 from __future__ import annotations
 
@@ -117,6 +120,11 @@ class VoxelSet:
             out.append(_readonly(np.concatenate([[0], np.cumsum(step)])))
         return tuple(out)
 
+    @cached_property
+    def unit_field(self) -> "FieldEnsemble":
+        """The one-field ensemble of ones, whose kernel sums are the white-noise moments."""
+        return FieldEnsemble(self, np.ones((1, self.n_voxels)))
+
 
 @dataclass(frozen=True)
 class FieldEnsemble:
@@ -150,6 +158,15 @@ class FieldEnsemble:
     @property
     def n_fields(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """Read-only dense subjects-last (m1..mD, N) tensor of the values over the
+        domain's axis values, zeros off the set, so contractions sum over the set."""
+        data = np.zeros(tuple(a.size for a in self.domain.axis_values) + (self.n_fields,))
+        data[tuple(self.domain.axis_positions.T)] = self.values.T
+        data.setflags(write=False)
+        return data
 
 
 @dataclass(frozen=True)
@@ -218,8 +235,8 @@ def make_domain_preset(name: str, fwhm: float | None = None) -> VoxelSet:
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     if name.startswith("stat"):
-        if fwhm is None or fwhm <= 0:
-            raise ValueError("stationary presets require a positive fwhm")
+        if fwhm is None or not 0 < fwhm < math.inf:
+            raise ValueError(f"stationary presets require a finite positive fwhm, got {fwhm}")
         a = math.sqrt(2.0) * fwhm / math.sqrt(math.log(2.0))
         L = 100 if name == "stat1d" else 20
         D = {"stat1d": 1, "stat2d": 2, "stat3d": 3}[name]

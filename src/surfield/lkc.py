@@ -10,9 +10,11 @@ grows.  The zeroth curvature is always the combinatorial Euler
 characteristic, never estimated.
 
 The integrals stream over slabs of the grid: runs of whole axis-0 rows of
-contiguous grid ids.  Each slab's metric is computed, reduced into the
-volume, face and edge sums through that slab's quadrature-table entries,
-and dropped, so memory follows the slab size rather than the grid size.
+contiguous grid ids.  Each slab's moment bundle is computed once (with the
+Hessian moments for the face term); its metric and face-term Christoffel
+symbols are reduced into the volume, face and edge sums through that slab's
+quadrature-table entries, and dropped, so memory follows the slab size
+rather than the grid size.
 """
 from __future__ import annotations
 
@@ -22,8 +24,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .geometry import (
-    christoffel_on_grid,
-    metric_on_grid,
+    _christoffel_expr,
+    _metric_expr,
+    _moments,
     orthonormal_frame,
     sqrt_det_psd,
     sqrt_det_sub,
@@ -32,6 +35,7 @@ from .geometry import (
 from .kernel import GaussianKernel
 from .lattice import FieldEnsemble, VoxelSet
 from .manifold import RefinedGrid, VoxelManifold, euler_characteristic, refined_grid
+from .surf import _check_dimensions
 
 __all__ = ["LkcVector", "lkc_compute", "lkc_stationary_closed_form"]
 
@@ -115,28 +119,16 @@ def _edge_sum(edges: list[dict], lam: np.ndarray) -> tuple[list[float], int]:
     return sums, n_bad
 
 
-def _face_correction(
-    faces: list[dict],
-    lam: np.ndarray,
-    start: int,
-    grid: RefinedGrid,
-    source,
-    kernel: GaussianKernel,
-    sample_domain: VoxelSet | None,
-) -> list[float]:
+def _face_correction(faces: list[dict], lam: np.ndarray, bundle: tuple) -> list[float]:
     """Per face axis m, the slab's quadrature sum of the optional 3-D face
     integrand: the shape-operator trace against metric area (vanishes for
-    constant metrics).  ``lam`` holds the metric from grid id ``start``."""
+    constant metrics), from the slab's metric and moment bundle (S, Sd, Sdd,
+    T2, U2) at the table's ids."""
     sums = []
     for m, table in enumerate(faces):
         ids = table["ids"]
-        if ids.size == 0:
-            sums.append(0.0)
-            continue
         k, l = tuple(d for d in range(3) if d != m)
-        uniq, inv = np.unique(ids, return_inverse=True)
-        gam_u = christoffel_on_grid(source, kernel, grid, sample_domain, point_ids=uniq + start)
-        gam = gam_u[inv]
+        gam = _christoffel_expr(*(b[ids] for b in bundle))
         lam_pts = lam[ids]
         U, V, N = orthonormal_frame(lam_pts, (k, l))
         N = N * table["outward"][:, None]
@@ -150,16 +142,9 @@ def _face_correction(
     return sums
 
 
-def lkc_compute(
-    source,
-    kernel: GaussianKernel,
-    manifold: VoxelManifold,
-    r: int,
-    *,
-    sample_domain: VoxelSet | None = None,
-    grid: RefinedGrid | None = None,
-    include_face_term: bool = False,
-) -> LkcVector:
+def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int, *,
+                sample_domain: VoxelSet | None = None, grid: RefinedGrid | None = None,
+                include_face_term: bool = False) -> LkcVector:
     """Curvatures from the induced metric on the refined grid.
 
     ``source`` is "white-noise" (deterministic theory values for independent
@@ -173,15 +158,18 @@ def lkc_compute(
     if isinstance(source, FieldEnsemble):
         if source.n_fields < 2:
             raise ValueError("ensemble curvature estimation requires N >= 2")
-        sample_domain = None  # the ensemble's own domain carries the data
+        sample_domain = source.domain  # the ensemble's own domain carries the data
         src_tag = "estimate"
     else:
         src_tag = "white-noise-theory"
+    _check_dimensions(kernel, {"manifold": manifold, "sample domain": sample_domain})
     if grid is None:
         grid = refined_grid(manifold, r)
     elif grid.r != r or grid.manifold is not manifold:
         raise ValueError("provided grid does not match manifold/r")
     D = manifold.dimension
+    domain = sample_domain or manifold.domain
+    hessian = include_face_term and D == 3
     spacing = manifold.domain.spacing / (r + 1)
     bounds = _slabs(grid)
     faces = list(zip(*(_split(grid.face_tables[m], bounds) for m in range(D))))
@@ -190,7 +178,8 @@ def lkc_compute(
     # per-slab quadrature sums, scaled by their cell measures at the end
     vol, bnd, edge, face, n_bad = 0.0, np.zeros(D), np.zeros(3), np.zeros(3), 0
     for j, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        lam = metric_on_grid(source, kernel, grid, sample_domain, np.arange(start, stop))
+        bundle = _moments(source, kernel, domain, hessian, grid=grid, ids=np.arange(start, stop))
+        lam = _metric_expr(*bundle[:3])
         dets, bad = sqrt_det_psd(lam)
         vol += float(np.sum(grid.vol_weight[start:stop] * dets))
         n_bad += bad
@@ -202,8 +191,8 @@ def lkc_compute(
             part, bad = _edge_sum(edges[j], lam)
             edge += part
             n_bad += bad
-            if include_face_term:
-                face += _face_correction(faces[j], lam, start, grid, source, kernel, sample_domain)
+            if hessian:
+                face += _face_correction(faces[j], lam, bundle)
 
     face_cell = [np.prod(np.delete(spacing, m)) for m in range(D)]
     values = [0.0] * (D + 1)

@@ -7,18 +7,18 @@ the normalized variant (unit pointwise variance), covariances, and the
 one-sample t-statistic field, in batched/columnar form.
 
 Two separable engines back every kernel sum, each as ``s(a, b=None)``: the
-sums over voxels of the data times the kernel derivative of per-axis orders
-``a`` (times that of orders ``b``).  For untruncated kernels both read one
-data tensor, laid out subjects last: (m1..mD, N) over the domain's axis
-values.  On (subsets of) the tensor-product grids that the curvature and
-simulation pipelines evaluate on, ``_grid_sums`` contracts it with one
-kernel-factor matrix per axis and multi-index, one GEMM per axis, and takes
-contiguous (N, Q) columns at the grid points.  At arbitrary points,
-``_point_sums`` contracts it with per-point stacks of the 1-D factors of
-every order; a truncated kernel, which is not separable, sums those factors
-over all point x voxel pairs under its mask.  ``_sums`` alone chooses the
-engine: the grid engine for an untruncated kernel on a grid, else the point
-engine.  Over the voxel occupancy (N = 1) the same sums give the white-noise
+sums over voxels of an ensemble's data times the kernel derivative of
+per-axis orders ``a`` (times that of orders ``b``).  For untruncated kernels
+both read the subjects-last (m1..mD, N) data tensor the ensemble owns
+(``FieldEnsemble.dense``, built once however many calls read it).  On
+(subsets of) the tensor-product grids that the curvature and simulation
+pipelines evaluate on, ``_grid_sums`` contracts it with one kernel-factor
+matrix per axis and multi-index, one GEMM per axis, and takes contiguous
+(N, Q) columns at the grid points.  At arbitrary points, ``_point_sums``
+contracts it with per-point stacks of the 1-D factors of every order; a
+truncated kernel, which is not separable, sums those factors over all
+point x voxel pairs under its mask.  ``_sums`` alone chooses the engine.
+Over the domain's ``unit_field`` of ones the same sums give the white-noise
 moments that normalize fields and give ``geometry`` its white-noise metric.
 """
 from __future__ import annotations
@@ -63,8 +63,15 @@ class SurfSpec:
     normalized: bool = False
 
     def __post_init__(self):
-        if self.kernel.dimension != self.ensemble.domain.dimension:
-            raise ValueError("kernel and ensemble dimensions disagree")
+        _check_dimensions(self.kernel, {"ensemble's domain": self.ensemble.domain})
+
+
+def _check_dimensions(kernel: GaussianKernel, parts: dict) -> None:
+    """Raise unless every named part (voxel set, manifold or grid; None
+    skipped) has the kernel's dimension."""
+    for name, part in parts.items():
+        if part is not None and part.dimension != kernel.dimension:
+            raise ValueError(f"the {name} is {part.dimension}-D but the kernel is {kernel.dimension}-D")
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +80,6 @@ class SurfSpec:
 
 
 _ORDERS = ("value", "gradient", "hessian")
-
-
-def _data_tensor(domain: VoxelSet, values: np.ndarray) -> np.ndarray:
-    """Embed (N, n_voxels) values into the dense subjects-last (m1..mD, N)
-    tensor over the domain's axis values (zeros off the voxel set), so
-    separable contractions sum exactly over the set."""
-    data = np.zeros(tuple(a.size for a in domain.axis_values) + (values.shape[0],))
-    data[tuple(domain.axis_positions.T)] = values.T
-    return data
 
 
 def _stack_contract(data: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
@@ -97,17 +95,17 @@ def _stack_contract(data: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _point_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, points: np.ndarray,
-                order: int, pairs: bool = False):
-    """s(a, b=None) at arbitrary points: the sum over the domain's voxels v of
-    values[:, v] times the kernel derivative of per-axis orders a at (point,
+def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, order: int,
+                pairs: bool = False):
+    """s(a, b=None) at arbitrary points: the sum over the ensemble's voxels v
+    of values[:, v] times the kernel derivative of per-axis orders a at (point,
     v), times that of orders b, shape (N, P); for |a| <= order and, with
     ``pairs``, |b| <= 1.  Per axis, the 1-D factors of each order (or product
     of two) are stacked per point.  Untruncated kernels contract the stacks
     with the subjects-last data tensor (``_stack_contract``); a truncated
     kernel's stacks span all point x voxel pairs, and their products under
     the truncation mask multiply the values."""
-    D, N = kernel.dimension, values.shape[0]
+    D, N, domain = kernel.dimension, ens.n_fields, ens.domain
     points = np.atleast_2d(points)
     if points.shape[1] != D:
         raise ValueError(f"points of dimension {points.shape[1]} do not match the {D}-D kernel")
@@ -122,7 +120,7 @@ def _point_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, po
     if truncated:  # up to 4 D (P, M) arrays per stacked factor are cached per chunk
         targets, width = domain.coords.T, 4 * len(kinds) * D * domain.n_voxels
     else:
-        targets, data = domain.axis_values, _data_tensor(domain, values)
+        targets, data = domain.axis_values, ens.dense
         width = len(kinds) * data.size // data.shape[0]
     step = max(1, _CHUNK_CELLS // width)
     out = {key: np.empty((N, len(points))) for key in keys}
@@ -134,7 +132,7 @@ def _point_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, po
             # products over the leading axes are shared; symmetric keys share a column
             mask = sum(u * u for u in t) <= kernel.truncation**2
             lead = cache(lambda idx: lead(idx[:-1]) * kind(len(idx) - 1, idx[-1]) if idx else mask)
-            column = cache(lambda idx: (lead(idx[:-1]) * kind(D - 1, idx[-1])) @ values.T)
+            column = cache(lambda idx: (lead(idx[:-1]) * kind(D - 1, idx[-1])) @ ens.values.T)
         else:
             res = _stack_contract(data, [np.stack([kind(d, i) for i in range(len(kinds))], axis=1)
                                          for d in range(D)])
@@ -179,8 +177,9 @@ def _bundle(moment, D: int, hessian: bool):
 def _white_noise_moments(kernel: GaussianKernel, domain: VoxelSet, hessian: bool, **at):
     """The bundle of independent unit-variance voxel noise over ``domain``,
     whose double sums collapse to single sums of kernel-derivative products
-    over the voxel occupancy; ``at`` places them as in ``_sums``."""
-    s = _sums(kernel, domain, np.ones((1, domain.n_voxels)), 2 if hessian else 1, pairs=True, **at)
+    over the voxel occupancy (``domain.unit_field``); ``at`` places them as
+    in ``_sums``."""
+    s = _sums(kernel, domain.unit_field, 2 if hessian else 1, pairs=True, **at)
     bundle = _bundle(lambda a, b: s(a, b)[0], kernel.dimension, hessian)
     if np.any(bundle[0] < 1e-30):
         raise DegenerateFieldError("vanishing field variance at an evaluation point")
@@ -195,12 +194,13 @@ def _eval_arrays(spec: SurfSpec, points: np.ndarray, order: str, field: int | No
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(points)):
         raise ValueError("query points must be finite")
-    X = spec.ensemble.values if field is None else spec.ensemble.values[[field]]
-    kern, dom, n = spec.kernel, spec.ensemble.domain, _ORDERS.index(order)
-    v, g, h = _derivative_arrays(_point_sums(kern, dom, X, points, n), kern.dimension, n)
+    ens, kern, n = spec.ensemble, spec.kernel, _ORDERS.index(order)
+    if field is not None:
+        ens = FieldEnsemble(ens.domain, ens.values[[field]])
+    v, g, h = _derivative_arrays(_point_sums(kern, ens, points, n), kern.dimension, n)
     if not spec.normalized:
         return v, g, h
-    S, Sd, Sdd, *hess_moments = _white_noise_moments(kern, dom, n == 2, points=points)
+    S, Sd, Sdd, *hess_moments = _white_noise_moments(kern, ens.domain, n == 2, points=points)
     return _quotient(1, v, g, h, S, Sd, hess_moments[1] + Sdd if hess_moments else None, 1)
 
 
@@ -295,18 +295,12 @@ def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
     """One-sample t statistic of the smoothed ensemble at the given points.
 
     Normalization of the fields cancels out of the statistic, so evaluation
-    uses the raw smoothed fields.  Returns (P,) values or (P, D) gradients;
-    order='both' returns the pair.
+    uses the raw smoothed fields.  Returns (P,) values or (P, D) gradients.
     """
-    if order not in ("value", "gradient", "both"):
+    if order not in ("value", "gradient"):
         raise ValueError(f"unknown order {order!r}")
     raw = SurfSpec(spec.ensemble, spec.kernel)  # scale invariance: skip normalization
-    t, gt, _ = _t_from_arrays(*_eval_arrays(raw, points, "value" if order == "value" else "gradient"))
-    if order == "value":
-        return t
-    if order == "gradient":
-        return gt
-    return t, gt
+    return _t_from_arrays(*_eval_arrays(raw, points, order))[_ORDERS.index(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +326,14 @@ def _unit(D: int, *axes: int) -> tuple:
     return tuple(out)
 
 
-def _grid_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, grid: RefinedGrid,
-               ids=None):
-    """s(a, b=None): the subjects-last data tensor of ``values`` over
-    ``domain`` contracted along each axis d with the kernel factor of
-    derivative order a[d] (times the factor of order b[d]), then taken at the
-    grid points ``ids`` (all when None) as contiguous (N, Q) columns.  With
-    ``ids``, only the axis-0 grid rows those points touch are contracted."""
-    D, data = domain.dimension, _data_tensor(domain, values)
+def _grid_sums(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, ids=None):
+    """s(a, b=None): the ensemble's subjects-last data tensor contracted
+    along each axis d with the kernel factor of derivative order a[d] (times
+    the factor of order b[d]), then taken at the grid points ``ids`` (all
+    when None) as contiguous (N, Q) columns.  With ``ids``, only the axis-0
+    grid rows those points touch are contracted; where the points fill that
+    block in order (every slab of a box grid), the contraction is the result."""
+    domain, data, D = ens.domain, ens.dense, ens.domain.dimension
     axes = tuple(grid.axis_positions(ids))
     rows = slice(None)
     if ids is not None and len(axes[0]):
@@ -352,27 +346,30 @@ def _grid_sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, gri
         t = grid.axis_coords[d][rows if d == 0 else slice(None), None] - domain.axis_values[d]
         return kernel.axis_factor(d, t, order)
 
-    flat = np.ravel_multi_index(axes, tuple(len(factor(d, 0)) for d in range(D)))
+    block = tuple(len(factor(d, 0)) for d in range(D))
+    flat = np.ravel_multi_index(axes, block)
+    whole = np.array_equal(flat, np.arange(np.prod(block)))
 
     def s(a: tuple, b: tuple | None = None) -> np.ndarray:
         mats = [factor(d, a[d]) if b is None else factor(d, a[d]) * factor(d, b[d])
                 for d in range(D)]
-        return _contract(data, mats).take(flat, axis=1)
+        out = _contract(data, mats)
+        return out if whole else out.take(flat, axis=1)
 
     return s
 
 
-def _sums(kernel: GaussianKernel, domain: VoxelSet, values: np.ndarray, order: int, pairs: bool = False,
+def _sums(kernel: GaussianKernel, ens: FieldEnsemble, order: int, pairs: bool = False,
           *, points=None, grid=None, ids=None):
-    """s(a, b=None) of ``values`` over ``domain``, at ``points`` or at the
-    grid points ``ids`` (all when None) of ``grid``: the tensor-grid engine
-    for an untruncated kernel on a grid, else the point engine, which alone
-    sums a truncated kernel exactly (``order`` and ``pairs`` as there)."""
+    """s(a, b=None) of the ensemble ``ens``, at ``points`` or at the grid
+    points ``ids`` (all when None) of ``grid``: the tensor-grid engine for an
+    untruncated kernel on a grid, else the point engine, which alone sums a
+    truncated kernel exactly (``order`` and ``pairs`` as there)."""
     if grid is not None and kernel.truncation is None:
-        return _grid_sums(kernel, domain, values, grid, ids)
+        return _grid_sums(kernel, ens, grid, ids)
     if grid is not None:
         points = grid.points if ids is None else grid.points[ids]
-    return _point_sums(kernel, domain, values, points, order, pairs)
+    return _point_sums(kernel, ens, points, order, pairs)
 
 
 def _derivative_arrays(s, D: int, derivatives: int):
@@ -397,13 +394,13 @@ def smooth_on_grid(
 ) -> dict[str, np.ndarray]:
     """Smoothed fields (and exact derivatives) at every grid point.
 
-    An untruncated kernel is separable: the subjects-last data tensor is
-    contracted with one smoothing matrix per axis, then taken at the grid's
+    An untruncated kernel is separable: the ensemble's subjects-last data
+    tensor is contracted with one smoothing matrix per axis, then taken at the grid's
     points; a truncated kernel goes through the point engine.  Returns
     'value': (N, P) plus, if requested, 'grad': (N, P, D) and 'hess':
     (N, P, D, D).
     """
-    s = _sums(kernel, ensemble.domain, ensemble.values, derivatives, grid=grid)
+    s = _sums(kernel, ensemble, derivatives, grid=grid)
     arrays = _derivative_arrays(s, kernel.dimension, derivatives)
     return {k: a for k, a in zip(("value", "grad", "hess"), arrays) if a is not None}
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import struct
 
@@ -142,6 +143,12 @@ def test_fwer_sim_config_validation(tmp_path):
         assert main(["fwer-sim", "--config", str(bad), "--dry-run"]) == 2, key
     bad.write_text(json.dumps(dict(base, n_subjects=True, n_reps=True, threads=True)))
     assert main(["fwer-sim", "--config", str(bad), "--dry-run"]) == 2
+    # JSON reads Infinity and NaN as floats
+    for key, value in (("fwhm", math.inf), ("fwhm", math.nan), ("fwhm", 0.0), ("fwhm", -2.0),
+                       ("alpha", math.nan), ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.1)):
+        bad.write_text(json.dumps(dict(base, **{key: value})))
+        assert main(["fwer-sim", "--config", str(bad), "--dry-run"]) == 2, (key, value)
+        assert main(["fwer-sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, (key, value)
     bad.write_text(json.dumps(base))
     assert main(["fwer-sim", "--config", str(bad), "--dry-run"]) == 0
 

@@ -382,6 +382,13 @@ def test_fwer_smoke_and_nesting():
     assert rep.mean_threshold > 2.0
 
 
+def test_replication_embeds_its_ensemble_once(embeddings):
+    # the LKCs, the t grid and every ascent sweep read one data tensor
+    rep = fwer_experiment("stat2d", 3.0, 8, 1, rng=3)
+    assert rep.n_failures == 0
+    assert len(embeddings) == 1 and embeddings[0].n_fields == 8
+
+
 def test_fwer_deterministic_across_thread_counts():
     a = fwer_experiment("nonstat1d", 2.0, 15, 12, 0.1, rng=9, threads=1)
     b = fwer_experiment("nonstat1d", 2.0, 15, 12, 0.1, rng=9, threads=4)

@@ -102,21 +102,6 @@ def test_non_finite_parameters_rejected(fwhm, truncation):
         GaussianKernel(fwhm, truncation)
 
 
-def test_kernel_from_config():
-    from surfield.kernel import kernel_from_config
-
-    k = kernel_from_config({"type": "gaussian", "fwhm": [2.0, 3.0], "truncation": None})
-    assert k.fwhm == (2.0, 3.0) and k.truncation is None
-    k2 = kernel_from_config({"type": "gaussian", "fwhm": [1.5], "truncation": 4.0})
-    assert k2.truncation == 4.0
-    with pytest.raises(ValueError):
-        kernel_from_config({"type": "box", "fwhm": [1.0]})
-    with pytest.raises(ValueError):
-        kernel_from_config({"type": "gaussian", "fwhm": 2.0})
-    with pytest.raises(ValueError):
-        kernel_from_config({"type": "gaussian"})
-
-
 def test_point_dimension_must_match_kernel():
     from surfield.geometry import metric
     from surfield.lattice import RngSpec, VoxelSet, sample_ensemble

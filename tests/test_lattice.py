@@ -66,6 +66,25 @@ def test_unknown_preset_rejected():
         make_domain_preset("statXd", 2.0)
 
 
+@pytest.mark.parametrize("fwhm", [math.inf, math.nan, -1.0, 0.0, None])
+def test_stationary_preset_needs_finite_positive_fwhm(fwhm):
+    with pytest.raises(ValueError, match="finite positive fwhm"):
+        make_domain_preset("stat2d", fwhm)
+
+
+def test_dense_embedding_is_cached_read_only_and_zero_off_the_set():
+    dom = make_domain_preset("nonstat2d")
+    ens = sample_ensemble(dom, 3, RngSpec(4))
+    want = np.zeros((len(dom.axis_values[0]), len(dom.axis_values[1]), 3))
+    for v, c in enumerate(dom.coords):
+        want[tuple(np.searchsorted(a, x) for a, x in zip(dom.axis_values, c))] = ens.values[:, v]
+    assert np.array_equal(ens.dense, want)
+    assert ens.dense is ens.dense and not ens.dense.flags.writeable
+    unit = dom.unit_field
+    assert unit is dom.unit_field and unit.domain is dom
+    assert unit.values.shape == (1, dom.n_voxels) and np.all(unit.values == 1.0)
+
+
 def test_spacing_is_min_positive_gap_and_idempotent():
     vs = VoxelSet(np.array([[0.0, 0.0], [1.5, 0.0], [4.5, 2.0]]))
     assert np.allclose(vs.spacing, [1.5, 2.0])

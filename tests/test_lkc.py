@@ -264,6 +264,53 @@ def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
     assert many.diagnostics == one.diagnostics
 
 
+def test_multi_slab_white_noise_lkc_embeds_the_unit_field_once(monkeypatch, embeddings):
+    dom = make_domain_preset("nonstat2d")
+    man = VoxelManifold(dom)
+    grid = refined_grid(man, 3)
+    monkeypatch.setattr(lkc_module, "_SLAB_POINTS", 100)
+    assert len(lkc_module._slabs(grid)) > 20
+    lkc_compute("white-noise", GaussianKernel.isotropic(2.0, 2), man, 3, grid=grid)
+    assert len(embeddings) == 1 and embeddings[0] is dom.unit_field
+
+
+@pytest.mark.parametrize("case, message", [
+    ("white-noise", "manifold is 2-D but the kernel is 3-D"),
+    ("ensemble", "manifold is 2-D but the kernel is 3-D"),
+    ("1-D ensemble", "sample domain is 1-D but the kernel is 2-D"),
+    ("sample domain", "sample domain is 3-D but the kernel is 2-D"),
+])
+def test_lkc_rejects_a_kernel_of_another_dimension(case, message):
+    man = VoxelManifold(make_domain_preset("nonstat2d"))
+    k = GaussianKernel.isotropic(2.0, 3 if case in ("white-noise", "ensemble") else 2)
+    source, extra = "white-noise", {}
+    if case == "ensemble":
+        source = sample_ensemble(man.domain, 3, RngSpec(1))
+    elif case == "1-D ensemble":
+        source = sample_ensemble(make_domain_preset("nonstat1d"), 3, RngSpec(1))
+    elif case == "sample domain":
+        extra = {"sample_domain": make_domain_preset("nonstat3d")}
+    with pytest.raises(ValueError, match=message):
+        lkc_compute(source, k, man, 1, **extra)
+
+
+def test_geometry_rejects_a_kernel_of_another_dimension():
+    from surfield.geometry import metric
+
+    dom = make_domain_preset("nonstat2d")
+    grid = refined_grid(VoxelManifold(dom), 1)
+    k3 = GaussianKernel.isotropic(2.0, 3)
+    with pytest.raises(ValueError, match="voxel domain is 2-D but the kernel is 3-D"):
+        metric_on_grid("white-noise", k3, grid)
+    with pytest.raises(ValueError, match="voxel domain is 2-D but the kernel is 3-D"):
+        metric("white-noise", k3, dom, np.zeros((2, 3)))
+    ens1 = sample_ensemble(make_domain_preset("nonstat1d"), 3, RngSpec(1))
+    with pytest.raises(ValueError, match="domain is 1-D but the kernel is 2-D"):
+        metric(ens1, GaussianKernel.isotropic(2.0, 2), None, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="grid is 2-D but the kernel is 1-D"):
+        christoffel_on_grid(ens1, GaussianKernel.isotropic(2.0, 1), grid)
+
+
 def test_face_term_is_the_full_frame_trace(nonstat3d_r3):
     # oracle: the face integrand is the trace Q(U,U) + Q(V,V) of the second
     # fundamental form Q(X,Y) = <N, Gamma(X,Y)> over each face's metric

@@ -184,11 +184,18 @@ def test_grid_stores_only_keys_per_point(D):
 
     kern = GaussianKernel.isotropic(2.0, D)
     ens = sample_ensemble(dom, 4, RngSpec(D))
-    for values in (ens.values, np.ones((1, dom.n_voxels))):
-        full = _grid_sums(kern, dom, values, g)
-        part = _grid_sums(kern, dom, values, g, ids=slab)
-        for a, b in [((0,) * D, None), ((1,) + (0,) * (D - 1), (0,) * (D - 1) + (1,))]:
-            assert np.array_equal(part(a, b), full(a, b)[:, slab])
+    # on a box, whole axis-0 rows fill the block they contract, which is taken as is
+    box = box_set(*(5,) * D)
+    g_box = refined_grid(VoxelManifold(box), 3)
+    row_keys = g_box.keys[:, 0]
+    rows = np.flatnonzero((row_keys >= g_box.axis_keys[0][3]) & (row_keys <= g_box.axis_keys[0][8]))
+    for grid, ids, sources in ((g, slab, (ens, dom.unit_field)),
+                               (g_box, rows, (sample_ensemble(box, 4, RngSpec(D)), box.unit_field))):
+        for source in sources:
+            full = _grid_sums(kern, source, grid)
+            part = _grid_sums(kern, source, grid, ids=ids)
+            for a, b in [((0,) * D, None), ((1,) + (0,) * (D - 1), (0,) * (D - 1) + (1,))]:
+                assert np.array_equal(part(a, b), full(a, b)[:, ids])
 
     lkc_compute("white-noise", kern, man, 3, sample_domain=dom, grid=g)
     t_field_on_grid(SurfSpec(ens, kern), g)
