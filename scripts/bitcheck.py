@@ -105,6 +105,22 @@ def dump(path: str) -> None:
     print(f"wrote {len(out)} arrays to {path}")
 
 
+def differences(x: np.ndarray, y: np.ndarray) -> str:
+    """How two numeric arrays differ: their dtypes or shapes, else the count
+    of differing elements and the largest absolute and relative difference."""
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return f"{x.dtype}{list(x.shape)} and {y.dtype}{list(y.shape)}"
+    x, y = x.astype(np.float64), y.astype(np.float64)
+    differ = (x != y) & ~(np.isnan(x) & np.isnan(y))
+    if not differ.any():
+        return "values equal"
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(x - y)[differ]
+        rel = diff / np.maximum(np.abs(x), np.abs(y))[differ]
+    return (f"{np.count_nonzero(differ)} of {x.size} elements differ, "
+            f"max abs {np.nanmax(diff):.3e}, max rel {np.nanmax(rel):.3e}")
+
+
 def compare(before: str, after: str) -> int:
     a, b = np.load(before), np.load(after)
     bad = sorted(set(a.files) ^ set(b.files))
@@ -119,10 +135,11 @@ def compare(before: str, after: str) -> int:
             scale = float(np.max(np.abs(x)))
             drift = float(np.max(np.abs(x - y))) / scale
             ok = x.dtype == y.dtype and drift <= NORM_TOL
-            print(f"{'within' if ok else 'DIFF'} {key}: drift {drift:.2e} of max |x|")
+            print(f"{'within' if ok else 'DIFF'} {key}: drift {drift:.2e} of max |x|"
+                  + ("" if ok else f"; {differences(x, y)}"))
         else:
             ok = x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
-            print(f"{'same' if ok else 'DIFF'} {key}")
+            print(f"same {key}" if ok else f"DIFF {key}: {differences(x, y)}")
         bad += [] if ok else [key]
     for dump_ in (a, b):  # the report must not depend on the thread count
         if str(dump_["cli_report_threads1"]) != str(dump_["cli_report_threads3"]):

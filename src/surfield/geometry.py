@@ -21,6 +21,7 @@ The bundle and the metric are stored components first and exposed as
 (..., D, D) views (``surf._components_first``), so every per-entry pass
 streams one contiguous column, not a strided slice of the whole array;
 ``metric_on_grid`` and ``christoffel_on_grid`` results are not C-contiguous.
+Moments are written into their columns and the metric is built in place.
 
 Boundary strata read the metric alone: ``orthonormal_frame`` adapts a frame
 to a face plane, ``theta_batch`` gives a 3-D edge's angle in closed form.
@@ -62,10 +63,10 @@ _EIG_CLIP = 1e-12
 
 
 def _sample_moment(column, N: int):
-    """moment(a, b) of an N-field ensemble: the sample covariance, with the
-    N-1 denominator, of the (N, Q) columns ``column(a)`` and ``column(b)``,
-    each centred in place on first use: the moments are the only reader of
-    the columns."""
+    """moment(a, b, out=None) of an N-field ensemble: the sample covariance,
+    with the N-1 denominator, of the (N, Q) columns ``column(a)`` and
+    ``column(b)``, each centred in place on first use (the moments are the
+    only reader of the columns), written into ``out`` when given."""
     w = 1.0 / (N - 1)
 
     @cache
@@ -74,16 +75,20 @@ def _sample_moment(column, N: int):
         v -= v.mean(axis=0)
         return v
 
-    return lambda a, b: np.einsum("np,np->p", centred(a), centred(b)) * w
+    return lambda a, b, out=None: np.multiply(
+        np.einsum("np,np->p", centred(a), centred(b), out=out), w, out=out)
 
 
 def _metric_expr(S, Sd, Sdd) -> np.ndarray:
-    """Sdd / S - Sd Sd^T / S^2, filled per unique (d, e) entry."""
+    """Sdd / S - Sd Sd^T / S^2, computed in that order in each unique (d, e) column."""
     D = Sd.shape[-1]
     S2 = S**2
     lam = _components_first(S.shape, D, D)
+    tmp = np.empty_like(S)
     for d, e in combinations_with_replacement(range(D), 2):
-        lam[..., d, e] = lam[..., e, d] = Sdd[..., d, e] / S - Sd[..., d] * Sd[..., e] / S2
+        col = np.divide(Sdd[..., d, e], S, out=lam[..., d, e])
+        col -= np.divide(np.multiply(Sd[..., d], Sd[..., e], out=tmp), S2, out=tmp)
+        lam[..., e, d] = col
     return lam
 
 

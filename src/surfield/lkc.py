@@ -10,11 +10,12 @@ grows.  The zeroth curvature is always the combinatorial Euler
 characteristic, never estimated.
 
 The integrals stream over slabs of the grid: runs of whole axis-0 rows of
-contiguous grid ids.  Each slab's moment bundle is computed once (with the
-Hessian moments for the face term); its metric and face-term Christoffel
-symbols are reduced into the volume, face and edge sums through that slab's
-quadrature-table entries, and dropped, so memory follows the slab size
-rather than the grid size.
+contiguous grid ids, handed to the engine as a range (on a box grid, known
+from its bounds to fill its block).  Each slab's moment bundle is computed
+once (with the Hessian moments for the face term); its metric and face-term
+Christoffel symbols are reduced into the volume, face and edge sums through
+that slab's quadrature-table entries, and dropped, so memory follows the
+slab size rather than the grid size.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .geometry import (
 )
 from .kernel import GaussianKernel
 from .lattice import FieldEnsemble, VoxelSet
-from .manifold import RefinedGrid, VoxelManifold, euler_characteristic, refined_grid
+from .manifold import RefinedGrid, VoxelManifold, _added_resolution, euler_characteristic, refined_grid
 from .surf import _check_dimensions
 
 __all__ = ["LkcVector", "lkc_compute", "lkc_stationary_closed_form"]
@@ -153,6 +154,7 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
     when it differs from the manifold's own set (the boundary-padded
     presets); an ensemble always sums over its own domain.
     """
+    r = _added_resolution(r)
     if r == 0:
         raise ValueError("curvature estimation requires added resolution r >= 1")
     if isinstance(source, FieldEnsemble):
@@ -178,7 +180,7 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
     # per-slab quadrature sums, scaled by their cell measures at the end
     vol, bnd, edge, face, n_bad = 0.0, np.zeros(D), np.zeros(3), np.zeros(3), 0
     for j, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        bundle = _moments(source, kernel, domain, hessian, grid=grid, ids=np.arange(start, stop))
+        bundle = _moments(source, kernel, domain, hessian, grid=grid, ids=range(start, stop))
         lam = _metric_expr(*bundle[:3])
         dets, bad = sqrt_det_psd(lam)
         vol += float(np.sum(grid.vol_weight[start:stop] * dets))

@@ -15,6 +15,7 @@ coordinates.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -184,7 +185,7 @@ class RefinedGrid:
 
     def __init__(self, manifold: VoxelManifold, r: int):
         self.manifold = manifold
-        self.r = int(r)
+        self.r = _added_resolution(r)
         D = manifold.dimension
         self.dimension = D
         dom = manifold.domain
@@ -324,6 +325,13 @@ class RefinedGrid:
         occupied = man._padded[tuple(np.moveaxis(boxes - man._origin + 1, -1, 0))]
         owner, choice = np.nonzero(distinct & occupied)
         return owner, boxes[owner, choice]
+
+
+def _added_resolution(r) -> int:
+    """``r`` as an int, refusing a bool or a non-integral value (``int`` truncates)."""
+    if isinstance(r, bool) or not hasattr(r, "__index__"):
+        raise TypeError(f"added resolution must be an integer, got {r!r}")
+    return operator.index(r)
 
 
 def _check_grid_size(manifold: VoxelManifold, r: int) -> tuple[int, int]:

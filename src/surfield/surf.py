@@ -6,18 +6,20 @@ derivatives) at any point.  This module evaluates single fields, ensembles,
 the normalized variant (unit pointwise variance), covariances, and the
 one-sample t-statistic field, in batched/columnar form.
 
-Two separable engines back every kernel sum, each as ``s(a, b=None)``: the
-sums over voxels of an ensemble's data times the kernel derivative of
-per-axis orders ``a`` (times that of orders ``b``).  For untruncated kernels
-both read the subjects-last (m1..mD, N) data tensor the ensemble owns
-(``FieldEnsemble.dense``, built once however many calls read it).  On
+Two separable engines back every kernel sum, each as ``s(a, b=None,
+out=None)``: the sums over voxels of an ensemble's data times the kernel
+derivative of per-axis orders ``a`` (times that of orders ``b``), written
+into ``out`` if given.  For untruncated kernels both read the subjects-last
+(m1..mD, N) data tensor the ensemble owns (``FieldEnsemble.dense``).  On
 (subsets of) the tensor-product grids that the curvature and simulation
 pipelines evaluate on, ``_grid_sums`` contracts it with one kernel-factor
-matrix per axis and multi-index, one GEMM per axis, and takes contiguous
-(N, Q) columns at the grid points.  At arbitrary points, ``_point_sums``
-contracts it with per-point stacks of the 1-D factors of every order; a
-truncated kernel, which is not separable, sums those factors over all
-point x voxel pairs under its mask.  ``_sums`` alone chooses the engine.
+matrix per axis, one GEMM per axis, and takes contiguous (N, Q) columns at
+the grid points, or, for a range of ids known from its bounds to fill the
+contracted block (whole rows of a box grid), lets the last GEMM write them.
+At arbitrary points, ``_point_sums`` contracts it with per-point stacks of
+the 1-D factors of every order; a truncated kernel, which is not separable,
+sums those factors over all point x voxel pairs under its mask.  ``_sums``
+alone chooses the engine.  Kernel operands carry no subnormals (``_flush``).
 Over the domain's ``unit_field`` of ones the same sums give the white-noise
 moments that normalize fields and give ``geometry`` its white-noise metric.
 """
@@ -97,14 +99,15 @@ def _stack_contract(data: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
 
 def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, order: int,
                 pairs: bool = False):
-    """s(a, b=None) at arbitrary points: the sum over the ensemble's voxels v
-    of values[:, v] times the kernel derivative of per-axis orders a at (point,
-    v), times that of orders b, shape (N, P); for |a| <= order and, with
-    ``pairs``, |b| <= 1.  Per axis, the 1-D factors of each order (or product
-    of two) are stacked per point.  Untruncated kernels contract the stacks
-    with the subjects-last data tensor (``_stack_contract``); a truncated
-    kernel's stacks span all point x voxel pairs, and their products under
-    the truncation mask multiply the values."""
+    """s(a, b=None, out=None) at arbitrary points: the sum over the ensemble's
+    voxels v of values[:, v] times the kernel derivative of per-axis orders a
+    at (point, v), times that of orders b, shape (N, P), copied into ``out`` if
+    given; for |a| <= order and, with ``pairs``, |b| <= 1.  Per axis, the 1-D
+    factors of each order (or product of two) are stacked per point and
+    flushed.  Untruncated kernels contract the stacks with the subjects-last
+    data tensor (``_stack_contract``); a truncated kernel's stacks span all
+    point x voxel pairs, and their products under the truncation mask
+    multiply the values."""
     D, N, domain = kernel.dimension, ens.n_fields, ens.domain
     points = np.atleast_2d(points)
     if points.shape[1] != D:
@@ -123,11 +126,12 @@ def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, 
         targets, data = domain.axis_values, ens.dense
         width = len(kinds) * data.size // data.shape[0]
     step = max(1, _CHUNK_CELLS // width)
-    out = {key: np.empty((N, len(points))) for key in keys}
+    sums = {key: np.empty((N, len(points))) for key in keys}
     for start in range(0, len(points), step):
         t = [points[start:start + step, d, None] - targets[d] for d in range(D)]
         factor = cache(lambda d, o: kernel.axis_factor(d, t[d], o))
-        kind = cache(lambda d, i: factor(d, kinds[i][0]) * factor(d, kinds[i][1]) if pairs else factor(d, i))
+        kind = cache(lambda d, i: _flush(factor(d, kinds[i][0]) * factor(d, kinds[i][1]) if pairs
+                                         else factor(d, i)))
         if truncated:
             # products over the leading axes are shared; symmetric keys share a column
             mask = sum(u * u for u in t) <= kernel.truncation**2
@@ -138,8 +142,14 @@ def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, 
                                          for d in range(D)])
             column = lambda idx: res[:, np.ravel_multi_index(idx, (len(kinds),) * D)]
         for key in keys:
-            out[key][:, start:start + step] = column(index[key]).T
-    return lambda a, b=None: out[a, b]
+            sums[key][:, start:start + step] = column(index[key]).T
+
+    def s(a: tuple, b: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        if out is not None:
+            out.reshape(N, -1, copy=False)[...] = sums[a, b]
+        return sums[a, b] if out is None else out.reshape(N, -1, copy=False)
+
+    return s
 
 
 def _components_first(lead: tuple, *components: int) -> np.ndarray:
@@ -151,26 +161,26 @@ def _components_first(lead: tuple, *components: int) -> np.ndarray:
 
 def _bundle(moment, D: int, hessian: bool):
     """(S, Sd, Sdd[, T2, U2]) with S = <X, X>, Sd = <X, dX>, Sdd = <dX, dX>,
-    T2 = <ddX, dX> and U2 = <ddX, X> per point, each entry filled straight
-    from ``moment(a, b)``.  The component arrays are stored components first
-    (``_components_first``) and exposed as (..., D[, D[, D]]) views, so each
-    per-entry pass streams one contiguous column."""
+    T2 = <ddX, dX> and U2 = <ddX, X> per point, each entry written into its
+    column by ``moment(a, b, out=None)`` and copied to its mirrors.  The arrays
+    are stored components first (``_components_first``) and exposed as
+    (..., D[, D[, D]]) views, so each per-entry pass streams one column."""
     zero = _unit(D)
     S = moment(zero, zero)
     Sd = _components_first(S.shape, D)
     Sdd = _components_first(S.shape, D, D)
     for d in range(D):
-        Sd[..., d] = moment(zero, _unit(D, d))
+        moment(zero, _unit(D, d), out=Sd[..., d])
     for d, e in combinations_with_replacement(range(D), 2):
-        Sdd[..., d, e] = Sdd[..., e, d] = moment(_unit(D, d), _unit(D, e))
+        Sdd[..., e, d] = moment(_unit(D, d), _unit(D, e), out=Sdd[..., d, e])
     if not hessian:
         return S, Sd, Sdd
     T2 = _components_first(S.shape, D, D, D)  # <dk dd X, de X>
     U2 = _components_first(S.shape, D, D)  # <dk dd X, X>
     for k, d in combinations_with_replacement(range(D), 2):
-        U2[..., k, d] = U2[..., d, k] = moment(_unit(D, k, d), zero)
+        U2[..., d, k] = moment(_unit(D, k, d), zero, out=U2[..., k, d])
         for e in range(D):
-            T2[..., k, d, e] = T2[..., d, k, e] = moment(_unit(D, k, d), _unit(D, e))
+            T2[..., d, k, e] = moment(_unit(D, k, d), _unit(D, e), out=T2[..., k, d, e])
     return S, Sd, Sdd, T2, U2
 
 
@@ -180,7 +190,7 @@ def _white_noise_moments(kernel: GaussianKernel, domain: VoxelSet, hessian: bool
     over the voxel occupancy (``domain.unit_field``); ``at`` places them as
     in ``_sums``."""
     s = _sums(kernel, domain.unit_field, 2 if hessian else 1, pairs=True, **at)
-    bundle = _bundle(lambda a, b: s(a, b)[0], kernel.dimension, hessian)
+    bundle = _bundle(lambda a, b, out=None: s(a, b, out)[0], kernel.dimension, hessian)
     if np.any(bundle[0] < 1e-30):
         raise DegenerateFieldError("vanishing field variance at an evaluation point")
     return bundle
@@ -308,14 +318,17 @@ def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
 # ---------------------------------------------------------------------------
 
 
-def _contract(data: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+def _contract(data: np.ndarray, mats: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """(N, q1..qD) sums of the subjects-last (m1..mD, N) data tensor against
     per-axis (q_d, m_d) matrices, flattened to (N, q1 * .. * qD).  Each axis
-    is one GEMM on the leading axis, which moves that axis to the end."""
-    out = data
-    for F in mats:
-        out = out.reshape(F.shape[1], -1).T @ F.T
-    return out.reshape(data.shape[-1], -1)
+    is one GEMM on the leading axis, which moves that axis to the end; the
+    last writes into ``out`` (as many entries, reshaped without a copy) if given."""
+    N, *inner, F = data.shape[-1], *mats
+    for G in inner:
+        data = data.reshape(G.shape[1], -1).T @ G.T
+    lhs = data.reshape(F.shape[1], -1).T
+    out = None if out is None else out.reshape(len(lhs), -1, copy=False)
+    return np.matmul(lhs, F.T, out=out).reshape(N, -1)
 
 
 def _unit(D: int, *axes: int) -> tuple:
@@ -326,49 +339,72 @@ def _unit(D: int, *axes: int) -> tuple:
     return tuple(out)
 
 
+def _flush(a: np.ndarray) -> np.ndarray:
+    """``a`` with its subnormals set to 0 in place: BLAS slows down on them,
+    and a term below tiny is under half an ulp of every sum it joins."""
+    a[np.abs(a) < np.finfo(np.float64).tiny] = 0.0
+    return a
+
+
+def _id_array(ids):  # numpy would convert a range element by element
+    return np.arange(ids.start, ids.stop, ids.step) if isinstance(ids, range) else ids
+
+
+def _locate(grid: RefinedGrid, ids) -> tuple[slice, np.ndarray | None]:
+    """The axis-0 rows the grid points ``ids`` touch, and the points' flat
+    positions in those rows' block (all keys of the other axes), or None for
+    a range that its end points and count show to fill the block in order."""
+    shape = [len(k) for k in grid.axis_keys]
+    if isinstance(ids, range) and len(ids):
+        lo, hi = np.searchsorted(grid.axis_keys[0], grid.keys[[ids[0], ids[-1]], 0])
+        if len(ids) == (hi + 1 - lo) * np.prod(shape[1:]):
+            return slice(lo, hi + 1), None
+    axes = list(grid.axis_positions(_id_array(ids)))
+    lo, hi = (axes[0].min(), axes[0].max()) if len(axes[0]) else (0, shape[0] - 1)
+    axes[0] = axes[0] - lo
+    return slice(lo, hi + 1), np.ravel_multi_index(axes, [hi + 1 - lo] + shape[1:])
+
+
 def _grid_sums(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, ids=None):
-    """s(a, b=None): the ensemble's subjects-last data tensor contracted
-    along each axis d with the kernel factor of derivative order a[d] (times
-    the factor of order b[d]), then taken at the grid points ``ids`` (all
-    when None) as contiguous (N, Q) columns.  With ``ids``, only the axis-0
-    grid rows those points touch are contracted; where the points fill that
-    block in order (every slab of a box grid), the contraction is the result."""
+    """s(a, b=None, out=None): the ensemble's subjects-last data tensor
+    contracted along each axis d with the (flushed, once-built) kernel factor
+    of derivative order a[d] (times that of order b[d]), at the grid points
+    ``ids`` (a range or id array, all when None) as contiguous (N, Q) columns.
+    Only the axis-0 rows ``_locate`` finds are contracted, and the result is
+    the contraction itself or the points taken from it."""
     domain, data, D = ens.domain, ens.dense, ens.domain.dimension
-    axes = tuple(grid.axis_positions(ids))
-    rows = slice(None)
-    if ids is not None and len(axes[0]):
-        lo = int(axes[0].min())
-        rows = slice(lo, int(axes[0].max()) + 1)
-        axes = (axes[0] - lo,) + axes[1:]
+    rows, flat = _locate(grid, range(grid.n_points) if ids is None else ids)
 
     @cache
     def factor(d: int, order: int) -> np.ndarray:
         t = grid.axis_coords[d][rows if d == 0 else slice(None), None] - domain.axis_values[d]
-        return kernel.axis_factor(d, t, order)
+        return _flush(kernel.axis_factor(d, t, order))
 
-    block = tuple(len(factor(d, 0)) for d in range(D))
-    flat = np.ravel_multi_index(axes, block)
-    whole = np.array_equal(flat, np.arange(np.prod(block)))
+    @cache  # apart from ``factor``: a cached closure calling itself is a cycle that outlives the call
+    def pair(d: int, lo: int, hi: int) -> np.ndarray:
+        return _flush(factor(d, lo) * factor(d, hi))
 
-    def s(a: tuple, b: tuple | None = None) -> np.ndarray:
-        mats = [factor(d, a[d]) if b is None else factor(d, a[d]) * factor(d, b[d])
-                for d in range(D)]
-        out = _contract(data, mats)
-        return out if whole else out.take(flat, axis=1)
+    def s(a: tuple, b: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        mats = [factor(d, a[d]) if b is None else pair(d, *sorted((a[d], b[d]))) for d in range(D)]
+        if flat is None:
+            return _contract(data, mats, out)
+        return np.take(_contract(data, mats), flat, axis=1,
+                       out=None if out is None else out.reshape(ens.n_fields, -1, copy=False))
 
     return s
 
 
 def _sums(kernel: GaussianKernel, ens: FieldEnsemble, order: int, pairs: bool = False,
           *, points=None, grid=None, ids=None):
-    """s(a, b=None) of the ensemble ``ens``, at ``points`` or at the grid
-    points ``ids`` (all when None) of ``grid``: the tensor-grid engine for an
-    untruncated kernel on a grid, else the point engine, which alone sums a
-    truncated kernel exactly (``order`` and ``pairs`` as there)."""
+    """s(a, b=None, out=None) of the ensemble ``ens``, at ``points`` or at
+    the grid points ``ids`` (a range or id array, all when None) of ``grid``:
+    the tensor-grid engine for an untruncated kernel on a grid, else the point
+    engine, which alone sums a truncated kernel exactly (``order`` and
+    ``pairs`` as there)."""
     if grid is not None and kernel.truncation is None:
         return _grid_sums(kernel, ens, grid, ids)
     if grid is not None:
-        points = grid.points if ids is None else grid.points[ids]
+        points = grid.points if ids is None else grid.points[_id_array(ids)]
     return _point_sums(kernel, ens, points, order, pairs)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import surfield
 from surfield.geometry import (
+    _metric_expr,
     christoffel_on_grid,
     metric_on_grid,
     orthonormal_frame,
@@ -20,7 +21,7 @@ from surfield.kernel import GaussianKernel
 from surfield.lattice import RngSpec, VoxelSet, make_domain_preset, sample_ensemble
 from surfield import lkc as lkc_module
 from surfield.lkc import LkcVector, lkc_compute, lkc_stationary_closed_form
-from surfield.manifold import VoxelManifold, euler_characteristic, refined_grid
+from surfield.manifold import RefinedGrid, VoxelManifold, euler_characteristic, refined_grid
 
 LOG2 = math.log(2.0)
 
@@ -213,6 +214,21 @@ def test_r0_rejected_and_bad_ensemble_rejected():
         lkc_compute(sample_ensemble(dom, 1, RngSpec(0)), k, man, 1)
 
 
+@pytest.mark.parametrize("r", [1.5, True])
+def test_non_integral_r_rejected_before_a_grid_is_built(monkeypatch, r):
+    # r = 1.5 used to build the r = 1 grid with the r = 1.5 quadrature spacing
+    dom = make_domain_preset("stat2d", 3.0)
+    man = VoxelManifold(dom.interior)
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(lkc_module, "refined_grid", no_grid)
+    monkeypatch.setattr(RefinedGrid, "__init__", no_grid)
+    with pytest.raises(TypeError, match=f"added resolution must be an integer, got {r!r}"):
+        lkc_compute("white-noise", GaussianKernel.isotropic(3.0, 2), man, r, sample_domain=dom)
+
+
 def test_lkc_vector_invariants():
     with pytest.raises(ValueError):
         LkcVector((1.0, 2.0, -0.5), r=1, source="estimate")
@@ -247,21 +263,47 @@ def nonstat3d_r3():
     return man, refined_grid(man, 3)
 
 
-@pytest.mark.parametrize("case", ["white-noise", "ensemble", "face-term"])
+@pytest.mark.parametrize("case", ["white-noise", "ensemble", "face-term", "box white-noise", "box ensemble"])
 def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
     man, grid = nonstat3d_r3
     k = GaussianKernel.isotropic(2.0, 3)
-    source = sample_ensemble(man.domain, 8, RngSpec(17)) if case == "ensemble" else "white-noise"
+    slab_points = 10_000  # one full row or three rows through the hollow per slab
+    if case.startswith("box"):
+        man = VoxelManifold(make_domain_preset("stat2d", 3.0).interior)
+        grid, k, slab_points = refined_grid(man, 3), GaussianKernel.isotropic(3.0, 2), 500
+    source = sample_ensemble(man.domain, 8, RngSpec(17)) if case.endswith("ensemble") else "white-noise"
+    # the whole-row slabs of a box are known from their bounds: no point is
+    # located or taken; the shell's slabs are
+    calls = {"axis_positions": 0, "take": 0}
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(RefinedGrid, "axis_positions", counted("axis_positions", RefinedGrid.axis_positions))
+    monkeypatch.setattr(np, "take", counted("take", np.take))
+    metrics = []
+    monkeypatch.setattr(lkc_module, "_metric_expr", lambda *b: metrics.append(_metric_expr(*b)) or metrics[-1])
 
     def run(slab_points):
         monkeypatch.setattr(lkc_module, "_SLAB_POINTS", slab_points)
-        return lkc_compute(source, k, man, 3, grid=grid, include_face_term=case == "face-term")
+        metrics.clear()
+        vec = lkc_compute(source, k, man, 3, grid=grid, include_face_term=case == "face-term")
+        return vec, np.concatenate(metrics)
 
-    one = run(grid.n_points)
-    many = run(10_000)  # one full row or three rows through the hollow per slab
-    assert len(lkc_module._slabs(grid)) > 20
+    one, lam_one = run(grid.n_points)
+    many, lam_many = run(slab_points)
+    assert len(lkc_module._slabs(grid)) > 12
     np.testing.assert_allclose(many.values, one.values, rtol=1e-13, atol=0)
     assert many.diagnostics == one.diagnostics
+    if case.startswith("box"):  # a whole-row slab contracts its own block: the same bits
+        assert np.array_equal(lam_many, lam_one)
+        assert calls == {"axis_positions": 0, "take": 0}
+    else:
+        np.testing.assert_allclose(lam_many, lam_one, rtol=1e-13, atol=1e-15)
+        assert calls["axis_positions"] > 20 and calls["take"] > 20
 
 
 def test_multi_slab_white_noise_lkc_embeds_the_unit_field_once(monkeypatch, embeddings):

@@ -47,6 +47,15 @@ def test_even_r_rejected():
         refined_grid(man, 2)
 
 
+@pytest.mark.parametrize("r", [1.5, 2.9, 3.0, True, "3"])
+def test_non_integral_r_rejected(r):
+    # int(r) would silently build another grid; 2.9 used to fail as even
+    man = VoxelManifold(VoxelSet(np.array([[1.0], [2.0]])))
+    with pytest.raises(TypeError, match=f"added resolution must be an integer, got {r!r}"):
+        refined_grid(man, r)
+    assert refined_grid(man, np.int64(3)).r == 3
+
+
 def test_oversized_grid_refused_before_allocating():
     man = VoxelManifold(make_domain_preset("stat3d", 1.0).interior)
     tracemalloc.start()
@@ -184,18 +193,23 @@ def test_grid_stores_only_keys_per_point(D):
 
     kern = GaussianKernel.isotropic(2.0, D)
     ens = sample_ensemble(dom, 4, RngSpec(D))
-    # on a box, whole axis-0 rows fill the block they contract, which is taken as is
+    # on a box, a range of whole axis-0 rows fills the block it contracts,
+    # which is the result as is; id arrays and other ranges are taken from it
     box = box_set(*(5,) * D)
     g_box = refined_grid(VoxelManifold(box), 3)
     row_keys = g_box.keys[:, 0]
     rows = np.flatnonzero((row_keys >= g_box.axis_keys[0][3]) & (row_keys <= g_box.axis_keys[0][8]))
-    for grid, ids, sources in ((g, slab, (ens, dom.unit_field)),
-                               (g_box, rows, (sample_ensemble(box, 4, RngSpec(D)), box.unit_field))):
+    box_sources = (sample_ensemble(box, 4, RngSpec(D)), box.unit_field)
+    for grid, ids, sources in ((g, slab, (ens, dom.unit_field)), (g, range(slab[0], slab[-1]), (ens,)),
+                               (g_box, range(rows[0], rows[-1] + 1), box_sources), (g_box, rows, box_sources)):
         for source in sources:
             full = _grid_sums(kern, source, grid)
             part = _grid_sums(kern, source, grid, ids=ids)
             for a, b in [((0,) * D, None), ((1,) + (0,) * (D - 1), (0,) * (D - 1) + (1,))]:
-                assert np.array_equal(part(a, b), full(a, b)[:, ids])
+                want = full(a, b)[:, ids]
+                assert np.array_equal(part(a, b), want)
+                for out in (np.empty(want.size), np.empty(2 * want.size)[::2]):
+                    assert np.shares_memory(part(a, b, out=out), out) and np.array_equal(out, want.ravel())
 
     lkc_compute("white-noise", kern, man, 3, sample_domain=dom, grid=g)
     t_field_on_grid(SurfSpec(ens, kern), g)

@@ -386,3 +386,85 @@ def test_grid_engine_matches_direct_sums(D, n_fields):
         for g, w in zip(got, want):
             assert g.shape == w.shape
             np.testing.assert_allclose(g, w, rtol=1e-11, atol=1e-12 * np.abs(w).max())
+
+
+def test_grid_sums_free_their_matrices_with_the_last_reference():
+    # a reference cycle would hold every factor matrix of every LKC slab
+    # until the garbage collector ran, raising the peak memory of a call
+    import gc
+
+    from surfield.surf import _grid_sums
+
+    dom, _ = point_engine_case(3)
+    grid = refined_grid(VoxelManifold(dom), 1)
+    gc.collect()
+    gc.disable()
+    try:
+        s = _grid_sums(GaussianKernel.isotropic(2.0, 3), dom.unit_field, grid, ids=range(0, grid.n_points // 2))
+        s((0, 0, 0), (1, 0, 0))
+        s((0, 1, 0))
+        del s
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# No subnormal kernel operand reaches BLAS
+# ---------------------------------------------------------------------------
+
+
+def _subnormal_operands(monkeypatch):
+    """Per call of ``_contract`` or ``_stack_contract`` while the test runs,
+    (engine, count of kernel-operand entries with 0 < |x| < tiny)."""
+    from surfield import surf as surf_module
+
+    tiny = np.finfo(np.float64).tiny
+    seen = []
+    for name in ("_contract", "_stack_contract"):
+        def spy(data, mats, *rest, real=getattr(surf_module, name), name=name):
+            seen.append((name, sum(int(np.count_nonzero((a != 0) & (np.abs(a) < tiny))) for a in mats)))
+            return real(data, mats, *rest)
+        monkeypatch.setattr(surf_module, name, spy)
+    return seen
+
+
+def _fwhm1_case(case):
+    """A FWHM-1 white-noise stat3d LKC at r = 1, or one stat2d FWER
+    replication (grid moments, t grid and ascent), as arrays."""
+    from surfield.inference import fwer_experiment
+    from surfield.lkc import lkc_compute
+
+    if case == "stat3d white-noise LKC":
+        dom = make_domain_preset("stat3d", 1.0)
+        vec = lkc_compute("white-noise", GaussianKernel.isotropic(1.0, 3), VoxelManifold(dom.interior), 1,
+                          sample_domain=dom)
+        return {"lkc": np.array(vec.values)}
+    return fwer_experiment("stat2d", 1.0, 20, 1, rng=RngSpec(3), keep_details=True).details
+
+
+FWHM1_CASES = ["stat3d white-noise LKC", "stat2d FWER replication"]
+
+
+@pytest.mark.parametrize("case", FWHM1_CASES)
+def test_no_subnormal_kernel_operand_reaches_blas(monkeypatch, case):
+    seen = _subnormal_operands(monkeypatch)
+    _fwhm1_case(case)
+    engines = {name for name, _ in seen}
+    assert engines == ({"_contract"} if case.startswith("stat3d") else {"_contract", "_stack_contract"})
+    assert sum(n for _, n in seen) == 0
+
+
+@pytest.mark.parametrize("case", FWHM1_CASES)
+def test_flushing_subnormal_operands_moves_no_bits(monkeypatch, case):
+    from surfield import surf as surf_module
+
+    flushed = _fwhm1_case(case)
+    with monkeypatch.context() as m:
+        m.setattr(surf_module, "_flush", lambda a: a)
+        seen = _subnormal_operands(m)
+        unflushed = _fwhm1_case(case)
+    assert sum(n for _, n in seen) > 0  # the case does meet subnormal operands
+    assert flushed.keys() == unflushed.keys()
+    for key in flushed:
+        assert np.array_equal(flushed[key], unflushed[key], equal_nan=True), key
