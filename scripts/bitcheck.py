@@ -5,17 +5,22 @@ compare two dumps.
     python scripts/bitcheck.py compare BEFORE.npz AFTER.npz
 
 ``dump`` records criterion 4's two FWER runs (2 x 500 replications,
-per-replication details), the ``fwer-sim`` report at 1 and 3 threads,
-white-noise and ensemble LKCs with the face term off and on, the
+per-replication details), every CLI subcommand's artifacts, stdout, stderr
+and exit code (``cli_runs``; ``fwer-sim`` at 1 and 3 threads, failing runs
+included), white-noise and ensemble LKCs with the face term off and on, the
 white-noise LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d
 box at r = 7, FWHM 1, 1.5, ..., 4, each over its padded domain), the smoothed
-fields, the t field and the geometry at points and on a grid, and the
-normalized fields.  ``compare`` requires every array to be bit-identical,
-except the normalized gradient and Hessian (keys ``norm_*``), which may move
-by 1e-14 of their largest magnitude.
+fields, the t field, the LKCs and the geometry at points (untruncated and
+truncated) and on a grid, and the normalized fields.  ``compare`` requires
+every array to be bit-identical, except the normalized gradient and Hessian
+(keys ``norm_*``), which may move by 1e-14 of their largest magnitude, and
+every ``fwer-sim`` record of a dump, manifest included, to be the same at 1
+and 3 threads.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -26,8 +31,61 @@ import numpy as np
 NORM_TOL = 1e-14
 
 
-def dump(path: str) -> None:
+def cli_runs(tmp: Path) -> dict[str, np.ndarray]:
+    """Per CLI run ``name``: ``cli_<name>_<file>`` for each file it writes
+    (``manifest.json`` included), ``cli_<name>_stdout``, ``_stderr`` and
+    ``_code``, and ``cli_<name>_files``, the sorted names under its --out
+    (``<no --out>`` when it made none); the scratch path reads ``<tmp>``."""
     from surfield.cli import main
+    from surfield.fieldio import write_srf1
+    from surfield.lattice import RngSpec, make_domain_preset, sample_ensemble
+
+    cfg, srf, pts = tmp / "cfg.json", tmp / "f.srf1", tmp / "pts.csv"
+    cfg.write_text(json.dumps({"preset": "nonstat2d", "fwhm": 2.0, "n_subjects": 12,
+                               "n_reps": 8, "alpha": 0.1, "seed": 3}))
+    write_srf1(srf, sample_ensemble(make_domain_preset("nonstat2d"), 6, RngSpec(2)))
+    pts.write_text("x0,x1\n5.25,6.5\n10.75,3.5\n2.5,11.25\n")
+    fields = ["--fields", str(srf), "--fwhm", "2"]
+    surf = ["surf", "eval", *fields, "--points", str(pts)]
+    runs = {
+        "lkc_csv": ["lkc", "--preset", "nonstat2d", "--fwhm", "2", "--r", "3"],
+        "lkc_json": ["lkc", *fields, "--source", "ensemble", "--r", "3", "--format", "json"],
+        "lkc_csv_trunc": ["lkc", "--preset", "nonstat2d", "--fwhm", "2", "--r", "3", "--truncation", "6"],
+        "lkc_json_trunc": ["lkc", *fields, "--source", "ensemble", "--r", "3", "--format", "json",
+                           "--truncation", "6"],
+        "lkc_closed": ["lkc", "--preset", "stat2d", "--fwhm", "3", "--source", "closed-form"],
+        "lkc_nan": ["lkc", "--preset", "nonstat2d", "--fwhm", "nan"],
+        "threshold": ["threshold", "--lkcs", "-1,20,100", "--family", "t", "--df", "40"],
+        "threshold_none": ["threshold", "--lkcs", "0,0,0", "--family", "t", "--df", "40"],
+        "fwer_threads1": ["fwer-sim", "--config", str(cfg), "--threads", "1"],
+        "fwer_threads3": ["fwer-sim", "--config", str(cfg), "--threads", "3"],
+        "census": ["census", "--preset", "nonstat3d"],
+        "nondegeneracy": ["check-nondegeneracy", "--preset", "nonstat2d", "--fwhm", "2",
+                          "--truncation", "6", "--point", "3.5,4.25"],
+        "eval_value": surf,
+        "eval_gradient": [*surf, "--order", "gradient"],
+        "eval_value_norm": [*surf, "--normalized"],
+        "eval_gradient_norm": [*surf, "--order", "gradient", "--normalized", "--truncation", "6"],
+        "eval_fail": ["surf", "eval", *fields, "--points", str(tmp / "far.csv"),
+                      "--normalized", "--truncation", "2"],
+    }
+    (tmp / "far.csv").write_text("x0,x1\n200,200\n")
+    rec: dict[str, np.ndarray] = {}
+    for name, argv in runs.items():
+        o = tmp / name
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rec[f"cli_{name}_code"] = np.array(main([*argv, "--out", str(o)]))
+        files = sorted(f.name for f in o.iterdir()) if o.exists() else []
+        texts = {f: (o / f).read_bytes().decode() for f in files}
+        texts.update(files=" ".join(files) if o.exists() else "<no --out>",
+                     stdout=stdout.getvalue(), stderr=stderr.getvalue())
+        for key, text in texts.items():
+            rec[f"cli_{name}_{key}"] = np.array(text.replace(str(tmp), "<tmp>"))
+    return rec
+
+
+def dump(path: str) -> None:
     from surfield.geometry import christoffel, christoffel_on_grid, metric, metric_on_grid
     from surfield.inference import fwer_experiment
     from surfield.kernel import GaussianKernel
@@ -44,13 +102,7 @@ def dump(path: str) -> None:
         out[f"fwer{fwhm:g}_report"] = np.array(json.dumps(rep.to_dict(), sort_keys=True))
 
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps({"preset": "nonstat2d", "fwhm": 2.0, "n_subjects": 12,
-                                   "n_reps": 8, "alpha": 0.1, "seed": 3}))
-        for threads in (1, 3):
-            o = Path(tmp) / f"t{threads}"
-            assert main(["fwer-sim", "--config", str(cfg), "--threads", str(threads), "--out", str(o)]) == 0
-            out[f"cli_report_threads{threads}"] = np.array((o / "fwer_report.json").read_text())
+        out.update(cli_runs(Path(tmp)))
 
     for preset, fwhm, r, n in (("stat2d", 3.0, 3, 20), ("stat3d", 3.0, 7, 5), ("nonstat1d", 2.0, 3, 20),
                                ("nonstat2d", 2.0, 3, 20), ("nonstat3d", 2.0, 3, 20)):
@@ -82,6 +134,10 @@ def dump(path: str) -> None:
         draw = np.random.default_rng(9)
         pts = dom.coords[draw.integers(dom.n_voxels, size=60)] + draw.uniform(-0.5, 0.5, (60, D))
         tag = f"{preset}_trunc{trunc}"
+        for source in ("white-noise", ens):
+            s = "wn" if isinstance(source, str) else "ens"
+            vec = lkc_compute(source, kern, VoxelManifold(dom), 3, sample_domain=dom)
+            out[f"lkc_{tag}_{s}"] = np.array(vec.values)
         for order in ("value", "gradient", "hessian"):
             out[f"eval_{tag}_{order}"] = surf_eval(SurfSpec(ens, kern), pts, order)
             out[f"norm_{tag}_{order}"] = surf_eval(SurfSpec(ens, kern, normalized=True), pts, order)
@@ -141,10 +197,12 @@ def compare(before: str, after: str) -> int:
             ok = x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
             print(f"same {key}" if ok else f"DIFF {key}: {differences(x, y)}")
         bad += [] if ok else [key]
-    for dump_ in (a, b):  # the report must not depend on the thread count
-        if str(dump_["cli_report_threads1"]) != str(dump_["cli_report_threads3"]):
-            print("DIFF fwer-sim report between 1 and 3 threads")
-            bad.append("threads")
+    for name, dump_ in ((before, a), (after, b)):  # no fwer-sim record may depend on the threads
+        for key in (k for k in dump_.files if k.startswith("cli_fwer_threads1_")):
+            other = key.replace("threads1", "threads3", 1)
+            if other not in dump_.files or str(dump_[key]) != str(dump_[other]):
+                print(f"DIFF {name}: fwer-sim {key[len('cli_fwer_threads1_'):]} at 1 and 3 threads")
+                bad.append("threads")
     print(f"{len(bad)} difference(s)")
     return 1 if bad else 0
 

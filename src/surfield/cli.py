@@ -4,14 +4,21 @@ One subcommand per experiment family: ``lkc`` (curvature tables),
 ``threshold`` (curvatures + alpha -> rejection level), ``fwer-sim``
 (replication study from a config file), ``census`` (boundary strata),
 ``check-nondegeneracy``, and ``surf eval`` (point evaluation from CSV).
-Every run writes its artifacts plus a JSON manifest embedding the resolved
-configuration, the package version, and the seed, so outputs are exactly
-reproducible.
+Each subcommand checks its arguments and returns its plan, the resolved
+configuration, with a ``run()`` that computes and returns its artifacts as
+text keyed by file name, its exit code and a report printer.  ``main`` alone
+acts on ``--dry-run`` (print the plan) and ``--out``: it creates the
+directory only once ``run()`` has succeeded, writes the artifacts and a
+``manifest.json`` embedding the plan and the package version, then prints the
+report.  Settings that change no output, such as ``fwer-sim``'s thread count,
+are left out of the plan, so identical configurations give byte-identical
+files.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -51,20 +58,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "outputs": outputs,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _load_domain(args) -> tuple[VoxelSet, str, FieldEnsemble | None]:
@@ -74,8 +75,6 @@ def _load_domain(args) -> tuple[VoxelSet, str, FieldEnsemble | None]:
     """
     ens = read_srf1(args.fields) if getattr(args, "fields", None) else None
     if getattr(args, "preset", None):
-        if args.preset not in PRESET_NAMES:
-            raise ConfigError(f"preset must be one of {PRESET_NAMES}")
         needs_f = args.preset.startswith("stat")
         fwhm = getattr(args, "fwhm", None)
         if needs_f and not (fwhm is not None and 0 < fwhm < np.inf):
@@ -103,52 +102,40 @@ def _kernel_for(args, D: int) -> GaussianKernel:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_lkc(args) -> int:
+def _cmd_lkc(args):
     dom, dom_label, ens = _load_domain(args)
     inner = dom.interior or dom
     man = VoxelManifold(inner)
     D = dom.dimension
     kern = _kernel_for(args, D)
-    config = {
+    plan = {
         "domain": dom_label, "fwhm": args.fwhm, "truncation": args.truncation, "r": args.r,
         "source": args.source, "n_subjects": args.n_subjects, "seed": args.seed,
         "format": args.format,
     }
-    if args.dry_run:
-        print(json.dumps({"plan": config}, indent=2))
-        return 0
-    if args.source == "white-noise":
-        vec = lkc_compute("white-noise", kern, man, args.r, sample_domain=dom)
-    elif args.source == "closed-form":
-        sides = inner.spacing * (
-            np.array([a.size for a in inner.axis_values], dtype=float)
-        )
-        vec = lkc_stationary_closed_form(sides, float(args.fwhm))
-    else:
-        if ens is None:
-            ens = sample_ensemble(dom, args.n_subjects, RngSpec(args.seed))
-        vec = lkc_compute(ens, kern, man, args.r)
-    out = _out_dir(args)
-    row = [vec.source, D, args.fwhm, vec.r if vec.r is not None else ""] + [
-        f"{vec.values[d]:.6f}" if d <= D else "" for d in range(4)
-    ]
-    outputs = []
-    if args.format == "csv":
-        with open(out / "lkc.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_LKC_CSV_HEADER)
-            w.writerow(row)
-        outputs.append("lkc.csv")
-    else:
-        payload = dict(zip(_LKC_CSV_HEADER, row))
-        (out / "lkc.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        outputs.append("lkc.json")
-    _write_manifest(out, "lkc", config, outputs)
-    print(",".join(str(c) for c in row))
-    return 0
+
+    def run():
+        if args.source == "white-noise":
+            vec = lkc_compute("white-noise", kern, man, args.r, sample_domain=dom)
+        elif args.source == "closed-form":
+            sides = inner.spacing * np.array([a.size for a in inner.axis_values], dtype=float)
+            vec = lkc_stationary_closed_form(sides, float(args.fwhm))
+        else:
+            src = ens if ens is not None else sample_ensemble(dom, args.n_subjects, RngSpec(args.seed))
+            vec = lkc_compute(src, kern, man, args.r)
+        row = [vec.source, D, args.fwhm, vec.r if vec.r is not None else ""] + [
+            f"{vec.values[d]:.6f}" if d <= D else "" for d in range(4)
+        ]
+        if args.format == "csv":
+            files = {"lkc.csv": _csv([_LKC_CSV_HEADER, row])}
+        else:
+            files = {"lkc.json": _json(dict(zip(_LKC_CSV_HEADER, row)))}
+        return files, 0, lambda out: print(",".join(str(c) for c in row))
+
+    return plan, run
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args):
     lk = [float(x) for x in args.lkcs.split(",")]
     if not np.all(np.isfinite(lk)):
         raise ConfigError(f"--lkcs must be finite, got {args.lkcs}")
@@ -161,16 +148,14 @@ def _cmd_threshold(args) -> int:
     if args.df is not None and not np.isfinite(args.df):
         raise ConfigError(f"--df must be finite, got {args.df}")
     ftype = FieldType.gaussian() if args.family == "gaussian" else FieldType.student_t(args.df)
-    config = {"lkcs": lk, "family": args.family, "df": args.df, "alpha": args.alpha}
-    if args.dry_run:
-        print(json.dumps({"plan": config}, indent=2))
-        return 0
-    u = threshold(lk, ftype, args.alpha)
-    out = _out_dir(args)
-    (out / "threshold.json").write_text(json.dumps({"u_alpha": u, **config}, indent=2) + "\n")
-    _write_manifest(out, "threshold", config, ["threshold.json"])
-    print(f"{u:.8f}")
-    return 0
+    plan = {"lkcs": lk, "family": args.family, "df": args.df, "alpha": args.alpha}
+
+    def run():
+        u = threshold(lk, ftype, args.alpha)
+        files = {"threshold.json": json.dumps({"u_alpha": u, **plan}, indent=2) + "\n"}
+        return files, 0, lambda out: print(f"{u:.8f}")
+
+    return plan, run
 
 
 _FWER_SCHEMA = {
@@ -208,118 +193,107 @@ def _load_fwer_config(path: str, overrides: dict) -> dict:
     return cfg
 
 
-def _cmd_fwer_sim(args) -> int:
+def _cmd_fwer_sim(args):
     cfg = _load_fwer_config(args.config, {"seed": args.seed, "threads": args.threads})
-    if args.dry_run:
-        print(json.dumps({"plan": cfg}, indent=2))
-        return 0
-    rep = fwer_experiment(
-        cfg["preset"], float(cfg["fwhm"]), cfg["n_subjects"], cfg["n_reps"], cfg["alpha"],
-        r_lkc=cfg["r_lkc"], rng=RngSpec(cfg["seed"]),
-        threads=cfg["threads"],
-    )
-    out = _out_dir(args)
-    (out / "fwer_report.json").write_text(json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n")
-    with open(out / "fwer_summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_FWER_CSV_HEADER)
-        for mode, res in rep.modes.items():
-            w.writerow([
-                rep.preset, rep.fwhm, rep.n_subjects, mode, res["fwer"], res["std_error"],
-                "" if res["eec"] is None else res["eec"], rep.alpha, rep.n_reps,
-            ])
-    _write_manifest(out, "fwer-sim", cfg, ["fwer_report.json", "fwer_summary.csv"])
-    for mode, res in rep.modes.items():
-        print(f"{mode}: fwer={res['fwer']:.4f} (se {res['std_error']:.4f})")
-    if rep.n_failures:
-        print(f"{rep.n_failures} replication(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    plan = {k: v for k, v in cfg.items() if k != "threads"}  # threads change no output
+
+    def run():
+        rep = fwer_experiment(
+            cfg["preset"], float(cfg["fwhm"]), cfg["n_subjects"], cfg["n_reps"], cfg["alpha"],
+            r_lkc=cfg["r_lkc"], rng=RngSpec(cfg["seed"]),
+            threads=cfg["threads"],
+        )
+        rows = [_FWER_CSV_HEADER] + [
+            [rep.preset, rep.fwhm, rep.n_subjects, mode, res["fwer"], res["std_error"],
+             "" if res["eec"] is None else res["eec"], rep.alpha, rep.n_reps]
+            for mode, res in rep.modes.items()
+        ]
+        files = {"fwer_report.json": _json(rep.to_dict()), "fwer_summary.csv": _csv(rows)}
+
+        def report(out):
+            for mode, res in rep.modes.items():
+                print(f"{mode}: fwer={res['fwer']:.4f} (se {res['std_error']:.4f})")
+            if rep.n_failures:
+                print(f"{rep.n_failures} replication(s) failed", file=sys.stderr)
+
+        return files, 1 if rep.n_failures else 0, report
+
+    return plan, run
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     dom, dom_label, _ = _load_domain(args)
     inner = dom.interior or dom
     man = VoxelManifold(inner)
-    if args.dry_run:
-        print(json.dumps({"plan": {"domain": dom_label}}, indent=2))
-        return 0
-    payload = {
-        "domain": dom_label,
-        "n_voxels": inner.n_voxels,
-        "euler_characteristic": euler_characteristic(man),
-        **classify_boundary(man).to_dict(),
-    }
-    out = _out_dir(args)
-    (out / "census.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "census", {"domain": dom_label}, ["census.json"])
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+
+    def run():
+        payload = {
+            "domain": dom_label,
+            "n_voxels": inner.n_voxels,
+            "euler_characteristic": euler_characteristic(man),
+            **classify_boundary(man).to_dict(),
+        }
+        return {"census.json": _json(payload)}, 0, lambda out: print(_json(payload), end="")
+
+    return {"domain": dom_label}, run
 
 
-def _cmd_check_nondegeneracy(args) -> int:
+def _cmd_check_nondegeneracy(args):
     dom, dom_label, _ = _load_domain(args)
     kern = _kernel_for(args, dom.dimension)
     x = np.array([float(c) for c in args.point.split(",")])
     if x.size != dom.dimension:
         raise ConfigError("--point dimension does not match the domain")
-    config = {"domain": dom_label, "point": x.tolist(), "fwhm": args.fwhm,
-              "truncation": args.truncation}
-    if args.dry_run:
-        print(json.dumps({"plan": config}, indent=2))
-        return 0
-    rep = nondegeneracy_check(kern, dom, x)
-    payload = {
-        "rank": rep.rank, "required": rep.required, "passed": rep.passed,
-        "n_support_voxels": rep.n_support_voxels, "point": x.tolist(), "domain": dom_label,
-    }
-    out = _out_dir(args)
-    (out / "nondegeneracy.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "check-nondegeneracy", config, ["nondegeneracy.json"])
-    print(json.dumps(payload, sort_keys=True))
-    return 0 if rep.passed else 1
+    plan = {"domain": dom_label, "point": x.tolist(), "fwhm": args.fwhm,
+            "truncation": args.truncation}
+
+    def run():
+        rep = nondegeneracy_check(kern, dom, x)
+        payload = {
+            "rank": rep.rank, "required": rep.required, "passed": rep.passed,
+            "n_support_voxels": rep.n_support_voxels, "point": x.tolist(), "domain": dom_label,
+        }
+        files = {"nondegeneracy.json": _json(payload)}
+        return files, 0 if rep.passed else 1, lambda out: print(json.dumps(payload, sort_keys=True))
+
+    return plan, run
 
 
-def _cmd_surf_eval(args) -> int:
-    config = {"fields": str(args.fields), "points": str(args.points), "order": args.order,
-              "fwhm": args.fwhm, "truncation": args.truncation, "normalized": args.normalized}
-    if args.dry_run:
-        print(json.dumps({"plan": config}, indent=2))
-        return 0
-    ens = read_srf1(args.fields)
-    D = ens.domain.dimension
-    spec = SurfSpec(ens, _kernel_for(args, D), normalized=args.normalized)
-    pts = []
-    with open(args.points, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)  # header
-        for row in filter(None, reader):
-            try:
-                if len(row) < D:
-                    raise ValueError(f"{len(row)} coordinate(s) for {D}-D fields")
-                pts.append([float(c) for c in row[:D]])
-            except ValueError as e:
-                raise ConfigError(f"{args.points} line {reader.line_num}: {e}") from None
-    if not pts:
-        raise ConfigError(f"{args.points} holds no points")
-    pts = np.asarray(pts)
-    out = _out_dir(args)
-    vals, grads, _ = _eval_arrays(spec, pts, args.order)
-    path = out / "surf_eval.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+def _cmd_surf_eval(args):
+    plan = {"fields": str(args.fields), "points": str(args.points), "order": args.order,
+            "fwhm": args.fwhm, "truncation": args.truncation, "normalized": args.normalized}
+
+    def run():
+        ens = read_srf1(args.fields)
+        D = ens.domain.dimension
+        spec = SurfSpec(ens, _kernel_for(args, D), normalized=args.normalized)
+        pts = []
+        with open(args.points, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader, None)  # header
+            for row in filter(None, reader):
+                try:
+                    if len(row) < D:
+                        raise ValueError(f"{len(row)} coordinate(s) for {D}-D fields")
+                    pts.append([float(c) for c in row[:D]])
+                except ValueError as e:
+                    raise ConfigError(f"{args.points} line {reader.line_num}: {e}") from None
+        if not pts:
+            raise ConfigError(f"{args.points} holds no points")
+        pts = np.asarray(pts)
+        vals, grads, _ = _eval_arrays(spec, pts, args.order)
         head = [f"x{d}" for d in range(D)] + [f"value{i}" for i in range(ens.n_fields)]
         if grads is not None:
             head += [f"grad{i}_x{d}" for i in range(ens.n_fields) for d in range(D)]
-        w.writerow(head)
+        rows = [head]
         for p in range(len(pts)):
             row = [repr(float(c)) for c in pts[p]] + [repr(float(v)) for v in vals[:, p]]
             if grads is not None:
                 row += [repr(float(g)) for g in grads[:, p, :].ravel()]
-            w.writerow(row)
-    _write_manifest(out, "surf eval", config, ["surf_eval.csv"])
-    print(f"wrote {path}")
-    return 0
+            rows.append(row)
+        return {"surf_eval.csv": _csv(rows)}, 0, lambda out: print(f"wrote {out / 'surf_eval.csv'}")
+
+    return plan, run
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +378,20 @@ def main(argv: list[str] | None = None) -> int:
         argv[i:i + 2] = [f"--lkcs={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        plan, run = args.func(args)
+        if args.dry_run:
+            print(json.dumps({"plan": plan}, indent=2))
+            return 0
+        files, code, report = run()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        command = " ".join(filter(None, (args.command, getattr(args, "surf_command", None))))
+        manifest = {"command": command, "version": __version__, "config": plan,
+                    "outputs": list(files)}
+        for name, text in {**files, "manifest.json": _json(manifest)}.items():
+            (out / name).write_text(text, newline="")
+        report(out)
+        return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -141,12 +141,10 @@ def threshold(lkcs, ftype: FieldType, alpha: float, tol: float = 1e-12) -> float
     if np.any(vals[i + 1 :] >= alpha):
         raise ThresholdError("expected EC is not decreasing beyond the candidate root")
     lo, hi = us[i], us[i + 1]
-    flo = vals[i] - alpha
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = eec(mid) - alpha
-        if fm >= 0:
-            lo, flo = mid, fm
+        if eec(mid) >= alpha:
+            lo = mid
         else:
             hi = mid
         if hi - lo < tol:
@@ -487,11 +485,9 @@ def nondegeneracy_check(
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     D = kernel.dimension
-    support = localization_support(kernel, domain, x[0])
-    vox = domain.coords[support]
-    K = kernel.pairwise_value(x, vox)[0]
-    G = kernel.pairwise_gradient(x, vox)[0]
-    H = kernel.pairwise_hessian(x, vox)[0]
+    K, G, H = (a[0] for a in kernel._pairwise(x, domain.coords, 2))
+    support = K != 0.0
+    K, G, H = K[support], G[support], H[support]
     tri = [(d, e) for e in range(D) for d in range(e, D)]  # half-vectorization order
     cols = [K] + [G[:, d] for d in range(D)] + [H[:, d, e] for d, e in tri]
     mat = np.column_stack(cols)
@@ -500,4 +496,4 @@ def nondegeneracy_check(
         return NondegeneracyReport(0, required, False, 0)
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(sv > 1e-10 * sv[0]))
-    return NondegeneracyReport(rank, required, rank == required, len(support))
+    return NondegeneracyReport(rank, required, rank == required, len(K))

@@ -133,10 +133,14 @@ def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, 
         kind = cache(lambda d, i: _flush(factor(d, kinds[i][0]) * factor(d, kinds[i][1]) if pairs
                                          else factor(d, i)))
         if truncated:
-            # products over the leading axes are shared; symmetric keys share a column
-            mask = sum(u * u for u in t) <= kernel.truncation**2
-            lead = cache(lambda idx: lead(idx[:-1]) * kind(len(idx) - 1, idx[-1]) if idx else mask)
-            column = cache(lambda idx: (lead(idx[:-1]) * kind(D - 1, idx[-1])) @ ens.values.T)
+            # products over the leading axes are shared (a plain dict, so no reference
+            # cycle outlives the call); symmetric keys share a column
+            lead = {(): sum(u * u for u in t) <= kernel.truncation**2}
+            for idx in index.values():
+                for j in range(1, D):
+                    if idx[:j] not in lead:
+                        lead[idx[:j]] = lead[idx[:j - 1]] * kind(j - 1, idx[j - 1])
+            column = cache(lambda idx: (lead[idx[:-1]] * kind(D - 1, idx[-1])) @ ens.values.T)
         else:
             res = _stack_contract(data, [np.stack([kind(d, i) for i in range(len(kinds))], axis=1)
                                          for d in range(D)])

@@ -106,9 +106,8 @@ def test_fwer_sim_cli_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["fwer-sim", "--config", str(cfg_path), "--out", str(out1)]) == 0
     assert main(["fwer-sim", "--config", str(cfg_path), "--threads", "3", "--out", str(out2)]) == 0
-    rep1 = (out1 / "fwer_report.json").read_bytes()
-    rep2 = (out2 / "fwer_report.json").read_bytes()
-    assert rep1 == rep2
+    for name in ("fwer_report.json", "manifest.json"):  # threads change no output
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 3
     with open(out1 / "fwer_summary.csv", newline="") as fh:
@@ -195,8 +194,10 @@ def test_lkc_subject_constant_fields_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: zero sample variance at an evaluation point\n"
 
 
-@pytest.mark.parametrize("command", ["fwer-sim", "census", "check-nondegeneracy", "surf eval"])
+@pytest.mark.parametrize("command", ["fwer-sim", "census", "check-nondegeneracy", "surf eval",
+                                     "lkc", "threshold"])
 def test_fwer_sim_dry_run(tmp_path, capsys, command):
+    # --dry-run writes nothing and prints the plan the real run's manifest records
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"preset": "stat2d", "fwhm": 3.0, "n_subjects": 10, "n_reps": 4}))
     srf, pts = tmp_path / "f.srf1", tmp_path / "pts.csv"
@@ -208,13 +209,32 @@ def test_fwer_sim_dry_run(tmp_path, capsys, command):
         "check-nondegeneracy": ["check-nondegeneracy", "--preset", "nonstat2d", "--fwhm", "3",
                                 "--point", "5,5"],
         "surf eval": ["surf", "eval", "--fields", str(srf), "--points", str(pts), "--fwhm", "2"],
+        "lkc": ["lkc", "--preset", "nonstat2d", "--fwhm", "3", "--truncation", "6"],
+        "threshold": ["threshold", "--lkcs", "-1,20,100", "--family", "t", "--df", "40"],
     }[command]
-    rc = main(argv + ["--dry-run", "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    rc = main(argv + ["--dry-run", "--out", str(out)])
     assert rc == 0
     plan = json.loads(capsys.readouterr().out)["plan"]
     if command == "fwer-sim":
         assert plan["alpha"] == 0.05
-    assert not (tmp_path / "o").exists()
+    assert not out.exists()
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["config"] == plan
+
+
+def test_failed_surf_eval_leaves_no_out(tmp_path, capsys):
+    srf, pts = tmp_path / "f.srf1", tmp_path / "pts.csv"
+    write_srf1(srf, sample_ensemble(make_domain_preset("nonstat2d"), 4, RngSpec(2)))
+    pts.write_text("x0,x1\n200,200\n")  # beyond the truncation radius of every voxel
+    out = tmp_path / "o"
+    rc = main(["surf", "eval", "--fields", str(srf), "--points", str(pts), "--fwhm", "2",
+               "--normalized", "--truncation", "2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: vanishing field variance at an evaluation point\n"
+    assert not out.exists()
 
 
 def test_threshold_t_family_requires_df(tmp_path, capsys):

@@ -390,21 +390,29 @@ def test_grid_engine_matches_direct_sums(D, n_fields):
 
 def test_grid_sums_free_their_matrices_with_the_last_reference():
     # a reference cycle would hold every factor matrix of every LKC slab
-    # until the garbage collector ran, raising the peak memory of a call
+    # until the garbage collector ran, raising the peak memory of a call;
+    # the truncated point engine's shared leading-axis products likewise
     import gc
 
-    from surfield.surf import _grid_sums
+    from surfield.surf import _grid_sums, _point_sums
 
-    dom, _ = point_engine_case(3)
+    dom, pts = point_engine_case(3)
     grid = refined_grid(VoxelManifold(dom), 1)
+    engines = [  # (engine, the arguments of its second call)
+        (lambda: _grid_sums(GaussianKernel.isotropic(2.0, 3), dom.unit_field, grid,
+                            ids=range(0, grid.n_points // 2)), [(0, 1, 0), None]),
+        (lambda: _point_sums(GaussianKernel.isotropic(2.0, 3, 6.0), dom.unit_field, pts, 1, True),
+         [(0, 1, 0), (0, 0, 0)]),
+    ]
     gc.collect()
     gc.disable()
     try:
-        s = _grid_sums(GaussianKernel.isotropic(2.0, 3), dom.unit_field, grid, ids=range(0, grid.n_points // 2))
-        s((0, 0, 0), (1, 0, 0))
-        s((0, 1, 0))
-        del s
-        assert gc.collect() == 0
+        for engine, args in engines:
+            s = engine()
+            s((0, 0, 0), (1, 0, 0))
+            s(*args)
+            del s
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
