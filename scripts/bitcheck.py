@@ -5,17 +5,22 @@ compare two dumps.
     python scripts/bitcheck.py compare BEFORE.npz AFTER.npz
 
 ``dump`` records criterion 4's two FWER runs (2 x 500 replications,
-per-replication details), every CLI subcommand's artifacts, stdout, stderr
-and exit code (``cli_runs``; ``fwer-sim`` at 1 and 3 threads, failing runs
-included), white-noise and ensemble LKCs with the face term off and on, the
-white-noise LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d
-box at r = 7, FWHM 1, 1.5, ..., 4, each over its padded domain), the smoothed
-fields, the t field, the LKCs and the geometry at points (untruncated and
-truncated) and on a grid, and the normalized fields.  ``compare`` requires
-every array to be bit-identical, except the normalized gradient and Hessian
-(keys ``norm_*``), which may move by 1e-14 of their largest magnitude, and
-every ``fwer-sim`` record of a dump, manifest included, to be the same at 1
-and 3 threads.
+per-replication details), a small stat3d FWER run at 1 and 2 threads (its
+LKC grid has two slabs, so slab threads run inside replication threads),
+every CLI subcommand's artifacts, stdout, stderr and exit code
+(``cli_runs``; ``fwer-sim`` at 1 and 3 threads, failing runs included),
+white-noise and ensemble LKCs with the face term off and on, the white-noise
+LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d box at r = 7,
+FWHM 1, 1.5, ..., 4, each over its padded domain), the smoothed fields, the
+t field, the LKCs and the geometry at points (untruncated and truncated) and
+on a grid, the normalized fields, and numpy's OpenBLAS thread count before
+and after all of it (``blas_threads``).  ``compare`` requires every array to
+be bit-identical, except the normalized gradient and Hessian (keys
+``norm_*``), which may move by 1e-14 of their largest magnitude; within each
+dump it requires every ``fwer-sim`` record, manifest included, to be the same
+at 1 and 3 threads, the stat3d run to be the same at 1 and 2 threads, and
+the BLAS thread count after to equal the count before.  A dump made at
+``OPENBLAS_NUM_THREADS=1`` and one made at the default compare equal too.
 """
 from __future__ import annotations
 
@@ -29,6 +34,15 @@ from pathlib import Path
 import numpy as np
 
 NORM_TOL = 1e-14
+
+
+def blas_threads() -> int:
+    """numpy's bundled OpenBLAS thread count, read through ctypes; -1 where
+    that library is missing."""
+    import ctypes
+
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    return int(ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_()) if libs else -1
 
 
 def cli_runs(tmp: Path) -> dict[str, np.ndarray]:
@@ -95,11 +109,17 @@ def dump(path: str) -> None:
     from surfield.surf import SurfSpec, smooth_on_grid, surf_eval, t_field, t_field_on_grid
 
     out: dict[str, np.ndarray] = {}
+    before = blas_threads()
     for fwhm, seed in ((3.0, 20260810), (1.0, 20260811)):
         rep = fwer_experiment("stat2d", fwhm, 50, 500, 0.05, rng=RngSpec(seed), keep_details=True)
         for name, arr in rep.details.items():
             out[f"fwer{fwhm:g}_{name}"] = arr
         out[f"fwer{fwhm:g}_report"] = np.array(json.dumps(rep.to_dict(), sort_keys=True))
+    for threads in (1, 2):
+        rep = fwer_experiment("stat3d", 3.0, 8, 2, 0.05, rng=RngSpec(4), threads=threads, keep_details=True)
+        for name, arr in rep.details.items():
+            out[f"fwer3d_threads{threads}_{name}"] = arr
+        out[f"fwer3d_threads{threads}_report"] = np.array(json.dumps(rep.to_dict(), sort_keys=True))
 
     with tempfile.TemporaryDirectory() as tmp:
         out.update(cli_runs(Path(tmp)))
@@ -157,6 +177,7 @@ def dump(path: str) -> None:
                 s = "wn" if isinstance(source, str) else "ens"
                 out[f"grid_{tag}_metric_{s}"] = metric_on_grid(source, kern, grid, dom, ids)
                 out[f"grid_{tag}_christoffel_{s}"] = christoffel_on_grid(source, kern, grid, dom, ids)
+    out["blas_threads"] = np.array([before, blas_threads()])
     np.savez(path, **out)
     print(f"wrote {len(out)} arrays to {path}")
 
@@ -182,7 +203,7 @@ def compare(before: str, after: str) -> int:
     bad = sorted(set(a.files) ^ set(b.files))
     for key in bad:
         print(f"MISSING {key}")
-    for key in sorted(set(a.files) & set(b.files)):
+    for key in sorted(set(a.files) & set(b.files) - {"blas_threads"}):  # checked within each dump
         x, y = a[key], b[key]
         if x.dtype.kind == "U":
             ok = x.shape == y.shape and bool(np.all(x == y))
@@ -197,12 +218,20 @@ def compare(before: str, after: str) -> int:
             ok = x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
             print(f"same {key}" if ok else f"DIFF {key}: {differences(x, y)}")
         bad += [] if ok else [key]
-    for name, dump_ in ((before, a), (after, b)):  # no fwer-sim record may depend on the threads
+    for name, dump_ in ((before, a), (after, b)):  # no record may depend on the threads
         for key in (k for k in dump_.files if k.startswith("cli_fwer_threads1_")):
             other = key.replace("threads1", "threads3", 1)
             if other not in dump_.files or str(dump_[key]) != str(dump_[other]):
                 print(f"DIFF {name}: fwer-sim {key[len('cli_fwer_threads1_'):]} at 1 and 3 threads")
                 bad.append("threads")
+        for key in (k for k in dump_.files if k.startswith("fwer3d_threads1_")):
+            other = key.replace("threads1", "threads2", 1)
+            if other not in dump_.files or not np.array_equal(dump_[key], dump_[other]):
+                print(f"DIFF {name}: stat3d FWER {key[len('fwer3d_threads1_'):]} at 1 and 2 threads")
+                bad.append("threads")
+        if "blas_threads" in dump_.files and dump_["blas_threads"][0] != dump_["blas_threads"][1]:
+            print(f"DIFF {name}: BLAS threads {dump_['blas_threads'][0]} before, {dump_['blas_threads'][1]} after")
+            bad.append("blas")
     print(f"{len(bad)} difference(s)")
     return 1 if bad else 0
 

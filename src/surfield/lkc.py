@@ -11,15 +11,20 @@ characteristic, never estimated.
 
 The integrals stream over slabs of the grid: runs of whole axis-0 rows of
 contiguous grid ids, handed to the engine as a range (on a box grid, known
-from its bounds to fill its block).  Each slab's moment bundle is computed
-once (with the Hessian moments for the face term); its metric and face-term
-Christoffel symbols are reduced into the volume, face and edge sums through
-that slab's quadrature-table entries, and dropped, so memory follows the
-slab size rather than the grid size.
+from its bounds to fill its block), with kernel factors built once per call.
+Each slab's moment bundle (with the Hessian moments for the face term) gives
+its metric and face-term Christoffel symbols, reduced into the volume, face
+and edge sums through its quadrature-table entries and dropped, so memory
+follows the slab size.  The calling thread and one helper take the slabs from
+one iterator, numpy's OpenBLAS at one thread meanwhile (``surf._one_blas_thread``,
+a process-wide switch); adding the slab sums in slab order keeps every bit.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -36,12 +41,13 @@ from .geometry import (
 from .kernel import GaussianKernel
 from .lattice import FieldEnsemble, VoxelSet
 from .manifold import RefinedGrid, VoxelManifold, _added_resolution, euler_characteristic, refined_grid
-from .surf import _check_dimensions
+from .surf import _check_dimensions, _grid_operands, _one_blas_thread
 
 __all__ = ["LkcVector", "lkc_compute", "lkc_stationary_closed_form"]
 
 LOG2 = math.log(2.0)
-_SLAB_POINTS = 1 << 16  # grid points whose metric is held at once
+_SLAB_POINTS = 1 << 16  # grid points whose metric one slab thread holds at once
+_SLAB_THREADS = 2  # the calling thread and at most one helper share a call's slabs
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,35 @@ def _face_correction(faces: list[dict], lam: np.ndarray, bundle: tuple) -> list[
     return sums
 
 
+def _map_slabs(fn, n: int) -> list:
+    """[fn(0), .., fn(n - 1)], the indices taken from one iterator by the
+    calling thread and, where ``_SLAB_THREADS``, the cores and
+    ``surf._one_blas_thread`` allow, one helper, BLAS at one thread meanwhile.
+    The lowest failing index's error is raised, as the serial loop raises it."""
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    with nullcontext(False) if min(_SLAB_THREADS, len(cores), n) < 2 else _one_blas_thread() as switched:
+        if not switched:
+            return [fn(j) for j in range(n)]
+        out, it = [None] * n, iter(range(n))
+
+        def work():
+            for j in it:
+                try:
+                    out[j] = fn(j)
+                except BaseException as e:
+                    out[j] = e
+                    list(it)  # no thread takes a further index
+
+        helper = threading.Thread(target=work)
+        helper.start()
+        work()
+        helper.join()
+    errors = [x for x in out if isinstance(x, BaseException)]
+    if errors:
+        raise errors[0]
+    return out
+
+
 def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int, *,
                 sample_domain: VoxelSet | None = None, grid: RefinedGrid | None = None,
                 include_face_term: bool = False) -> LkcVector:
@@ -176,25 +211,29 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
     bounds = _slabs(grid)
     faces = list(zip(*(_split(grid.face_tables[m], bounds) for m in range(D))))
     edges = list(zip(*(_split(t, bounds) for t in grid.edge_tables)))
+    ens = source if src_tag == "estimate" else domain.unit_field
+    operands = _grid_operands(kernel, ens, grid, 2 if hessian else 1, ens is not source)  # read by every slab
 
-    # per-slab quadrature sums, scaled by their cell measures at the end
-    vol, bnd, edge, face, n_bad = 0.0, np.zeros(D), np.zeros(3), np.zeros(3), 0
-    for j, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        bundle = _moments(source, kernel, domain, hessian, grid=grid, ids=range(start, stop))
+    def slab(j: int) -> tuple:  # slab j's volume, boundary, edge and face sums, repaired points
+        start, stop = bounds[j], bounds[j + 1]
+        bundle = _moments(source, kernel, domain, hessian, grid=grid, ids=range(start, stop), operands=operands)
         lam = _metric_expr(*bundle[:3])
-        dets, bad = sqrt_det_psd(lam)
-        vol += float(np.sum(grid.vol_weight[start:stop] * dets))
-        n_bad += bad
+        dets, n_bad = sqrt_det_psd(lam)
+        bnd = edge = face = 0.0  # where the grid has no such stratum or no face term
         if D >= 2:
-            part, bad = _boundary_sum(faces[j], lam)
-            bnd += part
+            bnd, bad = _boundary_sum(faces[j], lam)
             n_bad += bad
         if D == 3:
-            part, bad = _edge_sum(edges[j], lam)
-            edge += part
+            edge, bad = _edge_sum(edges[j], lam)
             n_bad += bad
             if hessian:
-                face += _face_correction(faces[j], lam, bundle)
+                face = _face_correction(faces[j], lam, bundle)
+        return float(np.sum(grid.vol_weight[start:stop] * dets)), bnd, edge, face, n_bad
+
+    # per-slab quadrature sums added in slab order, scaled by their cell measures at the end
+    vol, bnd, edge, face, n_bad = 0.0, np.zeros(D), np.zeros(3), np.zeros(3), 0
+    for v, b, e, f, bad in _map_slabs(slab, len(bounds) - 1):
+        vol, bnd, edge, face, n_bad = vol + v, bnd + b, edge + e, face + f, n_bad + bad
 
     face_cell = [np.prod(np.delete(spacing, m)) for m in range(D)]
     values = [0.0] * (D + 1)

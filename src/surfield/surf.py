@@ -13,7 +13,8 @@ into ``out`` if given.  For untruncated kernels both read the subjects-last
 (m1..mD, N) data tensor the ensemble owns (``FieldEnsemble.dense``).  On
 (subsets of) the tensor-product grids that the curvature and simulation
 pipelines evaluate on, ``_grid_sums`` contracts it with one kernel-factor
-matrix per axis, one GEMM per axis, and takes contiguous (N, Q) columns at
+matrix per axis (``_grid_operands``, which a caller may build once for many
+slabs), one GEMM per axis, and takes contiguous (N, Q) columns at
 the grid points, or, for a range of ids known from its bounds to fill the
 contracted block (whole rows of a box grid), lets the last GEMM write them.
 At arbitrary points, ``_point_sums`` contracts it with per-point stacks of
@@ -25,9 +26,13 @@ moments that normalize fields and give ``geometry`` its white-noise metric.
 """
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement, permutations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -369,47 +374,91 @@ def _locate(grid: RefinedGrid, ids) -> tuple[slice, np.ndarray | None]:
     return slice(lo, hi + 1), np.ravel_multi_index(axes, [hi + 1 - lo] + shape[1:])
 
 
-def _grid_sums(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, ids=None):
+def _grid_operands(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, order: int = 2,
+                   pairs: bool = True) -> dict:
+    """What grid sums of per-axis orders <= ``order`` read: the data tensor
+    and, flushed, per axis d the kernel factor of order a at every key of the
+    axis, keyed (d, a), and with ``pairs`` the products keyed (d, a, b), a <=
+    min(b, 1).  A slab's axis-0 rows are a slice, elementwise the bits of
+    their own build."""
+    ops = {"data": ens.dense}
+    for d in range(grid.dimension):
+        t = grid.axis_coords[d][:, None] - ens.domain.axis_values[d]
+        for b in range(order + 1):
+            ops[d, b] = _flush(kernel.axis_factor(d, t, b))
+            for a in range(min(b, 1) + 1 if pairs else 0):
+                ops[d, a, b] = _flush(ops[d, a] * ops[d, b])
+    return ops
+
+
+def _grid_sums(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, ids=None, operands=None):
     """s(a, b=None, out=None): the ensemble's subjects-last data tensor
-    contracted along each axis d with the (flushed, once-built) kernel factor
-    of derivative order a[d] (times that of order b[d]), at the grid points
+    contracted along each axis d with the kernel factor of order a[d] (times
+    that of order b[d]) of ``operands`` (built when None), at the grid points
     ``ids`` (a range or id array, all when None) as contiguous (N, Q) columns.
     Only the axis-0 rows ``_locate`` finds are contracted, and the result is
     the contraction itself or the points taken from it."""
-    domain, data, D = ens.domain, ens.dense, ens.domain.dimension
+    ops = operands or _grid_operands(kernel, ens, grid)
     rows, flat = _locate(grid, range(grid.n_points) if ids is None else ids)
 
-    @cache
-    def factor(d: int, order: int) -> np.ndarray:
-        t = grid.axis_coords[d][rows if d == 0 else slice(None), None] - domain.axis_values[d]
-        return _flush(kernel.axis_factor(d, t, order))
-
-    @cache  # apart from ``factor``: a cached closure calling itself is a cycle that outlives the call
-    def pair(d: int, lo: int, hi: int) -> np.ndarray:
-        return _flush(factor(d, lo) * factor(d, hi))
-
     def s(a: tuple, b: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
-        mats = [factor(d, a[d]) if b is None else pair(d, *sorted((a[d], b[d]))) for d in range(D)]
+        mats = [ops[(d, a[d]) if b is None else (d, *sorted((a[d], b[d])))] for d in range(len(a))]
+        mats[0] = mats[0][rows]
         if flat is None:
-            return _contract(data, mats, out)
-        return np.take(_contract(data, mats), flat, axis=1,
+            return _contract(ops["data"], mats, out)
+        return np.take(_contract(ops["data"], mats), flat, axis=1,
                        out=None if out is None else out.reshape(ens.n_fields, -1, copy=False))
 
     return s
 
 
 def _sums(kernel: GaussianKernel, ens: FieldEnsemble, order: int, pairs: bool = False,
-          *, points=None, grid=None, ids=None):
+          *, points=None, grid=None, ids=None, operands=None):
     """s(a, b=None, out=None) of the ensemble ``ens``, at ``points`` or at
     the grid points ``ids`` (a range or id array, all when None) of ``grid``:
-    the tensor-grid engine for an untruncated kernel on a grid, else the point
-    engine, which alone sums a truncated kernel exactly (``order`` and
-    ``pairs`` as there)."""
+    the tensor-grid engine for an untruncated kernel on a grid (reading
+    ``operands`` if given), else the point engine, which alone sums a
+    truncated kernel exactly (``order`` and ``pairs`` as there)."""
     if grid is not None and kernel.truncation is None:
-        return _grid_sums(kernel, ens, grid, ids)
+        return _grid_sums(kernel, ens, grid, ids, operands or _grid_operands(kernel, ens, grid, order, pairs))
     if grid is not None:
         points = grid.points if ids is None else grid.points[_id_array(ids)]
     return _point_sums(kernel, ens, points, order, pairs)
+
+
+@cache
+def _openblas():
+    """(set, get) of numpy's bundled OpenBLAS thread count, through ctypes;
+    None where that library or its symbols are missing."""
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        with suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(str(path))
+            return lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+
+
+_blas_lock, _blas_users, _blas_saved = threading.Lock(), 0, 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Numpy's OpenBLAS at one thread in the block, for code running BLAS on
+    threads of its own; yields whether it switched (not without ``_openblas``).
+    The setting is process-wide: blocks on several threads share it under a
+    lock and a count, the first in saving the count, the last out restoring it."""
+    global _blas_users, _blas_saved
+    lib = _openblas()
+    with _blas_lock:
+        if lib and not _blas_users:
+            _blas_saved = lib[1]()
+            lib[0](1)
+        _blas_users += 1
+    try:
+        yield lib is not None
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if lib and not _blas_users:
+                lib[0](_blas_saved)
 
 
 def _derivative_arrays(s, D: int, derivatives: int):

@@ -397,6 +397,22 @@ def test_fwer_deterministic_across_thread_counts():
         fwer_experiment("nonstat1d", 2.0, 15, 12, 0.1, rng=9, threads=0)
 
 
+def test_fwer_stat3d_slab_threads_inside_replication_threads():
+    # stat3d's r = 1 LKC grid has two slabs, so at threads=2 each replication
+    # thread's lkc_compute shares its slabs with a helper thread, under the
+    # process-wide BLAS switch entered by two replications at once
+    from surfield.surf import _openblas
+
+    before = _openblas()[1]() if _openblas() else None
+    one = fwer_experiment("stat3d", 3.0, 8, 2, rng=4, threads=1, keep_details=True)
+    two = fwer_experiment("stat3d", 3.0, 8, 2, rng=4, threads=2, keep_details=True)
+    assert one.details.keys() == two.details.keys()
+    for key in one.details:
+        assert np.array_equal(one.details[key], two.details[key])
+    assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(two.to_dict(), sort_keys=True)
+    assert (_openblas()[1]() if _openblas() else None) == before
+
+
 def test_fwer_all_degenerate_replications_raise(tmp_path, capsys):
     # at FWHM 1e-4 the smoothed fields vanish off the voxels: every
     # replication's sample variance is zero somewhere

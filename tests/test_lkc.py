@@ -286,6 +286,7 @@ def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
     monkeypatch.setattr(np, "take", counted("take", np.take))
     metrics = []
     monkeypatch.setattr(lkc_module, "_metric_expr", lambda *b: metrics.append(_metric_expr(*b)) or metrics[-1])
+    monkeypatch.setattr(lkc_module, "_SLAB_THREADS", 1)  # the spies record in slab order
 
     def run(slab_points):
         monkeypatch.setattr(lkc_module, "_SLAB_POINTS", slab_points)
@@ -400,6 +401,144 @@ def test_slab_bounds_match_key_search(monkeypatch, nonstat3d_r3, name):
         np.testing.assert_array_equal(lkc_module._slabs(grid), want + [grid.n_points])
 
 
+def _blas_count():
+    from surfield.surf import _openblas
+
+    return _openblas()[1]() if _openblas() else None
+
+
+@pytest.fixture
+def slab_spy(monkeypatch):
+    """Per slab lkc_compute computes, (first grid id, thread ident, BLAS thread
+    count while it runs); ``fail(pred)`` makes ``theta_batch`` raise
+    LinAlgError in every slab whose entry satisfies pred."""
+    import threading
+
+    seen, local, failing = [], threading.local(), [lambda entry: False]
+    moments = lkc_module._moments
+
+    def spy(*args, ids, **kwargs):
+        local.entry = (ids.start, threading.get_ident(), _blas_count())
+        seen.append(local.entry)
+        return moments(*args, ids=ids, **kwargs)
+
+    def theta(*args):
+        if failing[0](local.entry):
+            raise np.linalg.LinAlgError(f"no angle in the slab from id {local.entry[0]}")
+        return theta_batch(*args)
+
+    monkeypatch.setattr(lkc_module, "_moments", spy)
+    monkeypatch.setattr(lkc_module, "theta_batch", theta)
+    spy.seen, spy.fail = seen, lambda pred: failing.__setitem__(0, pred)
+    return spy
+
+
+def _threading_cases(name, nonstat3d_r3):
+    """(source, kernel, manifold, r, keyword arguments, _SLAB_POINTS) of a multi-slab LKC."""
+    if name == "nonstat3d face-term white-noise":
+        man, grid = nonstat3d_r3
+        return ("white-noise", GaussianKernel.isotropic(2.0, 3), man, 3,
+                {"grid": grid, "include_face_term": True}, 10_000)
+    dom = make_domain_preset("stat3d", 3.0)
+    man, k = VoxelManifold(dom.interior), GaussianKernel.isotropic(3.0, 3)
+    if name == "stat3d r3 white-noise":  # 9 slabs
+        return "white-noise", k, man, 3, {"sample_domain": dom}, None
+    return sample_ensemble(dom, 8, RngSpec(3)), k, man, 1, {}, None  # "stat3d r1 ensemble": 2 slabs
+
+
+@pytest.mark.parametrize("name", ["stat3d r3 white-noise", "nonstat3d face-term white-noise", "stat3d r1 ensemble"])
+def test_slab_threads_match_the_serial_loop_bit_for_bit(monkeypatch, nonstat3d_r3, slab_spy, name):
+    import threading
+
+    source, k, man, r, kwargs, slab_points = _threading_cases(name, nonstat3d_r3)
+    if slab_points:
+        monkeypatch.setattr(lkc_module, "_SLAB_POINTS", slab_points)
+    before = _blas_count()
+    threaded = lkc_compute(source, k, man, r, **kwargs)
+    assert _blas_count() == before
+    n_slabs = len(slab_spy.seen)
+    assert n_slabs >= 2
+    if before is not None and len(os.sched_getaffinity(0)) > 1:  # both threads ran slabs, BLAS at one thread
+        assert {t for _, t, _ in slab_spy.seen} - {threading.get_ident()}
+        assert {b for _, _, b in slab_spy.seen} == {1}
+    monkeypatch.setattr(lkc_module, "_SLAB_THREADS", 1)
+    slab_spy.seen.clear()
+    serial = lkc_compute(source, k, man, r, **kwargs)
+    assert {t for _, t, _ in slab_spy.seen} == {threading.get_ident()} and len(slab_spy.seen) == n_slabs
+    assert np.array(threaded.values).tobytes() == np.array(serial.values).tobytes()
+    assert threaded.diagnostics == serial.diagnostics
+
+
+def test_slab_thread_errors_surface_as_the_serial_loop_raises_them(monkeypatch, slab_spy):
+    # the helper's slabs fail; the caller waits in its first slab until the
+    # helper has taken one, so the lowest failing slab runs on the helper
+    import threading
+
+    if _blas_count() is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("slab threads need numpy's OpenBLAS and two cores")
+    source, k, man, r, kwargs, _ = _threading_cases("stat3d r3 white-noise", None)
+    main, helper_started = threading.get_ident(), threading.Event()
+    spy = lkc_module._moments
+
+    def gated(*args, **kw):
+        if threading.get_ident() == main:
+            assert helper_started.wait(30)
+        else:
+            helper_started.set()
+        return spy(*args, **kw)
+
+    monkeypatch.setattr(lkc_module, "_moments", gated)
+    slab_spy.fail(lambda entry: entry[1] != main)
+    before = _blas_count()
+    with pytest.raises(np.linalg.LinAlgError) as threaded:
+        lkc_compute(source, k, man, r, **kwargs)
+    assert _blas_count() == before
+    failed = {start for start, t, _ in slab_spy.seen if t != main}
+    assert failed and len(slab_spy.seen) < 9  # no slab was taken after the failure
+    monkeypatch.setattr(lkc_module, "_SLAB_THREADS", 1)
+    monkeypatch.setattr(lkc_module, "_moments", spy)
+    slab_spy.fail(lambda entry: entry[0] in failed)
+    with pytest.raises(np.linalg.LinAlgError) as serial:
+        lkc_compute(source, k, man, r, **kwargs)
+    assert str(threaded.value) == str(serial.value) == f"no angle in the slab from id {min(failed)}"
+
+
+def test_slab_threads_without_the_blas_switch_run_serially(monkeypatch, slab_spy):
+    import threading
+
+    from surfield import surf as surf_module
+
+    source, k, man, r, kwargs, _ = _threading_cases("stat3d r1 ensemble", None)
+    threaded = lkc_compute(source, k, man, r, **kwargs)
+    slab_spy.seen.clear()
+    monkeypatch.setattr(surf_module, "_openblas", lambda: None)
+    serial = lkc_compute(source, k, man, r, **kwargs)
+    assert {t for _, t, _ in slab_spy.seen} == {threading.get_ident()} and len(slab_spy.seen) == 2
+    assert np.array(threaded.values).tobytes() == np.array(serial.values).tobytes()
+
+
+def test_one_blas_thread_switch_nests_and_restores_on_errors():
+    from surfield.surf import _one_blas_thread, _openblas
+
+    if _openblas() is None:
+        with _one_blas_thread() as switched:
+            assert not switched
+        return
+    set_threads, get_threads = _openblas()
+    old = get_threads()
+    try:
+        set_threads(2)
+        with _one_blas_thread() as switched:
+            assert switched and get_threads() == 1
+            with pytest.raises(RuntimeError), _one_blas_thread():
+                assert get_threads() == 1
+                raise RuntimeError
+            assert get_threads() == 1  # the outer block still holds the switch
+        assert get_threads() == 2
+    finally:
+        set_threads(old)
+
+
 def test_ensemble_lkcs_and_t_field_bits_independent_of_blas_threads():
     # Each run is a fresh process, since OpenBLAS reads its thread count at load.
     code = (
@@ -416,6 +555,9 @@ def test_ensemble_lkcs_and_t_field_bits_independent_of_blas_threads():
         "grid = refined_grid(man, 1)\n"
         "print(np.array(lkc_compute(ens, k, man, 1, grid=grid).values).tobytes().hex())\n"
         "print(hashlib.sha256(t_field_on_grid(SurfSpec(ens, k), grid).tobytes()).hexdigest())\n"
+        "box = make_domain_preset('stat3d', 3.0)\n"  # 9 slabs, threaded
+        "vec = lkc_compute('white-noise', k, VoxelManifold(box.interior), 3, sample_domain=box)\n"
+        "print(np.array(vec.values).tobytes().hex())\n"
     )
     src = str(Path(surfield.__file__).resolve().parents[1])
     runs = []
