@@ -9,7 +9,9 @@ per-replication details), a small stat3d FWER run at 1 and 2 threads (its
 LKC grid has two slabs, so slab threads run inside replication threads),
 every CLI subcommand's artifacts, stdout, stderr and exit code
 (``cli_runs``; ``fwer-sim`` at 1 and 3 threads, failing runs included),
-white-noise and ensemble LKCs with the face term off and on, the white-noise
+white-noise and ensemble LKCs with the face term off and on, 50-subject
+ensemble LKCs at r = 1 (the nonstat3d shell with the face term off and on, the
+stat3d box), whose slabs split into blocks, the white-noise
 LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d box at r = 7,
 FWHM 1, 1.5, ..., 4, each over its padded domain), the smoothed fields, the
 t field, the LKCs and the geometry at points (untruncated and truncated) and
@@ -137,6 +139,16 @@ def dump(path: str) -> None:
             out[f"lkc_{preset}_face{int(face)}_wn"] = np.array(wn.values)
             out[f"lkc_{preset}_face{int(face)}_ens"] = np.array(est.values)
         del grid
+
+    # 50-subject ensemble LKCs at r = 1 whose slabs split into blocks: the
+    # nonstat3d shell of the benchmark's CLI workload and the stat3d box
+    for preset, faces in (("nonstat3d", (False, True)), ("stat3d", (False,))):
+        dom = make_domain_preset(preset, 3.0 if preset == "stat3d" else None)
+        man, kern = VoxelManifold(dom.interior or dom), GaussianKernel.isotropic(3.0, 3)
+        ens = sample_ensemble(dom, 50, RngSpec(12))
+        for face in faces:
+            est = lkc_compute(ens, kern, man, 1, include_face_term=face)
+            out[f"lkc_{preset}_n50_r1_face{int(face)}_ens"] = np.array(est.values)
 
     man = VoxelManifold(make_domain_preset("stat3d", 1.0).interior)
     grid = refined_grid(man, 7)

@@ -14,6 +14,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize as _sciopt  # noqa: F401  (bench/tracing.py wraps _sciopt.minimize)
@@ -64,6 +65,15 @@ class FieldType:
     def student_t(cls, nu: float) -> "FieldType":
         return cls("t", float(nu))
 
+    @cached_property
+    def _t_constants(self) -> tuple[float, ...]:
+        """The t densities' constants (exponent, gammaln ratio, powers of 2 pi), each the
+        leading part of its density's whole expression, so every density keeps its bits."""
+        nu = float(self.nu)
+        ratio = math.exp(_special.gammaln((nu + 1.0) / 2.0) - _special.gammaln(nu / 2.0))
+        c2 = (TWO_PI) ** (-1.5) * ratio / math.sqrt(nu / 2.0)
+        return -(nu - 1.0) / 2.0, c2, (TWO_PI) ** (-2.0), (nu - 1.0) / nu
+
 
 def ec_density(ftype: FieldType, d: int, u) -> np.ndarray | float:
     """Euler-characteristic density rho_d of the field family at level u.
@@ -83,13 +93,13 @@ def ec_density(ftype: FieldType, d: int, u) -> np.ndarray | float:
     nu = float(ftype.nu)
     if d == 0:
         return _special.stdtr(nu, -u)
-    base = (1.0 + u**2 / nu) ** (-(nu - 1.0) / 2.0)
+    power, c2, c3, k3 = ftype._t_constants
+    base = (1.0 + u**2 / nu) ** power
     if d == 1:
         return base / TWO_PI
     if d == 2:
-        ratio = math.exp(_special.gammaln((nu + 1.0) / 2.0) - _special.gammaln(nu / 2.0))
-        return (TWO_PI) ** (-1.5) * ratio / math.sqrt(nu / 2.0) * u * base
-    return (TWO_PI) ** (-2.0) * ((nu - 1.0) / nu * u**2 - 1.0) * base
+        return c2 * u * base
+    return c3 * (k3 * u**2 - 1.0) * base
 
 
 def _lkc_values(lkcs) -> tuple[float, ...]:

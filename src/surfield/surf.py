@@ -398,16 +398,23 @@ def _grid_sums(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, id
     ``ids`` (a range or id array, all when None) as contiguous (N, Q) columns.
     Only the axis-0 rows ``_locate`` finds are contracted, and the result is
     the contraction itself or the points taken from it."""
-    ops = operands or _grid_operands(kernel, ens, grid)
+    ops, N = operands or _grid_operands(kernel, ens, grid), ens.n_fields
     rows, flat = _locate(grid, range(grid.n_points) if ids is None else ids)
 
+    @cache
+    def head(key: tuple) -> np.ndarray:  # _contract's axis-0 GEMM, shared by the sums of its factor
+        G = ops[key][rows]
+        return (ops["data"].reshape(G.shape[1], -1).T @ G.T).reshape(*ops["data"].shape[1:-1], -1)
+
     def s(a: tuple, b: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
-        mats = [ops[(d, a[d]) if b is None else (d, *sorted((a[d], b[d])))] for d in range(len(a))]
-        mats[0] = mats[0][rows]
+        keys = [(d, a[d]) if b is None else (d, *sorted((a[d], b[d]))) for d in range(len(a))]
+        data, mats = ((head(keys[0]), [ops[k] for k in keys[1:]]) if len(a) > 1
+                      else (ops["data"], [ops[keys[0]][rows]]))
         if flat is None:
-            return _contract(ops["data"], mats, out)
-        return np.take(_contract(ops["data"], mats), flat, axis=1,
-                       out=None if out is None else out.reshape(ens.n_fields, -1, copy=False))
+            return _contract(data, mats, out).reshape(N, -1)
+        # the positions are in range; unlike "raise", "clip" writes into ``out`` without a buffer
+        return np.take(_contract(data, mats).reshape(N, -1), flat, axis=1, mode="clip",
+                       out=None if out is None else out.reshape(N, -1, copy=False))
 
     return s
 

@@ -70,6 +70,23 @@ def test_density_validation():
         FieldType("chi2")
 
 
+def test_t_densities_keep_the_bits_of_the_inline_expressions():
+    # the nu-dependent constants are computed once per nu; each density
+    # equals its whole expression evaluated per level, bit for bit
+    from scipy import special
+
+    two_pi, rng = 2.0 * math.pi, np.random.default_rng(3)
+    for nu in (49.0, 7.0):
+        ratio = math.exp(special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0))
+        for u in [*rng.uniform(-6.0, 9.0, 500), np.linspace(-10.0, 50.0, 4097)]:
+            base = (1.0 + u**2 / nu) ** (-(nu - 1.0) / 2.0)
+            want = [special.stdtr(nu, -u), base / two_pi,
+                    (two_pi) ** (-1.5) * ratio / math.sqrt(nu / 2.0) * u * base,
+                    (two_pi) ** (-2.0) * ((nu - 1.0) / nu * u**2 - 1.0) * base]
+            for d in range(4):
+                assert np.array_equal(ec_density(FieldType.student_t(nu), d, u), want[d])
+
+
 def test_threshold_reduces_to_normal_quantile():
     u = threshold([1.0, 0.0, 0.0, 0.0], FieldType.gaussian(), 0.025)
     assert u == pytest.approx(1.959964, abs=1e-6)

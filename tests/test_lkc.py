@@ -317,6 +317,85 @@ def test_multi_slab_white_noise_lkc_embeds_the_unit_field_once(monkeypatch, embe
     assert len(embeddings) == 1 and embeddings[0] is dom.unit_field
 
 
+def _block_rows(grid, blocks):
+    """Per block of every slab, (axis-0 rows it holds, whether it is its slab)."""
+    starts = lkc_module._rows(grid)[:-1]
+    return [(np.count_nonzero((starts >= a) & (starts < b)), len(slab) == 2)
+            for slab in blocks for a, b in zip(slab, slab[1:])]
+
+
+@pytest.mark.parametrize("case", ["shell ensemble", "shell face-term ensemble", "shell face-term white-noise",
+                                  "box ensemble", "box white-noise"])
+def test_two_row_blocks_match_one_block_bit_for_bit(monkeypatch, case):
+    # a slab's moment bundle built from blocks of two rows (three at a slab's
+    # end) holds the bits of the one-block bundle: the same LKCs, diagnostics
+    # and slab metrics
+    if case.startswith("shell"):
+        dom = make_domain_preset("nonstat3d")
+        man, kwargs = VoxelManifold(dom), {}
+    else:  # two slabs of whole rows, known from their bounds
+        dom = make_domain_preset("stat3d", 3.0)
+        man, kwargs = VoxelManifold(dom.interior), {"sample_domain": dom}
+    k, grid = GaussianKernel.isotropic(3.0, 3), refined_grid(man, 1)
+    source = sample_ensemble(dom, 8, RngSpec(21)) if case.endswith("ensemble") else "white-noise"
+    metrics, seen = [], []
+    monkeypatch.setattr(lkc_module, "_metric_expr", lambda *b: metrics.append(_metric_expr(*b)) or metrics[-1])
+    blocks = lkc_module._blocks
+    monkeypatch.setattr(lkc_module, "_blocks", lambda *a: seen.append(blocks(*a)) or seen[-1])
+    monkeypatch.setattr(lkc_module, "_SLAB_THREADS", 1)  # the spies record in slab order
+
+    def run(block_entries):
+        monkeypatch.setattr(lkc_module, "_BLOCK_ENTRIES", block_entries)
+        metrics.clear()
+        vec = lkc_compute(source, k, man, 1, grid=grid, include_face_term="face-term" in case, **kwargs)
+        return vec, list(metrics)
+
+    one, lam_one = run(1 << 62)
+    many, lam_many = run(1)
+    assert all(len(slab) == 2 for slab in seen[0])
+    rows = _block_rows(grid, seen[1])
+    assert len(rows) > 12 and all(n in (2, 3) or whole for n, whole in rows)
+    assert np.array(many.values).tobytes() == np.array(one.values).tobytes()
+    assert many.diagnostics == one.diagnostics
+    assert len(lam_many) == len(lam_one) == len(seen[0]) and all(map(np.array_equal, lam_many, lam_one))
+
+
+def test_blocks_of_the_benchmark_paths():
+    # a 50-subject stat2d r = 1 slab (84,050 entries, the FWER path) and every
+    # white-noise slab (at most 65,536 points) stay one block; the 50-subject
+    # nonstat3d shell at r = 1 splits into blocks of at least two rows, each
+    # within the limit unless two rows alone exceed it
+    grid = refined_grid(VoxelManifold(make_domain_preset("stat2d", 3.0).interior), 1)
+    assert 50 * grid.n_points == 84_050
+    assert [list(b) for b in lkc_module._blocks(grid, lkc_module._slabs(grid), 50)] == [[0, grid.n_points]]
+    grid = refined_grid(VoxelManifold(make_domain_preset("stat3d", 3.0).interior), 3)
+    bounds = lkc_module._slabs(grid)
+    assert len(bounds) > 3 and all(len(b) == 2 for b in lkc_module._blocks(grid, bounds, 1))
+    grid = refined_grid(VoxelManifold(make_domain_preset("nonstat3d")), 1)
+    (slab,) = lkc_module._blocks(grid, lkc_module._slabs(grid), 50)
+    assert len(slab) > 5 and all(n >= 2 for n, _ in _block_rows(grid, [slab]))
+    assert all(50 * (b - a) <= lkc_module._BLOCK_ENTRIES or n == 2
+               for (a, b), (n, _) in zip(zip(slab, slab[1:]), _block_rows(grid, [slab])))
+
+
+def test_ensemble_lkc_memory_follows_the_blocks():
+    # warm 50-subject nonstat3d r = 1 ensemble LKC: columns of one block, not
+    # of the slab's 39,130 points, are alive at once
+    import tracemalloc
+
+    dom = make_domain_preset("nonstat3d")
+    man, k, ens = VoxelManifold(dom), GaussianKernel.isotropic(3.0, 3), sample_ensemble(dom, 50, RngSpec(5))
+    grid = refined_grid(man, 1)
+    lkc_compute(ens, k, man, 1, grid=grid)  # builds the ensemble's data tensor
+    tracemalloc.start()
+    try:
+        lkc_compute(ens, k, man, 1, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 @pytest.mark.parametrize("case, message", [
     ("white-noise", "manifold is 2-D but the kernel is 3-D"),
     ("ensemble", "manifold is 2-D but the kernel is 3-D"),
