@@ -5,7 +5,10 @@ compare two dumps.
     python scripts/bitcheck.py compare BEFORE.npz AFTER.npz
 
 ``dump`` records criterion 4's two FWER runs (2 x 500 replications,
-per-replication details), a small stat3d FWER run at 1 and 2 threads (its
+per-replication details), the benchmark's calling pattern (20 one-replication
+``fwer_experiment`` calls back to back in this process, FWHM 3 and 1
+alternating, so that most reuse a cached run context) and Gaussian-family
+thresholds for D = 1..3, a small stat3d FWER run at 1 and 2 threads (its
 LKC grid has two slabs, so slab threads run inside replication threads),
 every CLI subcommand's artifacts, stdout, stderr and exit code
 (``cli_runs``; ``fwer-sim`` at 1 and 3 threads, failing runs included),
@@ -103,7 +106,7 @@ def cli_runs(tmp: Path) -> dict[str, np.ndarray]:
 
 def dump(path: str) -> None:
     from surfield.geometry import christoffel, christoffel_on_grid, metric, metric_on_grid
-    from surfield.inference import fwer_experiment
+    from surfield.inference import FieldType, fwer_experiment, threshold
     from surfield.kernel import GaussianKernel
     from surfield.lattice import RngSpec, make_domain_preset, sample_ensemble
     from surfield.lkc import lkc_compute
@@ -117,6 +120,13 @@ def dump(path: str) -> None:
         for name, arr in rep.details.items():
             out[f"fwer{fwhm:g}_{name}"] = arr
         out[f"fwer{fwhm:g}_report"] = np.array(json.dumps(rep.to_dict(), sort_keys=True))
+    calls = [fwer_experiment("stat2d", (3.0, 1.0)[i % 2], 50, 1, rng=RngSpec(300 + i), keep_details=True)
+             for i in range(20)]
+    for name in calls[0].details:
+        out[f"fwer_pattern_{name}"] = np.concatenate([rep.details[name] for rep in calls])
+    out["threshold_gaussian"] = np.array([
+        threshold([L0, *(40.0, 300.0, 2000.0)[:D]], FieldType.gaussian(), alpha)
+        for D in (1, 2, 3) for L0 in (1.0, 0.0, -1.0) for alpha in (0.05, 0.01)])
     for threads in (1, 2):
         rep = fwer_experiment("stat3d", 3.0, 8, 2, 0.05, rng=RngSpec(4), threads=threads, keep_details=True)
         for name, arr in rep.details.items():

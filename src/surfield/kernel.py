@@ -60,15 +60,18 @@ class GaussianKernel:
 
     def axis_factor(self, d: int, t: np.ndarray, order: int) -> np.ndarray:
         """d-th 1-D factor k(t) = exp(-c t^2) or its first/second derivative."""
-        c = self.decay[d]
-        k = np.exp(-c * np.asarray(t, dtype=np.float64) ** 2)
-        if order == 0:
-            return k
-        if order == 1:
-            return -2.0 * c * t * k
+        return self.axis_factors(d, t, order)[order]
+
+    def axis_factors(self, d: int, t: np.ndarray, order: int) -> list[np.ndarray]:
+        """[k, k', k''][:order + 1] of the d-th 1-D factor k(t) = exp(-c t^2), from one exp."""
+        if not 0 <= order <= 2:
+            raise ValueError(f"unsupported axis derivative order {order}")
+        c, t = self.decay[d], np.asarray(t, dtype=np.float64)
+        k = np.exp(-c * t**2)
+        out = [k] if order == 0 else [k, -2.0 * c * t * k]
         if order == 2:
-            return (4.0 * c * c * t * t - 2.0 * c) * k
-        raise ValueError(f"unsupported axis derivative order {order}")
+            out.append((4.0 * c * c * t * t - 2.0 * c) * k)
+        return out
 
     # -- pairwise evaluation -------------------------------------------------
 

@@ -18,11 +18,12 @@ slabs), one GEMM per axis, and takes contiguous (N, Q) columns at
 the grid points, or, for a range of ids known from its bounds to fill the
 contracted block (whole rows of a box grid), lets the last GEMM write them.
 At arbitrary points, ``_point_sums`` contracts it with per-point stacks of
-the 1-D factors of every order; a truncated kernel, which is not separable,
-sums those factors over all point x voxel pairs under its mask.  ``_sums``
-alone chooses the engine.  Kernel operands carry no subnormals (``_flush``).
-Over the domain's ``unit_field`` of ones the same sums give the white-noise
-moments that normalize fields and give ``geometry`` its white-noise metric.
+the 1-D factors of every order (one ``exp`` per axis, maps built once); a
+truncated kernel, which is not separable, sums them over all point x voxel
+pairs under its mask.  ``_sums`` alone chooses the engine.  Kernel operands
+carry no subnormals (``_flush``).  Over the domain's ``unit_field`` of ones the
+same sums give the white-noise moments that normalize fields and give
+``geometry`` its white-noise metric.
 """
 from __future__ import annotations
 
@@ -102,28 +103,35 @@ def _stack_contract(data: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+@cache
+def _point_maps(D: int, order: int, pairs: bool):
+    """The point engine's factor kinds, its sums' keys (a, b), per key the kinds
+    it reads per axis, and their flat columns in ``_stack_contract``'s output.
+    Every kind a Hessian needs is stacked, so no sum's bits depend on ``order``."""
+    orders = [a for a in product(range(order + 1), repeat=D) if sum(a) <= order]
+    keys = [(a, b) for a in orders for b in orders if sum(b) <= 1] if pairs else [(a, None) for a in orders]
+    kinds = [(a, b) for a in range(2) for b in range(a, 3)] if pairs else [(o,) for o in range(3)]
+    index = [tuple(kinds.index(tuple(sorted(o[d] for o in key if o is not None))) for d in range(D))
+             for key in keys]
+    return kinds, keys, index, [int(np.ravel_multi_index(idx, (len(kinds),) * D)) for idx in index]
+
+
 def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, order: int,
                 pairs: bool = False):
     """s(a, b=None, out=None) at arbitrary points: the sum over the ensemble's
     voxels v of values[:, v] times the kernel derivative of per-axis orders a
     at (point, v), times that of orders b, shape (N, P), copied into ``out`` if
-    given; for |a| <= order and, with ``pairs``, |b| <= 1.  Per axis, the 1-D
-    factors of each order (or product of two) are stacked per point and
-    flushed.  Untruncated kernels contract the stacks with the subjects-last
-    data tensor (``_stack_contract``); a truncated kernel's stacks span all
-    point x voxel pairs, and their products under the truncation mask
-    multiply the values."""
+    given; for |a| <= order and, with ``pairs``, |b| <= 1.  Untruncated
+    kernels write every kind of 1-D factor (one ``exp`` per axis) into one
+    (P, kinds, m_d) stack per axis, flushed once, and contract the stacks with
+    the subjects-last data tensor (``_stack_contract``); a truncated kernel
+    flushes only the kinds its keys read, over all point x voxel pairs, and
+    their products under the truncation mask multiply the values."""
     D, N, domain = kernel.dimension, ens.n_fields, ens.domain
     points = np.atleast_2d(points)
     if points.shape[1] != D:
         raise ValueError(f"points of dimension {points.shape[1]} do not match the {D}-D kernel")
-    orders = [a for a in product(range(order + 1), repeat=D) if sum(a) <= order]
-    keys = [(a, b) for a in orders for b in orders if sum(b) <= 1] if pairs else [(a, None) for a in orders]
-    # Every factor a Hessian needs is stacked whatever ``order`` is, so that
-    # no sum's bits depend on which others were asked for.
-    kinds = [(a, b) for a in range(2) for b in range(a, 3)] if pairs else [(o,) for o in range(3)]
-    index = {key: tuple(kinds.index(tuple(sorted(o[d] for o in key if o is not None))) for d in range(D))
-             for key in keys}
+    kinds, keys, index, flat = _point_maps(D, order, pairs)
     truncated = kernel.truncation is not None
     if truncated:  # up to 4 D (P, M) arrays per stacked factor are cached per chunk
         targets, width = domain.coords.T, 4 * len(kinds) * D * domain.n_voxels
@@ -131,27 +139,34 @@ def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, 
         targets, data = domain.axis_values, ens.dense
         width = len(kinds) * data.size // data.shape[0]
     step = max(1, _CHUNK_CELLS // width)
-    sums = {key: np.empty((N, len(points))) for key in keys}
+    sums = np.empty((len(keys), N, len(points)))  # each sums[j] a C-contiguous (N, P) array
     for start in range(0, len(points), step):
         t = [points[start:start + step, d, None] - targets[d] for d in range(D)]
-        factor = cache(lambda d, o: kernel.axis_factor(d, t[d], o))
-        kind = cache(lambda d, i: _flush(factor(d, kinds[i][0]) * factor(d, kinds[i][1]) if pairs
-                                         else factor(d, i)))
         if truncated:
-            # products over the leading axes are shared (a plain dict, so no reference
-            # cycle outlives the call); symmetric keys share a column
+            # only the kinds the keys read; products over the leading axes are shared (a
+            # plain dict, so no reference cycle outlives the call); symmetric keys share a column
+            kind = []
+            for d, u in enumerate(t):
+                used = {idx[d] for idx in index}
+                f = kernel.axis_factors(d, u, max(max(kinds[i]) for i in used))
+                kind.append({i: _flush(f[kinds[i][0]] * f[kinds[i][1]] if pairs else f[i]) for i in used})
             lead = {(): sum(u * u for u in t) <= kernel.truncation**2}
-            for idx in index.values():
+            for idx in index:
                 for j in range(1, D):
                     if idx[:j] not in lead:
-                        lead[idx[:j]] = lead[idx[:j - 1]] * kind(j - 1, idx[j - 1])
-            column = cache(lambda idx: (lead[idx[:-1]] * kind(D - 1, idx[-1])) @ ens.values.T)
+                        lead[idx[:j]] = lead[idx[:j - 1]] * kind[j - 1][idx[j - 1]]
+            column = cache(lambda idx: (lead[idx[:-1]] * kind[D - 1][idx[-1]]) @ ens.values.T)
+            for j, idx in enumerate(index):
+                sums[j, :, start:start + step] = column(idx).T
         else:
-            res = _stack_contract(data, [np.stack([kind(d, i) for i in range(len(kinds))], axis=1)
-                                         for d in range(D)])
-            column = lambda idx: res[:, np.ravel_multi_index(idx, (len(kinds),) * D)]
-        for key in keys:
-            sums[key][:, start:start + step] = column(index[key]).T
+            stacks = [np.empty((len(u), len(kinds), u.shape[1])) for u in t]
+            for d, (u, F) in enumerate(zip(t, stacks)):
+                f = kernel.axis_factors(d, u, 2)
+                for i, kind in enumerate(kinds):
+                    F[:, i] = f[kind[0]] * f[kind[1]] if pairs else f[i]
+                _flush(F)
+            sums[:, :, start:start + step] = _stack_contract(data, stacks)[:, flat].transpose(1, 2, 0)
+    sums = dict(zip(keys, sums))
 
     def s(a: tuple, b: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
         if out is not None:
@@ -383,9 +398,9 @@ def _grid_operands(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid
     their own build."""
     ops = {"data": ens.dense}
     for d in range(grid.dimension):
-        t = grid.axis_coords[d][:, None] - ens.domain.axis_values[d]
+        factors = kernel.axis_factors(d, grid.axis_coords[d][:, None] - ens.domain.axis_values[d], order)
         for b in range(order + 1):
-            ops[d, b] = _flush(kernel.axis_factor(d, t, b))
+            ops[d, b] = _flush(factors[b])
             for a in range(min(b, 1) + 1 if pairs else 0):
                 ops[d, a, b] = _flush(ops[d, a] * ops[d, b])
     return ops

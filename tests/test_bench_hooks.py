@@ -26,9 +26,9 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     assert {m: getattr(GaussianKernel, m) for m in KERNEL_METHODS} == methods
 
 
-def test_tracer_nests_replication_spans_under_the_harness(monkeypatch):
-    # replications run in an executor's worker thread, outside the thread
-    # that entered fwer_experiment
+def _replication_span_ancestors(monkeypatch, threads: int) -> list[tuple[str, list[str]]]:
+    """(name, the names above it) of every threshold and LKC span of a traced
+    2-replication run."""
     monkeypatch.syspath_prepend(str(ROOT))
     from bench.tracing import Tracer
     from surfield import inference
@@ -36,7 +36,7 @@ def test_tracer_nests_replication_spans_under_the_harness(monkeypatch):
     tr = Tracer()
     tr.install()
     try:
-        inference.fwer_experiment("nonstat1d", 2.0, 6, 2, threads=1)
+        inference.fwer_experiment("nonstat1d", 2.0, 6, 2, threads=threads)
     finally:
         tr.uninstall()
 
@@ -45,7 +45,20 @@ def test_tracer_nests_replication_spans_under_the_harness(monkeypatch):
             i = tr.parent[i]
             yield tr.names[i]
 
-    for name in ("inference.threshold", "lkc.lkc_compute"):
-        spans = [i for i, n in enumerate(tr.names) if n == name]
-        assert len(spans) == 2
-        assert all("inference.fwer_experiment" in ancestors(i) for i in spans)
+    return [(n, list(ancestors(i))) for i, n in enumerate(tr.names) if n in ("inference.threshold", "lkc.lkc_compute")]
+
+
+def test_tracer_nests_replication_spans_under_the_harness(monkeypatch):
+    # at threads=1 the replications run in the thread that entered fwer_experiment
+    spans = _replication_span_ancestors(monkeypatch, threads=1)
+    assert sorted(n for n, _ in spans) == ["inference.threshold"] * 2 + ["lkc.lkc_compute"] * 2
+    assert all("inference.fwer_experiment" in above for _, above in spans)
+
+
+def test_tracer_nests_worker_thread_spans_under_the_harness(monkeypatch):
+    # at threads=2 the replications run in an executor's worker threads, outside
+    # the thread that entered fwer_experiment: their spans nest under its span
+    # only through the tracer's one stack shared by all threads
+    spans = _replication_span_ancestors(monkeypatch, threads=2)
+    assert sorted(n for n, _ in spans) == ["inference.threshold"] * 2 + ["lkc.lkc_compute"] * 2
+    assert all("inference.fwer_experiment" in above for _, above in spans)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,58 @@ def test_threshold_no_root_reported():
     # expected EC tops out at L0 = 0.5, so alpha = 0.9 has no solution
     with pytest.raises(ThresholdError):
         threshold([0.5], FieldType.gaussian(), 0.9)
+
+
+def _swept_threshold(lkcs, ftype, alpha, tol=1e-12):
+    """The threshold as the expected-EC sweep and bisection compute it, with
+    every level of the sweep evaluated by expected_euler_char."""
+    us = np.linspace(-10.0, 50.0, 4097)
+    vals = expected_euler_char(lkcs, ftype, us)
+    big = np.nonzero(vals >= 1.0)[0]
+    lo_idx = big[-1] if big.size else 0
+    crossings = np.nonzero((vals[:-1] >= alpha) & (vals[1:] < alpha))[0]
+    crossings = crossings[crossings >= lo_idx]
+    if crossings.size == 0:
+        return None
+    i = crossings[-1]
+    lo, hi = us[i], us[i + 1]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if expected_euler_char(lkcs, ftype, mid) >= alpha:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("ftype", [FieldType.gaussian(), FieldType.student_t(9), FieldType.student_t(49)])
+def test_threshold_from_cached_sweep_densities_keeps_the_bits(ftype):
+    # the sweep reads its densities from a cache shared by equal field types;
+    # the levels, the order of the additions and the bisection are unchanged
+    from functools import partial
+
+    from surfield.inference import _eec, _sweep_density
+
+    rng, solved, us = np.random.default_rng(24), 0, np.linspace(-10.0, 50.0, 4097)
+    for D in (1, 2, 3):
+        for L0 in (1.0, 0.0, -1.0, -3.5):
+            for _ in range(4):
+                lkcs = [L0, *(10.0 ** rng.uniform(0.0, 1.5 + d) for d in range(D))]
+                sweep = _eec(lkcs, partial(_sweep_density, ftype), us.shape)
+                assert np.array_equal(sweep, expected_euler_char(lkcs, ftype, us))
+                for alpha in (0.05, 0.01):
+                    want = _swept_threshold(lkcs, ftype, alpha)
+                    if want is None:
+                        with pytest.raises(ThresholdError):
+                            threshold(lkcs, ftype, alpha)
+                        continue
+                    solved += 1
+                    assert threshold(lkcs, ftype, alpha) == want
+                    assert threshold(lkcs, FieldType(ftype.kind, ftype.nu), alpha) == want
+    assert solved >= 80
+    assert _sweep_density(ftype, 1) is _sweep_density(FieldType(ftype.kind, ftype.nu), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +494,102 @@ def test_fwer_all_degenerate_replications_raise(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: all 2 replications degenerated")
     assert "Traceback" not in err
+
+
+def test_fwer_threads1_runs_replications_in_the_calling_thread(monkeypatch):
+    import threading
+
+    from surfield import inference
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return sample_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "sample_ensemble", spy)
+    one = fwer_experiment("nonstat1d", 2.0, 10, 3, 0.1, rng=9, threads=1, keep_details=True)
+    assert seen == [threading.get_ident()] * 3
+    two = fwer_experiment("nonstat1d", 2.0, 10, 3, 0.1, rng=9, threads=2, keep_details=True)
+    assert len(seen) == 6
+    assert one.details.keys() == two.details.keys()
+    for key in one.details:
+        assert np.array_equal(one.details[key], two.details[key])
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"n_subjects": 2.5}, TypeError, "n_subjects must be an integer, got 2.5"),
+    ({"n_subjects": True}, TypeError, "n_subjects must be an integer, got True"),
+    ({"n_subjects": 1}, ValueError, "n_subjects must be >= 2, got 1"),
+    ({"n_reps": 2.0}, TypeError, "n_reps must be an integer, got 2.0"),
+    ({"n_reps": False}, TypeError, "n_reps must be an integer, got False"),
+    ({"n_reps": 0}, ValueError, "n_reps must be >= 1, got 0"),
+    ({"starts": 2.5}, TypeError, "starts must be an integer, got 2.5"),
+    ({"starts": True}, TypeError, "starts must be an integer, got True"),
+    ({"starts": 0}, ValueError, "starts must be >= 1, got 0"),
+    ({"threads": 1.5}, TypeError, "threads must be an integer, got 1.5"),
+    ({"preset": "stat4d"}, ValueError, "unknown preset 'stat4d'"),
+    ({"fwhm": math.nan}, ValueError, "fwhm must be a positive finite number, got nan"),
+    ({"fwhm": -1.0}, ValueError, "fwhm must be a positive finite number, got -1.0"),
+    ({"fwhm": "3"}, ValueError, "fwhm must be a positive finite number, got '3'"),
+    ({"fwhm": True}, ValueError, "fwhm must be a positive finite number, got True"),
+])
+def test_fwer_rejects_bad_arguments_before_any_work(monkeypatch, kwargs, error, message):
+    from surfield import inference
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("reached past the argument checks")
+
+    monkeypatch.setattr(inference, "sample_ensemble", untouched)
+    monkeypatch.setattr(inference, "_run_context", untouched)
+    args = {"preset": "stat2d", "fwhm": 3.0, "n_subjects": 10, "n_reps": 2} | kwargs
+    with pytest.raises(error, match=re.escape(message)):
+        fwer_experiment(**args)
+
+
+def test_maximizer_rejects_non_integral_starts_before_evaluating():
+    ens = bump_ensemble(np.array([3.0, 4.0]))
+    spec = SurfSpec(ens, GaussianKernel.isotropic(2.0, 2))
+    for starts, error in ((2.5, TypeError), (True, TypeError), (0, ValueError)):
+        with pytest.raises(error, match="starts must be"):
+            maximize_t_field(spec, VoxelManifold(ens.domain), starts=starts, grid_values=np.zeros(3))
+    assert maximize_t_field(spec, VoxelManifold(ens.domain), starts=np.int64(2))[1] > 0
+
+
+def test_fwer_run_context_is_built_once_per_preset_and_fwhm(monkeypatch):
+    # calls at FWHM 3, 1, 3 give what each gives alone (a fresh context), and
+    # the repeated call builds no grid
+    from surfield import inference, manifold
+
+    def run(fwhm):
+        rep = fwer_experiment("stat2d", fwhm, 10, 2, rng=RngSpec(7), keep_details=True)
+        return rep.details
+
+    alone = {}
+    for fwhm in (3, 1.0):
+        inference._run_context.cache_clear()
+        alone[float(fwhm)] = run(fwhm)
+    inference._run_context.cache_clear()
+    builds = []
+    init = manifold.RefinedGrid.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(manifold.RefinedGrid, "__init__", counted)
+    for fwhm, built in ((3.0, 2), (1.0, 2), (3, 0)):
+        before = len(builds)
+        details = run(fwhm)
+        assert len(builds) - before == built
+        assert details.keys() == alone[float(fwhm)].keys()
+        for key in details:
+            assert np.array_equal(details[key], alone[float(fwhm)][key]), (fwhm, key)
+    # an r_lkc > 1 grid is built by every call, never cached
+    before = len(builds)
+    fwer_experiment("stat2d", 3.0, 10, 1, r_lkc=3, rng=RngSpec(7))
+    fwer_experiment("stat2d", 3.0, 10, 1, r_lkc=3, rng=RngSpec(7))
+    assert len(builds) - before == 2
 
 
 # ---------------------------------------------------------------------------

@@ -119,3 +119,24 @@ def test_point_dimension_must_match_kernel():
     ):
         with pytest.raises(ValueError, match="do not match the 2-D kernel"):
             call()
+
+
+@pytest.mark.parametrize("fwhm", [1.0, 3.0])
+def test_axis_factors_keep_the_bits_of_each_order_alone(fwhm):
+    # one exp serves every order; each factor equals axis_factor and the
+    # expression of its order evaluated alone, at zero offset and deep in the
+    # tail, where the factors are subnormal or zero
+    k = GaussianKernel((fwhm, 2.0))
+    for t in (np.zeros((3, 4)), np.linspace(-60.0, 60.0, 1201)[:, None] + np.array([0.0, 0.25, 1e-3])):
+        c = k.decay[0]
+        alone = [np.exp(-c * t**2), -2.0 * c * t * np.exp(-c * t**2),
+                 (4.0 * c * c * t * t - 2.0 * c) * np.exp(-c * t**2)]
+        factors = k.axis_factors(0, t, 2)
+        assert len(factors) == 3
+        for o in range(3):
+            assert np.array_equal(factors[o], k.axis_factor(0, t, o))
+            assert np.array_equal(factors[o], alone[o])
+            assert np.array_equal(k.axis_factors(0, t, o)[o], alone[o])
+    assert np.any((alone[0] > 0) & (alone[0] < np.finfo(np.float64).tiny))
+    with pytest.raises(ValueError, match="unsupported axis derivative order 3"):
+        k.axis_factors(0, t, 3)

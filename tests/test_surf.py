@@ -337,6 +337,26 @@ def test_truncated_point_engine_matches_untruncated_at_large_radius(D):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-13 * np.abs(w).max())
 
 
+def test_truncated_point_engine_builds_only_the_orders_its_sums_read(monkeypatch):
+    # a truncated kernel's factors span every point x voxel pair, so a
+    # value-only sum must not pay for derivative orders it never reads
+    dom, pts = point_engine_case(2)
+    ens = sample_ensemble(dom, 4, RngSpec(5))
+    k = GaussianKernel((2.0, 2.6), 3.0)
+    asked = []
+    factors = GaussianKernel.axis_factors
+
+    def spy(self, d, t, order):
+        asked.append(order)
+        return factors(self, d, t, order)
+
+    monkeypatch.setattr(GaussianKernel, "axis_factors", spy)
+    for order, highest in (("value", 0), ("gradient", 1)):
+        asked.clear()
+        t_field(SurfSpec(ens, k), pts, order)
+        assert asked and max(asked) == highest
+
+
 def test_untruncated_point_paths_never_build_the_pairwise_design(monkeypatch):
     from surfield.geometry import christoffel, metric
     from surfield.inference import maximize_t_field
