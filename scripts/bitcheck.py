@@ -9,23 +9,27 @@ per-replication details), the benchmark's calling pattern (20 one-replication
 ``fwer_experiment`` calls back to back in this process, FWHM 3 and 1
 alternating, so that most reuse a cached run context) and Gaussian-family
 thresholds for D = 1..3, a small stat3d FWER run at 1 and 2 threads (its
-LKC grid has two slabs, so slab threads run inside replication threads),
+LKC grid has five slabs, so slab threads run inside replication threads),
 every CLI subcommand's artifacts, stdout, stderr and exit code
 (``cli_runs``; ``fwer-sim`` at 1 and 3 threads, failing runs included),
 white-noise and ensemble LKCs with the face term off and on, 50-subject
 ensemble LKCs at r = 1 (the nonstat3d shell with the face term off and on, the
-stat3d box), whose slabs split into blocks, the white-noise
-LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d box at r = 7,
-FWHM 1, 1.5, ..., 4, each over its padded domain), the smoothed fields, the
-t field, the LKCs and the geometry at points (untruncated and truncated) and
-on a grid, the normalized fields, and numpy's OpenBLAS thread count before
-and after all of it (``blas_threads``).  ``compare`` requires every array to
-be bit-identical, except the normalized gradient and Hessian (keys
-``norm_*``), which may move by 1e-14 of their largest magnitude; within each
-dump it requires every ``fwer-sim`` record, manifest included, to be the same
-at 1 and 3 threads, the stat3d run to be the same at 1 and 2 threads, and
-the BLAS thread count after to equal the count before.  A dump made at
-``OPENBLAS_NUM_THREADS=1`` and one made at the default compare equal too.
+stat3d box), whose slabs are bounded by their subject x point entries, the
+white-noise LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d box
+at r = 7, FWHM 1, 1.5, ..., 4, each over its padded domain), the slab bounds
+(``lkc._slabs``, keys ``slabs_*``) of the LKC grids of criterion 4, of the
+50-subject and the stat3d FWER LKCs and of the r = 7 box, so that a change
+of partition, and so of summation order, shows as its own difference, the
+smoothed fields, the t field, the LKCs and the geometry at points
+(untruncated and truncated) and on a grid, the normalized fields, and numpy's
+OpenBLAS thread count before and after all of it (``blas_threads``).
+``compare`` requires every array to be bit-identical, except the normalized
+gradient and Hessian (keys ``norm_*``), which may move by 1e-14 of their
+largest magnitude; within each dump it requires every ``fwer-sim`` record,
+manifest included, to be the same at 1 and 3 threads, the stat3d run to be
+the same at 1 and 2 threads, and the BLAS thread count after to equal the
+count before.  A dump made at ``OPENBLAS_NUM_THREADS=1`` and one made at
+the default compare equal too.
 """
 from __future__ import annotations
 
@@ -109,7 +113,7 @@ def dump(path: str) -> None:
     from surfield.inference import FieldType, fwer_experiment, threshold
     from surfield.kernel import GaussianKernel
     from surfield.lattice import RngSpec, make_domain_preset, sample_ensemble
-    from surfield.lkc import lkc_compute
+    from surfield.lkc import _slabs, lkc_compute
     from surfield.manifold import VoxelManifold, refined_grid
     from surfield.surf import SurfSpec, smooth_on_grid, surf_eval, t_field, t_field_on_grid
 
@@ -127,6 +131,8 @@ def dump(path: str) -> None:
     out["threshold_gaussian"] = np.array([
         threshold([L0, *(40.0, 300.0, 2000.0)[:D]], FieldType.gaussian(), alpha)
         for D in (1, 2, 3) for L0 in (1.0, 0.0, -1.0) for alpha in (0.05, 0.01)])
+    out["slabs_stat2d_r1_n50"] = _slabs(refined_grid(VoxelManifold(make_domain_preset("stat2d", 3.0).interior), 1), 50)
+    out["slabs_stat3d_r1_n8"] = _slabs(refined_grid(VoxelManifold(make_domain_preset("stat3d", 3.0).interior), 1), 8)
     for threads in (1, 2):
         rep = fwer_experiment("stat3d", 3.0, 8, 2, 0.05, rng=RngSpec(4), threads=threads, keep_details=True)
         for name, arr in rep.details.items():
@@ -150,18 +156,21 @@ def dump(path: str) -> None:
             out[f"lkc_{preset}_face{int(face)}_ens"] = np.array(est.values)
         del grid
 
-    # 50-subject ensemble LKCs at r = 1 whose slabs split into blocks: the
-    # nonstat3d shell of the benchmark's CLI workload and the stat3d box
+    # 50-subject ensemble LKCs at r = 1 whose slabs are bounded by their
+    # entries: the nonstat3d shell of the benchmark's CLI workload and the stat3d box
     for preset, faces in (("nonstat3d", (False, True)), ("stat3d", (False,))):
         dom = make_domain_preset(preset, 3.0 if preset == "stat3d" else None)
         man, kern = VoxelManifold(dom.interior or dom), GaussianKernel.isotropic(3.0, 3)
         ens = sample_ensemble(dom, 50, RngSpec(12))
+        grid = refined_grid(man, 1)
+        out[f"slabs_{preset}_r1_n50"] = _slabs(grid, 50)
         for face in faces:
-            est = lkc_compute(ens, kern, man, 1, include_face_term=face)
+            est = lkc_compute(ens, kern, man, 1, grid=grid, include_face_term=face)
             out[f"lkc_{preset}_n50_r1_face{int(face)}_ens"] = np.array(est.values)
 
     man = VoxelManifold(make_domain_preset("stat3d", 1.0).interior)
     grid = refined_grid(man, 7)
+    out["slabs_stat3d_r7_n1"] = _slabs(grid, 1)
     for fwhm in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
         dom = make_domain_preset("stat3d", fwhm)
         wn = lkc_compute("white-noise", GaussianKernel.isotropic(fwhm, 3), man, 7, sample_domain=dom, grid=grid)

@@ -241,7 +241,12 @@ def _cmd_census(args):
 def _cmd_check_nondegeneracy(args):
     dom, dom_label, _ = _load_domain(args)
     kern = _kernel_for(args, dom.dimension)
-    x = np.array([float(c) for c in args.point.split(",")])
+    try:
+        x = np.array([float(c) for c in args.point.split(",")])
+    except ValueError:
+        raise ConfigError(f"--point must be comma-separated numbers, got {args.point!r}") from None
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"--point must be finite, got {args.point}")
     if x.size != dom.dimension:
         raise ConfigError("--point dimension does not match the domain")
     plan = {"domain": dom_label, "point": x.tolist(), "fwhm": args.fwhm,

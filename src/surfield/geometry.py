@@ -62,17 +62,16 @@ _EIG_CLIP = 1e-12
 # white noise, a centred sum over subjects for an ensemble.
 
 
-def _sample_moment(column, N: int, work=()):
+def _sample_moment(column, N: int):
     """moment(a, b, out=None) of an N-field ensemble: the sample covariance,
-    with the N-1 denominator, of the (N, Q) columns ``column(a, out)`` (out
-    the next array of ``work`` while there is one) and ``column(b)``, each
-    centred in place on first use (the moments are their only reader),
-    written into ``out`` when given."""
-    w, slots = 1.0 / (N - 1), iter(work)
+    with the N-1 denominator, of the (N, Q) columns ``column(a)`` and
+    ``column(b)``, each centred in place on first use (the moments are their
+    only reader), written into ``out`` when given."""
+    w = 1.0 / (N - 1)
 
     @cache
     def centred(a: tuple) -> np.ndarray:
-        v = column(a, out=next(slots, None))
+        v = column(a)
         v -= v.mean(axis=0)
         return v
 
@@ -109,32 +108,22 @@ def _christoffel_expr(S, Sd, Sdd, T2, U2) -> np.ndarray:
     return g
 
 
-def _moments(source, kernel, domain, hessian, blocks=None, work=(), **at):
+def _moments(source, kernel, domain, hessian, **at):
     """(S, Sd, Sdd[, T2, U2]) of ``source`` at ``points``, or at the grid
     points ``ids`` (all when None) of ``grid``, passed in ``at``.
 
     ``source`` is "white-noise" (single sums over ``domain``) or a
-    FieldEnsemble (sample covariances over its own domain).  ``blocks``
-    (bounds splitting the range ``ids``) builds it block by block, every
-    block's columns in the rows of one array, copied into the whole.
+    FieldEnsemble (sample covariances over its own domain).  Its columns
+    cover all the points at once: a caller bounds their entries by the
+    points it asks for (``lkc._slabs``).
     """
-    if blocks is not None and len(blocks) > 2:
-        N, D, whole = getattr(source, "n_fields", 1), kernel.dimension, None
-        work = np.empty(((D + 1) * (D + 2) // 2 if hessian else D + 1, N * np.diff(blocks).max()))
-        for a, b in zip(blocks, blocks[1:]):
-            cols = [row[:N * (b - a)].reshape(N, -1) for row in work]
-            part = _moments(source, kernel, domain, hessian, work=cols, **dict(at, ids=range(a, b)))
-            whole = whole or tuple(_components_first((blocks[-1] - blocks[0],), *x.shape[1:]) for x in part)
-            for w, x in zip(whole, part):
-                w[a - blocks[0]:b - blocks[0]] = x
-        return whole
     if not isinstance(source, str):
         N = source.n_fields
         if N < 2:
             raise DegenerateFieldError("sample-based geometry requires at least two fields")
         _check_dimensions(kernel, {"ensemble's domain": source.domain, "grid": at.get("grid")})
         s = _sums(kernel, source, 2 if hessian else 1, **at)
-        bundle = _bundle(_sample_moment(s, N, work), kernel.dimension, hessian)
+        bundle = _bundle(_sample_moment(s, N), kernel.dimension, hessian)
         if np.any(bundle[0] <= 0):
             raise DegenerateFieldError("zero sample variance at an evaluation point")
         return bundle

@@ -425,8 +425,10 @@ def fwer_experiment(
     if isinstance(rng, int):
         rng = RngSpec(rng)
     for name, value, least in (("n_subjects", n_subjects, 2), ("n_reps", n_reps, 1), ("starts", starts, 1),
-                               ("threads", threads, 1)):
+                               ("threads", threads, 1), ("r_lkc", r_lkc, 1)):
         _check_count(name, value, least)
+    if isinstance(alpha, bool) or not (isinstance(alpha, (int, float, np.integer, np.floating)) and 0 < alpha < 1):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if preset not in PRESET_NAMES:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESET_NAMES}")
     if isinstance(fwhm, bool) or not (isinstance(fwhm, (int, float, np.integer, np.floating))

@@ -85,6 +85,8 @@ class GaussianKernel:
         if points.shape[1] != self.dimension or voxels.shape[1] != self.dimension:
             raise ValueError(f"points of dimension {points.shape[1]} and voxels of dimension "
                              f"{voxels.shape[1]} do not match the {self.dimension}-D kernel")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(voxels))):
+            raise ValueError("query points must be finite")
         t = points[:, None, :] - voxels[None, :, :]
         k = np.exp(-np.einsum("d,pmd->pm", self.decay, t * t))
         out = [k, None, None]

@@ -14,14 +14,13 @@ contiguous grid ids, handed to the engine as a range (on a box grid, known
 from its bounds to fill its block), with kernel factors built once per call.
 Each slab's moment bundle (with the Hessian moments for the face term) gives
 its metric and face-term Christoffel symbols, reduced into the volume, face
-and edge sums through its quadrature-table entries and dropped: slabs fix the
-summation order and the memory bound.  Blocks fix the cache footprint: an
-ensemble slab's bundle is built from blocks of at least two whole rows (numpy
-contracts one row by matrix-vector product, with other bits), each block's
-columns within ``_BLOCK_ENTRIES``.  The calling thread and one helper take the
-slabs from one iterator, numpy's OpenBLAS at one thread meanwhile
-(``surf._one_blas_thread``, a process-wide switch); adding the slab sums in
-slab order keeps every bit.
+and edge sums through its quadrature-table entries and dropped.  The slabs are
+the one partition of the grid: they fix the summation order, and their
+bound of ``_SLAB_POINTS`` points and of ``_SLAB_ENTRIES`` subject x point
+entries (one moment column of an ensemble) fixes the memory and cache
+footprint.  The calling thread and one helper take the slabs from one
+iterator, numpy's OpenBLAS at one thread meanwhile (``surf._one_blas_thread``,
+a process-wide switch); adding the slab sums in slab order keeps every bit.
 """
 from __future__ import annotations
 
@@ -51,8 +50,8 @@ __all__ = ["LkcVector", "lkc_compute", "lkc_stationary_closed_form"]
 
 LOG2 = math.log(2.0)
 _SLAB_POINTS = 1 << 16  # grid points whose metric one slab thread holds at once
+_SLAB_ENTRIES = 1 << 17  # subject x point entries of one moment column of a slab: 1 MiB
 _SLAB_THREADS = 2  # the calling thread and at most one helper share a call's slabs
-_BLOCK_ENTRIES = 1 << 18  # subject x point entries of one moment column of a block: 2 MiB, one core's L2
 
 
 @dataclass(frozen=True)
@@ -82,34 +81,16 @@ class LkcVector:
         return self.values[d]
 
 
-def _rows(grid: RefinedGrid) -> np.ndarray:
-    """Each axis-0 row's first grid id (ids sort with axis 0 slowest), then the point count."""
+def _slabs(grid: RefinedGrid, n_fields: int) -> np.ndarray:
+    """Slab bounds: runs of whole axis-0 rows, a row opening a run where the open one
+    would pass ``min(_SLAB_POINTS, _SLAB_ENTRIES // n_fields)`` points with it."""
     counts = np.count_nonzero(grid.id_map.reshape(len(grid.id_map), -1) >= 0, axis=1)
-    return np.append((np.cumsum(counts) - counts)[counts > 0], grid.n_points)
-
-
-def _runs(rows: np.ndarray, limit: int, min_rows: int = 1) -> np.ndarray:
-    """Bounds of runs of whole ``rows``: a row opens a run where the open one would pass
-    ``limit`` points with it, holds ``min_rows`` rows and leaves as many."""
-    bounds, first = [rows[0]], 0
-    for i in range(1, len(rows) - 1):
-        if rows[i + 1] - bounds[-1] > limit and min(i - first, len(rows) - 1 - i) >= min_rows:
-            bounds, first = bounds + [rows[i]], i
+    rows = np.append((np.cumsum(counts) - counts)[counts > 0], grid.n_points)  # first ids, then the count
+    limit, bounds = min(_SLAB_POINTS, _SLAB_ENTRIES // n_fields), [rows[0]]
+    for start, stop in zip(rows[1:-1], rows[2:]):
+        if stop - bounds[-1] > limit:
+            bounds.append(start)
     return np.array(bounds + [rows[-1]])
-
-
-def _slabs(grid: RefinedGrid) -> np.ndarray:
-    """Slab bounds: runs of at most ``_SLAB_POINTS`` points, or one row."""
-    return _runs(_rows(grid), _SLAB_POINTS)
-
-
-def _blocks(grid: RefinedGrid, bounds: np.ndarray, n_fields: int) -> list[np.ndarray]:
-    """Per slab, its block bounds: runs of at most ``_BLOCK_ENTRIES`` subject x point entries,
-    or two rows; one row only as the whole slab (numpy contracts one row by matrix-vector
-    product, with other bits)."""
-    limit = _BLOCK_ENTRIES // n_fields
-    rows = _rows(grid) if np.diff(bounds).max() > limit else bounds  # no slab to split: no count
-    return [_runs(rows[(rows >= a) & (rows <= b)], limit, 2) for a, b in zip(bounds, bounds[1:])]
 
 
 def _split(table: dict, bounds: np.ndarray) -> list[dict]:
@@ -230,17 +211,15 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
     domain = sample_domain or manifold.domain
     hessian = include_face_term and D == 3
     spacing = manifold.domain.spacing / (r + 1)
-    bounds = _slabs(grid)
+    ens = source if src_tag == "estimate" else domain.unit_field
+    bounds = _slabs(grid, ens.n_fields)
     faces = list(zip(*(_split(grid.face_tables[m], bounds) for m in range(D))))
     edges = list(zip(*(_split(t, bounds) for t in grid.edge_tables)))
-    ens = source if src_tag == "estimate" else domain.unit_field
     operands = _grid_operands(kernel, ens, grid, 2 if hessian else 1, ens is not source)  # read by every slab
-    blocks = _blocks(grid, bounds, ens.n_fields)
 
     def slab(j: int) -> tuple:  # slab j's volume, boundary, edge and face sums, repaired points
         start, stop = bounds[j], bounds[j + 1]
-        bundle = _moments(source, kernel, domain, hessian, blocks=blocks[j], grid=grid, ids=range(start, stop),
-                          operands=operands)
+        bundle = _moments(source, kernel, domain, hessian, grid=grid, ids=range(start, stop), operands=operands)
         lam = _metric_expr(*bundle[:3])
         dets, n_bad = sqrt_det_psd(lam)
         bnd = edge = face = 0.0  # where the grid has no such stratum or no face term

@@ -282,6 +282,21 @@ def test_threshold_rejects_non_finite_input(tmp_path, capsys, lkcs, df, message)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("point, message", [
+    ("nan,3", "config error: --point must be finite"),
+    ("inf,3", "config error: --point must be finite"),
+    ("3,-inf", "config error: --point must be finite"),
+    ("x,3", "config error: --point must be comma-separated numbers"),
+    ("3,", "config error: --point must be comma-separated numbers"),
+])
+def test_check_nondegeneracy_rejects_bad_point(tmp_path, capsys, point, message):
+    rc = main(["check-nondegeneracy", "--preset", "nonstat2d", "--fwhm", "3", f"--point={point}",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "o").exists()
+
+
 def test_threshold_without_crossing_is_an_error(tmp_path, capsys):
     rc = main(["threshold", "--lkcs", "0,0,0", "--family", "t", "--df", "40", "--out", str(tmp_path / "o")])
     assert rc == 1

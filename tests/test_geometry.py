@@ -406,7 +406,7 @@ def test_metric_on_grid_point_ids_match_full_grid_rows(monkeypatch, ensemble):
     # Slabs of one to a few axis-0 rows: BLAS picks other kernels for such
     # small products (gemv for one row), so agreement is to rounding.
     monkeypatch.setattr(lkc, "_SLAB_POINTS", 3000)
-    bounds = lkc._slabs(grid)
+    bounds = lkc._slabs(grid, 1)
     assert len(bounds) > 15
     for a, b in zip(bounds[:-1], bounds[1:]):
         slab = np.arange(a, b)

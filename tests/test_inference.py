@@ -468,7 +468,7 @@ def test_fwer_deterministic_across_thread_counts():
 
 
 def test_fwer_stat3d_slab_threads_inside_replication_threads():
-    # stat3d's r = 1 LKC grid has two slabs, so at threads=2 each replication
+    # stat3d's r = 1 LKC grid has five 8-subject slabs, so at threads=2 each replication
     # thread's lkc_compute shares its slabs with a helper thread, under the
     # process-wide BLAS switch entered by two replications at once
     from surfield.surf import _openblas
@@ -533,6 +533,13 @@ def test_fwer_threads1_runs_replications_in_the_calling_thread(monkeypatch):
     ({"fwhm": -1.0}, ValueError, "fwhm must be a positive finite number, got -1.0"),
     ({"fwhm": "3"}, ValueError, "fwhm must be a positive finite number, got '3'"),
     ({"fwhm": True}, ValueError, "fwhm must be a positive finite number, got True"),
+    ({"alpha": 1.5}, ValueError, "alpha must lie in (0, 1), got 1.5"),
+    ({"alpha": 0.0}, ValueError, "alpha must lie in (0, 1), got 0.0"),
+    ({"alpha": math.nan}, ValueError, "alpha must lie in (0, 1), got nan"),
+    ({"alpha": "0.05"}, ValueError, "alpha must lie in (0, 1), got '0.05'"),
+    ({"r_lkc": 0}, ValueError, "r_lkc must be >= 1, got 0"),
+    ({"r_lkc": 1.0}, TypeError, "r_lkc must be an integer, got 1.0"),
+    ({"r_lkc": True}, TypeError, "r_lkc must be an integer, got True"),
 ])
 def test_fwer_rejects_bad_arguments_before_any_work(monkeypatch, kwargs, error, message):
     from surfield import inference

@@ -121,6 +121,23 @@ def test_point_dimension_must_match_kernel():
             call()
 
 
+@pytest.mark.parametrize("point", [[math.nan, 3.0], [3.0, math.inf], [-math.inf, 3.0]])
+@pytest.mark.parametrize("call", ["kernel_eval", "surf_covariance", "localization_support", "nondegeneracy_check"])
+def test_non_finite_query_points_rejected(call, point):
+    # every pairwise caller refuses the point, not returning every voxel, nan or 0.0
+    from surfield.inference import localization_support, nondegeneracy_check
+    from surfield.lattice import VoxelSet
+    from surfield.surf import surf_covariance
+
+    k = GaussianKernel.isotropic(2.0, 2, truncation=4.0 if call == "localization_support" else None)
+    dom = VoxelSet(np.argwhere(np.ones((6, 6))).astype(float))
+    with pytest.raises(ValueError, match="query points must be finite"):
+        {"kernel_eval": lambda: kernel_eval(k, point, [1.0, 1.0], "hessian"),
+         "surf_covariance": lambda: surf_covariance(k, dom, point, [1.0, 1.0]),
+         "localization_support": lambda: localization_support(k, dom, point),
+         "nondegeneracy_check": lambda: nondegeneracy_check(k, dom, point)}[call]()
+
+
 @pytest.mark.parametrize("fwhm", [1.0, 3.0])
 def test_axis_factors_keep_the_bits_of_each_order_alone(fwhm):
     # one exp serves every order; each factor equals axis_factor and the

@@ -287,6 +287,7 @@ def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
     metrics = []
     monkeypatch.setattr(lkc_module, "_metric_expr", lambda *b: metrics.append(_metric_expr(*b)) or metrics[-1])
     monkeypatch.setattr(lkc_module, "_SLAB_THREADS", 1)  # the spies record in slab order
+    monkeypatch.setattr(lkc_module, "_SLAB_ENTRIES", 1 << 62)  # slabs bounded by points alone
 
     def run(slab_points):
         monkeypatch.setattr(lkc_module, "_SLAB_POINTS", slab_points)
@@ -296,7 +297,7 @@ def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
 
     one, lam_one = run(grid.n_points)
     many, lam_many = run(slab_points)
-    assert len(lkc_module._slabs(grid)) > 12
+    assert len(lkc_module._slabs(grid, 1)) > 12
     np.testing.assert_allclose(many.values, one.values, rtol=1e-13, atol=0)
     assert many.diagnostics == one.diagnostics
     if case.startswith("box"):  # a whole-row slab contracts its own block: the same bits
@@ -312,75 +313,49 @@ def test_multi_slab_white_noise_lkc_embeds_the_unit_field_once(monkeypatch, embe
     man = VoxelManifold(dom)
     grid = refined_grid(man, 3)
     monkeypatch.setattr(lkc_module, "_SLAB_POINTS", 100)
-    assert len(lkc_module._slabs(grid)) > 20
+    assert len(lkc_module._slabs(grid, 1)) > 20
     lkc_compute("white-noise", GaussianKernel.isotropic(2.0, 2), man, 3, grid=grid)
     assert len(embeddings) == 1 and embeddings[0] is dom.unit_field
 
 
-def _block_rows(grid, blocks):
-    """Per block of every slab, (axis-0 rows it holds, whether it is its slab)."""
-    starts = lkc_module._rows(grid)[:-1]
-    return [(np.count_nonzero((starts >= a) & (starts < b)), len(slab) == 2)
-            for slab in blocks for a, b in zip(slab, slab[1:])]
-
-
-@pytest.mark.parametrize("case", ["shell ensemble", "shell face-term ensemble", "shell face-term white-noise",
-                                  "box ensemble", "box white-noise"])
-def test_two_row_blocks_match_one_block_bit_for_bit(monkeypatch, case):
-    # a slab's moment bundle built from blocks of two rows (three at a slab's
-    # end) holds the bits of the one-block bundle: the same LKCs, diagnostics
-    # and slab metrics
-    if case.startswith("shell"):
-        dom = make_domain_preset("nonstat3d")
-        man, kwargs = VoxelManifold(dom), {}
-    else:  # two slabs of whole rows, known from their bounds
-        dom = make_domain_preset("stat3d", 3.0)
-        man, kwargs = VoxelManifold(dom.interior), {"sample_domain": dom}
-    k, grid = GaussianKernel.isotropic(3.0, 3), refined_grid(man, 1)
-    source = sample_ensemble(dom, 8, RngSpec(21)) if case.endswith("ensemble") else "white-noise"
-    metrics, seen = [], []
-    monkeypatch.setattr(lkc_module, "_metric_expr", lambda *b: metrics.append(_metric_expr(*b)) or metrics[-1])
-    blocks = lkc_module._blocks
-    monkeypatch.setattr(lkc_module, "_blocks", lambda *a: seen.append(blocks(*a)) or seen[-1])
-    monkeypatch.setattr(lkc_module, "_SLAB_THREADS", 1)  # the spies record in slab order
-
-    def run(block_entries):
-        monkeypatch.setattr(lkc_module, "_BLOCK_ENTRIES", block_entries)
-        metrics.clear()
-        vec = lkc_compute(source, k, man, 1, grid=grid, include_face_term="face-term" in case, **kwargs)
-        return vec, list(metrics)
-
-    one, lam_one = run(1 << 62)
-    many, lam_many = run(1)
-    assert all(len(slab) == 2 for slab in seen[0])
-    rows = _block_rows(grid, seen[1])
-    assert len(rows) > 12 and all(n in (2, 3) or whole for n, whole in rows)
-    assert np.array(many.values).tobytes() == np.array(one.values).tobytes()
-    assert many.diagnostics == one.diagnostics
-    assert len(lam_many) == len(lam_one) == len(seen[0]) and all(map(np.array_equal, lam_many, lam_one))
+def _points_rule(grid, limit):
+    """Slab bounds found by searching the sorted axis-0 keys for each axis-0
+    grid key: a row opens a slab where the open one would pass ``limit``
+    points with it."""
+    starts = np.searchsorted(grid.keys[:, 0], grid.axis_keys[0])
+    want = [0]
+    for a, b in zip(starts[1:], np.append(starts[2:], grid.n_points)):
+        if b - want[-1] > limit:
+            want.append(a)
+    return want + [grid.n_points]
 
 
 def test_blocks_of_the_benchmark_paths():
-    # a 50-subject stat2d r = 1 slab (84,050 entries, the FWER path) and every
-    # white-noise slab (at most 65,536 points) stay one block; the 50-subject
-    # nonstat3d shell at r = 1 splits into blocks of at least two rows, each
-    # within the limit unless two rows alone exceed it
+    # the one partition on the benchmark's grids: the 50-subject stat2d r = 1
+    # grid (84,050 entries, the FWER path) is one slab; white-noise slabs
+    # follow the points bound alone; every 50-subject nonstat3d shell slab is
+    # within the entry bound unless it is one row; the 50-subject stat3d r = 1
+    # slabs are balanced, so both slab threads have work to the end
     grid = refined_grid(VoxelManifold(make_domain_preset("stat2d", 3.0).interior), 1)
     assert 50 * grid.n_points == 84_050
-    assert [list(b) for b in lkc_module._blocks(grid, lkc_module._slabs(grid), 50)] == [[0, grid.n_points]]
+    assert list(lkc_module._slabs(grid, 50)) == [0, grid.n_points]
     grid = refined_grid(VoxelManifold(make_domain_preset("stat3d", 3.0).interior), 3)
-    bounds = lkc_module._slabs(grid)
-    assert len(bounds) > 3 and all(len(b) == 2 for b in lkc_module._blocks(grid, bounds, 1))
+    bounds = lkc_module._slabs(grid, 1)
+    assert len(bounds) > 3 and list(bounds) == _points_rule(grid, lkc_module._SLAB_POINTS)
     grid = refined_grid(VoxelManifold(make_domain_preset("nonstat3d")), 1)
-    (slab,) = lkc_module._blocks(grid, lkc_module._slabs(grid), 50)
-    assert len(slab) > 5 and all(n >= 2 for n, _ in _block_rows(grid, [slab]))
-    assert all(50 * (b - a) <= lkc_module._BLOCK_ENTRIES or n == 2
-               for (a, b), (n, _) in zip(zip(slab, slab[1:]), _block_rows(grid, [slab])))
+    bounds = lkc_module._slabs(grid, 50)
+    assert len(bounds) > 5
+    assert all(50 * (b - a) <= lkc_module._SLAB_ENTRIES or len(np.unique(grid.keys[a:b, 0])) == 1
+               for a, b in zip(bounds, bounds[1:]))
+    grid = refined_grid(VoxelManifold(make_domain_preset("stat3d", 3.0).interior), 1)
+    sizes = np.diff(lkc_module._slabs(grid, 50))
+    assert len(sizes) >= 4 and sizes.max() <= 2 * sizes.min()
 
 
 def test_ensemble_lkc_memory_follows_the_blocks():
-    # warm 50-subject nonstat3d r = 1 ensemble LKC: columns of one block, not
-    # of the slab's 39,130 points, are alive at once
+    # warm 50-subject nonstat3d r = 1 ensemble LKC: columns of the slabs the
+    # two slab threads hold, each within the entry bound, not of the grid's
+    # 39,130 points, are alive at once
     import tracemalloc
 
     dom = make_domain_preset("nonstat3d")
@@ -470,14 +445,11 @@ def test_slab_bounds_match_key_search(monkeypatch, nonstat3d_r3, name):
         grid = refined_grid(VoxelManifold(VoxelSet(coords[coords[:, 0] != 3])), 3)
     else:
         grid = nonstat3d_r3[1]
-    starts = np.searchsorted(grid.keys[:, 0], grid.axis_keys[0])
+    # an ensemble's bound is its entries per subject where that is the smaller
+    np.testing.assert_array_equal(lkc_module._slabs(grid, 7), _points_rule(grid, lkc_module._SLAB_ENTRIES // 7))
     for slab_points in (1 << 16, 5000, 1):
         monkeypatch.setattr(lkc_module, "_SLAB_POINTS", slab_points)
-        want = [0]
-        for a, b in zip(starts[1:], np.append(starts[2:], grid.n_points)):
-            if b - want[-1] > slab_points:
-                want.append(a)
-        np.testing.assert_array_equal(lkc_module._slabs(grid), want + [grid.n_points])
+        np.testing.assert_array_equal(lkc_module._slabs(grid, 1), _points_rule(grid, slab_points))
 
 
 def _blas_count():
@@ -522,10 +494,14 @@ def _threading_cases(name, nonstat3d_r3):
     man, k = VoxelManifold(dom.interior), GaussianKernel.isotropic(3.0, 3)
     if name == "stat3d r3 white-noise":  # 9 slabs
         return "white-noise", k, man, 3, {"sample_domain": dom}, None
-    return sample_ensemble(dom, 8, RngSpec(3)), k, man, 1, {}, None  # "stat3d r1 ensemble": 2 slabs
+    if name == "nonstat3d r1 50-subject ensemble":  # the benchmark's CLI LKC: slabs bounded by entries
+        shell = make_domain_preset("nonstat3d")
+        return sample_ensemble(shell, 50, RngSpec(6)), k, VoxelManifold(shell), 1, {}, None
+    return sample_ensemble(dom, 8, RngSpec(3)), k, man, 1, {}, None  # "stat3d r1 ensemble": 5 slabs
 
 
-@pytest.mark.parametrize("name", ["stat3d r3 white-noise", "nonstat3d face-term white-noise", "stat3d r1 ensemble"])
+@pytest.mark.parametrize("name", ["stat3d r3 white-noise", "nonstat3d face-term white-noise", "stat3d r1 ensemble",
+                                  "nonstat3d r1 50-subject ensemble"])
 def test_slab_threads_match_the_serial_loop_bit_for_bit(monkeypatch, nonstat3d_r3, slab_spy, name):
     import threading
 
@@ -592,7 +568,7 @@ def test_slab_threads_without_the_blas_switch_run_serially(monkeypatch, slab_spy
     slab_spy.seen.clear()
     monkeypatch.setattr(surf_module, "_openblas", lambda: None)
     serial = lkc_compute(source, k, man, r, **kwargs)
-    assert {t for _, t, _ in slab_spy.seen} == {threading.get_ident()} and len(slab_spy.seen) == 2
+    assert {t for _, t, _ in slab_spy.seen} == {threading.get_ident()} and len(slab_spy.seen) == 5
     assert np.array(threaded.values).tobytes() == np.array(serial.values).tobytes()
 
 
