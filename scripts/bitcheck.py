@@ -14,22 +14,25 @@ every CLI subcommand's artifacts, stdout, stderr and exit code
 (``cli_runs``; ``fwer-sim`` at 1 and 3 threads, failing runs included),
 white-noise and ensemble LKCs with the face term off and on, 50-subject
 ensemble LKCs at r = 1 (the nonstat3d shell with the face term off and on, the
-stat3d box), whose slabs are bounded by their subject x point entries, the
-white-noise LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d box
+stat3d and stat2d boxes), whose slabs are bounded by their subject x point
+entries, the white-noise LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d box
 at r = 7, FWHM 1, 1.5, ..., 4, each over its padded domain), the slab bounds
 (``lkc._slabs``, keys ``slabs_*``) of the LKC grids of criterion 4, of the
 50-subject and the stat3d FWER LKCs and of the r = 7 box, so that a change
 of partition, and so of summation order, shows as its own difference, the
 smoothed fields, the t field, the LKCs and the geometry at points
 (untruncated and truncated) and on a grid, the normalized fields, and numpy's
-OpenBLAS thread count before and after all of it (``blas_threads``).
+OpenBLAS thread count before and after all of it (``blas_threads``).  After
+the other records it runs the shell, stat3d and stat2d 50-subject LKCs and
+the r = 7 FWHM-4 white-noise LKC again back to back (keys ``warm_*``), their
+slab workspaces reused and grown by every call before them.
 ``compare`` requires every array to be bit-identical, except the normalized
 gradient and Hessian (keys ``norm_*``), which may move by 1e-14 of their
 largest magnitude; within each dump it requires every ``fwer-sim`` record,
 manifest included, to be the same at 1 and 3 threads, the stat3d run to be
-the same at 1 and 2 threads, and the BLAS thread count after to equal the
-count before.  A dump made at ``OPENBLAS_NUM_THREADS=1`` and one made at
-the default compare equal too.
+the same at 1 and 2 threads, every ``warm_<key>`` to equal ``<key>``, and
+the BLAS thread count after to equal the count before.  A dump made at
+``OPENBLAS_NUM_THREADS=1`` and one made at the default compare equal too.
 """
 from __future__ import annotations
 
@@ -156,17 +159,20 @@ def dump(path: str) -> None:
             out[f"lkc_{preset}_face{int(face)}_ens"] = np.array(est.values)
         del grid
 
-    # 50-subject ensemble LKCs at r = 1 whose slabs are bounded by their
-    # entries: the nonstat3d shell of the benchmark's CLI workload and the stat3d box
-    for preset, faces in (("nonstat3d", (False, True)), ("stat3d", (False,))):
-        dom = make_domain_preset(preset, 3.0 if preset == "stat3d" else None)
-        man, kern = VoxelManifold(dom.interior or dom), GaussianKernel.isotropic(3.0, 3)
+    # 50-subject ensemble LKCs at r = 1 whose slabs are bounded by their entries:
+    # the nonstat3d shell of the benchmark's CLI workload, the stat3d and stat2d boxes;
+    # ``again`` keeps the calls the warm sequence below repeats
+    again = {}
+    for preset, faces in (("nonstat3d", (False, True)), ("stat3d", (False,)), ("stat2d", (False,))):
+        dom = make_domain_preset(preset, None if preset == "nonstat3d" else 3.0)
+        man, kern = VoxelManifold(dom.interior or dom), GaussianKernel.isotropic(3.0, dom.dimension)
         ens = sample_ensemble(dom, 50, RngSpec(12))
         grid = refined_grid(man, 1)
         out[f"slabs_{preset}_r1_n50"] = _slabs(grid, 50)
         for face in faces:
             est = lkc_compute(ens, kern, man, 1, grid=grid, include_face_term=face)
             out[f"lkc_{preset}_n50_r1_face{int(face)}_ens"] = np.array(est.values)
+        again[f"lkc_{preset}_n50_r1_face0_ens"] = (ens, kern, man, 1, {"grid": grid})
 
     man = VoxelManifold(make_domain_preset("stat3d", 1.0).interior)
     grid = refined_grid(man, 7)
@@ -175,6 +181,7 @@ def dump(path: str) -> None:
         dom = make_domain_preset("stat3d", fwhm)
         wn = lkc_compute("white-noise", GaussianKernel.isotropic(fwhm, 3), man, 7, sample_domain=dom, grid=grid)
         out[f"wn3d_r7_fwhm{fwhm:g}"] = np.array(wn.values)
+    again["wn3d_r7_fwhm4"] = ("white-noise", GaussianKernel.isotropic(4.0, 3), man, 7, {"sample_domain": dom})
     del grid
 
     for preset, trunc in (("nonstat2d", None), ("nonstat3d", None), ("nonstat2d", 6.0)):
@@ -208,6 +215,9 @@ def dump(path: str) -> None:
                 s = "wn" if isinstance(source, str) else "ens"
                 out[f"grid_{tag}_metric_{s}"] = metric_on_grid(source, kern, grid, dom, ids)
                 out[f"grid_{tag}_christoffel_{s}"] = christoffel_on_grid(source, kern, grid, dom, ids)
+    # the same LKCs back to back, in slab workspaces that every call above has grown
+    for key, (source, kern, man, r, kwargs) in again.items():
+        out[f"warm_{key}"] = np.array(lkc_compute(source, kern, man, r, **kwargs).values)
     out["blas_threads"] = np.array([before, blas_threads()])
     np.savez(path, **out)
     print(f"wrote {len(out)} arrays to {path}")
@@ -260,6 +270,11 @@ def compare(before: str, after: str) -> int:
             if other not in dump_.files or not np.array_equal(dump_[key], dump_[other]):
                 print(f"DIFF {name}: stat3d FWER {key[len('fwer3d_threads1_'):]} at 1 and 2 threads")
                 bad.append("threads")
+        for key in (k for k in dump_.files if k.startswith("warm_")):  # reused workspaces move no bit
+            cold = key[len("warm_"):]
+            if cold not in dump_.files or not np.array_equal(dump_[key], dump_[cold]):
+                print(f"DIFF {name}: {key} and its first call")
+                bad.append("warm")
         if "blas_threads" in dump_.files and dump_["blas_threads"][0] != dump_["blas_threads"][1]:
             print(f"DIFF {name}: BLAS threads {dump_['blas_threads'][0]} before, {dump_['blas_threads'][1]} after")
             bad.append("blas")

@@ -18,7 +18,8 @@ and edge sums through its quadrature-table entries and dropped.  The slabs are
 the one partition of the grid: they fix the summation order, and their
 bound of ``_SLAB_POINTS`` points and of ``_SLAB_ENTRIES`` subject x point
 entries (one moment column of an ensemble) fixes the memory and cache
-footprint.  The calling thread and one helper take the slabs from one
+footprint.  The calling thread and one helper, each in a workspace
+(``surf._workspace``, 7.5 MB for the 50-subject shell), take the slabs from one
 iterator, numpy's OpenBLAS at one thread meanwhile (``surf._one_blas_thread``,
 a process-wide switch); adding the slab sums in slab order keeps every bit.
 """
@@ -44,7 +45,7 @@ from .geometry import (
 from .kernel import GaussianKernel
 from .lattice import FieldEnsemble, VoxelSet
 from .manifold import RefinedGrid, VoxelManifold, _added_resolution, euler_characteristic, refined_grid
-from .surf import _check_dimensions, _grid_operands, _one_blas_thread
+from .surf import _check_dimensions, _grid_operands, _one_blas_thread, _workspace
 
 __all__ = ["LkcVector", "lkc_compute", "lkc_stationary_closed_form"]
 
@@ -155,26 +156,28 @@ def _face_correction(faces: list[dict], lam: np.ndarray, bundle: tuple) -> list[
 def _map_slabs(fn, n: int) -> list:
     """[fn(0), .., fn(n - 1)], the indices taken from one iterator by the
     calling thread and, where ``_SLAB_THREADS``, the cores and
-    ``surf._one_blas_thread`` allow, one helper, BLAS at one thread meanwhile.
-    The lowest failing index's error is raised, as the serial loop raises it."""
+    ``surf._one_blas_thread`` allow, one helper, each in a workspace, BLAS at
+    one thread meanwhile.  The lowest failing index's error is raised, as the
+    serial loop raises it."""
     cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     with nullcontext(False) if min(_SLAB_THREADS, len(cores), n) < 2 else _one_blas_thread() as switched:
-        if not switched:
-            return [fn(j) for j in range(n)]
         out, it = [None] * n, iter(range(n))
 
         def work():
-            for j in it:
-                try:
-                    out[j] = fn(j)
-                except BaseException as e:
-                    out[j] = e
-                    list(it)  # no thread takes a further index
+            with _workspace():
+                for j in it:
+                    try:
+                        out[j] = fn(j)
+                    except BaseException as e:
+                        out[j] = e
+                        list(it)  # no thread takes a further index
 
-        helper = threading.Thread(target=work)
-        helper.start()
+        helpers = [threading.Thread(target=work)] if switched else []
+        for helper in helpers:
+            helper.start()
         work()
-        helper.join()
+        for helper in helpers:
+            helper.join()
     errors = [x for x in out if isinstance(x, BaseException)]
     if errors:
         raise errors[0]

@@ -300,6 +300,16 @@ class RefinedGrid:
             yield positions[keys[:, d] - self.key_min[d]]
 
     @cached_property
+    def neighbours(self) -> np.ndarray:
+        """(3^D - 1, P) int32 key-stencil neighbour ids, a row per nonzero offset, -1 where none."""
+        lut = np.pad(self.id_map, 1, constant_values=-1)
+        base = np.ravel_multi_index(tuple((self.keys - self.key_min + 1).T), lut.shape)
+        offsets = [off for off in itertools.product((-1, 0, 1), repeat=self.dimension) if any(off)]
+        nbrs = lut.ravel()[base + np.dot(offsets, np.asarray(lut.strides) // lut.itemsize)[:, None]]
+        nbrs.setflags(write=False)
+        return nbrs
+
+    @cached_property
     def points(self) -> np.ndarray:
         pts = np.empty(self.keys.shape, dtype=np.float64)
         for d, pos in enumerate(self.axis_positions()):

@@ -24,10 +24,15 @@ pairs under its mask.  ``_sums`` alone chooses the engine.  Kernel operands
 carry no subnormals (``_flush``).  Over the domain's ``unit_field`` of ones the
 same sums give the white-noise moments that normalize fields and give
 ``geometry`` its white-noise metric.
+
+A thread's workspace (``_workspace``) keeps the grid engine's GEMM results and
+the columns it returns without ``out`` in pooled buffers (``_buf``); only
+``lkc``'s slab threads, which return sums, hold one (7.5 MB for the 50-subject shell).
 """
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -345,13 +350,14 @@ def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
 def _contract(data: np.ndarray, mats: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """(N, q1..qD) sums of the subjects-last (m1..mD, N) data tensor against
     per-axis (q_d, m_d) matrices, flattened to (N, q1 * .. * qD).  Each axis
-    is one GEMM on the leading axis, which moves that axis to the end; the
-    last writes into ``out`` (as many entries, reshaped without a copy) if given."""
+    is one GEMM on the leading axis into a buffer (``_buf``), which moves that
+    axis to the end; the last writes into ``out`` (as many entries) if given."""
     N, *inner, F = data.shape[-1], *mats
     for G in inner:
-        data = data.reshape(G.shape[1], -1).T @ G.T
+        lhs = data.reshape(G.shape[1], -1).T
+        data = np.matmul(lhs, G.T, out=_buf("axis", (len(lhs), len(G))))
     lhs = data.reshape(F.shape[1], -1).T
-    out = None if out is None else out.reshape(len(lhs), -1, copy=False)
+    out = _buf("last", (len(lhs), len(F))) if out is None else out.reshape(len(lhs), -1, copy=False)
     return np.matmul(lhs, F.T, out=out).reshape(N, -1)
 
 
@@ -410,26 +416,28 @@ def _grid_sums(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, id
     """s(a, b=None, out=None): the ensemble's subjects-last data tensor
     contracted along each axis d with the kernel factor of order a[d] (times
     that of order b[d]) of ``operands`` (built when None), at the grid points
-    ``ids`` (a range or id array, all when None) as contiguous (N, Q) columns.
-    Only the axis-0 rows ``_locate`` finds are contracted, and the result is
-    the contraction itself or the points taken from it."""
+    ``ids`` (a range or id array, all when None) as contiguous (N, Q) columns
+    in ``out``, else a buffer (``_buf``): the contraction of the axis-0 rows
+    ``_locate`` finds, or the points taken from it."""
     ops, N = operands or _grid_operands(kernel, ens, grid), ens.n_fields
-    rows, flat = _locate(grid, range(grid.n_points) if ids is None else ids)
+    ids = range(grid.n_points) if ids is None else ids
+    rows, flat = _locate(grid, ids)
 
     @cache
     def head(key: tuple) -> np.ndarray:  # _contract's axis-0 GEMM, shared by the sums of its factor
-        G = ops[key][rows]
-        return (ops["data"].reshape(G.shape[1], -1).T @ G.T).reshape(*ops["data"].shape[1:-1], -1)
+        G, data = ops[key][rows], ops["data"]
+        lhs = data.reshape(G.shape[1], -1).T
+        return np.matmul(lhs, G.T, out=_buf(("head", key), (len(lhs), len(G)))).reshape(*data.shape[1:-1], -1)
 
     def s(a: tuple, b: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
         keys = [(d, a[d]) if b is None else (d, *sorted((a[d], b[d]))) for d in range(len(a))]
         data, mats = ((head(keys[0]), [ops[k] for k in keys[1:]]) if len(a) > 1
                       else (ops["data"], [ops[keys[0]][rows]]))
+        out = _buf(("column", a, b), (N, len(ids))) if out is None else out.reshape(N, -1, copy=False)
         if flat is None:
             return _contract(data, mats, out).reshape(N, -1)
         # the positions are in range; unlike "raise", "clip" writes into ``out`` without a buffer
-        return np.take(_contract(data, mats).reshape(N, -1), flat, axis=1, mode="clip",
-                       out=None if out is None else out.reshape(N, -1, copy=False))
+        return np.take(_contract(data, mats).reshape(N, -1), flat, axis=1, mode="clip", out=out)
 
     return s
 
@@ -481,6 +489,36 @@ def _one_blas_thread():
             _blas_users -= 1
             if lib and not _blas_users:
                 lib[0](_blas_saved)
+
+
+_pool, _pool_lock, _bound = [], threading.Lock(), threading.local()
+
+
+@contextmanager
+def _workspace():
+    """A workspace of the pool (named flat buffers, ``_buf``) bound to this thread in the
+    block, then returned and the previous binding restored, on an error too, so blocks nest."""
+    with _pool_lock:
+        ws = _pool.pop() if _pool else {}
+    outer, _bound.ws = getattr(_bound, "ws", None), ws
+    try:
+        yield ws
+    finally:
+        _bound.ws = outer
+        with _pool_lock:
+            _pool.append(ws)
+
+
+def _buf(name, shape: tuple) -> np.ndarray:
+    """An uninitialized C-contiguous float64 array: the first entries of the thread's
+    workspace buffer ``name`` (grown if too small) until ``name`` is asked again, else new."""
+    ws = getattr(_bound, "ws", None)
+    if ws is None:
+        return np.empty(shape)
+    n, buf = math.prod(shape), ws.get(name)
+    if buf is None or buf.size < n:
+        buf = ws[name] = np.empty(n)
+    return buf[:n].reshape(shape)
 
 
 def _derivative_arrays(s, D: int, derivatives: int):

@@ -201,27 +201,53 @@ def _masked_box(seed, D):
     return VoxelSet(coords[keep])
 
 
-@pytest.mark.parametrize(
-    "case, r", [("box", 1), ("mask2d", 0), ("mask2d", 1), ("mask3d", 0), ("mask3d", 1)]
-)
-def test_grid_local_maxima_matches_brute_force(case, r):
-    from surfield.inference import _grid_local_maxima
+def _brute_force_maxima(keys, vals):
+    """Local maxima from pairwise key distances and a flood fill: plateaus of
+    equal stencil neighbours (max-norm distance 1), each a maximum when no
+    member has a greater neighbour, given by its first member in the order of
+    ``np.argsort(vals)[::-1]``; and the size of the largest such plateau."""
+    nbr = np.abs(keys[:, None, :] - keys[None, :, :]).max(axis=2) == 1
+    seen, want, largest = np.zeros(len(vals), dtype=bool), [], 0
+    for i in np.argsort(vals)[::-1]:
+        if seen[i]:
+            continue
+        members, stack, seen[i] = [i], [i], True
+        while stack:
+            for j in np.nonzero(nbr[stack.pop()] & (vals == vals[i]) & ~seen)[0]:
+                seen[j] = True
+                members.append(j)
+                stack.append(j)
+        if not any(np.any(vals[nbr[m]] > vals[m]) for m in members):
+            want.append(i)
+            largest = max(largest, len(members))
+    return np.array(want, dtype=np.int64), largest
 
-    dom = {"box": grid_box(3, 3), "mask2d": _masked_box(1, 2), "mask3d": _masked_box(2, 3)}[case]
+
+@pytest.mark.parametrize(
+    "case, r", [("box", 1), ("mask2d", 0), ("mask2d", 1), ("mask3d", 0), ("mask3d", 1), ("ties2d", 1),
+                ("ties3d", 0)]
+)
+def test_grid_local_maxima_matches_brute_force(monkeypatch, case, r):
+    from surfield import inference
+
+    dom = {"box": grid_box(3, 3), "mask2d": _masked_box(1, 2), "mask3d": _masked_box(2, 3),
+           "ties2d": _masked_box(3, 2), "ties3d": _masked_box(4, 3)}[case]
     g = refined_grid(VoxelManifold(dom), r)
     vals = np.random.default_rng(g.n_points).random(g.n_points)
-    # stencil neighbors straight from the keys: max-norm distance 1
-    nbr = np.abs(g.keys[:, None, :] - g.keys[None, :, :]).max(axis=2) == 1
+    if case.startswith("ties"):  # four levels: plateaus of tied neighbours, some of them maxima
+        vals = np.floor(4 * vals)
+    else:  # no two neighbours tie, so no plateau graph is built
+        monkeypatch.setattr(inference, "_sparse", None)
     if case == "box":  # an 8-neighbor centre and a 3-neighbor corner
+        nbr = np.abs(g.keys[:, None, :] - g.keys[None, :, :]).max(axis=2) == 1
         centre = int(np.nonzero(np.all(g.keys == 2, axis=1))[0][0])
         corner = int(np.lexsort(g.keys.T[::-1])[0])
         assert nbr[centre].sum() == 8 and nbr[corner].sum() == 3
         vals[centre] += 2.0
         vals[corner] += 1.0
-    strict = np.array([np.all(vals[i] > vals[nbr[i]]) for i in range(g.n_points)])
-    want = np.nonzero(strict)[0]
-    want = want[np.argsort(-vals[want])]
-    got = _grid_local_maxima(g, vals)
+    want, largest = _brute_force_maxima(g.keys, vals)
+    assert (largest > 1) == case.startswith("ties")
+    got = inference._grid_local_maxima(g, vals)
     np.testing.assert_array_equal(got, want)
     if case == "box":
         assert {centre, corner} <= set(got.tolist())
@@ -467,20 +493,24 @@ def test_fwer_deterministic_across_thread_counts():
         fwer_experiment("nonstat1d", 2.0, 15, 12, 0.1, rng=9, threads=0)
 
 
-def test_fwer_stat3d_slab_threads_inside_replication_threads():
+def test_fwer_stat3d_slab_threads_inside_replication_threads(monkeypatch):
     # stat3d's r = 1 LKC grid has five 8-subject slabs, so at threads=2 each replication
     # thread's lkc_compute shares its slabs with a helper thread, under the
-    # process-wide BLAS switch entered by two replications at once
+    # process-wide BLAS switch entered by two replications at once, and each
+    # slab thread holds a workspace of the pool; threads=2 runs first, from an empty pool
+    from surfield import surf as surf_module
     from surfield.surf import _openblas
 
     before = _openblas()[1]() if _openblas() else None
-    one = fwer_experiment("stat3d", 3.0, 8, 2, rng=4, threads=1, keep_details=True)
+    monkeypatch.setattr(surf_module, "_pool", [])
     two = fwer_experiment("stat3d", 3.0, 8, 2, rng=4, threads=2, keep_details=True)
+    one = fwer_experiment("stat3d", 3.0, 8, 2, rng=4, threads=1, keep_details=True)
     assert one.details.keys() == two.details.keys()
     for key in one.details:
         assert np.array_equal(one.details[key], two.details[key])
     assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(two.to_dict(), sort_keys=True)
     assert (_openblas()[1]() if _openblas() else None) == before
+    assert surf_module._pool and getattr(surf_module._bound, "ws", None) is None
 
 
 def test_fwer_all_degenerate_replications_raise(tmp_path, capsys):

@@ -22,6 +22,7 @@ from surfield.lattice import RngSpec, VoxelSet, make_domain_preset, sample_ensem
 from surfield import lkc as lkc_module
 from surfield.lkc import LkcVector, lkc_compute, lkc_stationary_closed_form
 from surfield.manifold import RefinedGrid, VoxelManifold, euler_characteristic, refined_grid
+from surfield.surf import SurfSpec, t_field_on_grid
 
 LOG2 = math.log(2.0)
 
@@ -352,23 +353,129 @@ def test_blocks_of_the_benchmark_paths():
     assert len(sizes) >= 4 and sizes.max() <= 2 * sizes.min()
 
 
-def test_ensemble_lkc_memory_follows_the_blocks():
-    # warm 50-subject nonstat3d r = 1 ensemble LKC: columns of the slabs the
-    # two slab threads hold, each within the entry bound, not of the grid's
+def _shell_lkc_case():
+    dom = make_domain_preset("nonstat3d")
+    man, k, ens = VoxelManifold(dom), GaussianKernel.isotropic(3.0, 3), sample_ensemble(dom, 50, RngSpec(5))
+    return ens, k, man, refined_grid(man, 1)
+
+
+def test_ensemble_lkc_memory_follows_the_blocks(monkeypatch):
+    # 50-subject nonstat3d r = 1 ensemble LKC from an empty workspace pool, so
+    # that the workspaces it keeps are traced: columns of the slabs the two
+    # slab threads hold, each within the entry bound, not of the grid's
     # 39,130 points, are alive at once
     import tracemalloc
 
-    dom = make_domain_preset("nonstat3d")
-    man, k, ens = VoxelManifold(dom), GaussianKernel.isotropic(3.0, 3), sample_ensemble(dom, 50, RngSpec(5))
-    grid = refined_grid(man, 1)
+    from surfield import surf as surf_module
+
+    ens, k, man, grid = _shell_lkc_case()
     lkc_compute(ens, k, man, 1, grid=grid)  # builds the ensemble's data tensor
+    monkeypatch.setattr(surf_module, "_pool", [])
     tracemalloc.start()
     try:
         lkc_compute(ens, k, man, 1, grid=grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert surf_module._pool
     assert peak < 32e6
+
+
+def test_warm_ensemble_lkc_faults_in_no_fresh_pages(monkeypatch):
+    # each slab's temporaries live in its thread's workspace, whose pages
+    # the warm-up calls faulted in; fresh arrays freed at every slab end
+    # would fault in about 13,000 pages per call again
+    import resource
+
+    from surfield import surf as surf_module
+
+    ens, k, man, grid = _shell_lkc_case()
+    monkeypatch.setattr(surf_module, "_pool", [])
+    for _ in range(2):
+        lkc_compute(ens, k, man, 1, grid=grid)
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        lkc_compute(ens, k, man, 1, grid=grid)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert min(faults) < 2000, faults
+
+
+def _workspace_users():
+    """Per name, a call the interleaving runs, as bytes: four LKCs whose slab threads hold
+    workspaces, and a t grid, which takes none but reads the same engine."""
+    stat3d, shell, stat2d = (make_domain_preset(p, f) for p, f in (("stat3d", 3.0), ("nonstat3d", None),
+                                                                  ("stat2d", 3.0)))
+    k3, k2 = GaussianKernel.isotropic(3.0, 3), GaussianKernel.isotropic(3.0, 2)
+    box3, box2, shell_man = VoxelManifold(stat3d.interior), VoxelManifold(stat2d.interior), VoxelManifold(shell)
+    ens3, ens_shell, ens2 = (sample_ensemble(d, 50, RngSpec(8)) for d in (stat3d, shell, stat2d))
+    grid3, grid_shell, grid2 = refined_grid(box3, 1), refined_grid(shell_man, 1), refined_grid(box2, 1)
+
+    def values(vec):
+        return np.array(vec.values).tobytes() + repr(vec.diagnostics).encode()
+
+    return {
+        "stat3d 50-subject": lambda: values(lkc_compute(ens3, k3, box3, 1, grid=grid3)),
+        "shell 50-subject": lambda: values(lkc_compute(ens_shell, k3, shell_man, 1, grid=grid_shell)),
+        "stat2d 50-subject": lambda: values(lkc_compute(ens2, k2, box2, 1, grid=grid2)),
+        "stat3d r3 white-noise": lambda: values(lkc_compute("white-noise", k3, box3, 3, sample_domain=stat3d)),
+        "t field": lambda: t_field_on_grid(SurfSpec(ens3, k3), grid3).tobytes(),
+    }
+
+
+def test_reused_workspaces_move_no_bits(monkeypatch):
+    # each call against the same call without workspaces (every buffer a
+    # fresh array) and from an empty pool, then interleaved in both orders,
+    # so that every call also meets buffers a larger call left stale
+    from contextlib import nullcontext
+
+    from surfield import surf as surf_module
+
+    users = _workspace_users()
+    with monkeypatch.context() as m:
+        for module in (surf_module, lkc_module):
+            m.setattr(module, "_workspace", nullcontext)
+        fresh = {name: call() for name, call in users.items()}
+    for name, call in users.items():
+        monkeypatch.setattr(surf_module, "_pool", [])
+        assert call() == fresh[name], name
+    monkeypatch.setattr(surf_module, "_pool", [])
+    for name in [*users, *reversed(users)]:
+        assert users[name]() == fresh[name], name
+
+
+def test_slab_thread_errors_return_both_workspaces(monkeypatch, slab_spy):
+    import threading
+
+    from surfield import surf as surf_module
+
+    if _blas_count() is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("slab threads need numpy's OpenBLAS and two cores")
+    source, k, man, r, kwargs, _ = _threading_cases("stat3d r3 white-noise", None)
+    main, helper_started = threading.get_ident(), threading.Event()
+    spy = lkc_module._moments
+
+    def gated(*args, **kw):  # the helper takes a slab before the caller's first one runs
+        if threading.get_ident() == main:
+            assert helper_started.wait(30)
+        else:
+            helper_started.set()
+        return spy(*args, **kw)
+
+    monkeypatch.setattr(surf_module, "_pool", [])
+    monkeypatch.setattr(lkc_module, "_moments", gated)
+    first = np.array(lkc_compute(source, k, man, r, **kwargs).values)
+    pool = list(surf_module._pool)
+    assert len(pool) == 2
+    slab_spy.seen.clear()
+    slab_spy.fail(lambda entry: entry[1] != main)
+    with pytest.raises(np.linalg.LinAlgError):
+        lkc_compute(source, k, man, r, **kwargs)
+    assert {t for _, t, _ in slab_spy.seen} - {main}
+    assert sorted(map(id, surf_module._pool)) == sorted(map(id, pool))
+    assert getattr(surf_module._bound, "ws", None) is None
+    slab_spy.fail(lambda entry: False)
+    assert np.array(lkc_compute(source, k, man, r, **kwargs).values).tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("case, message", [

@@ -496,3 +496,91 @@ def test_flushing_subnormal_operands_moves_no_bits(monkeypatch, case):
     assert flushed.keys() == unflushed.keys()
     for key in flushed:
         assert np.array_equal(flushed[key], unflushed[key], equal_nan=True), key
+
+
+# ---------------------------------------------------------------------------
+# Workspaces
+# ---------------------------------------------------------------------------
+
+
+def test_nested_workspaces_restore_the_outer_binding(monkeypatch):
+    from surfield import surf as surf_module
+    from surfield.surf import _buf, _workspace
+
+    monkeypatch.setattr(surf_module, "_pool", [])
+    assert _buf("a", (2, 3)).shape == (2, 3)  # outside a workspace: a fresh array
+    with _workspace() as outer:
+        first = _buf("a", (2, 3))
+        assert first.flags.c_contiguous and np.shares_memory(first, outer["a"])
+        with pytest.raises(RuntimeError), _workspace() as inner:
+            assert inner is not outer and np.shares_memory(_buf("a", (4,)), inner["a"])
+            raise RuntimeError
+        assert surf_module._bound.ws is outer
+        grown = _buf("a", (10,))  # too small: grown, the old view keeps its memory
+        assert grown.size == 10 and not np.shares_memory(grown, first)
+        assert np.shares_memory(_buf("a", (2, 2)), grown)
+    assert surf_module._bound.ws is None
+    assert len(surf_module._pool) == 2 and {id(outer), id(inner)} == set(map(id, surf_module._pool))
+
+
+def test_public_grid_results_are_no_workspace_views(monkeypatch):
+    # an LKC leaves its slab workspaces in the pool; the grid functions that
+    # return arrays take none of them and return fresh arrays
+    from surfield import surf as surf_module
+    from surfield.geometry import metric_on_grid
+    from surfield.lkc import lkc_compute
+    from surfield.surf import t_field_on_grid
+
+    monkeypatch.setattr(surf_module, "_pool", [])
+    dom = make_domain_preset("stat2d", 3.0)
+    ens, k = sample_ensemble(dom, 6, RngSpec(2)), GaussianKernel.isotropic(3.0, 2)
+    grid = refined_grid(VoxelManifold(dom.interior), 1)
+    lkc_compute(ens, k, grid.manifold, 1, grid=grid)
+    pool = [dict(ws) for ws in surf_module._pool]
+    buffers = [{name: id(buf) for name, buf in ws.items()} for ws in pool]
+    assert pool
+    results = [t_field_on_grid(SurfSpec(ens, k), grid), *smooth_on_grid(ens, k, grid, 1).values(),
+               metric_on_grid(ens, k, grid), metric_on_grid("white-noise", k, grid, dom)]
+    assert [{name: id(buf) for name, buf in ws.items()} for ws in surf_module._pool] == buffers
+    assert not any(np.shares_memory(a, buf) for a in results for ws in pool for buf in ws.values())
+
+
+def test_workspace_pool_under_thread_contention(monkeypatch):
+    # more threads than cores take and return workspaces with a short switch
+    # interval: no workspace is held by two threads at once, and every one
+    # made is back in the pool exactly once
+    import sys
+    import threading
+
+    from surfield import surf as surf_module
+    from surfield.surf import _buf, _workspace
+
+    held, lock, clashes = set(), threading.Lock(), []
+
+    def worker(k):
+        for _ in range(300):
+            with _workspace() as ws:
+                with lock:
+                    clash = id(ws) in held
+                    held.add(id(ws))
+                _buf("x", (k + 1,))[...] = k
+                clash |= bool(np.any(_buf("x", (k + 1,)) != k))
+                with lock:
+                    held.discard(id(ws))
+                    clashes.append(clash)
+
+    monkeypatch.setattr(surf_module, "_pool", [])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(clashes) == 6 * 300 and not any(clashes)
+    made = surf_module._pool
+    assert 1 <= len(made) <= 6 and len(set(map(id, made))) == len(made)
