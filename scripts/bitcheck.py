@@ -28,10 +28,14 @@ the r = 7 FWHM-4 white-noise LKC again back to back (keys ``warm_*``), their
 slab workspaces reused and grown by every call before them.
 ``compare`` requires every array to be bit-identical, except the normalized
 gradient and Hessian (keys ``norm_*``), which may move by 1e-14 of their
-largest magnitude; within each dump it requires every ``fwer-sim`` record,
-manifest included, to be the same at 1 and 3 threads, the stat3d run to be
-the same at 1 and 2 threads, every ``warm_<key>`` to equal ``<key>``, and
-the BLAS thread count after to equal the count before.  A dump made at
+largest magnitude, and the continuous suprema (keys ``*_sup_inf``), which may
+move, each differing replication listed with its index and both values, as
+long as none falls by more than ``SUP_INF_FALL`` and no indicator
+``sup_inf > u_hat`` (each dump's own ``u_hat``) flips; within each dump it
+requires every ``fwer-sim`` record, manifest included, to be the same at 1
+and 3 threads, the stat3d run to be the same at 1 and 2 threads, every
+``warm_<key>`` to equal ``<key>``, and the BLAS thread count after to equal
+the count before.  A dump made at
 ``OPENBLAS_NUM_THREADS=1`` and one made at the default compare equal too.
 """
 from __future__ import annotations
@@ -46,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 NORM_TOL = 1e-14
+SUP_INF_FALL = 1e-12
 
 
 def blas_threads() -> int:
@@ -239,6 +244,22 @@ def differences(x: np.ndarray, y: np.ndarray) -> str:
             f"max abs {np.nanmax(diff):.3e}, max rel {np.nanmax(rel):.3e}")
 
 
+def sup_inf_moves(key: str, x: np.ndarray, y: np.ndarray, u_x: np.ndarray, u_y: np.ndarray) -> bool:
+    """Print every replication whose continuous supremum moved, with its index
+    and both values; whether none fell by more than ``SUP_INF_FALL`` and no
+    exceedance of the replication's threshold flipped."""
+    moved = np.nonzero(x != y)[0]
+    fall = x - y
+    flips = (x > u_x) != (y > u_y)
+    ok = not (np.any(fall > SUP_INF_FALL) or np.any(flips))
+    print(f"{'moved' if ok else 'DIFF'} {key}: {len(moved)} of {x.size} replications, "
+          f"largest fall {max(float(fall.max()), 0.0):.2e}, {np.count_nonzero(flips)} exceedance(s) flipped")
+    for i in moved:
+        print(f"  replication {i}: {float(x[i])!r} -> {float(y[i])!r} ({y[i] - x[i]:+.2e})"
+              + (" FLIPPED" if flips[i] else ""))
+    return ok
+
+
 def compare(before: str, after: str) -> int:
     a, b = np.load(before), np.load(after)
     bad = sorted(set(a.files) ^ set(b.files))
@@ -249,6 +270,9 @@ def compare(before: str, after: str) -> int:
         if x.dtype.kind == "U":
             ok = x.shape == y.shape and bool(np.all(x == y))
             print(f"{'same' if ok else 'DIFF'} {key}")
+        elif key.endswith("_sup_inf") and x.shape == y.shape and not np.array_equal(x, y):
+            u_hat = key[:-len("sup_inf")] + "u_hat"
+            ok = sup_inf_moves(key, x, y, a[u_hat], b[u_hat])
         elif key.startswith("norm_") and not key.endswith("_value"):
             scale = float(np.max(np.abs(x)))
             drift = float(np.max(np.abs(x - y))) / scale

@@ -62,16 +62,19 @@ _EIG_CLIP = 1e-12
 # white noise, a centred sum over subjects for an ensemble.
 
 
-def _sample_moment(column, N: int):
+def _sample_moment(column, N: int, values: np.ndarray | None = None):
     """moment(a, b, out=None) of an N-field ensemble: the sample covariance,
     with the N-1 denominator, of the (N, Q) columns ``column(a)`` and
     ``column(b)``, each centred in place on first use (the moments are their
-    only reader), written into ``out`` when given."""
+    only reader), written into ``out`` when given.  ``values``, an (N, Q)
+    array, receives the value column before it is centred."""
     w = 1.0 / (N - 1)
 
     @cache
     def centred(a: tuple) -> np.ndarray:
         v = column(a)
+        if values is not None and not any(a):
+            values[...] = v
         v -= v.mean(axis=0)
         return v
 
@@ -108,12 +111,13 @@ def _christoffel_expr(S, Sd, Sdd, T2, U2) -> np.ndarray:
     return g
 
 
-def _moments(source, kernel, domain, hessian, **at):
+def _moments(source, kernel, domain, hessian, values=None, **at):
     """(S, Sd, Sdd[, T2, U2]) of ``source`` at ``points``, or at the grid
     points ``ids`` (all when None) of ``grid``, passed in ``at``.
 
     ``source`` is "white-noise" (single sums over ``domain``) or a
-    FieldEnsemble (sample covariances over its own domain).  Its columns
+    FieldEnsemble (sample covariances over its own domain, its uncentred
+    value column copied into ``values`` where given).  Its columns
     cover all the points at once: a caller bounds their entries by the
     points it asks for (``lkc._slabs``).
     """
@@ -123,7 +127,7 @@ def _moments(source, kernel, domain, hessian, **at):
             raise DegenerateFieldError("sample-based geometry requires at least two fields")
         _check_dimensions(kernel, {"ensemble's domain": source.domain, "grid": at.get("grid")})
         s = _sums(kernel, source, 2 if hessian else 1, **at)
-        bundle = _bundle(_sample_moment(s, N), kernel.dimension, hessian)
+        bundle = _bundle(_sample_moment(s, N, values), kernel.dimension, hessian)
         if np.any(bundle[0] <= 0):
             raise DegenerateFieldError("zero sample variance at an evaluation point")
         return bundle

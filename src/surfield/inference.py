@@ -22,9 +22,10 @@ from scipy import special as _special
 
 from .kernel import GaussianKernel
 from .lattice import PRESET_NAMES, FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
-from .lkc import LkcVector, lkc_compute
+from .lkc import LkcVector, _reading, _slabs, lkc_compute
 from .manifold import RefinedGrid, VoxelManifold, refined_grid
-from .surf import DegenerateFieldError, SurfSpec, _eval_arrays, _t_from_arrays, t_field_on_grid
+from .surf import (DegenerateFieldError, SurfSpec, _grid_factors, _t_from_arrays, _t_hessian_at, _t_on_grid,
+                   t_field_on_grid)
 
 __all__ = [
     "FieldType",
@@ -266,45 +267,42 @@ def _ascend(spec: SurfSpec, manifold: VoxelManifold, grid: RefinedGrid,
 
     Each sweep evaluates t, its gradient and Hessian at the trial points of
     every running pair from one call of the separable point engine
-    (``surf._point_sums``).  Trial points lie on the projection arc
-    P(x + alpha d) of the direction ``_ascent_direction`` gives; a trial is
-    accepted when it gains ``_ARMIJO`` of its first-order prediction (or
-    both are at rounding level), else alpha halves for the next sweep.  A
-    pair retires only when its projected gradient vanishes or at the sweep
-    cap, never on a failed line search.  Returns the best point evaluated,
+    (``surf._t_hessian_at``: a point's bits do not depend on its batch).
+    Trial points lie on the projection arc P(x + alpha d) of the direction
+    ``_ascent_direction`` gives; a trial is accepted when it gains
+    ``_ARMIJO`` of its first-order prediction (or both are at rounding
+    level), else alpha halves for the next sweep.  A pair retires only when
+    its projected gradient vanishes or at the sweep cap, never on a failed
+    line search.  Returns the best point evaluated,
     starting from the highest scan-grid maximum.
     """
     best_pt, best_val = grid.points[max_ids[0]].copy(), float(grid_values[max_ids[0]])
     owner, boxes = grid.incident_boxes(max_ids)
     x = grid.points[max_ids[owner]]
     lo, hi = manifold.box_bounds(boxes)
-    raw = SurfSpec(spec.ensemble, spec.kernel)  # scale invariance: skip normalization
-
-    def evaluate(pts):
-        return _t_from_arrays(*_eval_arrays(raw, pts, "hessian"))
-
-    t, g, H = evaluate(x)
+    t, g, H = _t_hessian_at(spec.kernel, spec.ensemble, x)  # scale invariance: no normalization
+    pgn = _projected_gradient_norm(x, g, lo, hi)
     alpha = np.ones(len(x))
-    running = _projected_gradient_norm(x, g, lo, hi) > _GTOL
-    for _ in range(_MAX_SWEEPS):
-        a = np.nonzero(running)[0]
-        if a.size == 0:
-            break
-        d = _ascent_direction(x[a], g[a], H[a], lo[a], hi[a])
-        trial = np.clip(x[a] + alpha[a, None] * d, lo[a], hi[a])
-        tt, gt, Ht = evaluate(trial)
+    for _ in range(_MAX_SWEEPS):  # the state of the running pairs only; retired ones are dropped
+        running = pgn > _GTOL
+        if not running.all():
+            if not running.any():
+                break
+            x, t, g, H, lo, hi, pgn, alpha = (v[running] for v in (x, t, g, H, lo, hi, pgn, alpha))
+        d = _ascent_direction(x, g, H, lo, hi, pgn)
+        trial = np.clip(x + alpha[:, None] * d, lo, hi)
+        tt, gt, Ht = _t_hessian_at(spec.kernel, spec.ensemble, trial)
         top = int(np.argmax(tt))
         if tt[top] > best_val:
             best_pt, best_val = trial[top].copy(), float(tt[top])
-        predicted = np.maximum(np.einsum("kd,kd->k", g[a], trial - x[a]), 0.0)
-        noise = _NOISE * np.maximum(np.abs(t[a]), 1.0)
-        gain = tt - t[a]
+        predicted = np.maximum(np.einsum("kd,kd->k", g, trial - x), 0.0)
+        noise = _NOISE * np.maximum(np.abs(t), 1.0)
+        gain = tt - t
         ok = (gain >= _ARMIJO * predicted) | ((predicted <= noise) & (gain >= -noise))
-        acc, rej = a[ok], a[~ok]
-        x[acc], t[acc], g[acc], H[acc] = trial[ok], tt[ok], gt[ok], Ht[ok]
-        alpha[acc] = 1.0
-        alpha[rej] *= 0.5
-        running[acc] = _projected_gradient_norm(x[acc], g[acc], lo[acc], hi[acc]) > _GTOL
+        x, g = np.where(ok[:, None], trial, x), np.where(ok[:, None], gt, g)
+        t, H = np.where(ok, tt, t), np.where(ok[:, None, None], Ht, H)
+        alpha = np.where(ok, 1.0, 0.5 * alpha)
+        pgn = _projected_gradient_norm(x, g, lo, hi)  # a rejected pair's is its own again
     return best_pt, best_val
 
 
@@ -314,8 +312,8 @@ def _projected_gradient_norm(x, g, lo, hi):
     return np.max(np.abs(x - np.clip(x + g, lo, hi)), axis=1)
 
 
-def _ascent_direction(x, g, H, lo, hi):
-    """Per-pair ascent directions, (K, D).
+def _ascent_direction(x, g, H, lo, hi, pgn):
+    """Per-pair ascent directions, (K, D), ``pgn`` the pairs' projected-gradient norms.
 
     Coordinates at (within the projected-gradient norm of) a bound that the
     gradient pushes outward are held out of the Newton system; the
@@ -328,7 +326,7 @@ def _ascent_direction(x, g, H, lo, hi):
     box (the quadratic model is extrapolated too far).
     """
     width = np.max(hi - lo, axis=1, keepdims=True)
-    eps = np.minimum(_projected_gradient_norm(x, g, lo, hi)[:, None], 1e-3 * width)
+    eps = np.minimum(pgn[:, None], 1e-3 * width)
     held = ((x - lo <= eps) & (g < 0)) | ((hi - x <= eps) & (g > 0))
     free_g = np.max(np.abs(np.where(held, 0.0, g)), axis=1, keepdims=True)
     scale = np.where(free_g > 0, free_g, np.max(np.abs(g), axis=1, keepdims=True))
@@ -383,14 +381,17 @@ def _check_count(name: str, value, least: int) -> None:
 
 @lru_cache(maxsize=4)
 def _run_context(preset: str, fwhm: float) -> tuple:
-    """A run's domain, interior manifold, kernel, r = 1 and r = 0 grids and lattice points'
-    ids (the r = 1 grid's even keys); 0.21 / 13.7 MB for stat2d / stat3d once used."""
+    """A run's domain, interior manifold, kernel, r = 1 and r = 0 grids, lattice points'
+    ids (the r = 1 grid's even keys) and the r = 1 grid's kernel factor matrices of
+    order 1 (``surf._grid_factors``), which its t grid and ensemble LKCs read; 0.21 /
+    13.7 MB for stat2d / stat3d once used."""
     dom = make_domain_preset(preset, fwhm if preset.startswith("stat") else None)
     inner = dom.interior or dom
     man = VoxelManifold(inner)
     grid1 = refined_grid(man, 1)
-    return (dom, man, GaussianKernel.isotropic(fwhm, dom.dimension), grid1, refined_grid(man, 0),
-            grid1._lookup_ids(inner.axis_index * (grid1.r + 1)))
+    kern = GaussianKernel.isotropic(fwhm, dom.dimension)
+    return (dom, man, kern, grid1, refined_grid(man, 0), grid1._lookup_ids(inner.axis_index * (grid1.r + 1)),
+            _grid_factors(kern, dom, grid1, 1, False))
 
 
 def fwer_experiment(
@@ -428,21 +429,25 @@ def fwer_experiment(
     if isinstance(fwhm, bool) or not (isinstance(fwhm, (int, float, np.integer, np.floating))
                                       and 0 < fwhm < math.inf):
         raise ValueError(f"fwhm must be a positive finite number, got {fwhm!r}")
-    dom, man, kern, grid1, grid0, lattice_ids = _run_context(preset, float(fwhm))
+    dom, man, kern, grid1, grid0, lattice_ids, factors1 = _run_context(preset, float(fwhm))
     grid_lkc = grid1 if r_lkc == 1 else refined_grid(man, r_lkc)  # never cached: r = 9 in 3-D is 100s of MB
+    factors = factors1 if r_lkc == 1 else _grid_factors(kern, dom, grid_lkc, 1, False)
+    # only a one-slab LKC grid contracts its value column as the t grid does, bit for bit
+    shared = grid_lkc is grid1 and len(_slabs(grid1, n_subjects)) == 2
     ftype = FieldType.student_t(n_subjects - 1)
 
     def one_rep(b: int):
         """(u_hat, sup0, sup1, sup_inf, n_max0, n_max1), or the DegenerateFieldError."""
         try:
             ens = sample_ensemble(dom, n_subjects, rng.substream(b))
-            spec = SurfSpec(ens, kern)
-            lk = lkc_compute(ens, kern, man, r_lkc, grid=grid_lkc)
+            values = np.empty((n_subjects, grid1.n_points)) if shared else None
+            with _reading(grid_lkc, factors, values):
+                lk = lkc_compute(ens, kern, man, r_lkc, grid=grid_lkc)
             u_hat = threshold(lk, ftype, alpha)
-            tvals = t_field_on_grid(spec, grid1)
+            tvals = _t_from_arrays(values)[0] if shared else _t_on_grid(kern, ens, grid1, factors1)
             max_ids = _grid_local_maxima(grid1, tvals)
             # the ascent starts from the grid maximum, so sup_inf >= sup1
-            _, sup_inf = _ascend(spec, man, grid1, tvals, max_ids[:starts])
+            _, sup_inf = _ascend(SurfSpec(ens, kern), man, grid1, tvals, max_ids[:starts])
         except DegenerateFieldError as e:
             return e
         return (u_hat, float(tvals[lattice_ids].max()), float(tvals.max()), sup_inf,

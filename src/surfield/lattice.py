@@ -61,7 +61,8 @@ class VoxelSet:
         D = coords.shape[1]
         if D < 1 or D > 3:
             raise ValueError(f"dimension must be 1..3, got {D}")
-        if np.unique(coords, axis=0).shape[0] != coords.shape[0]:
+        rows = coords[np.lexsort(coords.T)]  # equal rows (+0.0 equal to -0.0) end up adjacent
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("coords must be distinct")
         spacing = np.empty(D)
         for d in range(D):

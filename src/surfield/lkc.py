@@ -11,7 +11,8 @@ characteristic, never estimated.
 
 The integrals stream over slabs of the grid: runs of whole axis-0 rows of
 contiguous grid ids, handed to the engine as a range (on a box grid, known
-from its bounds to fill its block), with kernel factors built once per call.
+from its bounds to fill its block), with kernel factors built once per call
+or read from a caller that built them once for many calls (``_reading``).
 Each slab's moment bundle (with the Hessian moments for the face term) gives
 its metric and face-term Christoffel symbols, reduced into the volume, face
 and edge sums through its quadrature-table entries and dropped.  The slabs are
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -45,7 +46,7 @@ from .geometry import (
 from .kernel import GaussianKernel
 from .lattice import FieldEnsemble, VoxelSet
 from .manifold import RefinedGrid, VoxelManifold, _added_resolution, euler_characteristic, refined_grid
-from .surf import _check_dimensions, _grid_operands, _one_blas_thread, _workspace
+from .surf import _check_dimensions, _grid_factors, _one_blas_thread, _workspace
 
 __all__ = ["LkcVector", "lkc_compute", "lkc_stationary_closed_form"]
 
@@ -83,26 +84,15 @@ class LkcVector:
 
 
 def _slabs(grid: RefinedGrid, n_fields: int) -> np.ndarray:
-    """Slab bounds: runs of whole axis-0 rows, a row opening a run where the open one
-    would pass ``min(_SLAB_POINTS, _SLAB_ENTRIES // n_fields)`` points with it."""
-    counts = np.count_nonzero(grid.id_map.reshape(len(grid.id_map), -1) >= 0, axis=1)
-    rows = np.append((np.cumsum(counts) - counts)[counts > 0], grid.n_points)  # first ids, then the count
-    limit, bounds = min(_SLAB_POINTS, _SLAB_ENTRIES // n_fields), [rows[0]]
-    for start, stop in zip(rows[1:-1], rows[2:]):
-        if stop - bounds[-1] > limit:
-            bounds.append(start)
-    return np.array(bounds + [rows[-1]])
+    """Slab bounds of an ``n_fields``-field LKC on the grid (``RefinedGrid.slabs``):
+    runs of whole axis-0 rows of at most ``min(_SLAB_POINTS, _SLAB_ENTRIES // n_fields)``
+    points, where one row does not pass that on its own."""
+    return _partition(grid, n_fields)[0]
 
 
-def _split(table: dict, bounds: np.ndarray) -> list[dict]:
-    """A quadrature table's entries per slab, in table order within a slab
-    (a stable sort on the slab index), with ids counted from the slab's start."""
-    slab = np.searchsorted(bounds, table["ids"], side="right") - 1
-    order = np.argsort(slab, kind="stable")
-    cuts = np.searchsorted(slab[order], np.arange(1, len(bounds) - 1))
-    local = dict(table, ids=table["ids"] - bounds[slab])
-    cols = {k: np.split(v[order], cuts) for k, v in local.items() if isinstance(v, np.ndarray)}
-    return [{k: v[j] for k, v in cols.items()} for j in range(len(bounds) - 1)]
+def _partition(grid: RefinedGrid, n_fields: int) -> tuple:
+    """``grid.slabs`` at the point bound of an ``n_fields``-field LKC."""
+    return grid.slabs(min(_SLAB_POINTS, _SLAB_ENTRIES // n_fields))
 
 
 def _boundary_sum(faces: list[dict], lam: np.ndarray) -> tuple[list[float], int]:
@@ -184,6 +174,23 @@ def _map_slabs(fn, n: int) -> list:
     return out
 
 
+_given = threading.local()  # per thread, ``_reading``'s operands by grid
+
+
+@contextmanager
+def _reading(grid: RefinedGrid, factors: dict, values: np.ndarray | None = None):
+    """In the block, this thread's ``lkc_compute`` calls on ``grid`` read the
+    kernel factor matrices ``factors`` (``surf._grid_factors`` of the order and
+    pairs the call needs) and, where ``values`` (N, P) is given, copy their
+    ensemble's uncentred value column into it: on a one-slab grid, the bits of
+    ``t_field_on_grid``'s."""
+    outer, _given.operands = getattr(_given, "operands", {}), {grid: (factors, values)}
+    try:
+        yield
+    finally:
+        _given.operands = outer
+
+
 def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int, *,
                 sample_domain: VoxelSet | None = None, grid: RefinedGrid | None = None,
                 include_face_term: bool = False) -> LkcVector:
@@ -202,9 +209,6 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
         if source.n_fields < 2:
             raise ValueError("ensemble curvature estimation requires N >= 2")
         sample_domain = source.domain  # the ensemble's own domain carries the data
-        src_tag = "estimate"
-    else:
-        src_tag = "white-noise-theory"
     _check_dimensions(kernel, {"manifold": manifold, "sample domain": sample_domain})
     if grid is None:
         grid = refined_grid(manifold, r)
@@ -214,15 +218,16 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
     domain = sample_domain or manifold.domain
     hessian = include_face_term and D == 3
     spacing = manifold.domain.spacing / (r + 1)
-    ens = source if src_tag == "estimate" else domain.unit_field
-    bounds = _slabs(grid, ens.n_fields)
-    faces = list(zip(*(_split(grid.face_tables[m], bounds) for m in range(D))))
-    edges = list(zip(*(_split(t, bounds) for t in grid.edge_tables)))
-    operands = _grid_operands(kernel, ens, grid, 2 if hessian else 1, ens is not source)  # read by every slab
+    ens = source if isinstance(source, FieldEnsemble) else domain.unit_field
+    bounds, faces, edges = _partition(grid, ens.n_fields)
+    factors, values = getattr(_given, "operands", {}).get(grid, (None, None))
+    if factors is None:  # read by every slab
+        factors = _grid_factors(kernel, domain, grid, 2 if hessian else 1, ens is not source)
 
     def slab(j: int) -> tuple:  # slab j's volume, boundary, edge and face sums, repaired points
         start, stop = bounds[j], bounds[j + 1]
-        bundle = _moments(source, kernel, domain, hessian, grid=grid, ids=range(start, stop), operands=operands)
+        bundle = _moments(source, kernel, domain, hessian, None if values is None else values[:, start:stop],
+                          grid=grid, ids=range(start, stop), factors=factors)
         lam = _metric_expr(*bundle[:3])
         dets, n_bad = sqrt_det_psd(lam)
         bnd = edge = face = 0.0  # where the grid has no such stratum or no face term
@@ -242,19 +247,19 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
         vol, bnd, edge, face, n_bad = vol + v, bnd + b, edge + e, face + f, n_bad + bad
 
     face_cell = [np.prod(np.delete(spacing, m)) for m in range(D)]
-    values = [0.0] * (D + 1)
-    values[0] = euler_characteristic(manifold)
-    values[D] = vol * np.prod(spacing)
+    L = [0.0] * (D + 1)
+    L[0] = euler_characteristic(manifold)
+    L[D] = vol * np.prod(spacing)
     if D >= 2:
-        values[D - 1] = 0.5 * sum(b * c for b, c in zip(bnd, face_cell))
+        L[D - 1] = 0.5 * sum(b * c for b, c in zip(bnd, face_cell))
     if D == 3:
-        values[1] = sum(e * h for e, h in zip(edge, spacing)) / (2.0 * math.pi)
+        L[1] = sum(e * h for e, h in zip(edge, spacing)) / (2.0 * math.pi)
         if include_face_term:
-            values[1] += sum(f * c for f, c in zip(face, face_cell)) / (2.0 * math.pi)
+            L[1] += sum(f * c for f, c in zip(face, face_cell)) / (2.0 * math.pi)
     return LkcVector(
-        values=tuple(float(v) for v in values),
+        values=tuple(float(v) for v in L),
         r=r,
-        source=src_tag,
+        source="estimate" if ens is source else "white-noise-theory",
         l1_locally_stationary=D == 3,
         diagnostics={"psd_repaired_points": n_bad},
     )

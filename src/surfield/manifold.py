@@ -178,7 +178,7 @@ class RefinedGrid:
         entry ``keys[i] - key_min`` holds i
     key_min : (D,) int64 key at the id map's origin
     axis_keys, axis_coords : per axis, the sorted grid keys and their coordinates
-    face_tables, edge_tables : boundary quadrature tables (r >= 1): per face
+    face_tables, edge_tables : boundary quadrature tables (empty at r = 0): per face
         normal axis m, int32 "ids", "weights" and "outward" sides; in 3D, per
         edge tangent axis k, "ids", "weights", "types", "refl" and "tangent"
     """
@@ -228,6 +228,9 @@ class RefinedGrid:
         self.id_map[present] = np.arange(len(self.keys), dtype=np.int32)
         for a in (self.keys, self.vol_weight, self.id_map):
             a.setflags(write=False)
+        self.face_tables: dict[int, dict[str, np.ndarray]] = {}
+        self.edge_tables: list[dict[str, np.ndarray]] = []
+        self._partitions: dict[int, tuple] = {}  # slabs(limit) by limit
         if self.r:
             self._build_boundary_tables(h, step)
 
@@ -272,11 +275,9 @@ class RefinedGrid:
                 **{name: np.repeat(v, npt, axis=0) for name, v in columns.items()},
             }
 
-        self.face_tables: dict[int, dict[str, np.ndarray]] = {}
         for m in range(D):
             cells, outward = _exterior_faces(man, m)
             self.face_tables[m] = table([m], cells, outward=outward)
-        self.edge_tables: list[dict[str, np.ndarray]] = []
         for k in range(3 if D == 3 else 0):
             cells, codes = _edge_cells(man, k)
             transverse = [d for d in range(3) if d != k]
@@ -292,6 +293,25 @@ class RefinedGrid:
             if np.all(ids >= 0):
                 return ids
         raise AssertionError("boundary table key not present in grid")
+
+    def slabs(self, limit: int) -> tuple[np.ndarray, list[tuple[dict, ...]], list[tuple[dict, ...]]]:
+        """The partition into slabs that ``lkc`` streams, cached per ``limit``:
+        the slab bounds, runs of whole axis-0 rows, a row opening a run where
+        the open one would pass ``limit`` points with it; and per slab its
+        entries of each face table and of each edge table (``_split``)."""
+        part = self._partitions.get(limit)
+        if part is None:
+            counts = np.count_nonzero(self.id_map.reshape(len(self.id_map), -1) >= 0, axis=1)
+            rows = np.append((np.cumsum(counts) - counts)[counts > 0], self.n_points)  # first ids, then the count
+            bounds = [rows[0]]
+            for start, stop in zip(rows[1:-1], rows[2:]):
+                if stop - bounds[-1] > limit:
+                    bounds.append(start)
+            bounds = np.array(bounds + [rows[-1]])
+            part = self._partitions[limit] = (
+                bounds, list(zip(*(_split(self.face_tables[m], bounds) for m in range(self.dimension)))),
+                list(zip(*(_split(t, bounds) for t in self.edge_tables))))
+        return part
 
     def axis_positions(self, ids=None):
         """Per axis, the positions of the points ``ids`` (all when None) in ``axis_coords``."""
@@ -335,6 +355,17 @@ class RefinedGrid:
         occupied = man._padded[tuple(np.moveaxis(boxes - man._origin + 1, -1, 0))]
         owner, choice = np.nonzero(distinct & occupied)
         return owner, boxes[owner, choice]
+
+
+def _split(table: dict, bounds: np.ndarray) -> list[dict]:
+    """A quadrature table's entries per slab, in table order within a slab
+    (a stable sort on the slab index), with ids counted from the slab's start."""
+    slab = np.searchsorted(bounds, table["ids"], side="right") - 1
+    order = np.argsort(slab, kind="stable")
+    cuts = np.searchsorted(slab[order], np.arange(1, len(bounds) - 1))
+    local = dict(table, ids=table["ids"] - bounds[slab])
+    cols = {k: np.split(v[order], cuts) for k, v in local.items() if isinstance(v, np.ndarray)}
+    return [{k: v[j] for k, v in cols.items()} for j in range(len(bounds) - 1)]
 
 
 def _added_resolution(r) -> int:

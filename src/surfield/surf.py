@@ -13,14 +13,16 @@ into ``out`` if given.  For untruncated kernels both read the subjects-last
 (m1..mD, N) data tensor the ensemble owns (``FieldEnsemble.dense``).  On
 (subsets of) the tensor-product grids that the curvature and simulation
 pipelines evaluate on, ``_grid_sums`` contracts it with one kernel-factor
-matrix per axis (``_grid_operands``, which a caller may build once for many
-slabs), one GEMM per axis, and takes contiguous (N, Q) columns at
+matrix per axis (``_grid_factors``, which a caller may build once for many
+slabs and ensembles), one GEMM per axis, and takes contiguous (N, Q) columns at
 the grid points, or, for a range of ids known from its bounds to fill the
 contracted block (whole rows of a box grid), lets the last GEMM write them.
-At arbitrary points, ``_point_sums`` contracts it with per-point stacks of
-the 1-D factors of every order (one ``exp`` per axis, maps built once); a
-truncated kernel, which is not separable, sums them over all point x voxel
-pairs under its mask.  ``_sums`` alone chooses the engine.  Kernel operands
+At arbitrary points, ``_point_stack`` contracts it with per-point stacks of
+the 1-D factors of every order (one ``exp`` per axis, maps built once) into
+(N, keys, P) sums, which ``_point_sums`` serves as columns and
+``_t_hessian_at`` turns into t and its derivatives; a truncated kernel, which
+is not separable, sums them over all point x voxel pairs under its mask.
+``_sums`` alone chooses the engine.  Kernel operands
 carry no subnormals (``_flush``).  Over the domain's ``unit_field`` of ones the
 same sums give the white-noise moments that normalize fields and give
 ``geometry`` its white-noise metric.
@@ -121,16 +123,15 @@ def _point_maps(D: int, order: int, pairs: bool):
     return kinds, keys, index, [int(np.ravel_multi_index(idx, (len(kinds),) * D)) for idx in index]
 
 
-def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, order: int,
-                pairs: bool = False):
-    """s(a, b=None, out=None) at arbitrary points: the sum over the ensemble's
-    voxels v of values[:, v] times the kernel derivative of per-axis orders a
-    at (point, v), times that of orders b, shape (N, P), copied into ``out`` if
-    given; for |a| <= order and, with ``pairs``, |b| <= 1.  Untruncated
-    kernels write every kind of 1-D factor (one ``exp`` per axis) into one
-    (P, kinds, m_d) stack per axis, flushed once, and contract the stacks with
-    the subjects-last data tensor (``_stack_contract``); a truncated kernel
-    flushes only the kinds its keys read, over all point x voxel pairs, and
+def _point_stack(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, order: int,
+                 pairs: bool = False) -> tuple[list, np.ndarray]:
+    """The point engine: its sums' keys (a, b), |a| <= order and, with ``pairs``,
+    |b| <= 1, and the sums, (N, keys, P): over the ensemble's voxels v, values[:, v]
+    times the kernel derivative of per-axis orders a at (point, v), times that of
+    orders b.  Untruncated kernels write every kind of 1-D factor (one ``exp`` per
+    axis) into one (P, kinds, m_d) stack per axis, flushed once, and contract the
+    stacks with the subjects-last data tensor (``_stack_contract``); a truncated
+    kernel flushes only the kinds its keys read, over all point x voxel pairs, and
     their products under the truncation mask multiply the values."""
     D, N, domain = kernel.dimension, ens.n_fields, ens.domain
     points = np.atleast_2d(points)
@@ -144,7 +145,7 @@ def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, 
         targets, data = domain.axis_values, ens.dense
         width = len(kinds) * data.size // data.shape[0]
     step = max(1, _CHUNK_CELLS // width)
-    sums = np.empty((len(keys), N, len(points)))  # each sums[j] a C-contiguous (N, P) array
+    sums = np.empty((N, len(keys), len(points)))
     for start in range(0, len(points), step):
         t = [points[start:start + step, d, None] - targets[d] for d in range(D)]
         if truncated:
@@ -162,7 +163,7 @@ def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, 
                         lead[idx[:j]] = lead[idx[:j - 1]] * kind[j - 1][idx[j - 1]]
             column = cache(lambda idx: (lead[idx[:-1]] * kind[D - 1][idx[-1]]) @ ens.values.T)
             for j, idx in enumerate(index):
-                sums[j, :, start:start + step] = column(idx).T
+                sums[:, j, start:start + step] = column(idx).T
         else:
             stacks = [np.empty((len(u), len(kinds), u.shape[1])) for u in t]
             for d, (u, F) in enumerate(zip(t, stacks)):
@@ -170,8 +171,17 @@ def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, 
                 for i, kind in enumerate(kinds):
                     F[:, i] = f[kind[0]] * f[kind[1]] if pairs else f[i]
                 _flush(F)
-            sums[:, :, start:start + step] = _stack_contract(data, stacks)[:, flat].transpose(1, 2, 0)
-    sums = dict(zip(keys, sums))
+            sums[:, :, start:start + step] = _stack_contract(data, stacks)[:, flat].transpose(2, 1, 0)
+    return keys, sums
+
+
+def _point_sums(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray, order: int,
+                pairs: bool = False):
+    """s(a, b=None, out=None) at arbitrary points: ``_point_stack``'s sum of key
+    (a, b) as a C-contiguous (N, P) array, copied into ``out`` if given."""
+    keys, stack = _point_stack(kernel, ens, points, order, pairs)
+    sums = dict(zip(keys, np.ascontiguousarray(stack.transpose(1, 0, 2))))
+    N = stack.shape[0]
 
     def s(a: tuple, b: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
         if out is not None:
@@ -330,6 +340,36 @@ def _t_from_arrays(val: np.ndarray, grad: np.ndarray | None = None, hess: np.nda
     return _quotient(np.sqrt(N), mean, gmean, hmean, s2, m1, m2, N - 1)
 
 
+@cache
+def _derivative_keys(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions among the order-2 point sums' keys (``_point_maps``) of the
+    gradient's (D,) and the Hessian's (D, D) derivatives; the value's is 0."""
+    pos = {a: i for i, (a, _) in enumerate(_point_maps(D, 2, False)[1])}
+    return (np.array([pos[_unit(D, d)] for d in range(D)]),
+            np.array([[pos[_unit(D, d, e)] for e in range(D)] for d in range(D)]))
+
+
+def _t_hessian_at(kernel: GaussianKernel, ens: FieldEnsemble, points: np.ndarray):
+    """t, its gradient and Hessian at ``points``, (P,), (P, D) and (P, D, D), from
+    one point-engine call: its (N, keys, P) sums centred once over the subjects,
+    and all their cross moments from one einsum.  Each sum over the subjects runs
+    in subject order for every point and key, so a point's bits do not depend on
+    its batch (unlike ``_t_from_arrays``, whose mean of an (N, 1) array is pairwise)."""
+    stack = _point_stack(kernel, ens, points, 2)[1]
+    N = stack.shape[0]
+    if N < 2:
+        raise DegenerateFieldError("t statistic requires at least two fields")
+    mean = stack.mean(axis=0)
+    stack -= mean
+    cross = np.einsum("nkp,njp->kjp", stack, stack)
+    s2 = cross[0, 0] / (N - 1)
+    if np.any(s2 <= 0):
+        raise DegenerateFieldError("zero sample variance at a query point")
+    g, h = _derivative_keys(kernel.dimension)
+    m2 = (cross[g[:, None], g] + cross[0, h]).transpose(2, 0, 1)
+    return _quotient(np.sqrt(N), mean[0], mean[g].T, mean[h].transpose(2, 0, 1), s2, cross[0, g].T, m2, N - 1)
+
+
 def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
     """One-sample t statistic of the smoothed ensemble at the given points.
 
@@ -395,16 +435,16 @@ def _locate(grid: RefinedGrid, ids) -> tuple[slice, np.ndarray | None]:
     return slice(lo, hi + 1), np.ravel_multi_index(axes, [hi + 1 - lo] + shape[1:])
 
 
-def _grid_operands(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, order: int = 2,
-                   pairs: bool = True) -> dict:
-    """What grid sums of per-axis orders <= ``order`` read: the data tensor
-    and, flushed, per axis d the kernel factor of order a at every key of the
-    axis, keyed (d, a), and with ``pairs`` the products keyed (d, a, b), a <=
-    min(b, 1).  A slab's axis-0 rows are a slice, elementwise the bits of
-    their own build."""
-    ops = {"data": ens.dense}
+def _grid_factors(kernel: GaussianKernel, domain: VoxelSet, grid: RefinedGrid, order: int = 2,
+                  pairs: bool = True) -> dict:
+    """The kernel factor matrices grid sums of per-axis orders <= ``order`` over
+    ``domain`` read, flushed: per axis d the factor of order a at every key of
+    the axis, keyed (d, a), and with ``pairs`` the products keyed (d, a, b), a <=
+    min(b, 1).  A slab's axis-0 rows are a slice, elementwise the bits of their
+    own build, and the orders below ``order`` the bits of a build of their own."""
+    ops = {}
     for d in range(grid.dimension):
-        factors = kernel.axis_factors(d, grid.axis_coords[d][:, None] - ens.domain.axis_values[d], order)
+        factors = kernel.axis_factors(d, grid.axis_coords[d][:, None] - domain.axis_values[d], order)
         for b in range(order + 1):
             ops[d, b] = _flush(factors[b])
             for a in range(min(b, 1) + 1 if pairs else 0):
@@ -412,45 +452,45 @@ def _grid_operands(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid
     return ops
 
 
-def _grid_sums(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, ids=None, operands=None):
+def _grid_sums(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, ids=None, factors=None):
     """s(a, b=None, out=None): the ensemble's subjects-last data tensor
     contracted along each axis d with the kernel factor of order a[d] (times
-    that of order b[d]) of ``operands`` (built when None), at the grid points
-    ``ids`` (a range or id array, all when None) as contiguous (N, Q) columns
-    in ``out``, else a buffer (``_buf``): the contraction of the axis-0 rows
-    ``_locate`` finds, or the points taken from it."""
-    ops, N = operands or _grid_operands(kernel, ens, grid), ens.n_fields
+    that of order b[d]) of ``factors`` (``_grid_factors``, built when None), at
+    the grid points ``ids`` (a range or id array, all when None) as contiguous
+    (N, Q) columns in ``out``, else a buffer (``_buf``): the contraction of the
+    axis-0 rows ``_locate`` finds, or the points taken from it."""
+    ops, data, N = factors or _grid_factors(kernel, ens.domain, grid), ens.dense, ens.n_fields
     ids = range(grid.n_points) if ids is None else ids
     rows, flat = _locate(grid, ids)
 
     @cache
     def head(key: tuple) -> np.ndarray:  # _contract's axis-0 GEMM, shared by the sums of its factor
-        G, data = ops[key][rows], ops["data"]
+        G = ops[key][rows]
         lhs = data.reshape(G.shape[1], -1).T
         return np.matmul(lhs, G.T, out=_buf(("head", key), (len(lhs), len(G)))).reshape(*data.shape[1:-1], -1)
 
     def s(a: tuple, b: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
         keys = [(d, a[d]) if b is None else (d, *sorted((a[d], b[d]))) for d in range(len(a))]
-        data, mats = ((head(keys[0]), [ops[k] for k in keys[1:]]) if len(a) > 1
-                      else (ops["data"], [ops[keys[0]][rows]]))
+        lead, mats = ((head(keys[0]), [ops[k] for k in keys[1:]]) if len(a) > 1
+                      else (data, [ops[keys[0]][rows]]))
         out = _buf(("column", a, b), (N, len(ids))) if out is None else out.reshape(N, -1, copy=False)
         if flat is None:
-            return _contract(data, mats, out).reshape(N, -1)
+            return _contract(lead, mats, out).reshape(N, -1)
         # the positions are in range; unlike "raise", "clip" writes into ``out`` without a buffer
-        return np.take(_contract(data, mats).reshape(N, -1), flat, axis=1, mode="clip", out=out)
+        return np.take(_contract(lead, mats).reshape(N, -1), flat, axis=1, mode="clip", out=out)
 
     return s
 
 
 def _sums(kernel: GaussianKernel, ens: FieldEnsemble, order: int, pairs: bool = False,
-          *, points=None, grid=None, ids=None, operands=None):
+          *, points=None, grid=None, ids=None, factors=None):
     """s(a, b=None, out=None) of the ensemble ``ens``, at ``points`` or at
     the grid points ``ids`` (a range or id array, all when None) of ``grid``:
     the tensor-grid engine for an untruncated kernel on a grid (reading
-    ``operands`` if given), else the point engine, which alone sums a
+    ``factors`` if given), else the point engine, which alone sums a
     truncated kernel exactly (``order`` and ``pairs`` as there)."""
     if grid is not None and kernel.truncation is None:
-        return _grid_sums(kernel, ens, grid, ids, operands or _grid_operands(kernel, ens, grid, order, pairs))
+        return _grid_sums(kernel, ens, grid, ids, factors or _grid_factors(kernel, ens.domain, grid, order, pairs))
     if grid is not None:
         points = grid.points if ids is None else grid.points[_id_array(ids)]
     return _point_sums(kernel, ens, points, order, pairs)
@@ -556,4 +596,10 @@ def smooth_on_grid(
 
 def t_field_on_grid(spec: SurfSpec, grid: RefinedGrid) -> np.ndarray:
     """t statistic at every grid point, (P,)."""
-    return _t_from_arrays(smooth_on_grid(spec.ensemble, spec.kernel, grid)["value"])[0]
+    return _t_on_grid(spec.kernel, spec.ensemble, grid)
+
+
+def _t_on_grid(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, factors=None) -> np.ndarray:
+    """t statistic of the ensemble at every grid point, (P,), reading the kernel factor
+    matrices ``factors`` (``_grid_factors`` of any order) where given."""
+    return _t_from_arrays(_sums(kernel, ens, 0, grid=grid, factors=factors)(_unit(kernel.dimension)))[0]

@@ -23,7 +23,7 @@ from surfield.kernel import GaussianKernel
 from surfield.lattice import FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
 from surfield.lkc import lkc_compute
 from surfield.manifold import VoxelManifold, refined_grid
-from surfield.surf import DegenerateFieldError, SurfSpec, surf_covariance, t_field
+from surfield.surf import DegenerateFieldError, SurfSpec, surf_covariance, t_field, t_field_on_grid
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +627,59 @@ def test_fwer_run_context_is_built_once_per_preset_and_fwhm(monkeypatch):
     fwer_experiment("stat2d", 3.0, 10, 1, r_lkc=3, rng=RngSpec(7))
     fwer_experiment("stat2d", 3.0, 10, 1, r_lkc=3, rng=RngSpec(7))
     assert len(builds) - before == 2
+
+
+def _reference_details(fwhm: float, n_subjects: int, n_reps: int, r_lkc: int, seed: int) -> dict:
+    """stat2d details at alpha 0.05 and 10 starts from the public steps, one
+    replication at a time: lkc_compute, threshold, t_field_on_grid on the r = 1
+    grid (its even keys are the lattice) and maximize_t_field from that grid."""
+    dom = make_domain_preset("stat2d", fwhm)
+    man, kern = VoxelManifold(dom.interior), GaussianKernel.isotropic(fwhm, 2)
+    grid1, grid0 = refined_grid(man, 1), refined_grid(man, 0)
+    grid_lkc = grid1 if r_lkc == 1 else refined_grid(man, r_lkc)
+    lattice = np.all(grid1.keys % 2 == 0, axis=1)
+    assert np.array_equal(grid1.keys[lattice] // 2, grid0.keys)
+    rows = []
+    for b in range(n_reps):
+        ens = sample_ensemble(dom, n_subjects, RngSpec(seed).substream(b))
+        spec = SurfSpec(ens, kern)
+        u = threshold(lkc_compute(ens, kern, man, r_lkc, grid=grid_lkc), FieldType.student_t(n_subjects - 1), 0.05)
+        t = t_field_on_grid(spec, grid1)
+        sup_inf = maximize_t_field(spec, man, 10, grid=grid1, grid_values=t)[1]
+        rows.append((u, t[lattice].max(), t.max(), sup_inf, count_local_maxima_above(grid0, t[lattice], u),
+                     count_local_maxima_above(grid1, t, u)))
+    return dict(zip(("u_hat", "sup0", "sup1", "sup_inf", "n_max0", "n_max1"), map(np.array, zip(*rows))))
+
+
+@pytest.mark.parametrize("fwhm, n_subjects, r_lkc, shared", [
+    (3.0, 50, 1, True),  # the benchmark's replications: the LKC grid is the scan grid and one slab
+    (1.0, 50, 1, True),
+    (3.0, 100, 1, False),  # two slabs
+    (3.0, 20, 3, False),  # the LKC grid is not the scan grid
+])
+def test_replication_details_match_the_public_steps(monkeypatch, fwhm, n_subjects, r_lkc, shared):
+    # where the LKC's one slab holds the t grid's values, the t grid is read
+    # from an uncentred copy of them; elsewhere it is contracted on its own,
+    # and every detail has the bits of the public steps either way
+    from surfield import inference, lkc
+
+    grid1 = refined_grid(VoxelManifold(make_domain_preset("stat2d", fwhm).interior), 1)
+    assert (len(lkc._slabs(grid1, n_subjects)) == 2) == (n_subjects < 100)
+    contracted = []
+
+    def spy(*args, real=inference._t_on_grid):
+        contracted.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(inference, "_t_on_grid", spy)
+    n_reps = 3
+    details = fwer_experiment("stat2d", fwhm, n_subjects, n_reps, r_lkc=r_lkc, rng=RngSpec(29),
+                              keep_details=True).details
+    assert len(contracted) == (0 if shared else n_reps)
+    want = _reference_details(fwhm, n_subjects, n_reps, r_lkc, 29)
+    assert details.keys() == want.keys()
+    for key in want:
+        assert details[key].dtype == want[key].dtype and np.array_equal(details[key], want[key]), key
 
 
 # ---------------------------------------------------------------------------

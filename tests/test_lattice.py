@@ -101,6 +101,19 @@ def test_voxelset_validation():
         VoxelSet(np.array([[0.0, 1.0], [1.0, 1.0]]))  # axis 1 constant
 
 
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1.0, 2.0], [3.0, 1.0, 0.0], [1.0, 2.0, 0.0], [3.0, 1.0, 0.0]],  # one repeated row, apart
+    [[1.0, 0.0, 2.0], [2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, -0.0, 2.0]],  # +0.0 and -0.0
+    [[0.0, -0.0, 1.0], [1.0, 1.0, 1.0], [-0.0, 0.0, 1.0], [2.0, 2.0, 0.0], [1.0, 1.0, 1.0]],
+])
+def test_voxelset_rejects_repeated_coordinates(rows):
+    coords = np.array(rows)
+    with pytest.raises(ValueError, match="coords must be distinct"):
+        VoxelSet(coords)
+    # every axis has two values, so without the repeat the set is valid
+    VoxelSet(np.unique(coords + 0.0, axis=0))
+
+
 def test_ensemble_determinism_and_streams():
     dom = make_domain_preset("nonstat1d")
     a = sample_ensemble(dom, 5, RngSpec(42, 3))

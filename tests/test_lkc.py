@@ -559,6 +559,29 @@ def test_slab_bounds_match_key_search(monkeypatch, nonstat3d_r3, name):
         np.testing.assert_array_equal(lkc_module._slabs(grid, 1), _points_rule(grid, slab_points))
 
 
+def test_slab_partition_is_built_once_per_grid_and_bound(monkeypatch):
+    # the bounds and per-slab quadrature tables are cached on the grid per
+    # point bound: a warm call splits nothing and keeps every bit, and an
+    # ensemble's entry bound is a partition of its own
+    from surfield import manifold
+
+    man = VoxelManifold(make_domain_preset("nonstat3d"))
+    grid, k = refined_grid(man, 1), GaussianKernel.isotropic(2.0, 3)
+    splits = []
+
+    def counted(*args, real=manifold._split):
+        splits.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(manifold, "_split", counted)
+    cold = lkc_compute("white-noise", k, man, 1, grid=grid)
+    assert len(splits) == 3 + 3 and all(b is lkc_module._slabs(grid, 1) for b in splits)  # faces, edges
+    warm = lkc_compute("white-noise", k, man, 1, grid=grid)
+    assert len(splits) == 6 and np.array(warm.values).tobytes() == np.array(cold.values).tobytes()
+    lkc_compute(sample_ensemble(man.domain, 50, RngSpec(2)), k, man, 1, grid=grid)
+    assert len(splits) == 12 and splits[-1] is lkc_module._slabs(grid, 50)
+
+
 def _blas_count():
     from surfield.surf import _openblas
 

@@ -218,6 +218,26 @@ def test_t_field_hessian_fd(D):
     np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6 * np.abs(hess).max())
 
 
+@pytest.mark.parametrize("fwhm", [3.0, 1.0])
+def test_sweep_evaluation_of_a_point_does_not_depend_on_its_batch(fwhm):
+    # the ascent's sweeps evaluate the running pairs' points together; each
+    # point's t, gradient and Hessian must have the bits it has alone, so that
+    # adding or retiring pairs moves no other pair
+    from surfield.surf import _eval_arrays, _t_from_arrays, _t_hessian_at
+
+    dom = make_domain_preset("stat2d", fwhm)
+    ens, k = sample_ensemble(dom, 50, RngSpec(31)), GaussianKernel.isotropic(fwhm, 2)
+    pts = np.random.default_rng(4).uniform(1.0, 20.0, size=(40, 2))
+    whole = _t_hessian_at(k, ens, pts)
+    for sizes in ([1] * 40, [3, 7, 1, 13, 16], [39, 1], [2] * 20):
+        parts = [_t_hessian_at(k, ens, p) for p in np.split(pts, np.cumsum(sizes)[:-1])]
+        for got, want in zip(map(np.concatenate, zip(*parts)), whole):
+            assert np.array_equal(got, want), sizes
+    # to rounding, the separate derivative arrays give the same
+    for got, want in zip(whole, _t_from_arrays(*_eval_arrays(SurfSpec(ens, k), pts, "hessian"))):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_t_field_requires_two_and_nonzero_variance():
     dom = VoxelSet(np.array([[0.0], [1.0]]))
     k = GaussianKernel.isotropic(2.0, 1)
@@ -485,14 +505,17 @@ def test_no_subnormal_kernel_operand_reaches_blas(monkeypatch, case):
 
 @pytest.mark.parametrize("case", FWHM1_CASES)
 def test_flushing_subnormal_operands_moves_no_bits(monkeypatch, case):
+    from surfield import inference
     from surfield import surf as surf_module
 
     flushed = _fwhm1_case(case)
+    inference._run_context.cache_clear()  # a run context keeps the factor matrices it flushed
     with monkeypatch.context() as m:
         m.setattr(surf_module, "_flush", lambda a: a)
         seen = _subnormal_operands(m)
         unflushed = _fwhm1_case(case)
-    assert sum(n for _, n in seen) > 0  # the case does meet subnormal operands
+    inference._run_context.cache_clear()
+    assert sum(n for name, n in seen if name == "_contract") > 0  # the grid engine meets subnormal operands
     assert flushed.keys() == unflushed.keys()
     for key in flushed:
         assert np.array_equal(flushed[key], unflushed[key], equal_nan=True), key
