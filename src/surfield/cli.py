@@ -108,6 +108,8 @@ def _cmd_lkc(args):
     man = VoxelManifold(inner)
     D = dom.dimension
     kern = _kernel_for(args, D)
+    if args.source != "closed-form" and (args.r < 1 or args.r % 2 == 0):
+        raise ConfigError(f"--r must be odd and positive, got {args.r}")
     plan = {
         "domain": dom_label, "fwhm": args.fwhm, "truncation": args.truncation, "r": args.r,
         "source": args.source, "n_subjects": args.n_subjects, "seed": args.seed,
@@ -147,6 +149,10 @@ def _cmd_threshold(args):
         raise ConfigError("--family t requires --df")
     if args.df is not None and not np.isfinite(args.df):
         raise ConfigError(f"--df must be finite, got {args.df}")
+    if args.family == "t" and args.df < 1:
+        raise ConfigError(f"--family t requires --df >= 1, got {args.df}")
+    if not 0 < args.alpha < 1:  # NaN fails too
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     ftype = FieldType.gaussian() if args.family == "gaussian" else FieldType.student_t(args.df)
     plan = {"lkcs": lk, "family": args.family, "df": args.df, "alpha": args.alpha}
 

@@ -10,9 +10,10 @@ grows.  The zeroth curvature is always the combinatorial Euler
 characteristic, never estimated.
 
 The integrals stream over slabs of the grid: runs of whole axis-0 rows of
-contiguous grid ids, handed to the engine as a range (on a box grid, known
-from its bounds to fill its block), with kernel factors built once per call
-or read from a caller that built them once for many calls (``_reading``).
+contiguous grid ids, handed to the engine as a range, which contracts the
+slab's rows along axis 0 once and writes its present keys, with kernel
+factors built once per call or read from a caller that built them once for
+many calls (``_reading``).
 Each slab's moment bundle (with the Hessian moments for the face term) gives
 its metric and face-term Christoffel symbols, reduced into the volume, face
 and edge sums through its quadrature-table entries and dropped.  The slabs are
@@ -20,7 +21,7 @@ the one partition of the grid: they fix the summation order, and their
 bound of ``_SLAB_POINTS`` points and of ``_SLAB_ENTRIES`` subject x point
 entries (one moment column of an ensemble) fixes the memory and cache
 footprint.  The calling thread and one helper, each in a workspace
-(``surf._workspace``, 7.5 MB for the 50-subject shell), take the slabs from one
+(``surf._workspace``, 9.7 MB for the 50-subject shell), take the slabs from one
 iterator, numpy's OpenBLAS at one thread meanwhile (``surf._one_blas_thread``,
 a process-wide switch); adding the slab sums in slab order keeps every bit.
 """
@@ -52,7 +53,7 @@ __all__ = ["LkcVector", "lkc_compute", "lkc_stationary_closed_form"]
 
 LOG2 = math.log(2.0)
 _SLAB_POINTS = 1 << 16  # grid points whose metric one slab thread holds at once
-_SLAB_ENTRIES = 1 << 17  # subject x point entries of one moment column of a slab: 1 MiB
+_SLAB_ENTRIES = 3 << 16  # subject x point entries of one moment column of a slab: 1.5 MiB
 _SLAB_THREADS = 2  # the calling thread and at most one helper share a call's slabs
 
 

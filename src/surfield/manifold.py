@@ -301,8 +301,7 @@ class RefinedGrid:
         entries of each face table and of each edge table (``_split``)."""
         part = self._partitions.get(limit)
         if part is None:
-            counts = np.count_nonzero(self.id_map.reshape(len(self.id_map), -1) >= 0, axis=1)
-            rows = np.append((np.cumsum(counts) - counts)[counts > 0], self.n_points)  # first ids, then the count
+            rows = self.rows[0]
             bounds = [rows[0]]
             for start, stop in zip(rows[1:-1], rows[2:]):
                 if stop - bounds[-1] > limit:
@@ -312,6 +311,24 @@ class RefinedGrid:
                 bounds, list(zip(*(_split(self.face_tables[m], bounds) for m in range(self.dimension)))),
                 list(zip(*(_split(t, bounds) for t in self.edge_tables))))
         return part
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray, list[list[tuple] | None], list[np.ndarray | None]]:
+        """The axis-0 rows as the grid engine writes them: per row its first id
+        (the point count appended); the first row of each run of rows with one
+        key pattern (the row count appended); per run its rectangles
+        (``_rectangles``); and per run the flat positions of its keys in a
+        row's key block of every further axis, None where it is whole."""
+        present = self.id_map >= 0
+        for d, keys in enumerate(self.axis_keys):  # the key box's planes of no axis key hold no point
+            if len(keys) < present.shape[d]:
+                present = present.take(keys - keys[0], axis=d)
+        flat = present.reshape(len(present), -1)
+        starts = np.append(0, np.cumsum(np.count_nonzero(flat, axis=1)))
+        runs = np.array([0] + [j for j in range(1, len(flat)) if not np.array_equal(flat[j], flat[j - 1])]
+                        + [len(flat)])
+        rects = [_rectangles(row) if self.dimension > 1 else None for row in present[runs[:-1]]]
+        return starts, runs, rects, [None if row.all() else np.flatnonzero(row) for row in flat[runs[:-1]]]
 
     def axis_positions(self, ids=None):
         """Per axis, the positions of the points ``ids`` (all when None) in ``axis_coords``."""
@@ -366,6 +383,31 @@ def _split(table: dict, bounds: np.ndarray) -> list[dict]:
     local = dict(table, ids=table["ids"] - bounds[slab])
     cols = {k: np.split(v[order], cuts) for k, v in local.items() if isinstance(v, np.ndarray)}
     return [{k: v[j] for k, v in cols.items()} for j in range(len(bounds) - 1)]
+
+
+def _rectangles(row: np.ndarray) -> list[tuple] | None:
+    """The present keys of an axis-0 row (a 1-D or 2-D mask over the further
+    axes' keys) as rectangles in id order, (axis-1 slice, last-axis positions,
+    offset, size): in 3-D a run of axis-1 keys with one set of axis-2 keys, in
+    2-D (slice None) the row's keys; the positions a slice where contiguous,
+    with their first id and point count in the row.  None where a rectangle is
+    one key wide on an axis: its product would be a matrix-vector one, which
+    rounds unlike the GEMM of the row's whole key block."""
+    sets = [np.flatnonzero(keys) for keys in (row if row.ndim == 2 else row[None])]
+    out, j = [], 0
+    while j < len(sets):
+        b = j + 1
+        while b < len(sets) and np.array_equal(sets[b], sets[j]):
+            b += 1
+        S = sets[j]
+        if len(S) == 1 or (len(S) and row.ndim == 2 and b - j == 1):
+            return None
+        if len(S):
+            last = slice(S[0], S[-1] + 1) if S[-1] - S[0] + 1 == len(S) else S
+            offset = out[-1][2] + out[-1][3] if out else 0
+            out.append((slice(j, b) if row.ndim == 2 else None, last, offset, (b - j) * len(S)))
+        j = b
+    return out
 
 
 def _added_resolution(r) -> int:

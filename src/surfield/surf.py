@@ -14,12 +14,15 @@ into ``out`` if given.  For untruncated kernels both read the subjects-last
 (subsets of) the tensor-product grids that the curvature and simulation
 pipelines evaluate on, ``_grid_sums`` contracts it with one kernel-factor
 matrix per axis (``_grid_factors``, which a caller may build once for many
-slabs and ensembles), one GEMM per axis, and takes contiguous (N, Q) columns at
-the grid points, or, for a range of ids known from its bounds to fill the
-contracted block (whole rows of a box grid), lets the last GEMM write them.
-At arbitrary points, ``_point_stack`` contracts it with per-point stacks of
-the 1-D factors of every order (one ``exp`` per axis, maps built once) into
-(N, keys, P) sums, which ``_point_sums`` serves as columns and
+slabs and ensembles): the axis-0 rows it needs for every axis-0 factor in one
+row-major GEMM, then, for a range of whole rows, each run of rows with one key
+pattern over its rectangles of present keys (``RefinedGrid.rows``), one GEMM
+per further axis, writing the contiguous (N, Q) columns; other ids are taken
+from the rows' whole key block.  Every column has the bits of that whole
+block taken at its points.  At arbitrary points, ``_point_stack`` contracts
+it with per-point stacks of the 1-D factors of every order (one ``exp`` per
+axis, maps built once) into (N, keys, P) sums, which ``_point_sums`` serves
+as columns and
 ``_t_hessian_at`` turns into t and its derivatives; a truncated kernel, which
 is not separable, sums them over all point x voxel pairs under its mask.
 ``_sums`` alone chooses the engine.  Kernel operands
@@ -29,7 +32,7 @@ same sums give the white-noise moments that normalize fields and give
 
 A thread's workspace (``_workspace``) keeps the grid engine's GEMM results and
 the columns it returns without ``out`` in pooled buffers (``_buf``); only
-``lkc``'s slab threads, which return sums, hold one (7.5 MB for the 50-subject shell).
+``lkc``'s slab threads, which return sums, hold one (9.7 MB for the 50-subject shell).
 """
 from __future__ import annotations
 
@@ -387,20 +390,6 @@ def t_field(spec: SurfSpec, points: np.ndarray, order: str = "value"):
 # ---------------------------------------------------------------------------
 
 
-def _contract(data: np.ndarray, mats: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """(N, q1..qD) sums of the subjects-last (m1..mD, N) data tensor against
-    per-axis (q_d, m_d) matrices, flattened to (N, q1 * .. * qD).  Each axis
-    is one GEMM on the leading axis into a buffer (``_buf``), which moves that
-    axis to the end; the last writes into ``out`` (as many entries) if given."""
-    N, *inner, F = data.shape[-1], *mats
-    for G in inner:
-        lhs = data.reshape(G.shape[1], -1).T
-        data = np.matmul(lhs, G.T, out=_buf("axis", (len(lhs), len(G))))
-    lhs = data.reshape(F.shape[1], -1).T
-    out = _buf("last", (len(lhs), len(F))) if out is None else out.reshape(len(lhs), -1, copy=False)
-    return np.matmul(lhs, F.T, out=out).reshape(N, -1)
-
-
 def _unit(D: int, *axes: int) -> tuple:
     """Per-axis derivative orders of the derivative along ``axes``."""
     out = [0] * D
@@ -420,19 +409,35 @@ def _id_array(ids):  # numpy would convert a range element by element
     return np.arange(ids.start, ids.stop, ids.step) if isinstance(ids, range) else ids
 
 
-def _locate(grid: RefinedGrid, ids) -> tuple[slice, np.ndarray | None]:
-    """The axis-0 rows the grid points ``ids`` touch, and the points' flat
-    positions in those rows' block (all keys of the other axes), or None for
-    a range that its end points and count show to fill the block in order."""
-    shape = [len(k) for k in grid.axis_keys]
-    if isinstance(ids, range) and len(ids):
-        lo, hi = np.searchsorted(grid.axis_keys[0], grid.keys[[ids[0], ids[-1]], 0])
-        if len(ids) == (hi + 1 - lo) * np.prod(shape[1:]):
-            return slice(lo, hi + 1), None
+def _locate(grid: RefinedGrid, ids, merged: bool = False) -> tuple[slice, list]:
+    """The axis-0 rows the grid points ``ids`` touch and the groups of them the
+    engine writes, (first row, stop row, first column, stop column,
+    rectangles, positions), rows counted from the first.  For a range of whole
+    rows, each run of rows with one key pattern (``RefinedGrid.rows``) is a
+    group: its rectangles, or None and the flat positions of its keys in the
+    group's key block, None where that is whole.  Other ids, or with
+    ``merged`` every row, form one group with no rectangles and the points'
+    positions in the rows' key block."""
+    starts, runs, rects, keys = grid.rows
+    size = math.prod(len(k) for k in grid.axis_keys[1:])
+    if isinstance(ids, range) and ids.step == 1 and len(ids):
+        lo, hi = np.searchsorted(starts, (ids.start, ids.stop))
+        if starts[lo] == ids.start and starts[min(hi, len(starts) - 1)] == ids.stop:
+            groups = []
+            for u in range(np.searchsorted(runs, lo, side="right") - 1, np.searchsorted(runs, hi)):
+                r0, r1 = max(lo, runs[u]), min(hi, runs[u + 1])
+                at = None if keys[u] is None else (np.arange(r1 - r0)[:, None] * size + keys[u]).ravel()
+                groups.append((r0 - lo, r1 - lo, starts[r0] - starts[lo], starts[r1] - starts[lo], rects[u], at))
+            if merged:
+                at = None if all(g[5] is None for g in groups) else np.concatenate(
+                    [np.arange(g[0] * size, g[1] * size) if g[5] is None else g[5] + g[0] * size for g in groups])
+                groups = [(0, hi - lo, 0, len(ids), None, at)]
+            return slice(lo, hi), groups
     axes = list(grid.axis_positions(_id_array(ids)))
-    lo, hi = (axes[0].min(), axes[0].max()) if len(axes[0]) else (0, shape[0] - 1)
+    lo, hi = (axes[0].min(), axes[0].max() + 1) if len(axes[0]) else (0, 1)
     axes[0] = axes[0] - lo
-    return slice(lo, hi + 1), np.ravel_multi_index(axes, [hi + 1 - lo] + shape[1:])
+    at = np.ravel_multi_index(axes, [hi - lo] + [len(k) for k in grid.axis_keys[1:]])
+    return slice(lo, hi), [(0, hi - lo, 0, len(at), None, at)]
 
 
 def _grid_factors(kernel: GaussianKernel, domain: VoxelSet, grid: RefinedGrid, order: int = 2,
@@ -447,37 +452,105 @@ def _grid_factors(kernel: GaussianKernel, domain: VoxelSet, grid: RefinedGrid, o
         factors = kernel.axis_factors(d, grid.axis_coords[d][:, None] - domain.axis_values[d], order)
         for b in range(order + 1):
             ops[d, b] = _flush(factors[b])
-            for a in range(min(b, 1) + 1 if pairs else 0):
-                ops[d, a, b] = _flush(ops[d, a] * ops[d, b])
+        for a, b in _factor_orders(order, True) if pairs else ():
+            ops[d, a, b] = _flush(ops[d, a] * ops[d, b])
     return ops
 
 
-def _grid_sums(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, ids=None, factors=None):
+def _factor_orders(order: int, pairs: bool) -> list[tuple]:
+    """Per axis, the orders of the factor matrices ``_grid_factors`` keys for
+    sums of single factors, (b,) with b <= ``order``, or with ``pairs`` of
+    products, (a, b) with a <= min(b, 1)."""
+    return [(a, b) if pairs else (b,) for b in range(order + 1) for a in range(min(b, 1) + 1 if pairs else 1)]
+
+
+def _rectangle(lead: np.ndarray, mats: list[np.ndarray], mid, last, dest: np.ndarray) -> None:
+    """Write into ``dest`` (N, rows, size) the sums at one rectangle of a group
+    of rows: ``lead`` (rows, m1..mD-1 N) their axis-0 contraction, ``mats`` the
+    factor matrices of the further axes, ``mid`` the rectangle's axis-1 slice in
+    3-D and ``last`` its last-axis positions.  Each row's GEMM over axis 1
+    moves it behind the subjects; the last axis is one GEMM into ``dest``
+    where that is C-contiguous, else into a buffer copied into it.  In 2-D
+    each row's GEMM writes its columns, or one GEMM all rows of one field."""
+    N, R = dest.shape[:2]
+    F = mats[-1][last]
+    if len(mats) == 1 and N == 1:
+        np.matmul(lead, F.T, out=dest[0])
+        return
+    if len(mats) == 1:
+        np.matmul(lead.reshape(R, -1, N).transpose(0, 2, 1), F.T, out=dest.transpose(1, 0, 2))
+        return
+    G, m = mats[0][mid], F.shape[1]
+    W = _buf("axis", (m * N, R, len(G)))
+    np.matmul(lead.reshape(R, G.shape[1], -1).transpose(0, 2, 1), G.T, out=W.transpose(1, 0, 2))
+    lhs = W.reshape(m, -1).T
+    if dest.flags.c_contiguous:
+        np.matmul(lhs, F.T, out=dest.reshape(len(lhs), -1))
+    else:
+        dest[...] = np.matmul(lhs, F.T, out=_buf("rectangle", (len(lhs), len(F)))).reshape(dest.shape)
+
+
+def _grid_sums(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, ids=None, factors=None,
+               order: int = 2):
     """s(a, b=None, out=None): the ensemble's subjects-last data tensor
     contracted along each axis d with the kernel factor of order a[d] (times
     that of order b[d]) of ``factors`` (``_grid_factors``, built when None), at
     the grid points ``ids`` (a range or id array, all when None) as contiguous
-    (N, Q) columns in ``out``, else a buffer (``_buf``): the contraction of the
-    axis-0 rows ``_locate`` finds, or the points taken from it."""
+    (N, Q) columns in ``out``, else a buffer (``_buf``).  The axis-0 rows
+    ``_locate`` finds are contracted, on the first sum of a single factor or of
+    a pair, with every axis-0 factor of that kind of orders <= ``order`` (as
+    ``_grid_factors`` keys them): one GEMM of their stacked rows, or per
+    factor numpy's matrix-vector product for one row.  Each group of rows
+    then writes the present keys of its rectangles (``_rectangle``), or its
+    whole key block, from which its points are taken.  One field in 2-D is
+    one group, so that the last GEMM spans every row as a whole block's does."""
     ops, data, N = factors or _grid_factors(kernel, ens.domain, grid), ens.dense, ens.n_fields
     ids = range(grid.n_points) if ids is None else ids
-    rows, flat = _locate(grid, ids)
+    rows, groups = _locate(grid, ids, grid.dimension == 2 and N == 1)
+    R, m0, size = rows.stop - rows.start, data.shape[0], math.prod(len(k) for k in grid.axis_keys[1:])
 
     @cache
-    def head(key: tuple) -> np.ndarray:  # _contract's axis-0 GEMM, shared by the sums of its factor
-        G = ops[key][rows]
-        lhs = data.reshape(G.shape[1], -1).T
-        return np.matmul(lhs, G.T, out=_buf(("head", key), (len(lhs), len(G)))).reshape(*data.shape[1:-1], -1)
+    def head(pairs: bool) -> tuple[list, np.ndarray]:  # the axis-0 factors of a kind, (factors, R, m1..mD-1 N)
+        heads = [(0, *orders) for orders in _factor_orders(order, pairs)]
+        lhs = data.reshape(m0, -1)
+        H = _buf(("head", pairs), (len(heads), R, lhs.shape[1]))
+        if R == 1:
+            for key, h in zip(heads, H):
+                np.matmul(lhs.T, ops[key][rows].T, out=h.reshape(-1, 1))
+        else:
+            stack = np.concatenate([ops[key][rows] for key in heads], out=_buf("stack", (len(heads) * R, m0)))
+            out, X = H.reshape(len(stack), -1), lhs.shape[1]
+            # OpenBLAS rounds a tall product's last X % 8 rows in narrower kernels: the columns past
+            # the last whole 8-block but one are the tall product's, transposed, to keep its bits
+            cut = X if X % 8 == 0 else max(X - X % 8 - 8, 0)
+            np.matmul(stack, lhs[:, :cut], out=out[:, :cut])
+            if cut < X:
+                out[:, cut:] = np.matmul(lhs[:, cut:].T, stack.T, out=_buf("tail", (X - cut, len(stack)))).T
+        return heads, H
 
     def s(a: tuple, b: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
         keys = [(d, a[d]) if b is None else (d, *sorted((a[d], b[d]))) for d in range(len(a))]
-        lead, mats = ((head(keys[0]), [ops[k] for k in keys[1:]]) if len(a) > 1
-                      else (data, [ops[keys[0]][rows]]))
         out = _buf(("column", a, b), (N, len(ids))) if out is None else out.reshape(N, -1, copy=False)
-        if flat is None:
-            return _contract(lead, mats, out).reshape(N, -1)
-        # the positions are in range; unlike "raise", "clip" writes into ``out`` without a buffer
-        return np.take(_contract(lead, mats).reshape(N, -1), flat, axis=1, mode="clip", out=out)
+        if len(a) == 1:
+            at = groups[0][5]
+            block = out if at is None else _buf("block", (N, R))
+            np.matmul(data.reshape(m0, -1).T, ops[keys[0]][rows].T, out=block)
+            # the positions are in range; unlike "raise", "clip" writes into ``out`` without a buffer
+            return out if at is None else np.take(block, at, axis=1, mode="clip", out=out)
+        heads, H = head(b is not None)
+        lead, mats = H[heads.index(keys[0])], [ops[key] for key in keys[1:]]
+        for r0, r1, start, stop, rects, at in groups:
+            dest = out[:, start:stop]
+            if rects is not None:
+                dest = dest.reshape(N, r1 - r0, -1)
+                for mid, last, offset, width in rects:
+                    _rectangle(lead[r0:r1], mats, mid, last, dest[:, :, offset:offset + width])
+                continue
+            block = dest if at is None else _buf("block", (N, (r1 - r0) * size))
+            _rectangle(lead[r0:r1], mats, slice(None), slice(None), block.reshape(N, r1 - r0, size))
+            if at is not None:
+                np.take(block, at, axis=1, mode="clip", out=dest)
+        return out
 
     return s
 
@@ -490,7 +563,8 @@ def _sums(kernel: GaussianKernel, ens: FieldEnsemble, order: int, pairs: bool = 
     ``factors`` if given), else the point engine, which alone sums a
     truncated kernel exactly (``order`` and ``pairs`` as there)."""
     if grid is not None and kernel.truncation is None:
-        return _grid_sums(kernel, ens, grid, ids, factors or _grid_factors(kernel, ens.domain, grid, order, pairs))
+        factors = factors or _grid_factors(kernel, ens.domain, grid, order, pairs)
+        return _grid_sums(kernel, ens, grid, ids, factors, order)
     if grid is not None:
         points = grid.points if ids is None else grid.points[_id_array(ids)]
     return _point_sums(kernel, ens, points, order, pairs)

@@ -282,6 +282,33 @@ def test_threshold_rejects_non_finite_input(tmp_path, capsys, lkcs, df, message)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["threshold", "--lkcs", "1,20,100", "--alpha", alpha], "config error: --alpha must lie in (0, 1)")
+    for alpha in ("2", "0", "1", "-0.1", "nan")
+] + [
+    (["threshold", "--lkcs", "1,20,100", "--family", "t", "--df", df], "config error: --family t requires --df >= 1")
+    for df in ("0.5", "0", "-3")
+] + [
+    (["lkc", "--preset", "stat2d", "--fwhm", "3", "--r", r, *source], "config error: --r must be odd and positive")
+    for r in ("2", "0", "-1") for source in ([], ["--source", "ensemble", "--n-subjects", "5"])
+])
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_cli_refuses_bad_settings_at_plan_time(tmp_path, capsys, argv, message, dry_run):
+    # a config error, as a dry run shows it: nothing written
+    rc = main([*argv, "--out", str(tmp_path / "o"), *(["--dry-run"] if dry_run else [])])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_keeps_settings_at_their_bounds(tmp_path):
+    # closed-form curvatures read no --r; the bounds themselves are accepted
+    for argv in (["lkc", "--preset", "stat2d", "--fwhm", "3", "--source", "closed-form", "--r", "2"],
+                 ["threshold", "--lkcs", "1", "--family", "t", "--df", "1"]):
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+
+
 @pytest.mark.parametrize("point, message", [
     ("nan,3", "config error: --point must be finite"),
     ("inf,3", "config error: --point must be finite"),

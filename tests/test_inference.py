@@ -494,7 +494,7 @@ def test_fwer_deterministic_across_thread_counts():
 
 
 def test_fwer_stat3d_slab_threads_inside_replication_threads(monkeypatch):
-    # stat3d's r = 1 LKC grid has five 8-subject slabs, so at threads=2 each replication
+    # stat3d's r = 1 LKC grid has three 8-subject slabs, so at threads=2 each replication
     # thread's lkc_compute shares its slabs with a helper thread, under the
     # process-wide BLAS switch entered by two replications at once, and each
     # slab thread holds a workspace of the pool; threads=2 runs first, from an empty pool
@@ -654,7 +654,7 @@ def _reference_details(fwhm: float, n_subjects: int, n_reps: int, r_lkc: int, se
 @pytest.mark.parametrize("fwhm, n_subjects, r_lkc, shared", [
     (3.0, 50, 1, True),  # the benchmark's replications: the LKC grid is the scan grid and one slab
     (1.0, 50, 1, True),
-    (3.0, 100, 1, False),  # two slabs
+    (3.0, 120, 1, False),  # two slabs
     (3.0, 20, 3, False),  # the LKC grid is not the scan grid
 ])
 def test_replication_details_match_the_public_steps(monkeypatch, fwhm, n_subjects, r_lkc, shared):
@@ -664,7 +664,7 @@ def test_replication_details_match_the_public_steps(monkeypatch, fwhm, n_subject
     from surfield import inference, lkc
 
     grid1 = refined_grid(VoxelManifold(make_domain_preset("stat2d", fwhm).interior), 1)
-    assert (len(lkc._slabs(grid1, n_subjects)) == 2) == (n_subjects < 100)
+    assert (len(lkc._slabs(grid1, n_subjects)) == 2) == (n_subjects < 120)
     contracted = []
 
     def spy(*args, real=inference._t_on_grid):

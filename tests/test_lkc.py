@@ -273,8 +273,8 @@ def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
         man = VoxelManifold(make_domain_preset("stat2d", 3.0).interior)
         grid, k, slab_points = refined_grid(man, 3), GaussianKernel.isotropic(3.0, 2), 500
     source = sample_ensemble(man.domain, 8, RngSpec(17)) if case.endswith("ensemble") else "white-noise"
-    # the whole-row slabs of a box are known from their bounds: no point is
-    # located or taken; the shell's slabs are
+    # every slab is a range of whole rows, known from its bounds: no point is
+    # located or taken, the shell's ragged rows writing their present keys
     calls = {"axis_positions": 0, "take": 0}
 
     def counted(name, real):
@@ -303,10 +303,9 @@ def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
     assert many.diagnostics == one.diagnostics
     if case.startswith("box"):  # a whole-row slab contracts its own block: the same bits
         assert np.array_equal(lam_many, lam_one)
-        assert calls == {"axis_positions": 0, "take": 0}
     else:
         np.testing.assert_allclose(lam_many, lam_one, rtol=1e-13, atol=1e-15)
-        assert calls["axis_positions"] > 20 and calls["take"] > 20
+    assert calls == {"axis_positions": 0, "take": 0}
 
 
 def test_multi_slab_white_noise_lkc_embeds_the_unit_field_once(monkeypatch, embeddings):
@@ -627,7 +626,7 @@ def _threading_cases(name, nonstat3d_r3):
     if name == "nonstat3d r1 50-subject ensemble":  # the benchmark's CLI LKC: slabs bounded by entries
         shell = make_domain_preset("nonstat3d")
         return sample_ensemble(shell, 50, RngSpec(6)), k, VoxelManifold(shell), 1, {}, None
-    return sample_ensemble(dom, 8, RngSpec(3)), k, man, 1, {}, None  # "stat3d r1 ensemble": 5 slabs
+    return sample_ensemble(dom, 8, RngSpec(3)), k, man, 1, {}, None  # "stat3d r1 ensemble": 3 slabs
 
 
 @pytest.mark.parametrize("name", ["stat3d r3 white-noise", "nonstat3d face-term white-noise", "stat3d r1 ensemble",
@@ -698,7 +697,9 @@ def test_slab_threads_without_the_blas_switch_run_serially(monkeypatch, slab_spy
     slab_spy.seen.clear()
     monkeypatch.setattr(surf_module, "_openblas", lambda: None)
     serial = lkc_compute(source, k, man, r, **kwargs)
-    assert {t for _, t, _ in slab_spy.seen} == {threading.get_ident()} and len(slab_spy.seen) == 5
+    n_slabs = len(lkc_module._slabs(refined_grid(man, r), source.n_fields)) - 1
+    assert n_slabs >= 2 and len(slab_spy.seen) == n_slabs
+    assert {t for _, t, _ in slab_spy.seen} == {threading.get_ident()}
     assert np.array(threaded.values).tobytes() == np.array(serial.values).tobytes()
 
 

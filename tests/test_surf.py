@@ -428,6 +428,58 @@ def test_grid_engine_matches_direct_sums(D, n_fields):
             np.testing.assert_allclose(g, w, rtol=1e-11, atol=1e-12 * np.abs(w).max())
 
 
+def _block_reference(data, ops, grid, ids, keys):
+    """The (N, Q) sum of the factors ``keys`` at the grid points ``ids`` as the
+    whole key block of their axis-0 rows gives it: a tall axis-0 GEMM per
+    factor (a matrix-vector product for one row), one GEMM per further axis,
+    then the points taken from the block."""
+    axes = list(grid.axis_positions(ids))
+    lo, hi = axes[0].min(), axes[0].max() + 1
+    axes[0] = axes[0] - lo
+    flat = np.ravel_multi_index(axes, [hi - lo] + [len(k) for k in grid.axis_keys[1:]])
+    out = data
+    for d, key in enumerate(keys):
+        G = ops[key][lo:hi] if d == 0 else ops[key]
+        out = np.matmul(out.reshape(G.shape[1], -1).T, G.T)
+    return out.reshape(data.shape[-1], -1)[:, flat]
+
+
+@pytest.mark.parametrize("case", ["shell 50", "stat3d 8", "stat3d r3 white-noise", "nonstat2d frame"])
+def test_grid_engine_slabs_keep_the_block_contraction_bits(monkeypatch, case):
+    # every moment column of every LKC slab, at the entry bounds 2^17 and 3 * 2^16:
+    # the slab's axis-0 rows contracted at once and its present keys written through
+    # their rectangles have the bits of the whole key block taken at its points
+    from itertools import combinations_with_replacement
+
+    from surfield import lkc
+    from surfield.surf import _grid_factors, _grid_sums
+
+    D = 2 if case.startswith("nonstat2d") else 3
+    dom = make_domain_preset("stat3d", 3.0) if case.startswith("stat3d") else make_domain_preset(
+        "nonstat3d" if D == 3 else "nonstat2d")
+    grid = refined_grid(VoxelManifold(dom.interior or dom), 3 if "r3" in case else 1)
+    ens = dom.unit_field if case.endswith("white-noise") else sample_ensemble(
+        dom, {"shell 50": 50, "stat3d 8": 8, "nonstat2d frame": 20}[case], RngSpec(7))
+    pairs = ens.n_fields == 1
+    k = GaussianKernel.isotropic(3.0, D)
+    ops = _grid_factors(k, dom, grid, 1, pairs)
+    zero, units = (0,) * D, [tuple(int(i == d) for i in range(D)) for d in range(D)]
+    sums = ([(zero, zero)] + [(zero, u) for u in units] + list(combinations_with_replacement(units, 2))
+            if pairs else [(a, None) for a in [zero, *units]])
+    partitions = set()
+    for entries in (1 << 17, 3 << 16):
+        monkeypatch.setattr(lkc, "_SLAB_ENTRIES", entries)
+        bounds = lkc._slabs(grid, ens.n_fields)
+        partitions.add(tuple(bounds))
+        for start, stop in zip(bounds, bounds[1:]):
+            s = _grid_sums(k, ens, grid, range(start, stop), ops, 1)
+            for a, b in sums:
+                keys = [(d, a[d]) if b is None else (d, *sorted((a[d], b[d]))) for d in range(D)]
+                want = _block_reference(ens.dense, ops, grid, np.arange(start, stop), keys)
+                assert np.array_equal(s(a, b), want), (start, a, b)
+    assert len(partitions) == (2 if case in ("shell 50", "stat3d 8") else 1)
+
+
 def test_grid_sums_free_their_matrices_with_the_last_reference():
     # a reference cycle would hold every factor matrix of every LKC slab
     # until the garbage collector ran, raising the peak memory of a call;
@@ -463,13 +515,13 @@ def test_grid_sums_free_their_matrices_with_the_last_reference():
 
 
 def _subnormal_operands(monkeypatch):
-    """Per call of ``_contract`` or ``_stack_contract`` while the test runs,
+    """Per call of ``_rectangle`` or ``_stack_contract`` while the test runs,
     (engine, count of kernel-operand entries with 0 < |x| < tiny)."""
     from surfield import surf as surf_module
 
     tiny = np.finfo(np.float64).tiny
     seen = []
-    for name in ("_contract", "_stack_contract"):
+    for name in ("_rectangle", "_stack_contract"):
         def spy(data, mats, *rest, real=getattr(surf_module, name), name=name):
             seen.append((name, sum(int(np.count_nonzero((a != 0) & (np.abs(a) < tiny))) for a in mats)))
             return real(data, mats, *rest)
@@ -499,7 +551,7 @@ def test_no_subnormal_kernel_operand_reaches_blas(monkeypatch, case):
     seen = _subnormal_operands(monkeypatch)
     _fwhm1_case(case)
     engines = {name for name, _ in seen}
-    assert engines == ({"_contract"} if case.startswith("stat3d") else {"_contract", "_stack_contract"})
+    assert engines == ({"_rectangle"} if case.startswith("stat3d") else {"_rectangle", "_stack_contract"})
     assert sum(n for _, n in seen) == 0
 
 
@@ -515,7 +567,7 @@ def test_flushing_subnormal_operands_moves_no_bits(monkeypatch, case):
         seen = _subnormal_operands(m)
         unflushed = _fwhm1_case(case)
     inference._run_context.cache_clear()
-    assert sum(n for name, n in seen if name == "_contract") > 0  # the grid engine meets subnormal operands
+    assert sum(n for name, n in seen if name == "_rectangle") > 0  # the grid engine meets subnormal operands
     assert flushed.keys() == unflushed.keys()
     for key in flushed:
         assert np.array_equal(flushed[key], unflushed[key], equal_nan=True), key
