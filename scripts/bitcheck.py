@@ -8,10 +8,11 @@ compare two dumps.
 per-replication details), the benchmark's calling pattern (20 one-replication
 ``fwer_experiment`` calls back to back in this process, FWHM 3 and 1
 alternating, so that most reuse a cached run context) and Gaussian-family
-thresholds for D = 1..3, a small stat3d FWER run and a small FWER run on the
-ragged nonstat3d shell (``fwer_nonstat3d_*``), each at 1 and 2 threads (their
-LKC grids have several slabs, so slab threads run inside replication threads),
-every CLI subcommand's artifacts, stdout, stderr and exit code
+thresholds for D = 1..3, a small stat3d FWER run, a small FWER run on the
+ragged nonstat3d shell (``fwer_nonstat3d_*``; both LKC grids have several
+slabs) and a stat2d run at ``r_lkc = 3`` (``fwer_stat2d_r3_*``: its LKC grid
+is not the scan grid, so its t grid is contracted on its own), each at 1 and
+2 threads, every CLI subcommand's artifacts, stdout, stderr and exit code
 (``cli_runs``; ``fwer-sim`` at 1 and 3 threads, failing runs included),
 white-noise and ensemble LKCs with the face term off and on, 50-subject
 ensemble LKCs at r = 1 (the nonstat3d shell with the face term off and on, the
@@ -34,9 +35,9 @@ move, each differing replication listed with its index and both values, as
 long as none falls by more than ``SUP_INF_FALL`` and no indicator
 ``sup_inf > u_hat`` (each dump's own ``u_hat``) flips; within each dump it
 requires every ``fwer-sim`` record, manifest included, to be the same at 1
-and 3 threads, the stat3d and nonstat3d runs to be the same at 1 and 2 threads, every
-``warm_<key>`` to equal ``<key>``, and the BLAS thread count after to equal
-the count before.  A dump made at
+and 3 threads, the stat3d, nonstat3d and stat2d r = 3 runs to be the same at 1
+and 2 threads, every ``warm_<key>`` to equal ``<key>``, and the BLAS thread
+count after to equal the count before.  A dump made at
 ``OPENBLAS_NUM_THREADS=1`` and one made at the default compare equal too.
 """
 from __future__ import annotations
@@ -142,10 +143,12 @@ def dump(path: str) -> None:
         for D in (1, 2, 3) for L0 in (1.0, 0.0, -1.0) for alpha in (0.05, 0.01)])
     out["slabs_stat2d_r1_n50"] = _slabs(refined_grid(VoxelManifold(make_domain_preset("stat2d", 3.0).interior), 1), 50)
     out["slabs_stat3d_r1_n8"] = _slabs(refined_grid(VoxelManifold(make_domain_preset("stat3d", 3.0).interior), 1), 8)
-    for tag, preset, n_subjects, n_reps in (("fwer3d", "stat3d", 8, 2), ("fwer_nonstat3d", "nonstat3d", 20, 3)):
+    for tag, preset, fwhm, n_subjects, n_reps, r_lkc in (("fwer3d", "stat3d", 3.0, 8, 2, 1),
+                                                         ("fwer_nonstat3d", "nonstat3d", 3.0, 20, 3, 1),
+                                                         ("fwer_stat2d_r3", "stat2d", 1.0, 20, 3, 3)):
         for threads in (1, 2):
-            rep = fwer_experiment(preset, 3.0, n_subjects, n_reps, 0.05, rng=RngSpec(4), threads=threads,
-                                  keep_details=True)
+            rep = fwer_experiment(preset, fwhm, n_subjects, n_reps, 0.05, r_lkc=r_lkc, rng=RngSpec(4),
+                                  threads=threads, keep_details=True)
             for name, arr in rep.details.items():
                 out[f"{tag}_threads{threads}_{name}"] = arr
             out[f"{tag}_threads{threads}_report"] = np.array(json.dumps(rep.to_dict(), sort_keys=True))
@@ -292,7 +295,8 @@ def compare(before: str, after: str) -> int:
             if other not in dump_.files or str(dump_[key]) != str(dump_[other]):
                 print(f"DIFF {name}: fwer-sim {key[len('cli_fwer_threads1_'):]} at 1 and 3 threads")
                 bad.append("threads")
-        for key in (k for k in dump_.files if k.startswith(("fwer3d_threads1_", "fwer_nonstat3d_threads1_"))):
+        for key in (k for k in dump_.files
+                    if k.startswith(("fwer3d_threads1_", "fwer_nonstat3d_threads1_", "fwer_stat2d_r3_threads1_"))):
             other = key.replace("threads1", "threads2", 1)
             if other not in dump_.files or not np.array_equal(dump_[key], dump_[other]):
                 print(f"DIFF {name}: FWER {key.replace('_threads1_', ' ', 1)} at 1 and 2 threads")

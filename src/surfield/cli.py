@@ -110,6 +110,11 @@ def _cmd_lkc(args):
     kern = _kernel_for(args, D)
     if args.source != "closed-form" and (args.r < 1 or args.r % 2 == 0):
         raise ConfigError(f"--r must be odd and positive, got {args.r}")
+    if args.source == "ensemble" and ens is None:  # sampled from the preset
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.n_subjects < 2:
+            raise ConfigError(f"--n-subjects must be >= 2, got {args.n_subjects}")
     plan = {
         "domain": dom_label, "fwhm": args.fwhm, "truncation": args.truncation, "r": args.r,
         "source": args.source, "n_subjects": args.n_subjects, "seed": args.seed,
@@ -190,8 +195,11 @@ def _load_fwer_config(path: str, overrides: dict) -> dict:
         raise ConfigError(f"config {path}: unknown fields {sorted(unknown)}")
     if cfg["preset"] not in PRESET_NAMES:
         raise ConfigError(f"config {path}: preset must be one of {PRESET_NAMES}")
-    if cfg["threads"] < 1:
-        raise ConfigError(f"config {path}: threads must be >= 1, got {cfg['threads']}")
+    for key, least in (("seed", 0), ("n_subjects", 2), ("n_reps", 1), ("r_lkc", 1), ("threads", 1)):
+        if cfg[key] < least:
+            raise ConfigError(f"config {path}: {key} must be >= {least}, got {cfg[key]}")
+    if cfg["r_lkc"] % 2 == 0:
+        raise ConfigError(f"config {path}: r_lkc must be odd, got {cfg['r_lkc']}")
     if not 0 < cfg["fwhm"] < math.inf:  # JSON reads Infinity and NaN
         raise ConfigError(f"config {path}: fwhm must be finite and positive, got {cfg['fwhm']}")
     if not 0 < cfg["alpha"] < 1:
@@ -347,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fwer-sim", help="replication study of attained FWER")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=None, help="override config threads")
+    p.add_argument("--threads", type=int, default=None,
+                   help="override config threads (>= 1); replications run in the calling thread at any count")
     _add_common(p)
     p.set_defaults(func=_cmd_fwer_sim)
 

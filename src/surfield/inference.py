@@ -11,7 +11,6 @@ every (start, box) pair in lockstep.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, partial
 
@@ -22,10 +21,9 @@ from scipy import special as _special
 
 from .kernel import GaussianKernel
 from .lattice import PRESET_NAMES, FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
-from .lkc import LkcVector, _reading, _slabs, lkc_compute
+from .lkc import LkcVector, _reading, lkc_compute
 from .manifold import RefinedGrid, VoxelManifold, refined_grid
-from .surf import (DegenerateFieldError, SurfSpec, _grid_factors, _t_from_arrays, _t_hessian_at, _t_on_grid,
-                   t_field_on_grid)
+from .surf import DegenerateFieldError, SurfSpec, _t_from_arrays, _t_hessian_at, t_field_on_grid
 
 __all__ = [
     "FieldType",
@@ -381,17 +379,15 @@ def _check_count(name: str, value, least: int) -> None:
 
 @lru_cache(maxsize=4)
 def _run_context(preset: str, fwhm: float) -> tuple:
-    """A run's domain, interior manifold, kernel, r = 1 and r = 0 grids, lattice points'
-    ids (the r = 1 grid's even keys) and the r = 1 grid's kernel factor matrices of
-    order 1 (``surf._grid_factors``), which its t grid and ensemble LKCs read; 0.21 /
-    13.7 MB for stat2d / stat3d once used."""
+    """A run's domain, interior manifold, kernel, r = 1 and r = 0 grids and lattice
+    points' ids (the r = 1 grid's even keys); 0.21 / 14.1 MB for stat2d / stat3d once
+    used."""
     dom = make_domain_preset(preset, fwhm if preset.startswith("stat") else None)
     inner = dom.interior or dom
     man = VoxelManifold(inner)
     grid1 = refined_grid(man, 1)
     kern = GaussianKernel.isotropic(fwhm, dom.dimension)
-    return (dom, man, kern, grid1, refined_grid(man, 0), grid1._lookup_ids(inner.axis_index * (grid1.r + 1)),
-            _grid_factors(kern, dom, grid1, 1, False))
+    return dom, man, kern, grid1, refined_grid(man, 0), grid1._lookup_ids(inner.axis_index * (grid1.r + 1))
 
 
 def fwer_experiment(
@@ -415,13 +411,20 @@ def fwer_experiment(
     (r=0), on the resolution-1 grid, and over the whole box union (rinf, by
     multistart ascent seeded at the grid peaks).  All three use the same
     realizations and the same per-replication threshold, so the indicator
-    rates are monotone by construction.
+    rates are monotone by construction.  ``rng`` is a master RngSpec or its
+    seed (an integer >= 0).  The replications run in order in the calling
+    thread; ``threads`` (an integer >= 1) changes nothing.
     """
-    if isinstance(rng, int):
-        rng = RngSpec(rng)
     for name, value, least in (("n_subjects", n_subjects, 2), ("n_reps", n_reps, 1), ("starts", starts, 1),
                                ("threads", threads, 1), ("r_lkc", r_lkc, 1)):
         _check_count(name, value, least)
+    if r_lkc % 2 == 0:
+        raise ValueError(f"r_lkc must be odd, got {r_lkc}")
+    if not isinstance(rng, RngSpec):
+        _check_count("rng", rng, 0)
+        rng = RngSpec(rng)
+    if rng.stream != 0:
+        raise ValueError(f"rng must be a master (stream 0) spec, got stream {rng.stream}")
     if isinstance(alpha, bool) or not (isinstance(alpha, (int, float, np.integer, np.floating)) and 0 < alpha < 1):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if preset not in PRESET_NAMES:
@@ -429,39 +432,29 @@ def fwer_experiment(
     if isinstance(fwhm, bool) or not (isinstance(fwhm, (int, float, np.integer, np.floating))
                                       and 0 < fwhm < math.inf):
         raise ValueError(f"fwhm must be a positive finite number, got {fwhm!r}")
-    dom, man, kern, grid1, grid0, lattice_ids, factors1 = _run_context(preset, float(fwhm))
+    dom, man, kern, grid1, grid0, lattice_ids = _run_context(preset, float(fwhm))
     grid_lkc = grid1 if r_lkc == 1 else refined_grid(man, r_lkc)  # never cached: r = 9 in 3-D is 100s of MB
-    factors = factors1 if r_lkc == 1 else _grid_factors(kern, dom, grid_lkc, 1, False)
-    # only a one-slab LKC grid contracts its value column as the t grid does, bit for bit
-    shared = grid_lkc is grid1 and len(_slabs(grid1, n_subjects)) == 2
     ftype = FieldType.student_t(n_subjects - 1)
 
-    def one_rep(b: int):
-        """(u_hat, sup0, sup1, sup_inf, n_max0, n_max1), or the DegenerateFieldError."""
+    rows, errors = [], []
+    for b in range(n_reps):
         try:
-            ens = sample_ensemble(dom, n_subjects, rng.substream(b))
-            values = np.empty((n_subjects, grid1.n_points)) if shared else None
-            with _reading(grid_lkc, factors, values):
-                lk = lkc_compute(ens, kern, man, r_lkc, grid=grid_lkc)
+            spec = SurfSpec(sample_ensemble(dom, n_subjects, rng.substream(b)), kern)
+            with _reading(grid1) as kept:  # the LKC's value column, where lkc kept it, is the t grid's
+                lk = lkc_compute(spec.ensemble, kern, man, r_lkc, grid=grid_lkc)
             u_hat = threshold(lk, ftype, alpha)
-            tvals = _t_from_arrays(values)[0] if shared else _t_on_grid(kern, ens, grid1, factors1)
+            tvals = _t_from_arrays(kept[0])[0] if kept else t_field_on_grid(spec, grid1)
             max_ids = _grid_local_maxima(grid1, tvals)
             # the ascent starts from the grid maximum, so sup_inf >= sup1
-            _, sup_inf = _ascend(SurfSpec(ens, kern), man, grid1, tvals, max_ids[:starts])
+            _, sup_inf = _ascend(spec, man, grid1, tvals, max_ids[:starts])
         except DegenerateFieldError as e:
-            return e
-        return (u_hat, float(tvals[lattice_ids].max()), float(tvals.max()), sup_inf,
-                count_local_maxima_above(grid0, tvals[lattice_ids], u_hat),
-                int(np.count_nonzero(tvals[max_ids] > u_hat)))
-
-    if threads == 1:  # in the calling thread: no thread start or handoff, and profilers see it
-        results = list(map(one_rep, range(n_reps)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one_rep, range(n_reps)))
-    rows = [r for r in results if not isinstance(r, DegenerateFieldError)]
+            errors.append(e)
+            continue
+        rows.append((u_hat, float(tvals[lattice_ids].max()), float(tvals.max()), sup_inf,
+                     count_local_maxima_above(grid0, tvals[lattice_ids], u_hat),
+                     int(np.count_nonzero(tvals[max_ids] > u_hat))))
     if not rows:
-        raise DegenerateFieldError(f"all {n_reps} replications degenerated, the first: {results[0]}")
+        raise DegenerateFieldError(f"all {n_reps} replications degenerated, the first: {errors[0]}")
     cols = dict(zip(("u_hat", "sup0", "sup1", "sup_inf", "n_max0", "n_max1"), map(np.array, zip(*rows))))
     modes = {}
     for mode, sup, n_max in (("r0", "sup0", "n_max0"), ("r1", "sup1", "n_max1"), ("rinf", "sup_inf", None)):

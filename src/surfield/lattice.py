@@ -183,6 +183,12 @@ class RngSpec:
     stream: int = 0
 
     def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer as the int it equals
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.stream < 0:
             raise ValueError("stream index must be non-negative")
 

@@ -12,8 +12,8 @@ characteristic, never estimated.
 The integrals stream over slabs of the grid: runs of whole axis-0 rows of
 contiguous grid ids, handed to the engine as a range, which contracts the
 slab's rows along axis 0 once and writes its present keys, with kernel
-factors built once per call or read from a caller that built them once for
-many calls (``_reading``).
+factors built once per call.  A caller may keep the uncentred value column
+of an ensemble whose partition of its grid is one slab (``_reading``).
 Each slab's moment bundle (with the Hessian moments for the face term) gives
 its metric and face-term Christoffel symbols, reduced into the volume, face
 and edge sums through its quadrature-table entries and dropped.  The slabs are
@@ -175,21 +175,19 @@ def _map_slabs(fn, n: int) -> list:
     return out
 
 
-_given = threading.local()  # per thread, ``_reading``'s operands by grid
+_watched = threading.local()  # per thread, the grid of ``_reading``'s block and its list
 
 
 @contextmanager
-def _reading(grid: RefinedGrid, factors: dict, values: np.ndarray | None = None):
-    """In the block, this thread's ``lkc_compute`` calls on ``grid`` read the
-    kernel factor matrices ``factors`` (``surf._grid_factors`` of the order and
-    pairs the call needs) and, where ``values`` (N, P) is given, copy their
-    ensemble's uncentred value column into it: on a one-slab grid, the bits of
-    ``t_field_on_grid``'s."""
-    outer, _given.operands = getattr(_given, "operands", {}), {grid: (factors, values)}
+def _reading(grid: RefinedGrid):
+    """In the block, each ensemble ``lkc_compute`` call of this thread on ``grid`` whose
+    partition is one slab appends, once done, an uncentred copy of its value column (N, P),
+    with the grid engine's bits, to the list yielded.  Nested blocks restore the outer one."""
+    outer, _watched.on = getattr(_watched, "on", None), (grid, [])
     try:
-        yield
+        yield _watched.on[1]
     finally:
-        _given.operands = outer
+        _watched.on = outer
 
 
 def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int, *,
@@ -221,14 +219,15 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
     spacing = manifold.domain.spacing / (r + 1)
     ens = source if isinstance(source, FieldEnsemble) else domain.unit_field
     bounds, faces, edges = _partition(grid, ens.n_fields)
-    factors, values = getattr(_given, "operands", {}).get(grid, (None, None))
-    if factors is None:  # read by every slab
-        factors = _grid_factors(kernel, domain, grid, 2 if hessian else 1, ens is not source)
+    factors = _grid_factors(kernel, domain, grid, 2 if hessian else 1, ens is not source)  # read by every slab
+    watched, values = getattr(_watched, "on", None), None
+    if watched and watched[0] is grid and ens is source and len(bounds) == 2:
+        values = np.empty((ens.n_fields, grid.n_points))
 
     def slab(j: int) -> tuple:  # slab j's volume, boundary, edge and face sums, repaired points
         start, stop = bounds[j], bounds[j + 1]
-        bundle = _moments(source, kernel, domain, hessian, None if values is None else values[:, start:stop],
-                          grid=grid, ids=range(start, stop), factors=factors)
+        bundle = _moments(source, kernel, domain, hessian, values, grid=grid, ids=range(start, stop),
+                          factors=factors)
         lam = _metric_expr(*bundle[:3])
         dets, n_bad = sqrt_det_psd(lam)
         bnd = edge = face = 0.0  # where the grid has no such stratum or no face term
@@ -246,6 +245,8 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
     vol, bnd, edge, face, n_bad = 0.0, np.zeros(D), np.zeros(3), np.zeros(3), 0
     for v, b, e, f, bad in _map_slabs(slab, len(bounds) - 1):
         vol, bnd, edge, face, n_bad = vol + v, bnd + b, edge + e, face + f, n_bad + bad
+    if values is not None:
+        watched[1].append(values)
 
     face_cell = [np.prod(np.delete(spacing, m)) for m in range(D)]
     L = [0.0] * (D + 1)

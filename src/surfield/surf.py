@@ -14,7 +14,7 @@ into ``out`` if given.  For untruncated kernels both read the subjects-last
 (subsets of) the tensor-product grids that the curvature and simulation
 pipelines evaluate on, ``_grid_sums`` contracts it with one kernel-factor
 matrix per axis (``_grid_factors``, which a caller may build once for many
-slabs and ensembles): the axis-0 rows it needs for every axis-0 factor in one
+slabs): the axis-0 rows it needs for every axis-0 factor in one
 row-major GEMM, then, for a range of whole rows, each run of rows with one key
 pattern over its rectangles of present keys (``RefinedGrid.rows``), one GEMM
 per further axis, writing the contiguous (N, Q) columns; other ids are taken
@@ -670,10 +670,4 @@ def smooth_on_grid(
 
 def t_field_on_grid(spec: SurfSpec, grid: RefinedGrid) -> np.ndarray:
     """t statistic at every grid point, (P,)."""
-    return _t_on_grid(spec.kernel, spec.ensemble, grid)
-
-
-def _t_on_grid(kernel: GaussianKernel, ens: FieldEnsemble, grid: RefinedGrid, factors=None) -> np.ndarray:
-    """t statistic of the ensemble at every grid point, (P,), reading the kernel factor
-    matrices ``factors`` (``_grid_factors`` of any order) where given."""
-    return _t_from_arrays(_sums(kernel, ens, 0, grid=grid, factors=factors)(_unit(kernel.dimension)))[0]
+    return _t_from_arrays(_sums(spec.kernel, spec.ensemble, 0, grid=grid)(_unit(spec.kernel.dimension)))[0]

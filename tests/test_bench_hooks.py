@@ -56,9 +56,10 @@ def test_tracer_nests_replication_spans_under_the_harness(monkeypatch):
 
 
 def test_tracer_nests_worker_thread_spans_under_the_harness(monkeypatch):
-    # at threads=2 the replications run in an executor's worker threads, outside
-    # the thread that entered fwer_experiment: their spans nest under its span
-    # only through the tracer's one stack shared by all threads
+    # threads=2 runs the replications in the thread that entered fwer_experiment
+    # as well, so their spans nest under its span as at threads=1; were they run
+    # on other threads, only the tracer's one stack shared by all threads would
+    # nest them
     spans = _replication_span_ancestors(monkeypatch, threads=2)
     assert sorted(n for n, _ in spans) == ["inference.threshold"] * 2 + ["lkc.lkc_compute"] * 2
     assert all("inference.fwer_experiment" in above for _, above in spans)

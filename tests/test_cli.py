@@ -291,10 +291,30 @@ def test_threshold_rejects_non_finite_input(tmp_path, capsys, lkcs, df, message)
 ] + [
     (["lkc", "--preset", "stat2d", "--fwhm", "3", "--r", r, *source], "config error: --r must be odd and positive")
     for r in ("2", "0", "-1") for source in ([], ["--source", "ensemble", "--n-subjects", "5"])
+] + [
+    (["lkc", "--preset", "stat2d", "--fwhm", "3", "--source", "ensemble", *extra], message)
+    for extra, message in ((["--seed", "-1"], "config error: --seed must be >= 0, got -1"),
+                           (["--n-subjects", "1"], "config error: --n-subjects must be >= 2, got 1"))
+] + [
+    (["fwer-sim", "--config", fields, *extra], f"config error: config {{cfg}}: {message}")
+    for fields, extra, message in (
+        ({"seed": -1}, [], "seed must be >= 0, got -1"),
+        ({}, ["--seed", "-2"], "seed must be >= 0, got -2"),
+        ({"n_subjects": 1}, [], "n_subjects must be >= 2, got 1"),
+        ({"n_reps": 0}, [], "n_reps must be >= 1, got 0"),
+        ({"r_lkc": 0}, [], "r_lkc must be >= 1, got 0"),
+        ({"r_lkc": -3}, [], "r_lkc must be >= 1, got -3"),
+        ({"r_lkc": 2}, [], "r_lkc must be odd, got 2"),
+    )
 ])
 @pytest.mark.parametrize("dry_run", [False, True])
 def test_cli_refuses_bad_settings_at_plan_time(tmp_path, capsys, argv, message, dry_run):
-    # a config error, as a dry run shows it: nothing written
+    # a config error, as a dry run shows it: nothing written; a dict in argv is
+    # the fields a small fwer-sim config file changes
+    cfg = tmp_path / "cfg.json"
+    for fields in (a for a in argv if isinstance(a, dict)):
+        cfg.write_text(json.dumps({"preset": "nonstat1d", "fwhm": 2.0, "n_subjects": 5, "n_reps": 2} | fields))
+    argv, message = [str(cfg) if isinstance(a, dict) else a for a in argv], message.format(cfg=cfg)
     rc = main([*argv, "--out", str(tmp_path / "o"), *(["--dry-run"] if dry_run else [])])
     assert rc == 2
     captured = capsys.readouterr()

@@ -493,26 +493,6 @@ def test_fwer_deterministic_across_thread_counts():
         fwer_experiment("nonstat1d", 2.0, 15, 12, 0.1, rng=9, threads=0)
 
 
-def test_fwer_stat3d_slab_threads_inside_replication_threads(monkeypatch):
-    # stat3d's r = 1 LKC grid has three 8-subject slabs, so at threads=2 each replication
-    # thread's lkc_compute shares its slabs with a helper thread, under the
-    # process-wide BLAS switch entered by two replications at once, and each
-    # slab thread holds a workspace of the pool; threads=2 runs first, from an empty pool
-    from surfield import surf as surf_module
-    from surfield.surf import _openblas
-
-    before = _openblas()[1]() if _openblas() else None
-    monkeypatch.setattr(surf_module, "_pool", [])
-    two = fwer_experiment("stat3d", 3.0, 8, 2, rng=4, threads=2, keep_details=True)
-    one = fwer_experiment("stat3d", 3.0, 8, 2, rng=4, threads=1, keep_details=True)
-    assert one.details.keys() == two.details.keys()
-    for key in one.details:
-        assert np.array_equal(one.details[key], two.details[key])
-    assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(two.to_dict(), sort_keys=True)
-    assert (_openblas()[1]() if _openblas() else None) == before
-    assert surf_module._pool and getattr(surf_module._bound, "ws", None) is None
-
-
 def test_fwer_all_degenerate_replications_raise(tmp_path, capsys):
     # at FWHM 1e-4 the smoothed fields vanish off the voxels: every
     # replication's sample variance is zero somewhere
@@ -541,7 +521,7 @@ def test_fwer_threads1_runs_replications_in_the_calling_thread(monkeypatch):
     one = fwer_experiment("nonstat1d", 2.0, 10, 3, 0.1, rng=9, threads=1, keep_details=True)
     assert seen == [threading.get_ident()] * 3
     two = fwer_experiment("nonstat1d", 2.0, 10, 3, 0.1, rng=9, threads=2, keep_details=True)
-    assert len(seen) == 6
+    assert seen == [threading.get_ident()] * 6  # at threads=2 too
     assert one.details.keys() == two.details.keys()
     for key in one.details:
         assert np.array_equal(one.details[key], two.details[key])
@@ -570,6 +550,14 @@ def test_fwer_threads1_runs_replications_in_the_calling_thread(monkeypatch):
     ({"r_lkc": 0}, ValueError, "r_lkc must be >= 1, got 0"),
     ({"r_lkc": 1.0}, TypeError, "r_lkc must be an integer, got 1.0"),
     ({"r_lkc": True}, TypeError, "r_lkc must be an integer, got True"),
+    ({"r_lkc": 2}, ValueError, "r_lkc must be odd, got 2"),
+    ({"r_lkc": np.int64(4)}, ValueError, "r_lkc must be odd, got 4"),
+    ({"rng": True}, TypeError, "rng must be an integer, got True"),
+    ({"rng": "7"}, TypeError, "rng must be an integer, got '7'"),
+    ({"rng": 7.0}, TypeError, "rng must be an integer, got 7.0"),
+    ({"rng": -1}, ValueError, "rng must be >= 0, got -1"),
+    ({"rng": np.int64(-1)}, ValueError, "rng must be >= 0, got -1"),
+    ({"rng": RngSpec(7, 1)}, ValueError, "rng must be a master (stream 0) spec, got stream 1"),
 ])
 def test_fwer_rejects_bad_arguments_before_any_work(monkeypatch, kwargs, error, message):
     from surfield import inference
@@ -582,6 +570,16 @@ def test_fwer_rejects_bad_arguments_before_any_work(monkeypatch, kwargs, error, 
     args = {"preset": "stat2d", "fwhm": 3.0, "n_subjects": 10, "n_reps": 2} | kwargs
     with pytest.raises(error, match=re.escape(message)):
         fwer_experiment(**args)
+
+
+def test_fwer_numpy_integer_seed_matches_its_int():
+    runs = [fwer_experiment("nonstat1d", 2.0, 10, 3, 0.1, rng=rng, keep_details=True)
+            for rng in (7, np.int64(7), RngSpec(7), RngSpec(np.int64(7)))]
+    for rep in runs[1:]:
+        assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(runs[0].to_dict(), sort_keys=True)
+        assert rep.details.keys() == runs[0].details.keys()
+        for key in rep.details:
+            assert np.array_equal(rep.details[key], runs[0].details[key]), key
 
 
 def test_maximizer_rejects_non_integral_starts_before_evaluating():
@@ -667,15 +665,15 @@ def test_replication_details_match_the_public_steps(monkeypatch, fwhm, n_subject
     assert (len(lkc._slabs(grid1, n_subjects)) == 2) == (n_subjects < 120)
     contracted = []
 
-    def spy(*args, real=inference._t_on_grid):
-        contracted.append(args[2])
-        return real(*args)
+    def spy(spec, grid, real=inference.t_field_on_grid):
+        contracted.append(grid)
+        return real(spec, grid)
 
-    monkeypatch.setattr(inference, "_t_on_grid", spy)
+    monkeypatch.setattr(inference, "t_field_on_grid", spy)
     n_reps = 3
     details = fwer_experiment("stat2d", fwhm, n_subjects, n_reps, r_lkc=r_lkc, rng=RngSpec(29),
                               keep_details=True).details
-    assert len(contracted) == (0 if shared else n_reps)
+    assert len(contracted) == (0 if shared else n_reps) and all(g.r == 1 for g in contracted)
     want = _reference_details(fwhm, n_subjects, n_reps, r_lkc, 29)
     assert details.keys() == want.keys()
     for key in want:

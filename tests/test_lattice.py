@@ -123,6 +123,27 @@ def test_ensemble_determinism_and_streams():
     assert a.values.tobytes() != c.values.tobytes()
 
 
+@pytest.mark.parametrize("args, error, message", [
+    ((True,), TypeError, "seed must be an integer, got True"),
+    ((7.0,), TypeError, "seed must be an integer, got 7.0"),
+    (("7",), TypeError, "seed must be an integer, got '7'"),
+    ((7, False), TypeError, "stream must be an integer, got False"),
+    ((7, 1.5), TypeError, "stream must be an integer, got 1.5"),
+    ((-1,), ValueError, "seed must be non-negative, got -1"),
+    ((7, -1), ValueError, "stream index must be non-negative"),
+])
+def test_rng_spec_refuses_bad_seeds_and_streams(args, error, message):
+    with pytest.raises(error, match=message):
+        RngSpec(*args)
+
+
+def test_rng_spec_takes_numpy_integers():
+    dom = make_domain_preset("nonstat1d")
+    spec = RngSpec(np.int64(42), np.int32(3))
+    assert type(spec.seed) is int and type(spec.stream) is int and spec == RngSpec(42, 3)
+    assert np.array_equal(sample_ensemble(dom, 3, spec).values, sample_ensemble(dom, 3, RngSpec(42, 3)).values)
+
+
 def test_ensemble_moments():
     # 100 voxels x 10000 fields: pooled mean within 4/sqrt(1e6), variance within 1%
     dom = VoxelSet(np.arange(100.0)[:, None])

@@ -22,7 +22,7 @@ from surfield.lattice import RngSpec, VoxelSet, make_domain_preset, sample_ensem
 from surfield import lkc as lkc_module
 from surfield.lkc import LkcVector, lkc_compute, lkc_stationary_closed_form
 from surfield.manifold import RefinedGrid, VoxelManifold, euler_characteristic, refined_grid
-from surfield.surf import SurfSpec, t_field_on_grid
+from surfield.surf import SurfSpec, smooth_on_grid, t_field_on_grid
 
 LOG2 = math.log(2.0)
 
@@ -701,6 +701,74 @@ def test_slab_threads_without_the_blas_switch_run_serially(monkeypatch, slab_spy
     assert n_slabs >= 2 and len(slab_spy.seen) == n_slabs
     assert {t for _, t, _ in slab_spy.seen} == {threading.get_ident()}
     assert np.array(threaded.values).tobytes() == np.array(serial.values).tobytes()
+
+
+def test_concurrent_lkc_calls_share_the_blas_switch_and_the_workspace_pool(monkeypatch):
+    # two user threads each run the 8-subject stat3d LKC (three slabs, shared with a
+    # helper thread), both inside the process-wide BLAS switch at once, each slab
+    # thread in a workspace of the pool, from an empty pool
+    import threading
+    from contextlib import contextmanager
+
+    from surfield import surf as surf_module
+
+    dom = make_domain_preset("stat3d", 3.0)
+    man, k = VoxelManifold(dom.interior), GaussianKernel.isotropic(3.0, 3)
+    grid = refined_grid(man, 1)
+    assert len(lkc_module._slabs(grid, 8)) == 4
+    ensembles = [sample_ensemble(dom, 8, RngSpec(4, b)) for b in range(2)]
+    serial = [lkc_compute(ens, k, man, 1, grid=grid).values for ens in ensembles]
+    two_cores = len(os.sched_getaffinity(0)) > 1
+    before, inside, users, real = _blas_count(), threading.Barrier(2, timeout=60), [], lkc_module._one_blas_thread
+
+    @contextmanager
+    def both_inside():  # each call holds the switch until the other has entered it
+        with real() as switched:
+            inside.wait()
+            users.append(surf_module._blas_users)
+            yield switched
+
+    monkeypatch.setattr(lkc_module, "_one_blas_thread", both_inside)
+    monkeypatch.setattr(surf_module, "_pool", [])
+    out = [None, None]
+
+    def run(b):
+        out[b] = lkc_compute(ensembles[b], k, man, 1, grid=grid).values
+
+    callers = [threading.Thread(target=run, args=(b,)) for b in range(2)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join()
+    assert out == serial
+    assert users == ([2, 2] if two_cores else [])
+    assert _blas_count() == before
+    assert surf_module._pool and getattr(surf_module._bound, "ws", None) is None
+
+
+def test_reading_keeps_the_value_column_of_one_slab_ensemble_calls():
+    # only an ensemble call on the watched grid whose partition is one slab keeps
+    # its uncentred value column, the grid engine's bits; keeping it moves no LKC bit
+    dom = make_domain_preset("stat2d", 3.0)
+    man, k = VoxelManifold(dom.interior), GaussianKernel.isotropic(3.0, 2)
+    grid, other = refined_grid(man, 1), refined_grid(man, 1)
+    ens, two_slab = sample_ensemble(dom, 50, RngSpec(5)), sample_ensemble(dom, 120, RngSpec(5))
+    assert len(lkc_module._slabs(grid, 50)) == 2 and len(lkc_module._slabs(grid, 120)) == 3
+    alone = lkc_compute(ens, k, man, 1, grid=grid)
+    with lkc_module._reading(grid) as kept:
+        within = lkc_compute(ens, k, man, 1, grid=grid)
+        assert len(kept) == 1 and kept[0].shape == (50, grid.n_points)
+        assert kept[0].tobytes() == smooth_on_grid(ens, k, grid)["value"].tobytes()
+        with lkc_module._reading(other) as inner:
+            lkc_compute(ens, k, man, 1, grid=grid)
+            lkc_compute(ens, k, man, 1, grid=other)
+        assert len(inner) == 1 and inner[0].tobytes() == kept[0].tobytes()
+        lkc_compute(two_slab, k, man, 1, grid=grid)
+        lkc_compute(ens, k, man, 1, grid=other)
+        lkc_compute("white-noise", k, man, 1, sample_domain=dom, grid=grid)
+        assert len(kept) == 1  # the nested block restored this one
+    assert getattr(lkc_module._watched, "on", None) is None
+    assert np.array(within.values).tobytes() == np.array(alone.values).tobytes()
 
 
 def test_one_blas_thread_switch_nests_and_restores_on_errors():
