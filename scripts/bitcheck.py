@@ -14,10 +14,10 @@ slabs) and a stat2d run at ``r_lkc = 3`` (``fwer_stat2d_r3_*``: its LKC grid
 is not the scan grid, so its t grid is contracted on its own), each at 1 and
 2 threads, every CLI subcommand's artifacts, stdout, stderr and exit code
 (``cli_runs``; ``fwer-sim`` at 1 and 3 threads, failing runs included),
-white-noise and ensemble LKCs with the face term off and on, 50-subject
-ensemble LKCs at r = 1 (the nonstat3d shell with the face term off and on, the
-stat3d and stat2d boxes), whose slabs are bounded by their subject x point
-entries, the white-noise LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d box
+white-noise and ensemble LKCs (keys ``lkc_*_face0_*``, named as when an
+optional face term was dumped beside them), 50-subject ensemble LKCs at r = 1
+(the nonstat3d shell, the stat3d and stat2d boxes), whose slabs are bounded by
+their subject x point entries, the white-noise LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d box
 at r = 7, FWHM 1, 1.5, ..., 4, each over its padded domain), the slab bounds
 (``lkc._slabs``, keys ``slabs_*``) of the LKC grids of criterion 4, of the
 50-subject and the stat3d FWER LKCs and of the r = 7 box, so that a change
@@ -119,7 +119,7 @@ def cli_runs(tmp: Path) -> dict[str, np.ndarray]:
 
 
 def dump(path: str) -> None:
-    from surfield.geometry import christoffel, christoffel_on_grid, metric, metric_on_grid
+    from surfield.geometry import metric, metric_on_grid
     from surfield.inference import FieldType, fwer_experiment, threshold
     from surfield.kernel import GaussianKernel
     from surfield.lattice import RngSpec, make_domain_preset, sample_ensemble
@@ -163,26 +163,22 @@ def dump(path: str) -> None:
         kern = GaussianKernel.isotropic(fwhm, dom.dimension)
         grid = refined_grid(man, r)
         ens = sample_ensemble(dom, n, RngSpec(11))
-        for face in (False, True):
-            wn = lkc_compute("white-noise", kern, man, r, sample_domain=dom, grid=grid, include_face_term=face)
-            est = lkc_compute(ens, kern, man, r, grid=grid, include_face_term=face)
-            out[f"lkc_{preset}_face{int(face)}_wn"] = np.array(wn.values)
-            out[f"lkc_{preset}_face{int(face)}_ens"] = np.array(est.values)
+        out[f"lkc_{preset}_face0_wn"] = np.array(lkc_compute("white-noise", kern, man, r, sample_domain=dom,
+                                                              grid=grid).values)
+        out[f"lkc_{preset}_face0_ens"] = np.array(lkc_compute(ens, kern, man, r, grid=grid).values)
         del grid
 
     # 50-subject ensemble LKCs at r = 1 whose slabs are bounded by their entries:
     # the nonstat3d shell of the benchmark's CLI workload, the stat3d and stat2d boxes;
     # ``again`` keeps the calls the warm sequence below repeats
     again = {}
-    for preset, faces in (("nonstat3d", (False, True)), ("stat3d", (False,)), ("stat2d", (False,))):
+    for preset in ("nonstat3d", "stat3d", "stat2d"):
         dom = make_domain_preset(preset, None if preset == "nonstat3d" else 3.0)
         man, kern = VoxelManifold(dom.interior or dom), GaussianKernel.isotropic(3.0, dom.dimension)
         ens = sample_ensemble(dom, 50, RngSpec(12))
         grid = refined_grid(man, 1)
         out[f"slabs_{preset}_r1_n50"] = _slabs(grid, 50)
-        for face in faces:
-            est = lkc_compute(ens, kern, man, 1, grid=grid, include_face_term=face)
-            out[f"lkc_{preset}_n50_r1_face{int(face)}_ens"] = np.array(est.values)
+        out[f"lkc_{preset}_n50_r1_face0_ens"] = np.array(lkc_compute(ens, kern, man, 1, grid=grid).values)
         again[f"lkc_{preset}_n50_r1_face0_ens"] = (ens, kern, man, 1, {"grid": grid})
 
     man = VoxelManifold(make_domain_preset("stat3d", 1.0).interior)
@@ -215,7 +211,6 @@ def dump(path: str) -> None:
         for source in ("white-noise", ens):
             s = "wn" if isinstance(source, str) else "ens"
             out[f"metric_{tag}_{s}"] = metric(source, kern, dom, pts)
-            out[f"christoffel_{tag}_{s}"] = christoffel(source, kern, dom, pts)
         if trunc is None:
             grid = refined_grid(VoxelManifold(dom), 1)
             for key, arr in smooth_on_grid(ens, kern, grid, derivatives=2).items():
@@ -225,7 +220,6 @@ def dump(path: str) -> None:
             for source in ("white-noise", ens):
                 s = "wn" if isinstance(source, str) else "ens"
                 out[f"grid_{tag}_metric_{s}"] = metric_on_grid(source, kern, grid, dom, ids)
-                out[f"grid_{tag}_christoffel_{s}"] = christoffel_on_grid(source, kern, grid, dom, ids)
     # the same LKCs back to back, in slab workspaces that every call above has grown
     for key, (source, kern, man, r, kwargs) in again.items():
         out[f"warm_{key}"] = np.array(lkc_compute(source, kern, man, r, **kwargs).values)

@@ -27,7 +27,6 @@ from .manifold import (
     refined_grid,
 )
 from .geometry import (
-    christoffel,
     metric,
     orthonormal_frame,
     theta_angle,
@@ -65,7 +64,6 @@ __all__ = [
     "classify_boundary",
     "euler_characteristic",
     "metric",
-    "christoffel",
     "orthonormal_frame",
     "theta_angle",
     "FieldType",

@@ -10,9 +10,10 @@ text keyed by file name, its exit code and a report printer.  ``main`` alone
 acts on ``--dry-run`` (print the plan) and ``--out``: it creates the
 directory only once ``run()`` has succeeded, writes the artifacts and a
 ``manifest.json`` embedding the plan and the package version, then prints the
-report.  Settings that change no output, such as ``fwer-sim``'s thread count,
-are left out of the plan, so identical configurations give byte-identical
-files.
+report.  Settings that change no output, such as ``fwer-sim``'s thread count
+or an ``lkc`` setting its source does not read, are left out of the plan, so
+identical configurations give byte-identical files.  A bad kernel setting is a
+config error at plan time, as every other bad setting is.
 """
 from __future__ import annotations
 
@@ -91,10 +92,13 @@ def _load_domain(args) -> tuple[VoxelSet, str, FieldEnsemble | None]:
 
 
 def _kernel_for(args, D: int) -> GaussianKernel:
-    fwhm = args.fwhm
-    if fwhm is None:
+    """The kernel of --fwhm and --truncation, its settings refused as a config error."""
+    if args.fwhm is None:
         raise ConfigError("--fwhm is required")
-    return GaussianKernel.isotropic(float(fwhm), D, getattr(args, "truncation", None))
+    try:
+        return GaussianKernel.isotropic(float(args.fwhm), D, getattr(args, "truncation", None))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +114,15 @@ def _cmd_lkc(args):
     kern = _kernel_for(args, D)
     if args.source != "closed-form" and (args.r < 1 or args.r % 2 == 0):
         raise ConfigError(f"--r must be odd and positive, got {args.r}")
+    plan = {"domain": dom_label, "fwhm": args.fwhm, "source": args.source, "format": args.format}
+    if args.source != "closed-form":
+        plan.update(truncation=args.truncation, r=args.r)
     if args.source == "ensemble" and ens is None:  # sampled from the preset
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.n_subjects < 2:
             raise ConfigError(f"--n-subjects must be >= 2, got {args.n_subjects}")
-    plan = {
-        "domain": dom_label, "fwhm": args.fwhm, "truncation": args.truncation, "r": args.r,
-        "source": args.source, "n_subjects": args.n_subjects, "seed": args.seed,
-        "format": args.format,
-    }
+        plan.update(n_subjects=args.n_subjects, seed=args.seed)
 
     def run():
         if args.source == "white-noise":
@@ -279,13 +282,13 @@ def _cmd_check_nondegeneracy(args):
 
 
 def _cmd_surf_eval(args):
+    ens = read_srf1(args.fields)
+    D = ens.domain.dimension
+    spec = SurfSpec(ens, _kernel_for(args, D), normalized=args.normalized)
     plan = {"fields": str(args.fields), "points": str(args.points), "order": args.order,
             "fwhm": args.fwhm, "truncation": args.truncation, "normalized": args.normalized}
 
     def run():
-        ens = read_srf1(args.fields)
-        D = ens.domain.dimension
-        spec = SurfSpec(ens, _kernel_for(args, D), normalized=args.normalized)
         pts = []
         with open(args.points, newline="") as fh:
             reader = csv.reader(fh)

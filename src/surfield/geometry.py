@@ -1,10 +1,11 @@
 """Riemannian geometry induced by normalized smoothed fields.
 
 The unit-variance smoothed field induces a metric whose entries are rational
-expressions in a handful of inner products among the field, its gradient and
-its Hessian.  One builder (``surf._bundle``) fills that bundle (S, Sd,
-Sdd[, T2, U2]) entry by entry from ``moment(a, b)``, the inner product of the
-derivatives of per-axis orders ``a`` and ``b``.  Two providers supply it:
+expressions in a handful of inner products among the field and its gradient.
+One builder (``surf._bundle``) fills that bundle (S, Sd, Sdd[, U2]) entry by
+entry from ``moment(a, b)``, the inner product of the derivatives of per-axis
+orders ``a`` and ``b``; the metric reads (S, Sd, Sdd), and only normalized
+Hessians (``surf_eval``) read U2.  Two providers supply it:
 
 * white noise, where independence across voxels collapses the double sums
   to single sums of kernel-derivative products (deterministic, the
@@ -15,16 +16,16 @@ derivatives of per-axis orders ``a`` and ``b``.  Two providers supply it:
 
 Both read the sums ``s(a, b=None)`` of the engine ``surf._sums`` chooses;
 the white-noise bundle is ``surf._white_noise_moments``, which normalizes
-fields.  The curvature integrals read metric and face term from one bundle.
+fields.  The curvature integrals read the metric of one bundle.
 
 The bundle and the metric are stored components first and exposed as
 (..., D, D) views (``surf._components_first``), so every per-entry pass
 streams one contiguous column, not a strided slice of the whole array;
-``metric_on_grid`` and ``christoffel_on_grid`` results are not C-contiguous.
+``metric_on_grid`` results are not C-contiguous.
 Moments are written into their columns and the metric is built in place.
 
-Boundary strata read the metric alone: ``orthonormal_frame`` adapts a frame
-to a face plane, ``theta_batch`` gives a 3-D edge's angle in closed form.
+Boundary strata read the metric alone: ``theta_batch`` gives a 3-D edge's
+angle in closed form; ``orthonormal_frame`` adapts a frame to a face plane.
 """
 from __future__ import annotations
 
@@ -41,9 +42,7 @@ from .surf import (DegenerateFieldError, _bundle, _check_dimensions, _components
 
 __all__ = [
     "metric",
-    "christoffel",
     "metric_on_grid",
-    "christoffel_on_grid",
     "orthonormal_frame",
     "theta_angle",
     "sqrt_det_psd",
@@ -95,24 +94,8 @@ def _metric_expr(S, Sd, Sdd) -> np.ndarray:
     return lam
 
 
-def _christoffel_expr(S, Sd, Sdd, T2, U2) -> np.ndarray:
-    iS = 1.0 / S
-    g = (
-        T2 * iS[..., None, None, None]
-        - U2[..., :, :, None] * Sd[..., None, None, :] * (iS**2)[..., None, None, None]
-        - Sd[..., :, None, None] * Sdd[..., None, :, :] * (iS**2)[..., None, None, None]
-        - Sd[..., None, :, None] * Sdd[..., :, None, :] * (iS**2)[..., None, None, None]
-        + 2.0
-        * Sd[..., :, None, None]
-        * Sd[..., None, :, None]
-        * Sd[..., None, None, :]
-        * (iS**3)[..., None, None, None]
-    )
-    return g
-
-
-def _moments(source, kernel, domain, hessian, values=None, **at):
-    """(S, Sd, Sdd[, T2, U2]) of ``source`` at ``points``, or at the grid
+def _moments(source, kernel, domain, values=None, **at):
+    """(S, Sd, Sdd) of ``source`` at ``points``, or at the grid
     points ``ids`` (all when None) of ``grid``, passed in ``at``.
 
     ``source`` is "white-noise" (single sums over ``domain``) or a
@@ -126,8 +109,8 @@ def _moments(source, kernel, domain, hessian, values=None, **at):
         if N < 2:
             raise DegenerateFieldError("sample-based geometry requires at least two fields")
         _check_dimensions(kernel, {"ensemble's domain": source.domain, "grid": at.get("grid")})
-        s = _sums(kernel, source, 2 if hessian else 1, **at)
-        bundle = _bundle(_sample_moment(s, N, values), kernel.dimension, hessian)
+        s = _sums(kernel, source, 1, **at)
+        bundle = _bundle(_sample_moment(s, N, values), kernel.dimension, False)
         if np.any(bundle[0] <= 0):
             raise DegenerateFieldError("zero sample variance at an evaluation point")
         return bundle
@@ -136,11 +119,11 @@ def _moments(source, kernel, domain, hessian, values=None, **at):
     if domain is None:
         raise ValueError("white-noise geometry requires a voxel domain")
     _check_dimensions(kernel, {"voxel domain": domain, "grid": at.get("grid")})
-    return _white_noise_moments(kernel, domain, hessian, **at)
+    return _white_noise_moments(kernel, domain, False, **at)
 
 
 # ---------------------------------------------------------------------------
-# Public metric / Christoffel operations
+# Public metric operations
 # ---------------------------------------------------------------------------
 
 
@@ -153,30 +136,15 @@ def metric(source, kernel: GaussianKernel, domain: VoxelSet | None, x) -> np.nda
     Returns (D, D) for a single point or (P, D, D) for a batch.
     """
     x = np.asarray(x, dtype=np.float64)
-    lam = _metric_expr(*_moments(source, kernel, domain, False, points=np.atleast_2d(x)))
+    lam = _metric_expr(*_moments(source, kernel, domain, points=np.atleast_2d(x)))
     return lam[0] if x.ndim == 1 else lam
-
-
-def christoffel(source, kernel: GaussianKernel, domain: VoxelSet | None, x) -> np.ndarray:
-    """First-kind Christoffel symbols at point(s) x, shape (..., D, D, D)."""
-    x = np.asarray(x, dtype=np.float64)
-    g = _christoffel_expr(*_moments(source, kernel, domain, True, points=np.atleast_2d(x)))
-    return g[0] if x.ndim == 1 else g
 
 
 def metric_on_grid(source, kernel: GaussianKernel, grid: RefinedGrid, sample_domain: VoxelSet | None = None,
                    point_ids: np.ndarray | None = None) -> np.ndarray:
     """Metric at all grid points (or a subset), (Q, D, D)."""
     domain = sample_domain or grid.manifold.domain
-    return _metric_expr(*_moments(source, kernel, domain, False, grid=grid, ids=point_ids))
-
-
-def christoffel_on_grid(source, kernel: GaussianKernel, grid: RefinedGrid,
-                        sample_domain: VoxelSet | None = None,
-                        point_ids: np.ndarray | None = None) -> np.ndarray:
-    """Christoffel symbols at all grid points (or a subset), (Q, D, D, D)."""
-    domain = sample_domain or grid.manifold.domain
-    return _christoffel_expr(*_moments(source, kernel, domain, True, grid=grid, ids=point_ids))
+    return _metric_expr(*_moments(source, kernel, domain, grid=grid, ids=point_ids))
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,20 @@ normal-cone angle weighted by metric edge length.  All integrals are
 tensor-product trapezoid sums over the refined grid, which are exact for
 constant integrands and converge to the integrals as the added resolution
 grows.  The zeroth curvature is always the combinatorial Euler
-characteristic, never estimated.
+characteristic, never estimated.  On the ragged nonstat3d shell the locally
+stationary L_1 is about twice the one a fit of simulated excursion-set Euler
+characteristics gives (``scripts/ec_oracle.py``), while L_2 and L_3 agree.
 
 The integrals stream over slabs of the grid: runs of whole axis-0 rows of
 contiguous grid ids, handed to the engine as a range, which contracts the
 slab's rows along axis 0 once and writes its present keys, with kernel
 factors built once per call.  A caller may keep the uncentred value column
 of an ensemble whose partition of its grid is one slab (``_reading``).
-Each slab's moment bundle (with the Hessian moments for the face term) gives
-its metric and face-term Christoffel symbols, reduced into the volume, face
-and edge sums through its quadrature-table entries and dropped.  The slabs are
-the one partition of the grid: they fix the summation order, and their
-bound of ``_SLAB_POINTS`` points and of ``_SLAB_ENTRIES`` subject x point
-entries (one moment column of an ensemble) fixes the memory and cache
+Each slab's moment bundle (S, Sd, Sdd) gives its metric, reduced into the
+volume, face and edge sums through its quadrature-table entries and dropped.
+The slabs are the one partition of the grid: they fix the summation order,
+and their bound of ``_SLAB_POINTS`` points and of ``_SLAB_ENTRIES`` subject x
+point entries (one moment column of an ensemble) fixes the memory and cache
 footprint.  The calling thread and one helper, each in a workspace
 (``surf._workspace``, 9.7 MB for the 50-subject shell), take the slabs from one
 iterator, numpy's OpenBLAS at one thread meanwhile (``surf._one_blas_thread``,
@@ -35,15 +36,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import (
-    _christoffel_expr,
-    _metric_expr,
-    _moments,
-    orthonormal_frame,
-    sqrt_det_psd,
-    sqrt_det_sub,
-    theta_batch,
-)
+from .geometry import _metric_expr, _moments, sqrt_det_psd, sqrt_det_sub, theta_batch
 from .kernel import GaussianKernel
 from .lattice import FieldEnsemble, VoxelSet
 from .manifold import RefinedGrid, VoxelManifold, _added_resolution, euler_characteristic, refined_grid
@@ -121,29 +114,6 @@ def _edge_sum(edges: list[dict], lam: np.ndarray) -> tuple[list[float], int]:
     return sums, n_bad
 
 
-def _face_correction(faces: list[dict], lam: np.ndarray, bundle: tuple) -> list[float]:
-    """Per face axis m, the slab's quadrature sum of the optional 3-D face
-    integrand: the shape-operator trace against metric area (vanishes for
-    constant metrics), from the slab's metric and moment bundle (S, Sd, Sdd,
-    T2, U2) at the table's ids."""
-    sums = []
-    for m, table in enumerate(faces):
-        ids = table["ids"]
-        k, l = tuple(d for d in range(3) if d != m)
-        gam = _christoffel_expr(*(b[ids] for b in bundle))
-        lam_pts = lam[ids]
-        U, V, N = orthonormal_frame(lam_pts, (k, l))
-        N = N * table["outward"][:, None]
-        integrand = (
-            (U[:, k] ** 2 + V[:, k] ** 2) * np.einsum("pd,pd->p", N, gam[:, k, k, :])
-            + V[:, l] ** 2 * np.einsum("pd,pd->p", N, gam[:, l, l, :])
-            + 2.0 * V[:, k] * V[:, l] * np.einsum("pd,pd->p", N, gam[:, k, l, :])
-        )
-        area, _ = sqrt_det_sub(lam_pts, (k, l))
-        sums.append(float(np.sum(table["weights"] * integrand * area)))
-    return sums
-
-
 def _map_slabs(fn, n: int) -> list:
     """[fn(0), .., fn(n - 1)], the indices taken from one iterator by the
     calling thread and, where ``_SLAB_THREADS``, the cores and
@@ -191,8 +161,7 @@ def _reading(grid: RefinedGrid):
 
 
 def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int, *,
-                sample_domain: VoxelSet | None = None, grid: RefinedGrid | None = None,
-                include_face_term: bool = False) -> LkcVector:
+                sample_domain: VoxelSet | None = None, grid: RefinedGrid | None = None) -> LkcVector:
     """Curvatures from the induced metric on the refined grid.
 
     ``source`` is "white-noise" (deterministic theory values for independent
@@ -215,36 +184,32 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
         raise ValueError("provided grid does not match manifold/r")
     D = manifold.dimension
     domain = sample_domain or manifold.domain
-    hessian = include_face_term and D == 3
     spacing = manifold.domain.spacing / (r + 1)
     ens = source if isinstance(source, FieldEnsemble) else domain.unit_field
     bounds, faces, edges = _partition(grid, ens.n_fields)
-    factors = _grid_factors(kernel, domain, grid, 2 if hessian else 1, ens is not source)  # read by every slab
+    factors = _grid_factors(kernel, domain, grid, 1, ens is not source)  # read by every slab
     watched, values = getattr(_watched, "on", None), None
     if watched and watched[0] is grid and ens is source and len(bounds) == 2:
         values = np.empty((ens.n_fields, grid.n_points))
 
-    def slab(j: int) -> tuple:  # slab j's volume, boundary, edge and face sums, repaired points
+    def slab(j: int) -> tuple:  # slab j's volume, boundary and edge sums, repaired points
         start, stop = bounds[j], bounds[j + 1]
-        bundle = _moments(source, kernel, domain, hessian, values, grid=grid, ids=range(start, stop),
-                          factors=factors)
-        lam = _metric_expr(*bundle[:3])
+        lam = _metric_expr(*_moments(source, kernel, domain, values, grid=grid, ids=range(start, stop),
+                                     factors=factors))
         dets, n_bad = sqrt_det_psd(lam)
-        bnd = edge = face = 0.0  # where the grid has no such stratum or no face term
+        bnd = edge = 0.0  # where the grid has no such stratum
         if D >= 2:
             bnd, bad = _boundary_sum(faces[j], lam)
             n_bad += bad
         if D == 3:
             edge, bad = _edge_sum(edges[j], lam)
             n_bad += bad
-            if hessian:
-                face = _face_correction(faces[j], lam, bundle)
-        return float(np.sum(grid.vol_weight[start:stop] * dets)), bnd, edge, face, n_bad
+        return float(np.sum(grid.vol_weight[start:stop] * dets)), bnd, edge, n_bad
 
     # per-slab quadrature sums added in slab order, scaled by their cell measures at the end
-    vol, bnd, edge, face, n_bad = 0.0, np.zeros(D), np.zeros(3), np.zeros(3), 0
-    for v, b, e, f, bad in _map_slabs(slab, len(bounds) - 1):
-        vol, bnd, edge, face, n_bad = vol + v, bnd + b, edge + e, face + f, n_bad + bad
+    vol, bnd, edge, n_bad = 0.0, np.zeros(D), np.zeros(3), 0
+    for v, b, e, bad in _map_slabs(slab, len(bounds) - 1):
+        vol, bnd, edge, n_bad = vol + v, bnd + b, edge + e, n_bad + bad
     if values is not None:
         watched[1].append(values)
 
@@ -256,8 +221,6 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
         L[D - 1] = 0.5 * sum(b * c for b, c in zip(bnd, face_cell))
     if D == 3:
         L[1] = sum(e * h for e, h in zip(edge, spacing)) / (2.0 * math.pi)
-        if include_face_term:
-            L[1] += sum(f * c for f, c in zip(face, face_cell)) / (2.0 * math.pi)
     return LkcVector(
         values=tuple(float(v) for v in L),
         r=r,

@@ -179,7 +179,7 @@ class RefinedGrid:
     key_min : (D,) int64 key at the id map's origin
     axis_keys, axis_coords : per axis, the sorted grid keys and their coordinates
     face_tables, edge_tables : boundary quadrature tables (empty at r = 0): per face
-        normal axis m, int32 "ids", "weights" and "outward" sides; in 3D, per
+        normal axis m, int32 "ids" and "weights"; in 3D, per
         edge tangent axis k, "ids", "weights", "types", "refl" and "tangent"
     """
 
@@ -250,8 +250,8 @@ class RefinedGrid:
         A cell on the planes of the axes S holds the points at the plane key
         on each axis of S and at every sub-step of its box on each spanned
         axis; entries run over the cells in ``argwhere`` order, then over the
-        sub-steps with axis 0 slowest.  Faces add their outward side, edges
-        their type and the reflections to the canonical orientation.
+        sub-steps with axis 0 slowest.  Edges add their type and the
+        reflections to the canonical orientation.
         """
         man = self.manifold
         D = self.dimension
@@ -276,8 +276,7 @@ class RefinedGrid:
             }
 
         for m in range(D):
-            cells, outward = _exterior_faces(man, m)
-            self.face_tables[m] = table([m], cells, outward=outward)
+            self.face_tables[m] = table([m], _exterior_faces(man, m))
         for k in range(3 if D == 3 else 0):
             cells, codes = _edge_cells(man, k)
             transverse = [d for d in range(3) if d != k]
@@ -457,13 +456,11 @@ def refined_grid(manifold: VoxelManifold, r: int) -> RefinedGrid:
 # S has 2^|S| incident boxes, and which of them exist decides its stratum.
 
 
-def _exterior_faces(manifold: VoxelManifold, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit faces normal to axis m with exactly one incident box: their cell
-    positions and outward sides (+1 when the box lies below the plane)."""
+def _exterior_faces(manifold: VoxelManifold, m: int) -> np.ndarray:
+    """Cell positions of the unit faces normal to axis m with exactly one
+    incident box."""
     below, above = manifold._cell_patterns((m,))
-    cells = np.argwhere(below ^ above)
-    outward = np.where(below[tuple(cells.T)], 1, -1).astype(np.int8)
-    return cells, outward
+    return np.argwhere(below ^ above)
 
 
 def _edge_cells(manifold: VoxelManifold, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -511,7 +508,7 @@ def classify_boundary(manifold: VoxelManifold) -> StratumCensus:
     per (tangent axis, type), and stratification vertices."""
     D = manifold.dimension
     faces = {
-        tuple(d for d in range(D) if d != m): len(_exterior_faces(manifold, m)[0])
+        tuple(d for d in range(D) if d != m): len(_exterior_faces(manifold, m))
         for m in range(D)
     }
     edges = {}

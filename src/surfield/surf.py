@@ -202,11 +202,11 @@ def _components_first(lead: tuple, *components: int) -> np.ndarray:
 
 
 def _bundle(moment, D: int, hessian: bool):
-    """(S, Sd, Sdd[, T2, U2]) with S = <X, X>, Sd = <X, dX>, Sdd = <dX, dX>,
-    T2 = <ddX, dX> and U2 = <ddX, X> per point, each entry written into its
+    """(S, Sd, Sdd[, U2]) with S = <X, X>, Sd = <X, dX>, Sdd = <dX, dX> and,
+    where ``hessian``, U2 = <ddX, X> per point, each entry written into its
     column by ``moment(a, b, out=None)`` and copied to its mirrors.  The arrays
     are stored components first (``_components_first``) and exposed as
-    (..., D[, D[, D]]) views, so each per-entry pass streams one column."""
+    (..., D[, D]) views, so each per-entry pass streams one column."""
     zero = _unit(D)
     S = moment(zero, zero)
     Sd = _components_first(S.shape, D)
@@ -217,13 +217,10 @@ def _bundle(moment, D: int, hessian: bool):
         Sdd[..., e, d] = moment(_unit(D, d), _unit(D, e), out=Sdd[..., d, e])
     if not hessian:
         return S, Sd, Sdd
-    T2 = _components_first(S.shape, D, D, D)  # <dk dd X, de X>
     U2 = _components_first(S.shape, D, D)  # <dk dd X, X>
     for k, d in combinations_with_replacement(range(D), 2):
         U2[..., d, k] = moment(_unit(D, k, d), zero, out=U2[..., k, d])
-        for e in range(D):
-            T2[..., d, k, e] = moment(_unit(D, k, d), _unit(D, e), out=T2[..., k, d, e])
-    return S, Sd, Sdd, T2, U2
+    return S, Sd, Sdd, U2
 
 
 def _white_noise_moments(kernel: GaussianKernel, domain: VoxelSet, hessian: bool, **at):
@@ -252,8 +249,8 @@ def _eval_arrays(spec: SurfSpec, points: np.ndarray, order: str, field: int | No
     v, g, h = _derivative_arrays(_point_sums(kern, ens, points, n), kern.dimension, n)
     if not spec.normalized:
         return v, g, h
-    S, Sd, Sdd, *hess_moments = _white_noise_moments(kern, ens.domain, n == 2, points=points)
-    return _quotient(1, v, g, h, S, Sd, hess_moments[1] + Sdd if hess_moments else None, 1)
+    S, Sd, Sdd, *U2 = _white_noise_moments(kern, ens.domain, n == 2, points=points)
+    return _quotient(1, v, g, h, S, Sd, U2[0] + Sdd if U2 else None, 1)
 
 
 def surf_eval(

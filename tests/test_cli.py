@@ -250,9 +250,10 @@ def test_threshold_t_family_requires_df(tmp_path, capsys):
     (["--fwhm", "3", "--truncation", "nan"], "error: truncation radius must be positive and finite"),
 ])
 def test_lkc_rejects_non_finite_kernel(tmp_path, capsys, extra, message):
+    # the kernel's own message, as a config error
     rc = main(["lkc", "--preset", "nonstat2d", *extra, "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(message)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config {message}")
     assert not (tmp_path / "o").exists()
 
 
@@ -306,15 +307,28 @@ def test_threshold_rejects_non_finite_input(tmp_path, capsys, lkcs, df, message)
         ({"r_lkc": -3}, [], "r_lkc must be >= 1, got -3"),
         ({"r_lkc": 2}, [], "r_lkc must be odd, got 2"),
     )
+] + [  # kernel settings, refused before any run builds the kernel
+    (["lkc", "--preset", "nonstat3d", "--fwhm", "-1"], "config error: fwhm must be positive and finite"),
+    (["lkc", "--preset", "nonstat3d", "--fwhm", "nan"], "config error: fwhm must be positive and finite"),
+    (["lkc", "--preset", "nonstat3d", "--fwhm", "3", "--truncation", "-2"],
+     "config error: truncation radius must be positive and finite"),
+    (["check-nondegeneracy", "--preset", "nonstat2d", "--fwhm", "0", "--point", "5,5"],
+     "config error: fwhm must be positive and finite"),
+    (["surf", "eval", "--fields", "{srf}", "--points", "{pts}", "--fwhm", "-1"],
+     "config error: fwhm must be positive and finite"),
 ])
 @pytest.mark.parametrize("dry_run", [False, True])
 def test_cli_refuses_bad_settings_at_plan_time(tmp_path, capsys, argv, message, dry_run):
     # a config error, as a dry run shows it: nothing written; a dict in argv is
-    # the fields a small fwer-sim config file changes
-    cfg = tmp_path / "cfg.json"
+    # the fields a small fwer-sim config file changes, "{srf}" and "{pts}" a
+    # small field file and its points
+    cfg, srf, pts = tmp_path / "cfg.json", tmp_path / "f.srf1", tmp_path / "pts.csv"
     for fields in (a for a in argv if isinstance(a, dict)):
         cfg.write_text(json.dumps({"preset": "nonstat1d", "fwhm": 2.0, "n_subjects": 5, "n_reps": 2} | fields))
-    argv, message = [str(cfg) if isinstance(a, dict) else a for a in argv], message.format(cfg=cfg)
+    write_srf1(srf, sample_ensemble(VoxelSet(np.arange(0.0, 10.0)[:, None]), 2, RngSpec(1)))
+    pts.write_text("x0\n2.25\n")
+    argv = [str(cfg) if isinstance(a, dict) else a.format(srf=srf, pts=pts) for a in argv]
+    message = message.format(cfg=cfg)
     rc = main([*argv, "--out", str(tmp_path / "o"), *(["--dry-run"] if dry_run else [])])
     assert rc == 2
     captured = capsys.readouterr()
@@ -404,6 +418,27 @@ def test_read_csv_names_file_and_line_of_bad_row(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(message)):
         read_csv(path)
+
+
+def test_lkc_plans_only_what_its_source_reads(tmp_path, capsys):
+    # a seed or subject count samples nothing for a white-noise source, and
+    # closed-form curvatures read no --r or --truncation: neither reaches the manifest
+    outs = []
+    for seed in ("5", "6"):
+        out = tmp_path / f"seed{seed}"
+        assert main(["lkc", "--preset", "stat2d", "--fwhm", "3", "--seed", seed, "--n-subjects", seed,
+                     "--out", str(out)]) == 0
+        outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(outs[0]) == ["lkc.csv", "manifest.json"] and outs[0] == outs[1]
+    capsys.readouterr()
+    assert main(["lkc", "--preset", "stat2d", "--fwhm", "3", "--source", "closed-form", "--r", "4",
+                 "--truncation", "6", "--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["plan"] == {
+        "domain": "stat2d", "fwhm": 3.0, "source": "closed-form", "format": "csv"}
+    assert main(["lkc", "--preset", "stat2d", "--fwhm", "3", "--source", "ensemble", "--seed", "5",
+                 "--n-subjects", "4", "--dry-run"]) == 0
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    assert (plan["seed"], plan["n_subjects"], plan["r"]) == (5, 4, 1)
 
 
 def test_cli_identical_runs_identical_files(tmp_path):

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from surfield import geometry
 from surfield.geometry import (
-    christoffel,
-    christoffel_on_grid,
     metric,
     metric_on_grid,
     orthonormal_frame,
@@ -20,7 +18,7 @@ from surfield.geometry import (
 from surfield.kernel import GaussianKernel
 from surfield.lattice import FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
 from surfield.manifold import EdgeType, VoxelManifold, refined_grid
-from surfield.surf import DegenerateFieldError, SurfSpec, smooth_on_grid, surf_eval
+from surfield.surf import DegenerateFieldError, SurfSpec, _white_noise_moments, smooth_on_grid, surf_eval
 
 LOG2 = math.log(2.0)
 
@@ -129,88 +127,6 @@ def test_ensemble_metric_matches_finite_difference_oracle():
     lam_fd = Sdd / S[:, None, None] - Sd[:, :, None] * Sd[:, None, :] / (S**2)[:, None, None]
     denom = np.maximum(np.abs(lam_fd), 1e-6)
     assert np.max(np.abs(lam - lam_fd) / denom) < 1e-3
-
-
-def test_christoffel_first_two_indices_symmetric():
-    dom = make_domain_preset("nonstat2d")
-    k = GaussianKernel.isotropic(2.0, 2)
-    pts = np.array([[3.3, 1.1], [10.0, 19.5]])
-    g = christoffel("white-noise", k, dom, pts)
-    np.testing.assert_allclose(g, np.swapaxes(g, 1, 2), rtol=1e-12)
-
-
-def test_christoffel_vanishes_in_stationary_interior_not_on_boundary():
-    dom = VoxelSet(np.arange(0.0, 100.0)[:, None])
-    k = GaussianKernel.isotropic(3.0, 1)
-    interior = christoffel("white-noise", k, dom, np.array([50.2]))
-    assert abs(interior[0, 0, 0]) < 1e-3
-    boundary = christoffel("white-noise", k, dom, np.array([0.2]))
-    assert abs(boundary[0, 0, 0]) > 1e-3
-
-
-def test_white_noise_christoffel_matches_correlation_fd_oracle():
-    # independent oracle: the first-kind symbols are the third mixed
-    # derivative of the normalized correlation c(x, y) at x = y, computed
-    # here by central finite differences of the explicit kernel sums
-    dom = VoxelSet(np.arange(0.0, 40.0)[:, None])
-    kern = GaussianKernel.isotropic(2.0, 1)
-
-    def cov(x, y):
-        kx = kern.pairwise_value(np.array([[x]]), dom.coords)[0]
-        ky = kern.pairwise_value(np.array([[y]]), dom.coords)[0]
-        return float(kx @ ky)
-
-    def corr(x, y):
-        return cov(x, y) / math.sqrt(cov(x, x) * cov(y, y))
-
-    h = 1e-3
-    for z in (2.6, 20.0, 38.7):
-        dxx_dy = lambda yy: (corr(z + h, yy) - 2 * corr(z, yy) + corr(z - h, yy)) / h**2
-        oracle = (dxx_dy(z + h) - dxx_dy(z - h)) / (2 * h)
-        got = christoffel("white-noise", kern, dom, np.array([z]))[0, 0, 0]
-        assert got == pytest.approx(oracle, rel=1e-4, abs=1e-7)
-
-
-def test_christoffel_ensemble_matches_finite_difference_oracle():
-    # same realizations, derivatives replaced by central differences: the
-    # sample-covariance symbols must agree closely (deterministic check)
-    dom = VoxelSet(np.array([[u, v] for u in range(6) for v in range(6)], dtype=float))
-    k = GaussianKernel.isotropic(2.0, 2)
-    ens = sample_ensemble(dom, 30, RngSpec(21))
-    spec = SurfSpec(ens, k)
-    pts = np.array([[1.3, 2.2], [4.6, 0.8]])
-    got = christoffel(ens, k, None, pts)
-    eps = 1e-4
-    val = surf_eval(spec, pts, "value")
-    grad = np.empty((30, len(pts), 2))
-    hess = np.empty((30, len(pts), 2, 2))
-    for d in range(2):
-        e = np.zeros(2)
-        e[d] = eps
-        grad[:, :, d] = (surf_eval(spec, pts + e, "value") - surf_eval(spec, pts - e, "value")) / (2 * eps)
-        hess[:, :, d, :] = (
-            surf_eval(spec, pts + e, "gradient") - surf_eval(spec, pts - e, "gradient")
-        ) / (2 * eps)
-    hess = 0.5 * (hess + np.swapaxes(hess, 2, 3))
-    n1 = 29
-    cv = val - val.mean(0)
-    cg = grad - grad.mean(0)
-    ch = hess - hess.mean(0)
-    S = np.einsum("np,np->p", cv, cv) / n1
-    Sd = np.einsum("np,npd->pd", cv, cg) / n1
-    Sdd = np.einsum("npd,npe->pde", cg, cg) / n1
-    T2 = np.einsum("npkd,npe->pkde", ch, cg) / n1
-    U2 = np.einsum("npkd,np->pkd", ch, cv) / n1
-    iS = 1.0 / S
-    want = (
-        T2 * iS[:, None, None, None]
-        - U2[:, :, :, None] * Sd[:, None, None, :] * (iS**2)[:, None, None, None]
-        - Sd[:, :, None, None] * Sdd[:, None, :, :] * (iS**2)[:, None, None, None]
-        - Sd[:, None, :, None] * Sdd[:, :, None, :] * (iS**2)[:, None, None, None]
-        + 2.0 * Sd[:, :, None, None] * Sd[:, None, :, None] * Sd[:, None, None, :]
-        * (iS**3)[:, None, None, None]
-    )
-    np.testing.assert_allclose(got, want, rtol=2e-4, atol=1e-8)
 
 
 def test_frame_identity_metric():
@@ -381,17 +297,6 @@ def test_metric_on_grid_tensor_matches_point_path():
     np.testing.assert_allclose(lam[::37], direct, rtol=1e-10, atol=1e-14)
 
 
-def test_ensemble_christoffel_on_grid_ids_matches_point_path():
-    dom = make_domain_preset("stat3d", 3.0)
-    grid = refined_grid(VoxelManifold(dom.interior), 1)
-    ens = sample_ensemble(dom, 6, RngSpec(4))
-    k = GaussianKernel.isotropic(3.0, 3)
-    ids = np.unique(np.concatenate([t["ids"] for t in grid.face_tables.values()]))[::29]
-    got = christoffel_on_grid(ens, k, grid, point_ids=ids)
-    want = christoffel(ens, k, None, grid.points[ids])
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
-
-
 @pytest.mark.parametrize("ensemble", [False, True])
 def test_metric_on_grid_point_ids_match_full_grid_rows(monkeypatch, ensemble):
     from surfield import lkc
@@ -414,17 +319,15 @@ def test_metric_on_grid_point_ids_match_full_grid_rows(monkeypatch, ensemble):
                                    rtol=0, atol=1e-14 * np.abs(full).max())
 
 
-def centred_sample_bundle(val, grad, hess):
-    """(S, Sd, Sdd, T2, U2) as centred sample inner products with the N-1
-    denominator, from (N, P), (N, P, D) and (N, P, D, D) arrays."""
-    cv, cg, ch = (a - a.mean(axis=0) for a in (val, grad, hess))
+def centred_sample_bundle(val, grad):
+    """(S, Sd, Sdd) as centred sample inner products with the N-1
+    denominator, from (N, P) and (N, P, D) arrays."""
+    cv, cg = (a - a.mean(axis=0) for a in (val, grad))
     n1 = val.shape[0] - 1
     return (
         np.einsum("np,np->p", cv, cv) / n1,
         np.einsum("np,npd->pd", cv, cg) / n1,
         np.einsum("npd,npe->pde", cg, cg) / n1,
-        np.einsum("npkd,npe->pkde", ch, cg) / n1,
-        np.einsum("npkd,np->pkd", ch, cv) / n1,
     )
 
 
@@ -441,20 +344,15 @@ def test_ensemble_bundle_matches_centred_sample_inner_products(name, D):
     grid = refined_grid(VoxelManifold(dom), 1)
     ens = sample_ensemble(dom, 7, RngSpec(30 + D))
     k = GaussianKernel.isotropic(2.0, D)
-    arr = smooth_on_grid(ens, k, grid, derivatives=2)
-    want = centred_sample_bundle(arr["value"], arr["grad"], arr["hess"])
+    arr = smooth_on_grid(ens, k, grid, derivatives=1)
+    want = centred_sample_bundle(arr["value"], arr["grad"])
     ids = np.arange(3, grid.n_points, 11)
-    for hessian in (False, True):
-        n = 5 if hessian else 3
-        assert_bundles_close(geometry._moments(ens, k, None, hessian, grid=grid), want[:n])
-        assert_bundles_close(geometry._moments(ens, k, None, hessian, grid=grid, ids=ids),
-                             [w[ids] for w in want[:n]])
+    assert_bundles_close(geometry._moments(ens, k, None, grid=grid), want)
+    assert_bundles_close(geometry._moments(ens, k, None, grid=grid, ids=ids), [w[ids] for w in want])
     spec = SurfSpec(ens, k)
     pts = grid.points[ids] + 0.3
-    want = centred_sample_bundle(*(surf_eval(spec, pts, o) for o in ("value", "gradient", "hessian")))
-    for hessian in (False, True):
-        n = 5 if hessian else 3
-        assert_bundles_close(geometry._moments(ens, k, None, hessian, points=pts), want[:n])
+    want = centred_sample_bundle(*(surf_eval(spec, pts, o) for o in ("value", "gradient")))
+    assert_bundles_close(geometry._moments(ens, k, None, points=pts), want)
 
 
 def test_subject_constant_ensemble_has_zero_sample_variance():
@@ -466,7 +364,6 @@ def test_subject_constant_ensemble_has_zero_sample_variance():
     ids = np.arange(0, grid.n_points, 7)
     for run in (
         lambda: metric_on_grid(ens, k, grid),
-        lambda: christoffel_on_grid(ens, k, grid, point_ids=ids),
         lambda: metric(ens, k, None, grid.points[ids]),
         lambda: metric_on_grid(ens, GaussianKernel.isotropic(2.0, 3, 5.0), grid, point_ids=ids),
     ):
@@ -485,7 +382,6 @@ def test_single_field_ensemble_fails_before_smoothing(monkeypatch):
     k = GaussianKernel.isotropic(2.0, 2)
     for run in (
         lambda: metric_on_grid(ens, k, grid),
-        lambda: christoffel_on_grid(ens, k, grid, point_ids=np.arange(5)),
         lambda: metric(ens, k, None, grid.points[:5]),
     ):
         with pytest.raises(DegenerateFieldError, match="at least two fields"):
@@ -495,7 +391,7 @@ def test_single_field_ensemble_fails_before_smoothing(monkeypatch):
 @pytest.mark.parametrize("truncation", [None, 3.0])
 @pytest.mark.parametrize("D", [1, 2, 3])
 def test_white_noise_point_bundle_matches_direct_sums(D, truncation):
-    # S, Sd, Sdd, T2 and U2 at points near a masked domain, against sums of
+    # S, Sd, Sdd and U2 at points near a masked domain, against sums of
     # np.exp kernel derivatives over every (point, voxel) pair
     if D == 1:
         dom = VoxelSet(np.r_[0:6, 9:15].astype(float)[:, None])
@@ -514,11 +410,11 @@ def test_white_noise_point_bundle_matches_direct_sums(D, truncation):
         np.einsum("pm,pm->p", K, K),
         np.einsum("pm,pmd->pd", K, G),
         np.einsum("pmd,pme->pde", G, G),
-        np.einsum("pmkd,pme->pkde", H, G),
         np.einsum("pmkd,pm->pkd", H, K),
     )
-    got = geometry._moments("white-noise", k, dom, True, points=pts)
-    for g, w in zip(got, want):
+    got = _white_noise_moments(k, dom, True, points=pts)  # the bundle normalized Hessians read
+    assert len(got) == len(want)
+    for g, w in zip([*got, *geometry._moments("white-noise", k, dom, points=pts)], [*want, *want[:3]]):
         np.testing.assert_allclose(g, w, rtol=1e-11, atol=1e-12 * np.abs(w).max())
     np.testing.assert_allclose(metric("white-noise", k, dom, pts), geometry._metric_expr(*want[:3]),
                                rtol=1e-9, atol=1e-11)

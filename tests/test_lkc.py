@@ -10,9 +10,7 @@ import pytest
 import surfield
 from surfield.geometry import (
     _metric_expr,
-    christoffel_on_grid,
     metric_on_grid,
-    orthonormal_frame,
     sqrt_det_psd,
     sqrt_det_sub,
     theta_batch,
@@ -180,6 +178,38 @@ def test_consistency_sd_shrinks_with_n():
     assert sds[10] / sds[100] > 1.5
 
 
+def _ec_oracle():
+    """``scripts/ec_oracle.py`` as a module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "ec_oracle", Path(__file__).resolve().parents[1] / "scripts" / "ec_oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_euler_characteristic_oracle_matches_top_curvatures_of_the_shell():
+    # Independent of the metric, angles and quadrature: the ECs of excursion sets of
+    # smoothed, normalized white noise on the refined grid's cubical complex, fitted
+    # to E chi(u) = sum_d L_d rho_d(u) with L_0 = chi(M), give L_2 and L_3 of the
+    # ragged nonstat3d shell (L_1 is left out: its locally stationary form overstates
+    # the oracle's)
+    oracle = _ec_oracle()
+    dom = make_domain_preset("nonstat3d")
+    man, k = VoxelManifold(dom), GaussianKernel.isotropic(3.0, 3)
+    grid = refined_grid(man, 1)
+    chi = euler_characteristic(man)
+    ec = oracle.excursion_ec(grid, np.zeros((1, grid.n_points)))[0]  # every cell of the complex at u < 0
+    assert np.all(ec[oracle.LEVELS < -1] == chi) and np.all(ec[oracle.LEVELS > 1] == 0)
+    fields = oracle.normalized_white_noise(grid, k, dom, 400, np.random.default_rng(1))
+    fit, se = oracle.fit_lkcs(np.concatenate([oracle.excursion_ec(grid, f) for f in fields]), chi)
+    want = lkc_compute("white-noise", k, man, 1, grid=grid)
+    for d in (2, 3):
+        assert abs(fit[d - 1] - want[d]) < 4 * se[d - 1], (d, fit[d - 1], se[d - 1], want[d])
+        assert se[d - 1] < 0.03 * want[d]
+
+
 def test_nonstat_presets_compute():
     dom = make_domain_preset("nonstat2d")
     man = VoxelManifold(dom)
@@ -190,19 +220,6 @@ def test_nonstat_presets_compute():
     vec3 = lkc_compute("white-noise", GaussianKernel.isotropic(3.0, 3), man3, 1)
     assert vec3[3] > 0 and vec3[2] > 0
     assert vec3.l1_locally_stationary
-
-
-def test_face_term_vanishes_for_nearly_stationary_field():
-    # with boundary padding the metric is nearly constant, so the optional
-    # face correction must be negligible against the edge term
-    dom = make_domain_preset("stat3d", 3.0)
-    man = VoxelManifold(dom.interior)
-    k = GaussianKernel.isotropic(3.0, 3)
-    base = lkc_compute("white-noise", k, man, 1, sample_domain=dom)
-    with_face = lkc_compute(
-        "white-noise", k, man, 1, sample_domain=dom, include_face_term=True
-    )
-    assert abs(with_face[1] - base[1]) < 0.005 * base[1]
 
 
 def test_r0_rejected_and_bad_ensemble_rejected():
@@ -264,7 +281,7 @@ def nonstat3d_r3():
     return man, refined_grid(man, 3)
 
 
-@pytest.mark.parametrize("case", ["white-noise", "ensemble", "face-term", "box white-noise", "box ensemble"])
+@pytest.mark.parametrize("case", ["white-noise", "ensemble", "box white-noise", "box ensemble"])
 def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
     man, grid = nonstat3d_r3
     k = GaussianKernel.isotropic(2.0, 3)
@@ -293,7 +310,7 @@ def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
     def run(slab_points):
         monkeypatch.setattr(lkc_module, "_SLAB_POINTS", slab_points)
         metrics.clear()
-        vec = lkc_compute(source, k, man, 3, grid=grid, include_face_term=case == "face-term")
+        vec = lkc_compute(source, k, man, 3, grid=grid)
         return vec, np.concatenate(metrics)
 
     one, lam_one = run(grid.n_points)
@@ -450,7 +467,7 @@ def test_slab_thread_errors_return_both_workspaces(monkeypatch, slab_spy):
 
     if _blas_count() is None or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("slab threads need numpy's OpenBLAS and two cores")
-    source, k, man, r, kwargs, _ = _threading_cases("stat3d r3 white-noise", None)
+    source, k, man, r, kwargs = _threading_cases("stat3d r3 white-noise")
     main, helper_started = threading.get_ident(), threading.Event()
     spy = lkc_module._moments
 
@@ -511,32 +528,7 @@ def test_geometry_rejects_a_kernel_of_another_dimension():
     with pytest.raises(ValueError, match="domain is 1-D but the kernel is 2-D"):
         metric(ens1, GaussianKernel.isotropic(2.0, 2), None, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="grid is 2-D but the kernel is 1-D"):
-        christoffel_on_grid(ens1, GaussianKernel.isotropic(2.0, 1), grid)
-
-
-def test_face_term_is_the_full_frame_trace(nonstat3d_r3):
-    # oracle: the face integrand is the trace Q(U,U) + Q(V,V) of the second
-    # fundamental form Q(X,Y) = <N, Gamma(X,Y)> over each face's metric
-    # frame, against metric area, rebuilt point by point from the metric
-    # and the Christoffel symbols
-    man, grid = nonstat3d_r3
-    k = GaussianKernel.isotropic(2.0, 3)
-    base = lkc_compute("white-noise", k, man, 3, grid=grid)
-    with_face = lkc_compute("white-noise", k, man, 3, grid=grid, include_face_term=True)
-    h = man.domain.spacing / (grid.r + 1)
-    want = 0.0
-    for m, t in grid.face_tables.items():
-        I = tuple(d for d in range(3) if d != m)
-        uniq, inv = np.unique(t["ids"], return_inverse=True)
-        lam = metric_on_grid("white-noise", k, grid, point_ids=uniq)[inv]
-        gam = christoffel_on_grid("white-noise", k, grid, point_ids=uniq)[inv]
-        U, V, N = orthonormal_frame(lam, I)
-        Q = np.einsum("pabd,pd->pab", gam, N * t["outward"][:, None])
-        trace = np.einsum("pa,pab,pb->p", U, Q, U) + np.einsum("pa,pab,pb->p", V, Q, V)
-        area = np.sqrt(np.linalg.det(lam[:, I][:, :, I]))
-        want += np.sum(t["weights"] * trace * area) * np.prod(h[list(I)])
-    assert with_face[1] - base[1] == pytest.approx(want / (2 * math.pi), rel=1e-10)
-    assert with_face.values[0] == base.values[0] and with_face.values[2:] == base.values[2:]
+        metric_on_grid(ens1, GaussianKernel.isotropic(2.0, 1), grid)
 
 
 @pytest.mark.parametrize("name", ["stat3d", "nonstat3d", "gapped"])
@@ -613,30 +605,23 @@ def slab_spy(monkeypatch):
     return spy
 
 
-def _threading_cases(name, nonstat3d_r3):
-    """(source, kernel, manifold, r, keyword arguments, _SLAB_POINTS) of a multi-slab LKC."""
-    if name == "nonstat3d face-term white-noise":
-        man, grid = nonstat3d_r3
-        return ("white-noise", GaussianKernel.isotropic(2.0, 3), man, 3,
-                {"grid": grid, "include_face_term": True}, 10_000)
+def _threading_cases(name):
+    """(source, kernel, manifold, r, keyword arguments) of a multi-slab LKC."""
     dom = make_domain_preset("stat3d", 3.0)
     man, k = VoxelManifold(dom.interior), GaussianKernel.isotropic(3.0, 3)
     if name == "stat3d r3 white-noise":  # 9 slabs
-        return "white-noise", k, man, 3, {"sample_domain": dom}, None
+        return "white-noise", k, man, 3, {"sample_domain": dom}
     if name == "nonstat3d r1 50-subject ensemble":  # the benchmark's CLI LKC: slabs bounded by entries
         shell = make_domain_preset("nonstat3d")
-        return sample_ensemble(shell, 50, RngSpec(6)), k, VoxelManifold(shell), 1, {}, None
-    return sample_ensemble(dom, 8, RngSpec(3)), k, man, 1, {}, None  # "stat3d r1 ensemble": 3 slabs
+        return sample_ensemble(shell, 50, RngSpec(6)), k, VoxelManifold(shell), 1, {}
+    return sample_ensemble(dom, 8, RngSpec(3)), k, man, 1, {}  # "stat3d r1 ensemble": 3 slabs
 
 
-@pytest.mark.parametrize("name", ["stat3d r3 white-noise", "nonstat3d face-term white-noise", "stat3d r1 ensemble",
-                                  "nonstat3d r1 50-subject ensemble"])
-def test_slab_threads_match_the_serial_loop_bit_for_bit(monkeypatch, nonstat3d_r3, slab_spy, name):
+@pytest.mark.parametrize("name", ["stat3d r3 white-noise", "stat3d r1 ensemble", "nonstat3d r1 50-subject ensemble"])
+def test_slab_threads_match_the_serial_loop_bit_for_bit(monkeypatch, slab_spy, name):
     import threading
 
-    source, k, man, r, kwargs, slab_points = _threading_cases(name, nonstat3d_r3)
-    if slab_points:
-        monkeypatch.setattr(lkc_module, "_SLAB_POINTS", slab_points)
+    source, k, man, r, kwargs = _threading_cases(name)
     before = _blas_count()
     threaded = lkc_compute(source, k, man, r, **kwargs)
     assert _blas_count() == before
@@ -660,7 +645,7 @@ def test_slab_thread_errors_surface_as_the_serial_loop_raises_them(monkeypatch, 
 
     if _blas_count() is None or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("slab threads need numpy's OpenBLAS and two cores")
-    source, k, man, r, kwargs, _ = _threading_cases("stat3d r3 white-noise", None)
+    source, k, man, r, kwargs = _threading_cases("stat3d r3 white-noise")
     main, helper_started = threading.get_ident(), threading.Event()
     spy = lkc_module._moments
 
@@ -692,7 +677,7 @@ def test_slab_threads_without_the_blas_switch_run_serially(monkeypatch, slab_spy
 
     from surfield import surf as surf_module
 
-    source, k, man, r, kwargs, _ = _threading_cases("stat3d r1 ensemble", None)
+    source, k, man, r, kwargs = _threading_cases("stat3d r1 ensemble")
     threaded = lkc_compute(source, k, man, r, **kwargs)
     slab_spy.seen.clear()
     monkeypatch.setattr(surf_module, "_openblas", lambda: None)

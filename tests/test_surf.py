@@ -352,8 +352,8 @@ def test_truncated_point_engine_matches_untruncated_at_large_radius(D):
             got = surf_eval(SurfSpec(ens, wide, normalized), pts, order)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
     for source in ("white-noise", ens):
-        want = geometry._moments(source, plain, dom, True, points=pts)
-        for g, w in zip(geometry._moments(source, wide, dom, True, points=pts), want):
+        want = geometry._moments(source, plain, dom, points=pts)
+        for g, w in zip(geometry._moments(source, wide, dom, points=pts), want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-13 * np.abs(w).max())
 
 
@@ -378,7 +378,7 @@ def test_truncated_point_engine_builds_only_the_orders_its_sums_read(monkeypatch
 
 
 def test_untruncated_point_paths_never_build_the_pairwise_design(monkeypatch):
-    from surfield.geometry import christoffel, metric
+    from surfield.geometry import metric
     from surfield.inference import maximize_t_field
 
     def forbidden(*args, **kwargs):
@@ -396,7 +396,6 @@ def test_untruncated_point_paths_never_build_the_pairwise_design(monkeypatch):
     maximize_t_field(SurfSpec(ens, k), VoxelManifold(dom), starts=3)
     for source in ("white-noise", ens):
         metric(source, k, dom, pts)
-        christoffel(source, k, dom, pts)
 
 
 # ---------------------------------------------------------------------------
