@@ -15,7 +15,8 @@ is not the scan grid, so its t grid is contracted on its own), each at 1 and
 2 threads, every CLI subcommand's artifacts, stdout, stderr and exit code
 (``cli_runs``; ``fwer-sim`` at 1 and 3 threads, failing runs included),
 white-noise and ensemble LKCs (keys ``lkc_*_face0_*``, named as when an
-optional face term was dumped beside them), 50-subject ensemble LKCs at r = 1
+optional face term was dumped beside them; each LKC record ``<key>`` with its
+PSD repair count as ``<key>_repairs``, so a change of the repair set shows), 50-subject ensemble LKCs at r = 1
 (the nonstat3d shell, the stat3d and stat2d boxes), whose slabs are bounded by
 their subject x point entries, the white-noise LKCs of the benchmark's ``wn_theory_3d`` workload (the stat3d box
 at r = 7, FWHM 1, 1.5, ..., 4, each over its padded domain), the slab bounds
@@ -128,6 +129,12 @@ def dump(path: str) -> None:
     from surfield.surf import SurfSpec, smooth_on_grid, surf_eval, t_field, t_field_on_grid
 
     out: dict[str, np.ndarray] = {}
+
+    def lkc(key: str, *args, **kwargs) -> None:
+        """``lkc_compute``'s values as ``key`` and its PSD repair count as ``<key>_repairs``."""
+        vec = lkc_compute(*args, **kwargs)
+        out[key], out[f"{key}_repairs"] = np.array(vec.values), np.array(vec.diagnostics["psd_repaired_points"])
+
     before = blas_threads()
     for fwhm, seed in ((3.0, 20260810), (1.0, 20260811)):
         rep = fwer_experiment("stat2d", fwhm, 50, 500, 0.05, rng=RngSpec(seed), keep_details=True)
@@ -163,9 +170,8 @@ def dump(path: str) -> None:
         kern = GaussianKernel.isotropic(fwhm, dom.dimension)
         grid = refined_grid(man, r)
         ens = sample_ensemble(dom, n, RngSpec(11))
-        out[f"lkc_{preset}_face0_wn"] = np.array(lkc_compute("white-noise", kern, man, r, sample_domain=dom,
-                                                              grid=grid).values)
-        out[f"lkc_{preset}_face0_ens"] = np.array(lkc_compute(ens, kern, man, r, grid=grid).values)
+        lkc(f"lkc_{preset}_face0_wn", "white-noise", kern, man, r, sample_domain=dom, grid=grid)
+        lkc(f"lkc_{preset}_face0_ens", ens, kern, man, r, grid=grid)
         del grid
 
     # 50-subject ensemble LKCs at r = 1 whose slabs are bounded by their entries:
@@ -178,7 +184,7 @@ def dump(path: str) -> None:
         ens = sample_ensemble(dom, 50, RngSpec(12))
         grid = refined_grid(man, 1)
         out[f"slabs_{preset}_r1_n50"] = _slabs(grid, 50)
-        out[f"lkc_{preset}_n50_r1_face0_ens"] = np.array(lkc_compute(ens, kern, man, 1, grid=grid).values)
+        lkc(f"lkc_{preset}_n50_r1_face0_ens", ens, kern, man, 1, grid=grid)
         again[f"lkc_{preset}_n50_r1_face0_ens"] = (ens, kern, man, 1, {"grid": grid})
 
     man = VoxelManifold(make_domain_preset("stat3d", 1.0).interior)
@@ -186,8 +192,8 @@ def dump(path: str) -> None:
     out["slabs_stat3d_r7_n1"] = _slabs(grid, 1)
     for fwhm in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
         dom = make_domain_preset("stat3d", fwhm)
-        wn = lkc_compute("white-noise", GaussianKernel.isotropic(fwhm, 3), man, 7, sample_domain=dom, grid=grid)
-        out[f"wn3d_r7_fwhm{fwhm:g}"] = np.array(wn.values)
+        lkc(f"wn3d_r7_fwhm{fwhm:g}", "white-noise", GaussianKernel.isotropic(fwhm, 3), man, 7, sample_domain=dom,
+            grid=grid)
     again["wn3d_r7_fwhm4"] = ("white-noise", GaussianKernel.isotropic(4.0, 3), man, 7, {"sample_domain": dom})
     del grid
 
@@ -201,8 +207,7 @@ def dump(path: str) -> None:
         tag = f"{preset}_trunc{trunc}"
         for source in ("white-noise", ens):
             s = "wn" if isinstance(source, str) else "ens"
-            vec = lkc_compute(source, kern, VoxelManifold(dom), 3, sample_domain=dom)
-            out[f"lkc_{tag}_{s}"] = np.array(vec.values)
+            lkc(f"lkc_{tag}_{s}", source, kern, VoxelManifold(dom), 3, sample_domain=dom)
         for order in ("value", "gradient", "hessian"):
             out[f"eval_{tag}_{order}"] = surf_eval(SurfSpec(ens, kern), pts, order)
             out[f"norm_{tag}_{order}"] = surf_eval(SurfSpec(ens, kern, normalized=True), pts, order)
@@ -222,7 +227,7 @@ def dump(path: str) -> None:
                 out[f"grid_{tag}_metric_{s}"] = metric_on_grid(source, kern, grid, dom, ids)
     # the same LKCs back to back, in slab workspaces that every call above has grown
     for key, (source, kern, man, r, kwargs) in again.items():
-        out[f"warm_{key}"] = np.array(lkc_compute(source, kern, man, r, **kwargs).values)
+        lkc(f"warm_{key}", source, kern, man, r, **kwargs)
     out["blas_threads"] = np.array([before, blas_threads()])
     np.savez(path, **out)
     print(f"wrote {len(out)} arrays to {path}")

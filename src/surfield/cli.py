@@ -287,22 +287,22 @@ def _cmd_surf_eval(args):
     spec = SurfSpec(ens, _kernel_for(args, D), normalized=args.normalized)
     plan = {"fields": str(args.fields), "points": str(args.points), "order": args.order,
             "fwhm": args.fwhm, "truncation": args.truncation, "normalized": args.normalized}
+    pts = []  # read at plan time, so a dry run refuses the file the run would refuse
+    with open(args.points, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)  # header
+        for row in filter(None, reader):
+            try:
+                if len(row) < D:
+                    raise ValueError(f"{len(row)} coordinate(s) for {D}-D fields")
+                pts.append([float(c) for c in row[:D]])
+            except ValueError as e:
+                raise ConfigError(f"{args.points} line {reader.line_num}: {e}") from None
+    if not pts:
+        raise ConfigError(f"{args.points} holds no points")
+    pts = np.asarray(pts)
 
     def run():
-        pts = []
-        with open(args.points, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)  # header
-            for row in filter(None, reader):
-                try:
-                    if len(row) < D:
-                        raise ValueError(f"{len(row)} coordinate(s) for {D}-D fields")
-                    pts.append([float(c) for c in row[:D]])
-                except ValueError as e:
-                    raise ConfigError(f"{args.points} line {reader.line_num}: {e}") from None
-        if not pts:
-            raise ConfigError(f"{args.points} holds no points")
-        pts = np.asarray(pts)
         vals, grads, _ = _eval_arrays(spec, pts, args.order)
         head = [f"x{d}" for d in range(D)] + [f"value{i}" for i in range(ens.n_fields)]
         if grads is not None:

@@ -22,7 +22,8 @@ The bundle and the metric are stored components first and exposed as
 (..., D, D) views (``surf._components_first``), so every per-entry pass
 streams one contiguous column, not a strided slice of the whole array;
 ``metric_on_grid`` results are not C-contiguous.
-Moments are written into their columns and the metric is built in place.
+Moments are written into their columns and the metric's upper triangle, which alone
+the determinants and edge angles read, in place (``_symmetric`` fills the lower one).
 
 Boundary strata read the metric alone: ``theta_batch`` gives a 3-D edge's
 angle in closed form; ``orthonormal_frame`` adapts a frame to a face plane.
@@ -30,7 +31,7 @@ angle in closed form; ``orthonormal_frame`` adapts a frame to a face plane.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -82,7 +83,7 @@ def _sample_moment(column, N: int, values: np.ndarray | None = None):
 
 
 def _metric_expr(S, Sd, Sdd) -> np.ndarray:
-    """Sdd / S - Sd Sd^T / S^2, computed in that order in each unique (d, e) column."""
+    """Sdd / S - Sd Sd^T / S^2, computed in that order in each upper column (d, e), d <= e."""
     D = Sd.shape[-1]
     S2 = S**2
     lam = _components_first(S.shape, D, D)
@@ -90,7 +91,13 @@ def _metric_expr(S, Sd, Sdd) -> np.ndarray:
     for d, e in combinations_with_replacement(range(D), 2):
         col = np.divide(Sdd[..., d, e], S, out=lam[..., d, e])
         col -= np.divide(np.multiply(Sd[..., d], Sd[..., e], out=tmp), S2, out=tmp)
-        lam[..., e, d] = col
+    return lam
+
+
+def _symmetric(lam: np.ndarray) -> np.ndarray:
+    """``lam`` with its lower triangle copied from its upper one, in place."""
+    for d, e in combinations(range(lam.shape[-1]), 2):
+        lam[..., e, d] = lam[..., d, e]
     return lam
 
 
@@ -136,7 +143,7 @@ def metric(source, kernel: GaussianKernel, domain: VoxelSet | None, x) -> np.nda
     Returns (D, D) for a single point or (P, D, D) for a batch.
     """
     x = np.asarray(x, dtype=np.float64)
-    lam = _metric_expr(*_moments(source, kernel, domain, points=np.atleast_2d(x)))
+    lam = _symmetric(_metric_expr(*_moments(source, kernel, domain, points=np.atleast_2d(x))))
     return lam[0] if x.ndim == 1 else lam
 
 
@@ -144,7 +151,7 @@ def metric_on_grid(source, kernel: GaussianKernel, grid: RefinedGrid, sample_dom
                    point_ids: np.ndarray | None = None) -> np.ndarray:
     """Metric at all grid points (or a subset), (Q, D, D)."""
     domain = sample_domain or grid.manifold.domain
-    return _metric_expr(*_moments(source, kernel, domain, grid=grid, ids=point_ids))
+    return _symmetric(_metric_expr(*_moments(source, kernel, domain, grid=grid, ids=point_ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +225,12 @@ def theta_batch(
     """
     k = tangent_axis
     p, q = [d for d in range(3) if d != k]
-    lkk = lam[..., k, k]
-    minor_p = lkk * lam[..., p, p] - lam[..., k, p] ** 2
-    minor_q = lkk * lam[..., q, q] - lam[..., k, q] ** 2
+    lkk, lkp, lkq = (lam[..., min(k, d), max(k, d)] for d in (k, p, q))  # the upper triangle
+    minor_p = lkk * lam[..., p, p] - lkp ** 2
+    minor_q = lkk * lam[..., q, q] - lkq ** 2
     if not np.all((lkk > 0) & (minor_p > 0) & (minor_q > 0)):
         raise np.linalg.LinAlgError("metric is singular on a face plane of the edge")
-    cross = lkk * lam[..., p, q] - lam[..., k, p] * lam[..., k, q]
+    cross = lkk * lam[..., p, q] - lkp * lkq
     cosb = np.prod(refl, axis=-1) * cross / np.sqrt(minor_p * minor_q)
     beta = np.arccos(np.clip(cosb, -1.0, 1.0))
     # convex pi - beta, double-convex -2 beta, concave -(pi - beta)
@@ -256,16 +263,16 @@ def _is_pd(lam: np.ndarray, det: np.ndarray) -> np.ndarray:
 
 
 def sqrt_det_psd(lam: np.ndarray) -> tuple[np.ndarray, int]:
-    """sqrt(det) of symmetric matrices, clipping eigenvalues at 1e-12 where
-    finite-sample noise made a matrix indefinite.  Returns (values, n_repaired)."""
+    """sqrt(det) of symmetric matrices read from their upper triangles, clipping eigenvalues at
+    1e-12 where noise made one indefinite (only those mirrored, for eigvalsh).  Returns (values, n_repaired)."""
     lam = np.asarray(lam)
     det = _closed_det(lam)
     bad = ~_is_pd(lam, det)
-    n_bad = int(bad.sum())
+    n_bad = int(np.count_nonzero(bad))
     if n_bad:
-        ev = np.linalg.eigvalsh(lam[bad])
+        ev = np.linalg.eigvalsh(_symmetric(lam[bad]))
         det[bad] = np.prod(np.maximum(ev, _EIG_CLIP), axis=-1)
-    return np.sqrt(np.maximum(det, 0.0)), n_bad
+    return np.sqrt(det), n_bad
 
 
 def sqrt_det_sub(lam: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, int]:

@@ -17,7 +17,9 @@ slab's rows along axis 0 once and writes its present keys, with kernel
 factors built once per call.  A caller may keep the uncentred value column
 of an ensemble whose partition of its grid is one slab (``_reading``).
 Each slab's moment bundle (S, Sd, Sdd) gives its metric, reduced into the
-volume, face and edge sums through its quadrature-table entries and dropped.
+volume sum and dropped once the slab has gathered the entries its boundary
+points read into one per-call array (``RefinedGrid.slabs``), on which each
+face and edge table is integrated once, after the slabs.
 The slabs are the one partition of the grid: they fix the summation order,
 and their bound of ``_SLAB_POINTS`` points and of ``_SLAB_ENTRIES`` subject x
 point entries (one moment column of an ensemble) fixes the memory and cache
@@ -89,28 +91,26 @@ def _partition(grid: RefinedGrid, n_fields: int) -> tuple:
     return grid.slabs(min(_SLAB_POINTS, _SLAB_ENTRIES // n_fields))
 
 
-def _boundary_sum(faces: list[dict], lam: np.ndarray) -> tuple[list[float], int]:
-    """Per face axis m, the slab's quadrature sum of the metric area element
-    of the faces normal to m."""
-    D = lam.shape[-1]
+def _strata_sums(tables: list[dict], entries: np.ndarray) -> tuple[list[float], int]:
+    """Per merged strata table (``RefinedGrid.slabs``), on the metric ``entries`` the slabs gathered,
+    the quadrature sum of the area element over faces, of the normal-cone angle against edge
+    length over edges: each slab's segment summed in table order, added in slab order."""
     sums, n_bad = [], 0
-    for m, table in enumerate(faces):
-        sub, bad = sqrt_det_sub(lam[table["ids"]], tuple(d for d in range(D) if d != m))
+    for t in tables:
+        k, n = len(t["axes"]), len(t["weights"])
+        lam = np.moveaxis(entries[t["start"]:t["start"] + k * k * n].reshape(k, k, n), (0, 1), (-2, -1))
+        if "tangent" in t:
+            theta = theta_batch(lam, t["tangent"], t["types"], t["refl"])
+            length, bad = sqrt_det_sub(lam, (t["tangent"],))
+            terms = t["weights"] * theta * length
+        else:
+            area, bad = sqrt_det_psd(lam)
+            terms = t["weights"] * area
         n_bad += bad
-        sums.append(float(np.sum(table["weights"] * sub)))
-    return sums, n_bad
-
-
-def _edge_sum(edges: list[dict], lam: np.ndarray) -> tuple[list[float], int]:
-    """Per tangent axis k (D = 3), the slab's quadrature sum of the
-    normal-cone angle against metric edge length."""
-    sums, n_bad = [], 0
-    for k, table in enumerate(edges):
-        lam_pts = lam[table["ids"]]
-        theta = theta_batch(lam_pts, k, table["types"], table["refl"])
-        length, bad = sqrt_det_sub(lam_pts, (k,))
-        n_bad += bad
-        sums.append(float(np.sum(table["weights"] * theta * length)))
+        total = 0.0
+        for lo, hi in zip(t["cuts"][:-1], t["cuts"][1:]):
+            total += float(np.sum(terms[lo:hi]))
+        sums.append(total)
     return sums, n_bad
 
 
@@ -186,30 +186,26 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
     domain = sample_domain or manifold.domain
     spacing = manifold.domain.spacing / (r + 1)
     ens = source if isinstance(source, FieldEnsemble) else domain.unit_field
-    bounds, faces, edges = _partition(grid, ens.n_fields)
+    bounds, strata = _partition(grid, ens.n_fields)
     factors = _grid_factors(kernel, domain, grid, 1, ens is not source)  # read by every slab
     watched, values = getattr(_watched, "on", None), None
     if watched and watched[0] is grid and ens is source and len(bounds) == 2:
         values = np.empty((ens.n_fields, grid.n_points))
+    entries = np.empty(strata["size"])  # the metric entries the boundary strata read
 
-    def slab(j: int) -> tuple:  # slab j's volume, boundary and edge sums, repaired points
+    def slab(j: int) -> tuple:  # slab j's volume sum and repaired points, its strata entries gathered
         start, stop = bounds[j], bounds[j + 1]
         lam = _metric_expr(*_moments(source, kernel, domain, values, grid=grid, ids=range(start, stop),
                                      factors=factors))
+        entries[strata["put"][j]] = np.moveaxis(lam, (-2, -1), (0, 1)).reshape(-1)[strata["take"][j]]
         dets, n_bad = sqrt_det_psd(lam)
-        bnd = edge = 0.0  # where the grid has no such stratum
-        if D >= 2:
-            bnd, bad = _boundary_sum(faces[j], lam)
-            n_bad += bad
-        if D == 3:
-            edge, bad = _edge_sum(edges[j], lam)
-            n_bad += bad
-        return float(np.sum(grid.vol_weight[start:stop] * dets)), bnd, edge, n_bad
+        return float(np.sum(grid.vol_weight[start:stop] * dets)), n_bad
 
-    # per-slab quadrature sums added in slab order, scaled by their cell measures at the end
-    vol, bnd, edge, n_bad = 0.0, np.zeros(D), np.zeros(3), 0
-    for v, b, e, bad in _map_slabs(slab, len(bounds) - 1):
-        vol, bnd, edge, n_bad = vol + v, bnd + b, edge + e, n_bad + bad
+    # per-slab volume sums added in slab order, then the strata's, all scaled by their cell measures
+    vol, n_bad = 0.0, 0
+    for v, bad in _map_slabs(slab, len(bounds) - 1):
+        vol, n_bad = vol + v, n_bad + bad
+    sums, strata_bad = _strata_sums(strata["tables"], entries) if D >= 2 else ([], 0)
     if values is not None:
         watched[1].append(values)
 
@@ -218,15 +214,15 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
     L[0] = euler_characteristic(manifold)
     L[D] = vol * np.prod(spacing)
     if D >= 2:
-        L[D - 1] = 0.5 * sum(b * c for b, c in zip(bnd, face_cell))
+        L[D - 1] = 0.5 * sum(b * c for b, c in zip(sums[:D], face_cell))
     if D == 3:
-        L[1] = sum(e * h for e, h in zip(edge, spacing)) / (2.0 * math.pi)
+        L[1] = sum(e * h for e, h in zip(sums[D:], spacing)) / (2.0 * math.pi)
     return LkcVector(
         values=tuple(float(v) for v in L),
         r=r,
         source="estimate" if ens is source else "white-noise-theory",
         l1_locally_stationary=D == 3,
-        diagnostics={"psd_repaired_points": n_bad},
+        diagnostics={"psd_repaired_points": n_bad + strata_bad},
     )
 
 

@@ -293,11 +293,11 @@ class RefinedGrid:
                 return ids
         raise AssertionError("boundary table key not present in grid")
 
-    def slabs(self, limit: int) -> tuple[np.ndarray, list[tuple[dict, ...]], list[tuple[dict, ...]]]:
+    def slabs(self, limit: int) -> tuple[np.ndarray, dict]:
         """The partition into slabs that ``lkc`` streams, cached per ``limit``:
         the slab bounds, runs of whole axis-0 rows, a row opening a run where
-        the open one would pass ``limit`` points with it; and per slab its
-        entries of each face table and of each edge table (``_split``)."""
+        the open one would pass ``limit`` points with it; and the boundary
+        tables merged for them (``_strata``)."""
         part = self._partitions.get(limit)
         if part is None:
             rows = self.rows[0]
@@ -306,9 +306,7 @@ class RefinedGrid:
                 if stop - bounds[-1] > limit:
                     bounds.append(start)
             bounds = np.array(bounds + [rows[-1]])
-            part = self._partitions[limit] = (
-                bounds, list(zip(*(_split(self.face_tables[m], bounds) for m in range(self.dimension)))),
-                list(zip(*(_split(t, bounds) for t in self.edge_tables))))
+            part = self._partitions[limit] = (bounds, _strata(self, bounds))
         return part
 
     @cached_property
@@ -373,15 +371,33 @@ class RefinedGrid:
         return owner, boxes[owner, choice]
 
 
-def _split(table: dict, bounds: np.ndarray) -> list[dict]:
-    """A quadrature table's entries per slab, in table order within a slab
-    (a stable sort on the slab index), with ids counted from the slab's start."""
-    slab = np.searchsorted(bounds, table["ids"], side="right") - 1
-    order = np.argsort(slab, kind="stable")
-    cuts = np.searchsorted(slab[order], np.arange(1, len(bounds) - 1))
-    local = dict(table, ids=table["ids"] - bounds[slab])
-    cols = {k: np.split(v[order], cuts) for k, v in local.items() if isinstance(v, np.ndarray)}
-    return [{k: v[j] for k, v in cols.items()} for j in range(len(bounds) - 1)]
+def _strata(grid: RefinedGrid, bounds: np.ndarray) -> dict:
+    """The face tables (by normal axis), then the edge tables (by tangent axis), merged for the slabs
+    ``bounds``: per table its columns but the ids, rows in slab order (a stable sort), the "axes" whose
+    metric it reads (all for an edge), "cuts" (the slabs' bounds in its rows) and the "start" of its
+    block of a per-call array of "size" entries: the upper triangle of the (k, k, n) metric on its k
+    axes at its n rows, components first.  Per slab, int32 "take" and "put": the flat positions of
+    those entries in the slab's components-first metric, and their positions in the array."""
+    D, n_slabs = grid.dimension, len(bounds) - 1
+    tables, take, put, start = [], [[] for _ in range(n_slabs)], [[] for _ in range(n_slabs)], 0
+    faces = [([d for d in range(D) if d != m], t) for m, t in grid.face_tables.items()]
+    for axes, table in faces + [(list(range(D)), t) for t in grid.edge_tables]:
+        slab = np.searchsorted(bounds, table["ids"], side="right") - 1
+        order = np.argsort(slab, kind="stable")
+        slab, (k, n) = slab[order], (len(axes), len(order))
+        cuts = np.searchsorted(slab, np.arange(n_slabs + 1))
+        upper = [(a, b) for a in range(k) for b in range(a, k)]
+        src = np.array([axes[a] * D + axes[b] for a, b in upper], dtype=int)[:, None] * np.diff(bounds)[slab]
+        src += table["ids"][order] - bounds[slab]
+        dst = start + np.array([a * k + b for a, b in upper], dtype=int)[:, None] * n + np.arange(n)
+        for j, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            take[j].append(src[:, lo:hi].ravel())
+            put[j].append(dst[:, lo:hi].ravel())
+        cols = {name: v[order] if isinstance(v, np.ndarray) else v for name, v in table.items() if name != "ids"}
+        tables.append(dict(cols, axes=tuple(axes), start=start, cuts=cuts))
+        start += k * k * n
+    return {"tables": tables, "size": start, "take": [np.concatenate(t, dtype=np.int32) for t in take],
+            "put": [np.concatenate(t, dtype=np.int32) for t in put]}
 
 
 def _rectangles(row: np.ndarray) -> list[tuple] | None:

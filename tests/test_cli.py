@@ -395,17 +395,19 @@ def test_surf_eval_cli(tmp_path):
     ("", "pts.csv holds no points"),
 ])
 def test_surf_eval_rejects_bad_points(tmp_path, capsys, points, message):
+    # the points file is read at plan time: a dry run refuses it as the run does, nothing written
     dom = VoxelSet(np.argwhere(np.ones((5, 5))).astype(float))
     srf, pts = tmp_path / "f.srf1", tmp_path / "pts.csv"
     write_srf1(srf, sample_ensemble(dom, 2, RngSpec(1)))
     pts.write_text(points)
     out = tmp_path / "o"
-    rc = main(["surf", "eval", "--fields", str(srf), "--points", str(pts), "--fwhm", "2",
-               "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and message in err
-    assert not (out / "surf_eval.csv").exists()
+    for dry_run in ([], ["--dry-run"]):
+        rc = main(["surf", "eval", "--fields", str(srf), "--points", str(pts), "--fwhm", "2",
+                   "--out", str(out), *dry_run])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and message in captured.err and captured.out == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [

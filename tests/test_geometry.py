@@ -253,8 +253,9 @@ def test_sqrt_det_psd_repair():
 
 @pytest.mark.parametrize("D", [2, 3])
 def test_determinants_and_angles_independent_of_metric_layout(D):
-    # _metric_expr fills a components-first view; the readers must give the
-    # same bits on it as on a C-contiguous copy, repair path included
+    # _metric_expr fills the upper triangle of a components-first view; the
+    # readers must give the same bits on it as on a C-contiguous symmetric copy
+    # and on one whose lower triangle is NaN, repair path included
     rng = np.random.default_rng(70 + D)
     Q = 200
     S = rng.uniform(0.5, 2.0, Q)
@@ -266,21 +267,26 @@ def test_determinants_and_angles_independent_of_metric_layout(D):
     indefinite = np.full((D, D), -0.9) + 1.9 * np.eye(D) if D == 3 else np.array([[1.0, 2.0], [2.0, 1.0]])
     S[::40], Sd[::40], Sdd[::40] = 1.0, 0.0, indefinite
     lam = geometry._metric_expr(S, Sd, Sdd)
-    dense = np.ascontiguousarray(lam)
+    dense = geometry._symmetric(np.ascontiguousarray(lam))
+    poisoned, lower = dense.copy(), np.tril_indices(D, -1)
+    poisoned[:, lower[0], lower[1]] = np.nan
     assert lam[..., 0, 1].flags.c_contiguous and not lam.flags.c_contiguous
     vals, n_bad = sqrt_det_psd(lam)
     assert n_bad >= Q // 40
-    want = sqrt_det_psd(dense)
-    assert np.array_equal(vals, want[0]) and n_bad == want[1]
-    for n in range(1, D):
-        for axes in itertools.combinations(range(D), n):
-            got, want = sqrt_det_sub(lam, axes), sqrt_det_sub(dense, axes)
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    for other in (dense, poisoned):
+        want = sqrt_det_psd(other)
+        assert np.array_equal(vals, want[0]) and n_bad == want[1]
+        for n in range(1, D):
+            for axes in itertools.combinations(range(D), n):
+                got, want = sqrt_det_sub(lam, axes), sqrt_det_sub(other, axes)
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
     if D == 3:
         types = rng.integers(3, size=Q)
         refl = rng.choice([-1, 1], size=(Q, 2))
         for k in range(3):
-            assert np.array_equal(theta_batch(lam, k, types, refl), theta_batch(dense, k, types, refl))
+            want = theta_batch(dense, k, types, refl)
+            assert np.array_equal(theta_batch(lam, k, types, refl), want)
+            assert np.array_equal(theta_batch(poisoned, k, types, refl), want)
     grid = refined_grid(VoxelManifold(make_domain_preset("nonstat2d" if D == 2 else "nonstat3d")), 1)
     lam = metric_on_grid("white-noise", GaussianKernel.isotropic(2.0, D), grid)
     assert lam.shape == (grid.n_points, D, D)
@@ -416,5 +422,5 @@ def test_white_noise_point_bundle_matches_direct_sums(D, truncation):
     assert len(got) == len(want)
     for g, w in zip([*got, *geometry._moments("white-noise", k, dom, points=pts)], [*want, *want[:3]]):
         np.testing.assert_allclose(g, w, rtol=1e-11, atol=1e-12 * np.abs(w).max())
-    np.testing.assert_allclose(metric("white-noise", k, dom, pts), geometry._metric_expr(*want[:3]),
+    np.testing.assert_allclose(metric("white-noise", k, dom, pts), geometry._symmetric(geometry._metric_expr(*want[:3])),
                                rtol=1e-9, atol=1e-11)

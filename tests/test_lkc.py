@@ -307,11 +307,12 @@ def test_slab_streaming_matches_one_slab(monkeypatch, nonstat3d_r3, case):
     monkeypatch.setattr(lkc_module, "_SLAB_THREADS", 1)  # the spies record in slab order
     monkeypatch.setattr(lkc_module, "_SLAB_ENTRIES", 1 << 62)  # slabs bounded by points alone
 
-    def run(slab_points):
+    def run(slab_points):  # the LKC and the upper triangles of its slabs' metrics, the entries written
         monkeypatch.setattr(lkc_module, "_SLAB_POINTS", slab_points)
         metrics.clear()
         vec = lkc_compute(source, k, man, 3, grid=grid)
-        return vec, np.concatenate(metrics)
+        upper = np.triu_indices(man.dimension)
+        return vec, np.concatenate(metrics)[:, upper[0], upper[1]]
 
     one, lam_one = run(grid.n_points)
     many, lam_many = run(slab_points)
@@ -551,26 +552,26 @@ def test_slab_bounds_match_key_search(monkeypatch, nonstat3d_r3, name):
 
 
 def test_slab_partition_is_built_once_per_grid_and_bound(monkeypatch):
-    # the bounds and per-slab quadrature tables are cached on the grid per
-    # point bound: a warm call splits nothing and keeps every bit, and an
+    # the bounds and the merged strata table are cached on the grid per
+    # point bound: a warm call merges nothing and keeps every bit, and an
     # ensemble's entry bound is a partition of its own
     from surfield import manifold
 
     man = VoxelManifold(make_domain_preset("nonstat3d"))
     grid, k = refined_grid(man, 1), GaussianKernel.isotropic(2.0, 3)
-    splits = []
+    merges = []
 
-    def counted(*args, real=manifold._split):
-        splits.append(args[1])
+    def counted(*args, real=manifold._strata):
+        merges.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(manifold, "_split", counted)
+    monkeypatch.setattr(manifold, "_strata", counted)
     cold = lkc_compute("white-noise", k, man, 1, grid=grid)
-    assert len(splits) == 3 + 3 and all(b is lkc_module._slabs(grid, 1) for b in splits)  # faces, edges
+    assert len(merges) == 1 and merges[0] is lkc_module._slabs(grid, 1)  # faces and edges at once
     warm = lkc_compute("white-noise", k, man, 1, grid=grid)
-    assert len(splits) == 6 and np.array(warm.values).tobytes() == np.array(cold.values).tobytes()
+    assert len(merges) == 1 and np.array(warm.values).tobytes() == np.array(cold.values).tobytes()
     lkc_compute(sample_ensemble(man.domain, 50, RngSpec(2)), k, man, 1, grid=grid)
-    assert len(splits) == 12 and splits[-1] is lkc_module._slabs(grid, 50)
+    assert len(merges) == 2 and merges[-1] is lkc_module._slabs(grid, 50)
 
 
 def _blas_count():
@@ -582,8 +583,8 @@ def _blas_count():
 @pytest.fixture
 def slab_spy(monkeypatch):
     """Per slab lkc_compute computes, (first grid id, thread ident, BLAS thread
-    count while it runs); ``fail(pred)`` makes ``theta_batch`` raise
-    LinAlgError in every slab whose entry satisfies pred."""
+    count while it runs); ``fail(pred)`` makes ``_metric_expr``, which runs in
+    the slab, raise LinAlgError in every slab whose entry satisfies pred."""
     import threading
 
     seen, local, failing = [], threading.local(), [lambda entry: False]
@@ -594,13 +595,13 @@ def slab_spy(monkeypatch):
         seen.append(local.entry)
         return moments(*args, ids=ids, **kwargs)
 
-    def theta(*args):
+    def metric(*bundle):
         if failing[0](local.entry):
-            raise np.linalg.LinAlgError(f"no angle in the slab from id {local.entry[0]}")
-        return theta_batch(*args)
+            raise np.linalg.LinAlgError(f"no metric in the slab from id {local.entry[0]}")
+        return _metric_expr(*bundle)
 
     monkeypatch.setattr(lkc_module, "_moments", spy)
-    monkeypatch.setattr(lkc_module, "theta_batch", theta)
+    monkeypatch.setattr(lkc_module, "_metric_expr", metric)
     spy.seen, spy.fail = seen, lambda pred: failing.__setitem__(0, pred)
     return spy
 
@@ -615,6 +616,123 @@ def _threading_cases(name):
         shell = make_domain_preset("nonstat3d")
         return sample_ensemble(shell, 50, RngSpec(6)), k, VoxelManifold(shell), 1, {}
     return sample_ensemble(dom, 8, RngSpec(3)), k, man, 1, {}  # "stat3d r1 ensemble": 3 slabs
+
+
+def _per_slab_reference(source, kernel, man, r, sample_domain=None):
+    """lkc_compute as each slab integrated its own boundary strata on its symmetric
+    metric: the volume, face and edge sums of every slab from its entries of each table
+    in table order, added in slab order; with the repairs among the face metrics."""
+    from surfield.geometry import _symmetric
+    from surfield.lattice import FieldEnsemble
+    from surfield.surf import _grid_factors
+
+    grid, D, ensemble = refined_grid(man, r), man.dimension, isinstance(source, FieldEnsemble)
+    domain = source.domain if ensemble else sample_domain or man.domain
+    factors = _grid_factors(kernel, domain, grid, 1, not ensemble)
+    vol, bnd, edge, n_bad, face_bad = 0.0, np.zeros(D), np.zeros(3), 0, 0
+    bounds = lkc_module._slabs(grid, source.n_fields if ensemble else 1)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        lam = _symmetric(lkc_module._metric_expr(*lkc_module._moments(
+            source, kernel, domain, grid=grid, ids=range(start, stop), factors=factors)))
+        dets, bad = sqrt_det_psd(lam)
+        vol, n_bad = vol + float(np.sum(grid.vol_weight[start:stop] * dets)), n_bad + bad
+        for m, t in grid.face_tables.items() if D >= 2 else ():
+            at = (t["ids"] >= start) & (t["ids"] < stop)
+            sub, bad = sqrt_det_sub(lam[t["ids"][at] - start], tuple(d for d in range(D) if d != m))
+            bnd[m], n_bad, face_bad = bnd[m] + float(np.sum(t["weights"][at] * sub)), n_bad + bad, face_bad + bad
+        for k, t in enumerate(grid.edge_tables):
+            at = (t["ids"] >= start) & (t["ids"] < stop)
+            lam_pts = lam[t["ids"][at] - start]
+            theta = theta_batch(lam_pts, k, t["types"][at], t["refl"][at])
+            length, bad = sqrt_det_sub(lam_pts, (k,))
+            edge[k], n_bad = edge[k] + float(np.sum(t["weights"][at] * theta * length)), n_bad + bad
+    spacing = man.domain.spacing / (r + 1)
+    L = [float(euler_characteristic(man))] + [0.0] * D
+    L[D] = vol * np.prod(spacing)
+    if D >= 2:
+        L[D - 1] = 0.5 * sum(b * c for b, c in zip(bnd, [np.prod(np.delete(spacing, m)) for m in range(D)]))
+    if D == 3:
+        L[1] = sum(e * h for e, h in zip(edge, spacing)) / (2.0 * math.pi)
+    return np.array(L).tobytes(), n_bad, face_bad
+
+
+def _indefinite_off_the_edges(monkeypatch, grid):
+    """Make the metric's (0, 1) minor negative at every third grid point that lies on
+    no 3-D edge: the face metrics normal to axis 2 there need PSD repair, while every
+    edge's face planes stay positive definite."""
+    import threading
+
+    on_edge, local = np.zeros(grid.n_points, dtype=bool), threading.local()
+    for t in grid.edge_tables:
+        on_edge[t["ids"]] = True
+    moments, expr = lkc_module._moments, lkc_module._metric_expr
+
+    def spy(*args, ids, **kwargs):
+        local.ids = ids
+        return moments(*args, ids=ids, **kwargs)
+
+    def metric(*bundle):
+        lam = expr(*bundle)
+        at = ~on_edge[local.ids] & (np.arange(local.ids.start, local.ids.stop) % 3 == 0)
+        lam[at, 0, 1] = 2.0 * np.sqrt(lam[at, 0, 0] * lam[at, 1, 1])
+        return lam
+
+    monkeypatch.setattr(lkc_module, "_moments", spy)
+    monkeypatch.setattr(lkc_module, "_metric_expr", metric)
+
+
+@pytest.mark.parametrize("name", ["stat3d r3 white-noise", "nonstat3d r1 50-subject ensemble",
+                                  "nonstat2d r1 white-noise", "stat3d r1 4-subject ensemble",
+                                  "stat3d r1 4-subject ensemble, face repairs"])
+def test_merged_strata_keep_the_per_slab_bits(monkeypatch, name):
+    # the slabs gather their strata entries and each table is integrated once per
+    # call: values and diagnostics equal those of slabs integrating their own strata
+    if name.startswith("nonstat2d"):
+        dom = make_domain_preset("nonstat2d")
+        source, k, man, r, kwargs = "white-noise", GaussianKernel.isotropic(2.0, 2), VoxelManifold(dom), 1, {}
+    elif name.startswith("stat3d r1 4-subject"):
+        dom = make_domain_preset("stat3d", 3.0)
+        source, k, man, r, kwargs = sample_ensemble(dom, 4, RngSpec(1)), GaussianKernel.isotropic(3.0, 3), \
+            VoxelManifold(dom.interior), 1, {}
+        if name.endswith("face repairs"):
+            _indefinite_off_the_edges(monkeypatch, refined_grid(man, r))
+    else:
+        source, k, man, r, kwargs = _threading_cases(name)
+    want, n_bad, face_bad = _per_slab_reference(source, k, man, r, **kwargs)
+    if "4-subject" in name:
+        assert n_bad > 0 and (face_bad > 0) == name.endswith("face repairs")
+    for threads in (1, 2):
+        monkeypatch.setattr(lkc_module, "_SLAB_THREADS", threads)
+        vec = lkc_compute(source, k, man, r, **kwargs)
+        assert np.array(vec.values).tobytes() == want
+        assert vec.diagnostics == {"psd_repaired_points": n_bad}
+
+
+def test_a_metric_singular_on_an_edge_face_plane_raises_at_any_slab_threads(monkeypatch):
+    # the last slab's metric loses its (0, 0) entry: the edges through it have a
+    # singular face plane, found once the slabs are done, whichever thread ran it
+    import threading
+
+    source, k, man, r, kwargs = _threading_cases("stat3d r3 white-noise")
+    last = lkc_module._slabs(refined_grid(man, r), 1)[-2]
+    moments, expr, local = lkc_module._moments, lkc_module._metric_expr, {}
+
+    def spy(*args, ids, **kw):
+        local[threading.get_ident()] = ids.start
+        return moments(*args, ids=ids, **kw)
+
+    def singular(*bundle):
+        lam = expr(*bundle)
+        if local[threading.get_ident()] == last:
+            lam[..., 0, 0] = 0.0
+        return lam
+
+    monkeypatch.setattr(lkc_module, "_moments", spy)
+    monkeypatch.setattr(lkc_module, "_metric_expr", singular)
+    for threads in (1, 2):
+        monkeypatch.setattr(lkc_module, "_SLAB_THREADS", threads)
+        with pytest.raises(np.linalg.LinAlgError, match="^metric is singular on a face plane of the edge$"):
+            lkc_compute(source, k, man, r, **kwargs)
 
 
 @pytest.mark.parametrize("name", ["stat3d r3 white-noise", "stat3d r1 ensemble", "nonstat3d r1 50-subject ensemble"])
@@ -669,7 +787,7 @@ def test_slab_thread_errors_surface_as_the_serial_loop_raises_them(monkeypatch, 
     slab_spy.fail(lambda entry: entry[0] in failed)
     with pytest.raises(np.linalg.LinAlgError) as serial:
         lkc_compute(source, k, man, r, **kwargs)
-    assert str(threaded.value) == str(serial.value) == f"no angle in the slab from id {min(failed)}"
+    assert str(threaded.value) == str(serial.value) == f"no metric in the slab from id {min(failed)}"
 
 
 def test_slab_threads_without_the_blas_switch_run_serially(monkeypatch, slab_spy):
