@@ -12,8 +12,9 @@ directory only once ``run()`` has succeeded, writes the artifacts and a
 ``manifest.json`` embedding the plan and the package version, then prints the
 report.  Settings that change no output, such as ``fwer-sim``'s thread count
 or an ``lkc`` setting its source does not read, are left out of the plan, so
-identical configurations give byte-identical files.  A bad kernel setting is a
-config error at plan time, as every other bad setting is.
+identical configurations give byte-identical files.  Each setting's rule
+lives once, in the library function that reads it, which the CLI asks at plan
+time (``_checked``: its error a config error); the CLI only parses its own text.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -32,6 +32,8 @@ from .fieldio import read_srf1
 from .inference import (
     FieldType,
     ThresholdError,
+    _check_alpha,
+    _fwer_settings,
     fwer_experiment,
     nondegeneracy_check,
     threshold,
@@ -42,11 +44,12 @@ from .lattice import (
     FieldEnsemble,
     RngSpec,
     VoxelSet,
+    _check_count,
     make_domain_preset,
     sample_ensemble,
 )
-from .lkc import lkc_compute, lkc_stationary_closed_form
-from .manifold import VoxelManifold, classify_boundary, euler_characteristic
+from .lkc import _check_curvatures, lkc_compute, lkc_stationary_closed_form
+from .manifold import VoxelManifold, _added_resolution, classify_boundary, euler_characteristic
 from .surf import SurfSpec, _eval_arrays
 
 _LKC_CSV_HEADER = ["source", "D", "fwhm", "r", "L0", "L1", "L2", "L3"]
@@ -69,6 +72,14 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
+def _checked(check, *args, where: str = "", **kwargs):
+    """``check(*args, **kwargs)``, a TypeError or ValueError it raises a config error (after ``where``)."""
+    try:
+        return check(*args, **kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}{e}") from None
+
+
 def _load_domain(args) -> tuple[VoxelSet, str, FieldEnsemble | None]:
     """The domain with its label, and the ensemble when read from --fields.
 
@@ -76,11 +87,7 @@ def _load_domain(args) -> tuple[VoxelSet, str, FieldEnsemble | None]:
     """
     ens = read_srf1(args.fields) if getattr(args, "fields", None) else None
     if getattr(args, "preset", None):
-        needs_f = args.preset.startswith("stat")
-        fwhm = getattr(args, "fwhm", None)
-        if needs_f and not (fwhm is not None and 0 < fwhm < np.inf):
-            raise ConfigError(f"stationary presets require a positive, finite --fwhm, got {fwhm}")
-        dom = make_domain_preset(args.preset, fwhm if needs_f else None)
+        dom = _checked(make_domain_preset, args.preset, getattr(args, "fwhm", None))
         if ens is not None and not np.array_equal(
             np.unique(ens.domain.coords, axis=0), np.unique(dom.coords, axis=0)
         ):
@@ -95,10 +102,7 @@ def _kernel_for(args, D: int) -> GaussianKernel:
     """The kernel of --fwhm and --truncation, its settings refused as a config error."""
     if args.fwhm is None:
         raise ConfigError("--fwhm is required")
-    try:
-        return GaussianKernel.isotropic(float(args.fwhm), D, getattr(args, "truncation", None))
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return _checked(GaussianKernel.isotropic, float(args.fwhm), D, getattr(args, "truncation", None))
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +116,13 @@ def _cmd_lkc(args):
     man = VoxelManifold(inner)
     D = dom.dimension
     kern = _kernel_for(args, D)
-    if args.source != "closed-form" and (args.r < 1 or args.r % 2 == 0):
-        raise ConfigError(f"--r must be odd and positive, got {args.r}")
     plan = {"domain": dom_label, "fwhm": args.fwhm, "source": args.source, "format": args.format}
     if args.source != "closed-form":
+        _checked(_added_resolution, args.r, "--r", lattice=False)
         plan.update(truncation=args.truncation, r=args.r)
     if args.source == "ensemble" and ens is None:  # sampled from the preset
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        if args.n_subjects < 2:
-            raise ConfigError(f"--n-subjects must be >= 2, got {args.n_subjects}")
+        _checked(_check_count, "--seed", args.seed, 0)
+        _checked(_check_count, "--n-subjects", args.n_subjects, 2)  # lkc_compute's N >= 2
         plan.update(n_subjects=args.n_subjects, seed=args.seed)
 
     def run():
@@ -147,21 +148,11 @@ def _cmd_lkc(args):
 
 def _cmd_threshold(args):
     lk = [float(x) for x in args.lkcs.split(",")]
-    if not np.all(np.isfinite(lk)):
-        raise ConfigError(f"--lkcs must be finite, got {args.lkcs}")
-    # LkcVector's rule at the top nonzero L_D (trailing zeros: a lower-dimensional set)
-    D = max((d for d, v in enumerate(lk) if v != 0), default=0)
-    if lk[D] < 0 or (D >= 2 and lk[D - 1] <= 0):
-        raise ConfigError(f"--lkcs needs L_D > 0 and, for D >= 2, L_(D-1) > 0, got {args.lkcs}")
-    if args.family == "t" and args.df is None:
-        raise ConfigError("--family t requires --df")
-    if args.df is not None and not np.isfinite(args.df):
-        raise ConfigError(f"--df must be finite, got {args.df}")
-    if args.family == "t" and args.df < 1:
-        raise ConfigError(f"--family t requires --df >= 1, got {args.df}")
-    if not 0 < args.alpha < 1:  # NaN fails too
-        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    ftype = FieldType.gaussian() if args.family == "gaussian" else FieldType.student_t(args.df)
+    _checked(_check_curvatures, lk, "--lkcs")
+    if args.family == "t" or args.df is not None:  # a given --df is a t field's, read or not
+        t_type = _checked(FieldType, "t", args.df, where="--family ")
+    ftype = t_type if args.family == "t" else FieldType.gaussian()
+    _checked(_check_alpha, args.alpha, "--alpha")
     plan = {"lkcs": lk, "family": args.family, "df": args.df, "alpha": args.alpha}
 
     def run():
@@ -172,10 +163,7 @@ def _cmd_threshold(args):
     return plan, run
 
 
-_FWER_SCHEMA = {
-    "preset": str, "fwhm": (int, float), "n_subjects": int, "n_reps": int,
-    "alpha": (int, float), "r_lkc": int, "seed": int, "threads": int,
-}
+_FWER_REQUIRED = ("preset", "fwhm", "n_subjects", "n_reps")
 _FWER_DEFAULTS = {"alpha": 0.05, "r_lkc": 1, "seed": 0, "threads": 1}
 
 
@@ -184,29 +172,19 @@ def _load_fwer_config(path: str, overrides: dict) -> dict:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path}: invalid JSON at line {e.lineno}: {e.msg}")
-    cfg = dict(_FWER_DEFAULTS)
-    cfg.update(raw)
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("preset", "fwhm", "n_subjects", "n_reps"):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path}: must hold a JSON object, got {type(raw).__name__}")
+    cfg = {**_FWER_DEFAULTS, **raw, **{k: v for k, v in overrides.items() if v is not None}}
+    for key in _FWER_REQUIRED:
         if key not in cfg:
             raise ConfigError(f"config {path}: missing required field {key!r}")
-    for key, typ in _FWER_SCHEMA.items():  # JSON true/false are ints to isinstance
-        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], typ)):
-            raise ConfigError(f"config {path}: field {key!r} must be {typ}")
-    unknown = set(cfg) - set(_FWER_SCHEMA)
+    unknown = set(cfg) - set(_FWER_REQUIRED) - set(_FWER_DEFAULTS)
     if unknown:
         raise ConfigError(f"config {path}: unknown fields {sorted(unknown)}")
-    if cfg["preset"] not in PRESET_NAMES:
-        raise ConfigError(f"config {path}: preset must be one of {PRESET_NAMES}")
-    for key, least in (("seed", 0), ("n_subjects", 2), ("n_reps", 1), ("r_lkc", 1), ("threads", 1)):
-        if cfg[key] < least:
-            raise ConfigError(f"config {path}: {key} must be >= {least}, got {cfg[key]}")
-    if cfg["r_lkc"] % 2 == 0:
-        raise ConfigError(f"config {path}: r_lkc must be odd, got {cfg['r_lkc']}")
-    if not 0 < cfg["fwhm"] < math.inf:  # JSON reads Infinity and NaN
-        raise ConfigError(f"config {path}: fwhm must be finite and positive, got {cfg['fwhm']}")
-    if not 0 < cfg["alpha"] < 1:
-        raise ConfigError(f"config {path}: alpha must lie in (0, 1), got {cfg['alpha']}")
+    where = f"config {path}: "
+    rng = _checked(RngSpec, cfg["seed"], where=where)  # the config names it seed
+    _checked(_fwer_settings, *(cfg[key] for key in _FWER_REQUIRED), cfg["alpha"], r_lkc=cfg["r_lkc"],
+             rng=rng, threads=cfg["threads"], where=where)
     return cfg
 
 

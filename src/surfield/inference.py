@@ -20,9 +20,10 @@ from scipy import sparse as _sparse
 from scipy import special as _special
 
 from .kernel import GaussianKernel
-from .lattice import PRESET_NAMES, FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
-from .lkc import LkcVector, _reading, lkc_compute
-from .manifold import RefinedGrid, VoxelManifold, refined_grid
+from .lattice import (PRESET_NAMES, FieldEnsemble, RngSpec, VoxelSet, _check_count, _stationary_box,
+                      make_domain_preset, sample_ensemble)
+from .lkc import LkcVector, _check_curvatures, _reading, lkc_compute
+from .manifold import RefinedGrid, VoxelManifold, _added_resolution, refined_grid
 from .surf import DegenerateFieldError, SurfSpec, _t_from_arrays, _t_hessian_at, t_field_on_grid
 
 __all__ = [
@@ -52,8 +53,8 @@ class FieldType:
     def __post_init__(self):
         if self.kind not in ("gaussian", "t"):
             raise ValueError(f"unknown field type {self.kind!r}")
-        if self.kind == "t" and (self.nu is None or self.nu < 1):
-            raise ValueError("t field requires nu >= 1")
+        if self.kind == "t" and (self.nu is None or not 1 <= self.nu < math.inf):
+            raise ValueError(f"t requires finite degrees of freedom nu >= 1, got {self.nu!r}")
 
     @classmethod
     def gaussian(cls) -> "FieldType":
@@ -129,16 +130,24 @@ class ThresholdError(RuntimeError):
     pass
 
 
+def _check_alpha(alpha, name: str = "alpha") -> None:
+    """Refuse an ``alpha`` that is not a number in (0, 1); a bool is not one."""
+    if isinstance(alpha, bool) or not (isinstance(alpha, (int, float, np.integer, np.floating)) and 0 < alpha < 1):
+        raise ValueError(f"{name} must lie in (0, 1), got {alpha!r}")
+
+
 def threshold(lkcs, ftype: FieldType, alpha: float, tol: float = 1e-12) -> float:
     """Largest u with expected excursion EC equal to alpha.
 
     Brackets the rightmost crossing on a sampled interval (from the largest
     level where the expected EC still exceeds one, up to 50) and bisects.
     Errors out when no crossing exists or the sampled curve is not
-    decreasing through the crossing.
+    decreasing through the crossing.  Plain curvatures obey ``LkcVector``'s
+    rule (``lkc._check_curvatures``).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    if not isinstance(lkcs, LkcVector):
+        lkcs = _check_curvatures(lkcs, "lkcs")
+    _check_alpha(alpha)
     eec = lambda u: expected_euler_char(lkcs, ftype, u)
     us, vals = _LEVELS, _eec(lkcs, partial(_sweep_density, ftype), _LEVELS.shape)
     big = np.nonzero(vals >= 1.0)[0]
@@ -233,14 +242,13 @@ def maximize_t_field(
     spec: SurfSpec,
     manifold: VoxelManifold,
     starts: int = 10,
-    r_scan: int = 1,
     grid: RefinedGrid | None = None,
     grid_values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Maximize the t field over the box union.
 
     Takes the t field on the scan grid (``grid_values``, one per point of
-    ``grid``, else evaluated on ``grid`` or a fresh ``r_scan`` grid), and
+    ``grid``, else evaluated on ``grid`` or a fresh r = 1 grid), and
     from its ``starts`` highest local maxima (``_grid_local_maxima``: a
     plateau counts once) runs a projected-Newton ascent in every occupied
     box containing the start, all (start, box) pairs in lockstep
@@ -249,7 +257,7 @@ def maximize_t_field(
     """
     _check_count("starts", starts, 1)
     if grid is None:
-        grid = refined_grid(manifold, r_scan)
+        grid = refined_grid(manifold, 1)
     if grid_values is None:
         grid_values = t_field_on_grid(spec, grid)
     max_ids = _grid_local_maxima(grid, grid_values)[:starts]
@@ -369,25 +377,38 @@ class FwerReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise unless ``value`` is an integer, not a bool, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 @lru_cache(maxsize=4)
 def _run_context(preset: str, fwhm: float) -> tuple:
     """A run's domain, interior manifold, kernel, r = 1 and r = 0 grids and lattice
     points' ids (the r = 1 grid's even keys); 0.21 / 14.1 MB for stat2d / stat3d once
     used."""
-    dom = make_domain_preset(preset, fwhm if preset.startswith("stat") else None)
+    dom = make_domain_preset(preset, fwhm)
     inner = dom.interior or dom
     man = VoxelManifold(inner)
     grid1 = refined_grid(man, 1)
     kern = GaussianKernel.isotropic(fwhm, dom.dimension)
     return dom, man, kern, grid1, refined_grid(man, 0), grid1._lookup_ids(inner.axis_index * (grid1.r + 1))
+
+
+def _fwer_settings(preset, fwhm, n_subjects, n_reps, alpha, *, r_lkc, rng, threads, starts=10) -> RngSpec:
+    """The master RngSpec of ``fwer_experiment``'s settings, each refused unless the run can read it."""
+    for name, value, least in (("n_subjects", n_subjects, 2), ("n_reps", n_reps, 1), ("starts", starts, 1),
+                               ("threads", threads, 1)):
+        _check_count(name, value, least)
+    _added_resolution(r_lkc, "r_lkc", lattice=False)
+    if not isinstance(rng, RngSpec):
+        rng = RngSpec(_check_count("rng", rng, 0))
+    if rng.stream != 0:
+        raise ValueError(f"rng must be a master (stream 0) spec, got stream {rng.stream}")
+    _check_alpha(alpha)
+    if preset not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {preset!r}; expected one of {PRESET_NAMES}")
+    if isinstance(fwhm, bool) or not (isinstance(fwhm, (int, float, np.integer, np.floating))
+                                      and 0 < fwhm < math.inf):
+        raise ValueError(f"fwhm must be a positive finite number, got {fwhm!r}")
+    if preset.startswith("stat"):
+        _stationary_box(preset, fwhm)
+    return rng
 
 
 def fwer_experiment(
@@ -415,23 +436,8 @@ def fwer_experiment(
     seed (an integer >= 0).  The replications run in order in the calling
     thread; ``threads`` (an integer >= 1) changes nothing.
     """
-    for name, value, least in (("n_subjects", n_subjects, 2), ("n_reps", n_reps, 1), ("starts", starts, 1),
-                               ("threads", threads, 1), ("r_lkc", r_lkc, 1)):
-        _check_count(name, value, least)
-    if r_lkc % 2 == 0:
-        raise ValueError(f"r_lkc must be odd, got {r_lkc}")
-    if not isinstance(rng, RngSpec):
-        _check_count("rng", rng, 0)
-        rng = RngSpec(rng)
-    if rng.stream != 0:
-        raise ValueError(f"rng must be a master (stream 0) spec, got stream {rng.stream}")
-    if isinstance(alpha, bool) or not (isinstance(alpha, (int, float, np.integer, np.floating)) and 0 < alpha < 1):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if preset not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {preset!r}; expected one of {PRESET_NAMES}")
-    if isinstance(fwhm, bool) or not (isinstance(fwhm, (int, float, np.integer, np.floating))
-                                      and 0 < fwhm < math.inf):
-        raise ValueError(f"fwhm must be a positive finite number, got {fwhm!r}")
+    rng = _fwer_settings(preset, fwhm, n_subjects, n_reps, alpha, r_lkc=r_lkc, starts=starts, rng=rng,
+                         threads=threads)
     dom, man, kern, grid1, grid0, lattice_ids = _run_context(preset, float(fwhm))
     grid_lkc = grid1 if r_lkc == 1 else refined_grid(man, r_lkc)  # never cached: r = 9 in 3-D is 100s of MB
     ftype = FieldType.student_t(n_subjects - 1)

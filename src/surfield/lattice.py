@@ -12,7 +12,7 @@ moments (``VoxelSet.unit_field``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +25,17 @@ __all__ = [
     "sample_ensemble",
     "PRESET_NAMES",
 ]
+
+_INDEX_SPACE_CAP = 1 << 27  # cells of the densest index box a voxel set may span
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """``value`` as an int, refusing a bool, a non-integer or a value below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -183,14 +194,8 @@ class RngSpec:
     stream: int = 0
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream", self.stream)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer as the int it equals
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.stream < 0:
-            raise ValueError("stream index must be non-negative")
+        for name in ("seed", "stream"):  # a numpy integer as the int it equals
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), 0))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
@@ -230,6 +235,19 @@ def _frame_coords(D: int, lo: int, hi: int, rim: tuple[int, ...]) -> np.ndarray:
     return full[keep]
 
 
+def _stationary_box(name: str, fwhm) -> tuple[float, int, int]:
+    """Padding a, side L and dimension D of stationary preset ``name`` at ``fwhm``, refusing a
+    fwhm that is not finite and positive or whose padded box would pass ``_INDEX_SPACE_CAP`` voxels."""
+    if fwhm is None or not 0 < fwhm < math.inf:
+        raise ValueError(f"stationary presets require a finite positive fwhm, got {fwhm}")
+    a = math.sqrt(2.0) * fwhm / math.sqrt(math.log(2.0))
+    L, D = (100, 1) if name == "stat1d" else (20, int(name[4]))
+    side = math.floor(L + a) - math.ceil(1 - a) + 1 if a < _INDEX_SPACE_CAP else math.inf
+    if side ** D > _INDEX_SPACE_CAP:
+        raise ValueError(f"fwhm {fwhm} pads the {name} box to more than {_INDEX_SPACE_CAP:,} voxels")
+    return a, L, D
+
+
 def make_domain_preset(name: str, fwhm: float | None = None) -> VoxelSet:
     """Build one of the six standard simulation voxel sets.
 
@@ -242,11 +260,7 @@ def make_domain_preset(name: str, fwhm: float | None = None) -> VoxelSet:
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     if name.startswith("stat"):
-        if fwhm is None or not 0 < fwhm < math.inf:
-            raise ValueError(f"stationary presets require a finite positive fwhm, got {fwhm}")
-        a = math.sqrt(2.0) * fwhm / math.sqrt(math.log(2.0))
-        L = 100 if name == "stat1d" else 20
-        D = {"stat1d": 1, "stat2d": 2, "stat3d": 3}[name]
+        a, L, D = _stationary_box(name, fwhm)
         inner = VoxelSet(_integer_box(1, L, D))
         return VoxelSet(_integer_box(1 - a, L + a, D), interior=inner)
     if name == "nonstat1d":
@@ -268,12 +282,6 @@ def sample_ensemble(
     RngSpec always reproduces bit-identical values, and fields are filled in
     index order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if signal is not None:
-        signal = np.asarray(signal, dtype=np.float64).ravel()
-        if signal.size != domain.n_voxels:
-            raise ValueError("signal length must match voxel count")
-    noise = rng.generator().standard_normal((n, domain.n_voxels))
-    values = noise if signal is None else noise + signal
-    return FieldEnsemble(domain, values, rng=rng, signal=signal)
+    _check_count("n", n, 1)
+    ens = FieldEnsemble(domain, rng.generator().standard_normal((n, domain.n_voxels)), rng=rng, signal=signal)
+    return ens if signal is None else replace(ens, values=ens.values + ens.signal)

@@ -67,9 +67,7 @@ class LkcVector:
     diagnostics: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        D = len(self.values) - 1
-        if self.values[D] <= 0 or (D >= 2 and self.values[D - 1] <= 0):
-            raise ValueError("top curvatures must be positive")
+        _check_curvatures(self.values, "an LkcVector")
 
     @property
     def dimension(self) -> int:
@@ -77,6 +75,18 @@ class LkcVector:
 
     def __getitem__(self, d: int) -> float:
         return self.values[d]
+
+
+def _check_curvatures(values, name: str) -> tuple[float, ...]:
+    """``values`` (L_0, .., L_D) as floats, refused unless finite with L_D > 0 and, for D >= 2,
+    L_(D-1) > 0, D the last nonzero index: trailing zeros are a lower-dimensional set."""
+    values = tuple(float(v) for v in values)
+    if not values or not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite numbers L_0, .., L_D, got {values}")
+    D = max((d for d, v in enumerate(values) if v != 0), default=0)
+    if values[D] < 0 or (D >= 2 and values[D - 1] <= 0):
+        raise ValueError(f"{name} needs L_D > 0 and, for D >= 2, L_(D-1) > 0, got {values}")
+    return values
 
 
 def _slabs(grid: RefinedGrid, n_fields: int) -> np.ndarray:
@@ -170,9 +180,7 @@ def lkc_compute(source, kernel: GaussianKernel, manifold: VoxelManifold, r: int,
     when it differs from the manifold's own set (the boundary-padded
     presets); an ensemble always sums over its own domain.
     """
-    r = _added_resolution(r)
-    if r == 0:
-        raise ValueError("curvature estimation requires added resolution r >= 1")
+    r = _added_resolution(r, lattice=False)  # curvatures need a refined grid
     if isinstance(source, FieldEnsemble):
         if source.n_fields < 2:
             raise ValueError("ensemble curvature estimation requires N >= 2")
@@ -232,8 +240,8 @@ def lkc_stationary_closed_form(sides, fwhm: float) -> LkcVector:
     sides = [float(s) for s in np.atleast_1d(sides)]
     if any(s <= 0 for s in sides) or len(sides) > 3:
         raise ValueError("sides must be 1..3 positive lengths")
-    if fwhm <= 0:
-        raise ValueError("fwhm must be positive")
+    if not 0 < fwhm < math.inf:
+        raise ValueError(f"fwhm must be positive and finite, got {fwhm}")
     D = len(sides)
     scale = math.sqrt(4.0 * LOG2) / fwhm
     a = sides + [0.0, 0.0]

@@ -15,14 +15,13 @@ coordinates.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
 
-from .lattice import VoxelSet
+from .lattice import _INDEX_SPACE_CAP, VoxelSet, _check_count
 
 __all__ = [
     "EdgeType",
@@ -34,7 +33,6 @@ __all__ = [
     "euler_characteristic",
 ]
 
-_INDEX_SPACE_CAP = 1 << 27
 _GRID_BYTES_CAP = 4 << 30  # refuse grids whose build is estimated above this
 
 
@@ -189,8 +187,6 @@ class RefinedGrid:
         D = manifold.dimension
         self.dimension = D
         dom = manifold.domain
-        if self.r < 0 or (self.r % 2 == 0 and self.r != 0):
-            raise ValueError("added resolution must be odd and positive (or 0 for the lattice)")
         _check_grid_size(manifold, self.r)
         h = (self.r + 1) // 2
         step = self.r + 1
@@ -425,11 +421,12 @@ def _rectangles(row: np.ndarray) -> list[tuple] | None:
     return out
 
 
-def _added_resolution(r) -> int:
-    """``r`` as an int, refusing a bool or a non-integral value (``int`` truncates)."""
-    if isinstance(r, bool) or not hasattr(r, "__index__"):
-        raise TypeError(f"added resolution must be an integer, got {r!r}")
-    return operator.index(r)
+def _added_resolution(r, name: str = "added resolution", lattice: bool = True) -> int:
+    """``r`` as an int: odd and positive, or 0 (the voxel lattice) where ``lattice``."""
+    r = _check_count(name, r, -np.inf)  # its type; its range is the rule below
+    if r < 0 or (r % 2 == 0 and not (r == 0 and lattice)):
+        raise ValueError(f"{name} must be odd and positive{' (or 0 for the lattice)' if lattice else ''}, got {r}")
+    return r
 
 
 def _check_grid_size(manifold: VoxelManifold, r: int) -> tuple[int, int]:

@@ -1,15 +1,21 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfield.cli import main
 from surfield.fieldio import read_csv, write_srf1
-from surfield.lattice import FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
+from surfield.inference import _fwer_settings
+from surfield.lattice import PRESET_NAMES, FieldEnsemble, RngSpec, VoxelSet, make_domain_preset, sample_ensemble
 
 
 def read_lkc_csv(path):
@@ -152,13 +158,69 @@ def test_fwer_sim_config_validation(tmp_path):
     assert main(["fwer-sim", "--config", str(bad), "--dry-run"]) == 0
 
 
-@pytest.mark.parametrize("case", ["short_header", "huge_voxel_count", "cut_values"])
+@pytest.mark.parametrize("text, kind", [("42", "int"), ("null", "NoneType"), ("[1, 2]", "list"), ('"x"', "str")])
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+def test_fwer_sim_refuses_a_config_that_is_not_an_object(tmp_path, capsys, text, kind, dry_run):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["fwer-sim", "--config", str(cfg), "--out", str(tmp_path / "o"), *dry_run]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: config {cfg}: must hold a JSON object, got {kind}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.integers(-2**70, 2**70)
+    | st.sampled_from([0, 1, 2, 3, -1, 0.05, 0.5, 1e308, -1e308, 1e6, math.inf, -math.inf, math.nan])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+_FWER_CONFIGS = st.builds(  # a valid config, up to two fields set to any JSON value, one perhaps dropped
+    lambda cfg, changed, dropped: {k: v for k, v in (cfg | changed).items() if k not in dropped},
+    st.fixed_dictionaries(
+        {"preset": st.sampled_from(PRESET_NAMES), "fwhm": st.sampled_from([1.0, 3.0, 1e3]),
+         "n_subjects": st.integers(2, 60), "n_reps": st.integers(1, 9)},
+        optional={"alpha": st.floats(1e-3, 0.5), "r_lkc": st.sampled_from([1, 3, 5]),
+                  "seed": st.integers(0, 2**70), "threads": st.integers(1, 4)}),
+    st.dictionaries(st.sampled_from(["preset", "fwhm", "n_subjects", "n_reps", "alpha", "r_lkc", "seed",
+                                     "threads", "bogus"]), _JSON_VALUES, max_size=2),
+    st.sampled_from([()] * 12 + [(key,) for key in ("preset", "fwhm", "n_subjects", "n_reps")]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_FWER_CONFIGS | _JSON_VALUES)
+def test_fwer_sim_dry_run_property(config):
+    # any JSON config: a plan (exit 0) that passes fwer_experiment's own check, or a config
+    # error (exit 2); never a traceback, never an output directory
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "o"
+        path.write_text(json.dumps(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["fwer-sim", "--config", str(path), "--out", str(out), "--dry-run"])
+        assert not out.exists()
+    assert rc in (0, 2), stderr.getvalue()
+    if rc == 2:
+        assert stderr.getvalue().startswith("config error: config ") and stdout.getvalue() == ""
+        return
+    plan = json.loads(stdout.getvalue())["plan"]
+    _fwer_settings(plan["preset"], plan["fwhm"], plan["n_subjects"], plan["n_reps"], plan["alpha"],
+                   r_lkc=plan["r_lkc"], rng=plan["seed"], threads=1)
+
+
+@pytest.mark.parametrize("case", ["short_header", "huge_voxel_count", "cut_values", "version", "dimension"])
 def test_lkc_rejects_malformed_srf1(tmp_path, capsys, case):
     path = tmp_path / "bad.srf1"
     if case == "short_header":
         path.write_bytes(b"SRF1" + bytes(6))
     elif case == "huge_voxel_count":
         path.write_bytes(b"SRF1" + struct.pack("<HBQ", 1, 3, 1 << 40) + bytes(64))
+    elif case in ("version", "dimension"):
+        version, D = (2, 1) if case == "version" else (1, 4)
+        path.write_bytes(b"SRF1" + struct.pack("<HBQ", version, D, 2) + bytes(64))
     else:
         good = tmp_path / "good.srf1"
         write_srf1(good, sample_ensemble(make_domain_preset("nonstat1d"), 3, RngSpec(0)))
@@ -167,7 +229,8 @@ def test_lkc_rejects_malformed_srf1(tmp_path, capsys, case):
                "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error:")
+    assert err.startswith({"version": "error: unsupported SRF1 version 2",
+                           "dimension": "error: SRF1 dimension must be 1..3, got 4"}.get(case, "error:"))
     assert "Traceback" not in err
 
 
@@ -240,7 +303,8 @@ def test_failed_surf_eval_leaves_no_out(tmp_path, capsys):
 def test_threshold_t_family_requires_df(tmp_path, capsys):
     rc = main(["threshold", "--lkcs", "1,20,100", "--family", "t", "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err.strip() == "config error: --family t requires --df"
+    assert capsys.readouterr().err.strip() == (
+        "config error: --family t requires finite degrees of freedom nu >= 1, got None")
     assert not (tmp_path / "o").exists()
 
 
@@ -264,14 +328,14 @@ def test_stationary_preset_rejects_bad_fwhm(tmp_path, capsys, command, fwhm):
     rc = main([command, "--preset", "stat2d", *extra, "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: stationary presets require a positive, finite --fwhm")
+    assert err.startswith("config error: stationary presets require a finite positive fwhm, got")
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("lkcs, df, message", [
     ("1,nan,100", "49", "config error: --lkcs must be finite"),
     ("1,20,inf", "49", "config error: --lkcs must be finite"),
-    ("1,20,100", "nan", "config error: --df must be finite"),
+    ("1,20,100", "nan", "config error: --family t requires finite degrees of freedom nu >= 1, got nan"),
     # LkcVector's rule at the top nonzero L_D: L_D > 0 and, for D >= 2, L_(D-1) > 0
     *[(lkcs, "40", "config error: --lkcs needs L_D > 0")
       for lkcs in ("1,-1e9,100", "1,20,-100", "1,0,100", "1,-5", "-1")],
@@ -287,7 +351,8 @@ def test_threshold_rejects_non_finite_input(tmp_path, capsys, lkcs, df, message)
     (["threshold", "--lkcs", "1,20,100", "--alpha", alpha], "config error: --alpha must lie in (0, 1)")
     for alpha in ("2", "0", "1", "-0.1", "nan")
 ] + [
-    (["threshold", "--lkcs", "1,20,100", "--family", "t", "--df", df], "config error: --family t requires --df >= 1")
+    (["threshold", "--lkcs", "1,20,100", "--family", "t", "--df", df],
+     f"config error: --family t requires finite degrees of freedom nu >= 1, got {float(df)}")
     for df in ("0.5", "0", "-3")
 ] + [
     (["lkc", "--preset", "stat2d", "--fwhm", "3", "--r", r, *source], "config error: --r must be odd and positive")
@@ -303,9 +368,9 @@ def test_threshold_rejects_non_finite_input(tmp_path, capsys, lkcs, df, message)
         ({}, ["--seed", "-2"], "seed must be >= 0, got -2"),
         ({"n_subjects": 1}, [], "n_subjects must be >= 2, got 1"),
         ({"n_reps": 0}, [], "n_reps must be >= 1, got 0"),
-        ({"r_lkc": 0}, [], "r_lkc must be >= 1, got 0"),
-        ({"r_lkc": -3}, [], "r_lkc must be >= 1, got -3"),
-        ({"r_lkc": 2}, [], "r_lkc must be odd, got 2"),
+        ({"r_lkc": 0}, [], "r_lkc must be odd and positive, got 0"),
+        ({"r_lkc": -3}, [], "r_lkc must be odd and positive, got -3"),
+        ({"r_lkc": 2}, [], "r_lkc must be odd and positive, got 2"),
     )
 ] + [  # kernel settings, refused before any run builds the kernel
     (["lkc", "--preset", "nonstat3d", "--fwhm", "-1"], "config error: fwhm must be positive and finite"),
@@ -316,6 +381,23 @@ def test_threshold_rejects_non_finite_input(tmp_path, capsys, lkcs, df, message)
      "config error: fwhm must be positive and finite"),
     (["surf", "eval", "--fields", "{srf}", "--points", "{pts}", "--fwhm", "-1"],
      "config error: fwhm must be positive and finite"),
+] + [  # a given --df is a t field's, read or not
+    (["threshold", "--lkcs", "1,20,100", *family, "--df", df],
+     f"config error: --family t requires finite degrees of freedom nu >= 1, got {float(df)}")
+    for family, df in (([], "0.5"), ([], "nan"), (["--family", "t"], "inf"))
+] + [  # the padded box of a stationary preset, refused before it is allocated
+    ([command, "--preset", preset, "--fwhm", fwhm, *extra],
+     f"config error: fwhm {float(fwhm)} pads the {preset} box to more than 134,217,728 voxels")
+    for command, extra in (("lkc", []), ("census", []), ("check-nondegeneracy", ["--point", "5,5,5"]))
+    for preset, fwhm in (("stat2d", "1e6"), ("stat3d", "1e3"), ("stat3d", "1e308"))
+] + [
+    (["fwer-sim", "--config", fields], f"config error: config {{cfg}}: {message}")
+    for fields, message in (
+        ({"preset": "stat4d"}, "unknown preset 'stat4d'; expected one of"),
+        ({"preset": ["stat2d"]}, "unknown preset ['stat2d']; expected one of"),
+        ({"preset": "stat2d", "fwhm": 1e6}, "fwhm 1000000.0 pads the stat2d box to more than 134,217,728 voxels"),
+        ({"preset": "stat2d", "fwhm": 1e308}, "fwhm 1e+308 pads the stat2d box to more than 134,217,728 voxels"),
+    )
 ])
 @pytest.mark.parametrize("dry_run", [False, True])
 def test_cli_refuses_bad_settings_at_plan_time(tmp_path, capsys, argv, message, dry_run):
@@ -349,6 +431,7 @@ def test_cli_keeps_settings_at_their_bounds(tmp_path):
     ("3,-inf", "config error: --point must be finite"),
     ("x,3", "config error: --point must be comma-separated numbers"),
     ("3,", "config error: --point must be comma-separated numbers"),
+    ("3,3,3", "config error: --point dimension does not match the domain"),
 ])
 def test_check_nondegeneracy_rejects_bad_point(tmp_path, capsys, point, message):
     rc = main(["check-nondegeneracy", "--preset", "nonstat2d", "--fwhm", "3", f"--point={point}",

@@ -67,6 +67,9 @@ def test_density_validation():
         ec_density(FieldType.gaussian(), 4, 1.0)
     with pytest.raises(ValueError):
         FieldType.student_t(0.5)
+    for nu in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"t requires finite degrees of freedom nu >= 1, got {nu}"):
+            FieldType.student_t(nu)
     with pytest.raises(ValueError):
         FieldType("chi2")
 
@@ -118,6 +121,23 @@ def test_threshold_round_trip():
         for ft in (FieldType.gaussian(), FieldType.student_t(49)):
             u = threshold(L, ft, alpha)
             assert abs(expected_euler_char(L, ft, u) - alpha) < 1e-7
+
+
+@pytest.mark.parametrize("lkcs, alpha, message", [
+    ([1.0, -1e9, 100.0], 0.05, "lkcs needs L_D > 0 and, for D >= 2, L_(D-1) > 0, got (1.0, -1000000000.0, 100.0)"),
+    ([1.0, 0.0, 100.0], 0.05, "lkcs needs L_D > 0 and, for D >= 2, L_(D-1) > 0, got (1.0, 0.0, 100.0)"),
+    ([1.0, 20.0, -100.0], 0.05, "lkcs needs L_D > 0 and, for D >= 2, L_(D-1) > 0, got (1.0, 20.0, -100.0)"),
+    ([1.0, math.nan, 100.0], 0.05, "lkcs must be finite numbers L_0, .., L_D, got (1.0, nan, 100.0)"),
+    ([], 0.05, "lkcs must be finite numbers L_0, .., L_D, got ()"),
+    ([1.0, 20.0, 100.0], 1.5, "alpha must lie in (0, 1), got 1.5"),
+    ([1.0, 20.0, 100.0], True, "alpha must lie in (0, 1), got True"),
+])
+def test_threshold_refuses_what_lkc_vector_and_fwer_experiment_refuse(lkcs, alpha, message):
+    # a plain sequence obeys LkcVector's rule (trailing zeros allowed), alpha fwer_experiment's
+    with pytest.raises(ValueError, match=re.escape(message)):
+        threshold(lkcs, FieldType.student_t(40), alpha)
+    assert threshold([1.0, 20.0, 0.0, 0.0], FieldType.student_t(40), 0.05) == threshold(
+        [1.0, 20.0], FieldType.student_t(40), 0.05)
 
 
 def test_threshold_no_root_reported():
@@ -547,17 +567,22 @@ def test_fwer_threads1_runs_replications_in_the_calling_thread(monkeypatch):
     ({"alpha": 0.0}, ValueError, "alpha must lie in (0, 1), got 0.0"),
     ({"alpha": math.nan}, ValueError, "alpha must lie in (0, 1), got nan"),
     ({"alpha": "0.05"}, ValueError, "alpha must lie in (0, 1), got '0.05'"),
-    ({"r_lkc": 0}, ValueError, "r_lkc must be >= 1, got 0"),
+    ({"r_lkc": 0}, ValueError, "r_lkc must be odd and positive, got 0"),
     ({"r_lkc": 1.0}, TypeError, "r_lkc must be an integer, got 1.0"),
     ({"r_lkc": True}, TypeError, "r_lkc must be an integer, got True"),
-    ({"r_lkc": 2}, ValueError, "r_lkc must be odd, got 2"),
-    ({"r_lkc": np.int64(4)}, ValueError, "r_lkc must be odd, got 4"),
+    ({"r_lkc": 2}, ValueError, "r_lkc must be odd and positive, got 2"),
+    ({"r_lkc": np.int64(4)}, ValueError, "r_lkc must be odd and positive, got 4"),
     ({"rng": True}, TypeError, "rng must be an integer, got True"),
     ({"rng": "7"}, TypeError, "rng must be an integer, got '7'"),
     ({"rng": 7.0}, TypeError, "rng must be an integer, got 7.0"),
     ({"rng": -1}, ValueError, "rng must be >= 0, got -1"),
     ({"rng": np.int64(-1)}, ValueError, "rng must be >= 0, got -1"),
     ({"rng": RngSpec(7, 1)}, ValueError, "rng must be a master (stream 0) spec, got stream 1"),
+    # a stationary preset's padded box, refused before it is allocated
+    ({"fwhm": 1e308}, ValueError, "fwhm 1e+308 pads the stat2d box to more than 134,217,728 voxels"),
+    ({"fwhm": 1e6}, ValueError, "fwhm 1000000.0 pads the stat2d box to more than 134,217,728 voxels"),
+    ({"preset": "stat3d", "fwhm": 1e3}, ValueError,
+     "fwhm 1000.0 pads the stat3d box to more than 134,217,728 voxels"),
 ])
 def test_fwer_rejects_bad_arguments_before_any_work(monkeypatch, kwargs, error, message):
     from surfield import inference

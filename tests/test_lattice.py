@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,27 @@ def test_stationary_preset_needs_finite_positive_fwhm(fwhm):
         make_domain_preset("stat2d", fwhm)
 
 
+@pytest.mark.parametrize("name, fwhm", [("stat1d", 1e8), ("stat2d", 1e6), ("stat3d", 1e3), ("stat3d", 1e308),
+                                        ("stat2d", 1.7e308)])
+def test_stationary_preset_refuses_a_padded_box_above_the_cap_before_allocating(monkeypatch, name, fwhm):
+    # the cap VoxelManifold puts on an index box, here on the padded box's voxels
+    from surfield import lattice, manifold
+
+    assert manifold._INDEX_SPACE_CAP is lattice._INDEX_SPACE_CAP == 2**27
+
+    def no_box(*args):
+        raise AssertionError("a box was allocated")
+
+    monkeypatch.setattr(lattice, "_integer_box", no_box)
+    message = f"fwhm {fwhm} pads the {name} box to more than 134,217,728 voxels"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_domain_preset(name, fwhm)
+    # at the cap: FWHM 145 pads stat3d to 512^3 = 2^27 voxels, FWHM 145.5 to 514^3
+    assert lattice._stationary_box("stat3d", 145.0)[1:] == (20, 3)
+    with pytest.raises(ValueError, match="pads the stat3d box"):
+        lattice._stationary_box("stat3d", 145.5)
+
+
 def test_dense_embedding_is_cached_read_only_and_zero_off_the_set():
     dom = make_domain_preset("nonstat2d")
     ens = sample_ensemble(dom, 3, RngSpec(4))
@@ -129,8 +151,8 @@ def test_ensemble_determinism_and_streams():
     (("7",), TypeError, "seed must be an integer, got '7'"),
     ((7, False), TypeError, "stream must be an integer, got False"),
     ((7, 1.5), TypeError, "stream must be an integer, got 1.5"),
-    ((-1,), ValueError, "seed must be non-negative, got -1"),
-    ((7, -1), ValueError, "stream index must be non-negative"),
+    ((-1,), ValueError, "seed must be >= 0, got -1"),
+    ((7, -1), ValueError, "stream must be >= 0, got -1"),
 ])
 def test_rng_spec_refuses_bad_seeds_and_streams(args, error, message):
     with pytest.raises(error, match=message):
@@ -157,8 +179,10 @@ def test_ensemble_moments():
 
 def test_signal_length_mismatch():
     dom = VoxelSet(np.arange(10.0)[:, None])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="signal length must match voxel count"):
         sample_ensemble(dom, 2, RngSpec(0), signal=np.ones(9))
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        sample_ensemble(dom, 0, RngSpec(0))
 
 
 def test_srf1_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -250,6 +251,15 @@ def test_non_integral_r_rejected_before_a_grid_is_built(monkeypatch, r):
 def test_lkc_vector_invariants():
     with pytest.raises(ValueError):
         LkcVector((1.0, 2.0, -0.5), r=1, source="estimate")
+    # the curvature rule threshold applies to plain sequences: finite values, positive top L_D, L_(D-1)
+    for values, message in (((1.0, math.nan, 100.0), "an LkcVector must be finite numbers L_0, .., L_D"),
+                            ((1.0, 0.0, 100.0), "an LkcVector needs L_D > 0 and, for D >= 2, L_(D-1) > 0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LkcVector(values, r=1, source="estimate")
+    # a fwhm the kernel refuses, refused before it gives L_D = 0 or NaN curvatures
+    for fwhm in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="fwhm must be positive and finite"):
+            lkc_stationary_closed_form([20.0, 20.0], fwhm)
 
 
 def test_white_noise_lkcs_invariant_under_lattice_symmetries():
@@ -500,6 +510,8 @@ def test_slab_thread_errors_return_both_workspaces(monkeypatch, slab_spy):
     ("ensemble", "manifold is 2-D but the kernel is 3-D"),
     ("1-D ensemble", "sample domain is 1-D but the kernel is 2-D"),
     ("sample domain", "sample domain is 3-D but the kernel is 2-D"),
+    ("grid of another r", "provided grid does not match manifold/r"),
+    ("grid of another manifold", "provided grid does not match manifold/r"),
 ])
 def test_lkc_rejects_a_kernel_of_another_dimension(case, message):
     man = VoxelManifold(make_domain_preset("nonstat2d"))
@@ -511,6 +523,9 @@ def test_lkc_rejects_a_kernel_of_another_dimension(case, message):
         source = sample_ensemble(make_domain_preset("nonstat1d"), 3, RngSpec(1))
     elif case == "sample domain":
         extra = {"sample_domain": make_domain_preset("nonstat3d")}
+    elif case.startswith("grid"):
+        other = refined_grid(man, 3) if case.endswith("r") else refined_grid(VoxelManifold(man.domain), 1)
+        extra = {"grid": other}
     with pytest.raises(ValueError, match=message):
         lkc_compute(source, k, man, 1, **extra)
 

@@ -239,12 +239,17 @@ def test_sweep_evaluation_of_a_point_does_not_depend_on_its_batch(fwhm):
 
 
 def test_t_field_requires_two_and_nonzero_variance():
+    # the ascent's sweep engine refuses what t_field refuses
+    from surfield.surf import _t_hessian_at
+
     dom = VoxelSet(np.array([[0.0], [1.0]]))
     k = GaussianKernel.isotropic(2.0, 1)
-    with pytest.raises(DegenerateFieldError):
-        t_field(SurfSpec(FieldEnsemble(dom, np.ones((1, 2))), k), [[0.5]])
-    with pytest.raises(DegenerateFieldError):
-        t_field(SurfSpec(FieldEnsemble(dom, np.ones((3, 2))), k), [[0.5]])
+    for t in (lambda ens: t_field(SurfSpec(ens, k), [[0.5]]),
+              lambda ens: _t_hessian_at(k, ens, np.array([[0.5]]))):
+        with pytest.raises(DegenerateFieldError, match="t statistic requires at least two fields"):
+            t(FieldEnsemble(dom, np.ones((1, 2))))
+        with pytest.raises(DegenerateFieldError, match="zero sample variance at a query point"):
+            t(FieldEnsemble(dom, np.ones((3, 2))))
 
 
 def test_tensor_grid_engine_matches_generic(small_ensemble):
